@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fuzz as fuzz_mod
-from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic
+from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic, scaled_tolerance
 from .exact_d1 import limit_cone_d1, p_n1_membership
 from .halfdeg import reduced_global_min
 from .moment_cone import classify, necessary_condition, sufficient_condition
@@ -43,7 +43,6 @@ EXIT_INPUT = 64
 class RunConfig:
     seed: int
     tol: float
-    threads: int
     output: str
 
     def __post_init__(self):
@@ -200,7 +199,7 @@ def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> di
                 "c": feas.c, "slack": feas.marginal}
     if route == "ellipsoid":
         val, pt = ellipsoid_quadratic_min(q)
-        t = cfg.tol * max(1.0, q.coeff_scale() * q.dims.n ** 2)
+        t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
         status = Status.MEMBER if val >= -t else Status.NON_MEMBER
         return {"status": status.value, "boundary": -t <= val < t,
                 "min_value": val, "x": list(pt.x), "y": list(pt.y)}
@@ -212,7 +211,7 @@ def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> di
                 "witness": _witness_jsonable(v.witness)}
     if route == "halfdeg":
         val, cfg_min = reduced_global_min(q, seed=cfg.seed)
-        t = cfg.tol * max(1.0, q.coeff_scale() * q.dims.n ** 2)
+        t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
         status = Status.MEMBER if val >= -t else Status.NON_MEMBER
         return {"status": status.value, "boundary": -t <= val < t,
                 "min_value": val,
@@ -428,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0,
                     help="RNG seed (env MC_SEED overrides)")
     ap.add_argument("--tol", type=float, default=1e-9)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--output", choices=("json", "csv", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -481,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(seed=args_seed(args), tol=args.tol,
-                        threads=args.threads, output=args.output)
+        cfg = RunConfig(seed=args_seed(args), tol=args.tol, output=args.output)
         return args.fn(args, cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -179,6 +179,11 @@ class ConeVerdict:
 # operations
 
 
+def scaled_tolerance(tol: float, scale: float, n: int) -> float:
+    """Absolute tolerance for residuals of order scale·n² (P, Sigma, d=1 facets)."""
+    return tol * max(1.0, scale * n * n)
+
+
 def power_sums(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     """Power sums s_α = Σ_i ξ_iα and ss_α = Σ_{i≠j} ξ_iα ξ_jα (ordered pairs)."""
     pts = config.points

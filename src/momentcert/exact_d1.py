@@ -19,6 +19,7 @@ from .core import (
     ProblemDims,
     Status,
     SymmetricQuadratic,
+    scaled_tolerance,
 )
 
 DEFAULT_TOL = 1e-9
@@ -49,10 +50,7 @@ def facet_residuals(a0, a1, a11, n: int) -> np.ndarray:
     (B,) the result has shape (n+1, B).
     """
     u = (n - 2 * np.arange(n + 1, dtype=float))
-    a0, a1, a11 = np.asarray(a0, dtype=float), np.asarray(a1, dtype=float), np.asarray(a11, dtype=float)
-    if a0.ndim == 0:
-        return a0 + a1 * u + a11 * (u * u - n)
-    return a0[None, :] + np.outer(u, a1) + np.outer(u * u - n, a11)
+    return a0 + np.multiply.outer(u, a1) + np.multiply.outer(u * u - n, a11)
 
 
 def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
@@ -62,7 +60,7 @@ def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
     n = q.dims.n
     r = facet_residuals(q.a0, float(q.a[0]), float(q.aa[0]), n)
     reports = [FacetReport(k, float(r[k])) for k in range(n + 1)]
-    t = tol * max(1.0, q.coeff_scale() * n * n)
+    t = scaled_tolerance(tol, q.coeff_scale(), n)
     kmin = int(np.argmin(r))
     rmin = float(r[kmin])
     if rmin >= -t:
@@ -83,14 +81,12 @@ def c_n1_residuals(m0, m1, m11, n: int) -> np.ndarray:
     vanishing at the adjacent hypercube values n-2k and n-2k-2:
     m0(n-1+(n-1-2k)^2) - 2 m1 (n-1-2k) + m11.  Facet k = n pairs with the
     concave extreme quadratic vanishing at both endpoints: (n^2-n) m0 - m11.
+    Scalar moments give shape (n+1,); arrays of shape (B,) give (n+1, B).
     """
     v = (n - 1 - 2 * np.arange(n, dtype=float))
     m0, m1, m11 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float), np.asarray(m11, dtype=float)
-    if m0.ndim == 0:
-        quad = m0 * (n - 1 + v * v) - 2.0 * m1 * v + m11
-        return np.concatenate([quad, [(n * n - n) * m0 - m11]])
-    quad = np.outer(n - 1 + v * v, m0) - 2.0 * np.outer(v, m1) + m11[None, :]
-    return np.concatenate([quad, ((n * n - n) * m0 - m11)[None, :]])
+    quad = np.multiply.outer(n - 1 + v * v, m0) - 2.0 * np.multiply.outer(v, m1) + m11
+    return np.concatenate([quad, ((n * n - n) * m0 - m11)[None]])
 
 
 def facet_polynomial(n: int, k: int) -> SymmetricQuadratic:
@@ -106,7 +102,7 @@ def c_n1_membership(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
     _require_d1(m.dims)
     n = m.dims.n
     r = c_n1_residuals(m.z0, float(m.z[0]), float(m.zz[0]), n)
-    t = tol * max(1.0, m.moment_scale() * n * n)
+    t = scaled_tolerance(tol, m.moment_scale(), n)
     kmin = int(np.argmin(r))
     rmin = float(r[kmin])
     if rmin >= -t:
@@ -168,7 +164,7 @@ def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
     val, x = interval_quadratic_min(a0 - n * float(q.aa[0]),
                                     rt * float(q.a[0]), n * float(q.aa[0]),
                                     -rt, rt)
-    t = tol * max(1.0, q.coeff_scale() * n * n)
+    t = scaled_tolerance(tol, q.coeff_scale(), n)
     if val >= -t:
         return ConeVerdict(Status.MEMBER,
                            witness={"min_value": val, "argmin_x": x},

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic, pair
+from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic, pair, scaled_tolerance
 from .halfdeg import count_distinct_points, full_bruteforce_min, reduced_global_min
 from .measures import lemma_approx_construct
 from .moment_cone import (
@@ -58,6 +58,26 @@ def _random_quadratic(rng, n: int, d: int) -> SymmetricQuadratic:
                               rng.normal(size=d), rng.normal(size=d))
 
 
+def random_atomic_moments(rng, block: int):
+    """Random (n, d) and the moments z0 (B,), z, zz (B, d) of ``block`` atomic
+    measures with 1-4 atoms of n points uniform in the unit d-ball."""
+    n = int(rng.integers(2, 65))
+    d = int(rng.integers(1, 5))
+    max_atoms = 4
+    pts = rng.normal(size=(block, max_atoms, n, d))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts *= rng.uniform(size=(block, max_atoms, n, 1)) ** (1.0 / d)
+    w = rng.exponential(size=(block, max_atoms))
+    n_atoms = rng.integers(1, max_atoms + 1, size=block)
+    w *= np.arange(max_atoms)[None, :] < n_atoms[:, None]
+    s = pts.sum(axis=2)                      # (B, A, d)
+    p = np.sum(pts * pts, axis=2)            # (B, A, d)
+    z0 = w.sum(axis=1)
+    z = np.einsum("ba,bad->bd", w, s)
+    zz = np.einsum("ba,bad->bd", w, s * s - p)
+    return n, d, z0, z, zz
+
+
 def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     """Moments of random atomic measures always pass the necessary condition.
 
@@ -70,20 +90,7 @@ def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     block_idx = 0
     while done < iters:
         block = min(iters - done, 2048)
-        n = int(rng.integers(2, 65))
-        d = int(rng.integers(1, 5))
-        max_atoms = 4
-        pts = rng.normal(size=(block, max_atoms, n, d))
-        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
-        pts *= rng.uniform(size=(block, max_atoms, n, 1)) ** (1.0 / d)
-        w = rng.exponential(size=(block, max_atoms))
-        n_atoms = rng.integers(1, max_atoms + 1, size=block)
-        w *= np.arange(max_atoms)[None, :] < n_atoms[:, None]
-        s = pts.sum(axis=2)                      # (B, A, d)
-        p = np.sum(pts * pts, axis=2)            # (B, A, d)
-        z0 = w.sum(axis=1)
-        z = np.einsum("ba,bad->bd", w, s)
-        zz = np.einsum("ba,bad->bd", w, s * s - p)
+        n, d, z0, z, zz = random_atomic_moments(rng, block)
         res = max_form_residual_batch(z0, z, zz, n, NECESSARY)
         scale = np.maximum.reduce([np.ones(block), z0,
                                    np.max(np.abs(z), axis=1),
@@ -111,7 +118,7 @@ def equivalence_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
         q = _random_quadratic(rng, n, d)
         verdict, _ = sigma_membership_lmi(q)
         val, _ = ellipsoid_quadratic_min(q)
-        t = EQUIVALENCE_TOL * max(1.0, q.coeff_scale() * n * n)
+        t = scaled_tolerance(EQUIVALENCE_TOL, q.coeff_scale(), n)
         if verdict.is_member and val < -t:
             result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
                                       "lmi": "Member", "min": val})
@@ -142,6 +149,15 @@ def halfdeg_suite(iters: int = 20, seed: int = 0, tol: float = 1e-6) -> FuzzResu
     return result
 
 
+def random_lemma_target(rng):
+    """Random (n, d) and a target X uniform in the d-ball of radius √n."""
+    n = int(rng.integers(2, 65))
+    d = int(rng.integers(1, 5))
+    u = rng.normal(size=d)
+    u /= np.linalg.norm(u)
+    return n, d, u * math.sqrt(n) * rng.uniform() ** (1.0 / d)
+
+
 def lemma_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     """The explicit ellipsoid-target construction meets its guarantees:
     exact X match, Y zero off the last coordinate, last-coordinate defect
@@ -149,11 +165,7 @@ def lemma_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     rng = np.random.default_rng(seed)
     result = FuzzResult("lemma", iters)
     for i in range(iters):
-        n = int(rng.integers(2, 65))
-        d = int(rng.integers(1, 5))
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        x = u * math.sqrt(n) * rng.uniform() ** (1.0 / d)
+        n, d, x = random_lemma_target(rng)
         cfg = lemma_approx_construct(x, n)
         pts = cfg.points
         s = pts.sum(axis=0) / math.sqrt(n)

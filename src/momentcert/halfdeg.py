@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import Configuration, SymmetricQuadratic
+from .exact_d1 import facet_residuals, hypercube_point
 
 JITTER = 1e-10
 CLUSTER_TOL = 1e-5
@@ -268,17 +269,16 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
 
 def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0,
                         polish_top: int = 16) -> tuple[float, Configuration]:
-    """Random-search oracle over the full sphere product with local polish."""
+    """Random-search oracle with local polish; exact over the n+1 facets at d=1."""
     n, d = q.dims.n, q.dims.d
+    if d == 1:
+        r = facet_residuals(q.a0, q.a[0], q.aa[0], n)
+        k = int(np.argmin(r))
+        return float(r[k]), hypercube_point(n, k)
     rng = np.random.default_rng(seed)
     counts = np.ones(n)
     pts = _normalize_rows(rng.normal(size=(samples, n, d)))
     vals = _objective(q, counts, pts)
-    if d == 1:
-        # the sphere is {±1}; random signs plus sign-flip polish are exact
-        order = np.argsort(vals)[:polish_top]
-        best = int(order[0])
-        return float(vals[best]), Configuration(q.dims, pts[best])
     order = np.argsort(vals)[:polish_top]
     pvals, pys = _projected_gradient_descent(q, counts, pts[order])
     best_v, best_y = math.inf, None

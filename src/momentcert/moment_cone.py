@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,76 +46,93 @@ class MomentWitnessMatrix:
     x0: float
 
 
-def _z0_effective(m: MomentVector, side: str) -> float:
+class MaxFormTerms(NamedTuple):
+    """One side's 2^d inequalities base >= Σ_α (term1[α] if bit α else term0[α])."""
+
+    z0e: np.ndarray
+    base: np.ndarray
+    term0: np.ndarray
+    term1: np.ndarray
+
+    def residual(self) -> np.ndarray:
+        """Max-form residual: the smallest rhs - lhs over all patterns."""
+        return self.base - np.maximum(self.term1, self.term0).sum(axis=-1)
+
+    def pattern(self) -> np.ndarray:
+        """The sign pattern achieving the max-form residual."""
+        return self.term1 >= self.term0
+
+
+def max_form_terms(z0, z, zz, n: int, side: str = NECESSARY) -> MaxFormTerms:
+    """Inequality terms for z0 of shape (B,) and z, zz of shape (B, d), or for
+    one row (shapes () and (d,)).  The sufficient side uses z0e = z0(n-1)/n
+    in place of z0; base = z0e² + z0e Σ z_αα/n, term0 = z_α²/n and
+    term1 = z0e z_αα/(n-1)."""
+    z0 = np.asarray(z0, dtype=float)
+    z = np.asarray(z, dtype=float)
+    zz = np.asarray(zz, dtype=float)
     if side == NECESSARY:
-        return m.z0
-    if side == SUFFICIENT:
-        return m.z0 * (m.dims.n - 1) / m.dims.n
-    raise ValueError(f"unknown side {side!r}")
+        z0e = z0
+    elif side == SUFFICIENT:
+        z0e = z0 * (n - 1) / n
+    else:
+        raise ValueError(f"unknown side {side!r}")
+    return MaxFormTerms(z0e, z0e * z0e + z0e * zz.sum(axis=-1) / n,
+                        z * z / n, z0e[..., None] * zz / (n - 1))
 
 
-def _max_form(m: MomentVector, side: str) -> tuple[float, tuple[int, ...]]:
-    """Residual of the max-form inequality and the sign pattern achieving it.
-
-    Pattern entry 1 selects the z0 z_αα/(n-1) lower bound, 0 the z_α²/n bound.
-    """
-    n = m.dims.n
-    z0 = _z0_effective(m, side)
-    opt1 = z0 * m.zz / (n - 1)
-    opt0 = m.z * m.z / n
-    chosen = np.maximum(opt1, opt0)
-    pattern = tuple(int(v) for v in (opt1 >= opt0))
-    residual = z0 * z0 + z0 * float(m.zz.sum()) / n - float(chosen.sum())
-    return residual, pattern
+def max_form_residual_batch(z0, z, zz, n: int, side: str = NECESSARY) -> np.ndarray:
+    """Vectorized max-form residual; z0 shape (B,), z and zz shape (B, d)."""
+    return max_form_terms(z0, z, zz, n, side).residual()
 
 
-def _tolerance(m: MomentVector, tol: float) -> float:
+def _tolerance(scale: float, tol: float) -> float:
+    return tol * scale * scale
+
+
+def _condition(m: MomentVector, side: str, tol: float
+               ) -> tuple[bool, InequalityReport]:
+    terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
+    residual = float(terms.residual())
+    pattern = tuple(terms.pattern().astype(int).tolist())
+    if m.is_zero():
+        return True, InequalityReport(side, residual, pattern, True)
     s = m.moment_scale()
-    return tol * s * s
+    z0_ok = m.z0 > tol * s
+    ok = z0_ok and residual >= -_tolerance(s, tol)
+    return ok, InequalityReport(side, residual, pattern, z0_ok)
 
 
 def necessary_condition(m: MomentVector, tol: float = DEFAULT_TOL
                         ) -> tuple[bool, InequalityReport]:
     """Violation implies the vector has no representing measure."""
-    t = _tolerance(m, tol)
-    residual, pattern = _max_form(m, NECESSARY)
-    if m.is_zero():
-        return True, InequalityReport(NECESSARY, residual, pattern, True)
-    z0_ok = m.z0 > tol * m.moment_scale()
-    ok = z0_ok and residual >= -t
-    return ok, InequalityReport(NECESSARY, residual, pattern, z0_ok)
+    return _condition(m, NECESSARY, tol)
 
 
 def sufficient_condition(m: MomentVector, tol: float = DEFAULT_TOL
                          ) -> tuple[bool, InequalityReport]:
     """Passing guarantees a representing measure exists."""
-    t = _tolerance(m, tol)
-    residual, pattern = _max_form(m, SUFFICIENT)
-    if m.is_zero():
-        return True, InequalityReport(SUFFICIENT, residual, pattern, True)
-    z0_ok = m.z0 > tol * m.moment_scale()
-    ok = z0_ok and residual >= -t
-    return ok, InequalityReport(SUFFICIENT, residual, pattern, z0_ok)
+    return _condition(m, SUFFICIENT, tol)
 
 
-def expand_inequalities(m: MomentVector, side: str = NECESSARY) -> np.ndarray:
-    """All 2^d sign-pattern residuals; their minimum is the max-form residual.
+def expand_inequalities(m: MomentVector, side: str = NECESSARY
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2^d sign-pattern inequalities as (residual, lhs, rhs) arrays.
 
-    Residual index is the pattern read as a binary number, bit α (LSB first)
-    set when the z0 z_αα/(n-1) term is chosen for coordinate α.
+    The residual is rhs - lhs; its minimum is the max-form residual.
+    Index is the pattern read as a binary number, bit α (LSB first) set when
+    the z0 z_αα/(n-1) term is chosen for coordinate α.
     """
     d = m.dims.d
     if d > 20:
         raise ValueError(f"2^d expansion refused for d={d} > 20")
-    n = m.dims.n
-    z0 = _z0_effective(m, side)
-    opt1 = z0 * m.zz / (n - 1)
-    opt0 = m.z * m.z / n
-    base = z0 * z0 + z0 * float(m.zz.sum()) / n
-    res = np.full(1, base)
+    terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
+    res = np.full(1, terms.base)
+    lhs = np.zeros(1)
     for alpha in range(d):
-        res = np.concatenate([res - opt0[alpha], res - opt1[alpha]])
-    return res
+        res = np.concatenate([res - terms.term0[alpha], res - terms.term1[alpha]])
+        lhs = np.concatenate([lhs + terms.term0[alpha], lhs + terms.term1[alpha]])
+    return res, lhs, np.full(res.size, terms.base)
 
 
 def pattern_of_index(idx: int, d: int) -> tuple[int, ...]:
@@ -131,7 +149,7 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     x0 absorbs the trace constraint and decides feasibility by its sign.
     """
     n, d = m.dims.n, m.dims.d
-    t = _tolerance(m, tol)
+    t = _tolerance(m.moment_scale(), tol)
     if m.is_zero():
         size = 2 * d + 2
         zero = MomentWitnessMatrix(np.zeros((size, size)), np.zeros(d), 0.0)
@@ -139,7 +157,7 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     if m.z0 <= tol * m.moment_scale():
         return ConeVerdict(Status.NON_MEMBER,
                            witness={"reason": "z0 not positive", "z0": m.z0}), None
-    z0 = _z0_effective(m, side)
+    z0 = float(max_form_terms(m.z0, m.z, m.zz, n, side).z0e)
     xdiag = np.maximum.reduce([m.zz / (n - 1), m.z * m.z / (n * z0), np.zeros(d)])
     x0 = z0 + float(m.zz.sum()) / n - float(xdiag.sum())
     size = 2 * d + 2
@@ -188,8 +206,7 @@ def separating_polynomial(m: MomentVector, tol: float = DEFAULT_TOL) -> Symmetri
             return SymmetricQuadratic(m.dims, float(n * (n - 1)), np.zeros(d), aa)
         aa[alpha] = 1.0
         return SymmetricQuadratic(m.dims, float(n), np.zeros(d), aa)
-    _, pattern = _max_form(m, NECESSARY)
-    t = np.array(pattern, dtype=float)
+    t = max_form_terms(m.z0, m.z, m.zz, n, NECESSARY).pattern().astype(float)
     a0 = 1.0 + float(((1 - t) * m.z * m.z).sum()) / (n * m.z0 * m.z0)
     a = -(1 - t) * 2.0 * m.z / (n * m.z0)
     aa = np.where(t == 1.0, -1.0 / (n * (n - 1)), 1.0 / n)
@@ -235,20 +252,6 @@ def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) ->
     return ConeVerdict(Status.NON_MEMBER, witness={"residual": residual})
 
 
-# ---------------------------------------------------------------------------
-# batch helpers (used by the fuzz harness and the acceptance suite)
-
-
-def max_form_residual_batch(z0, z, zz, n: int, side: str = NECESSARY) -> np.ndarray:
-    """Vectorized max-form residual; z0 shape (B,), z and zz shape (B, d)."""
-    z0 = np.asarray(z0, dtype=float)
-    z = np.asarray(z, dtype=float)
-    zz = np.asarray(zz, dtype=float)
-    z0e = z0 if side == NECESSARY else z0 * (n - 1) / n
-    chosen = np.maximum(z0e[:, None] * zz / (n - 1), z * z / n)
-    return z0e * z0e + z0e * zz.sum(axis=1) / n - chosen.sum(axis=1)
-
-
 def ray_crossing(direction: RescaledMomentVector, n: int, side: str,
                  tol: float = 1e-12) -> float:
     """Largest t >= 0 with (1, t z̃, t z̃z̃) passing the chosen side's test.
@@ -256,13 +259,12 @@ def ray_crossing(direction: RescaledMomentVector, n: int, side: str,
     Both condition sets are convex and contain the ray base point strictly, so
     membership along the ray is an interval and bisection applies.
     """
-    dims = ProblemDims(n, direction.zt.size)
+    ProblemDims(n, direction.zt.size)  # rejects n < 2 before any division
     rt = math.sqrt(n)
 
     def residual(t: float) -> float:
-        m = MomentVector(dims, 1.0, t * direction.zt * rt, t * direction.zzt * n)
-        r, _ = _max_form(m, side)
-        return r
+        return float(max_form_terms(1.0, t * direction.zt * rt,
+                                    t * direction.zzt * n, n, side).residual())
 
     hi = 1.0
     for _ in range(80):

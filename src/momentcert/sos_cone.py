@@ -24,6 +24,7 @@ from .core import (
     Configuration,
     Status,
     SymmetricQuadratic,
+    scaled_tolerance,
 )
 
 DEFAULT_TOL = 1e-9
@@ -184,7 +185,7 @@ def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
     a0 = q.a0
     a = [float(v) for v in q.a]
     aa = [float(v) for v in q.aa]
-    t = tol * max(1.0, q.coeff_scale() * n * n)
+    t = scaled_tolerance(tol, q.coeff_scale(), n)
 
     c_lo = max(0.0, n * max(aa), -n * (n - 1) * min(aa))
     c_hi = a0
@@ -247,7 +248,7 @@ def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True,
     g[1:, 0] = q.a / 2.0
     g[np.arange(1, d + 1), np.arange(1, d + 1)] = g_diag
     if validate:
-        t = tol * max(1.0, q.coeff_scale() * n * n)
+        t = scaled_tolerance(tol, q.coeff_scale(), n)
         eig_min = float(np.linalg.eigvalsh(g)[0])
         if eig_min < -t or float(np.min(h)) < -t:
             raise ValueError(f"infeasible parameter c_lmi={c_lmi}: "

@@ -192,20 +192,6 @@ def spin_form_scale(pattern: tuple[int, ...], n: int) -> float:
     return float(n * (n - 1))
 
 
-def moment_form_sides(m: MomentVector, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """LHS and RHS of each of the 2^d inequalities, indexed like
-    expand_inequalities (residual = rhs - lhs)."""
-    n, d = m.dims.n, m.dims.d
-    z0 = m.z0 if side == NECESSARY else m.z0 * (n - 1) / n
-    rhs = z0 * z0 + z0 * float(m.zz.sum()) / n
-    lhs = np.empty(1 << d)
-    for idx in range(1 << d):
-        pattern = pattern_of_index(idx, d)
-        lhs[idx] = sum(z0 * m.zz[a] / (n - 1) if pattern[a] else
-                       m.z[a] ** 2 / n for a in range(d))
-    return lhs, np.full(1 << d, rhs)
-
-
 @dataclass(frozen=True)
 class InequalityResult:
     pattern: tuple[int, ...]
@@ -252,8 +238,7 @@ def entanglement_witness(state: SymmetricState, tol: float = WITNESS_TOL) -> Wit
     t = tol * n * n
 
     def rows(side):
-        res = expand_inequalities(m, side)
-        lhs, rhs = moment_form_sides(m, side)
+        res, lhs, rhs = expand_inequalities(m, side)
         out = []
         for idx in range(res.size):
             pattern = pattern_of_index(idx, 3)

@@ -18,6 +18,7 @@ from momentcert.core import (
     pair,
 )
 from momentcert.exact_d1 import facet_residuals, sigma_n1_min
+from momentcert.fuzz import random_atomic_moments, random_lemma_target
 from momentcert.halfdeg import (
     count_distinct_points,
     critical_polynomial,
@@ -117,20 +118,7 @@ def test_criterion_3_moment_soundness():
     bad, done = 0, 0
     while done < 100_000:
         block = min(100_000 - done, 2048)
-        n = int(rng.integers(2, 65))
-        d = int(rng.integers(1, 5))
-        max_atoms = 4
-        pts = rng.normal(size=(block, max_atoms, n, d))
-        pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
-        pts *= rng.uniform(size=(block, max_atoms, n, 1)) ** (1.0 / d)
-        w = rng.exponential(size=(block, max_atoms))
-        w *= np.arange(max_atoms)[None, :] < rng.integers(
-            1, max_atoms + 1, size=block)[:, None]
-        s = pts.sum(axis=2)
-        p = np.sum(pts * pts, axis=2)
-        z0 = w.sum(axis=1)
-        z = np.einsum("ba,bad->bd", w, s)
-        zz = np.einsum("ba,bad->bd", w, s * s - p)
+        n, d, z0, z, zz = random_atomic_moments(rng, block)
         res = max_form_residual_batch(z0, z, zz, n, NECESSARY)
         scale = np.maximum.reduce([np.ones(block), z0,
                                    np.max(np.abs(z), axis=1),
@@ -222,11 +210,7 @@ def test_criterion_6_lemma_construction():
     rng = np.random.default_rng(106)
     bad, total = 0, 0
     for _ in range(10_000):
-        n = int(rng.integers(2, 65))
-        d = int(rng.integers(1, 5))
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        x = u * math.sqrt(n) * rng.uniform() ** (1.0 / d)
+        n, d, x = random_lemma_target(rng)
         cfg = lemma_approx_construct(x, n)
         pts = cfg.points
         xs = pts.sum(axis=0) / math.sqrt(n)
@@ -307,7 +291,7 @@ def test_criterion_8_spin_witness():
         res = spin_form_residuals(sm, n)
         if res[(0, 0, 0)] < -1e-9 * n * n or res[(1, 1, 1)] < -1e-9 * n * n:
             trivial_fail += 1
-        mres = expand_inequalities(moments_from_spin(sm, n), NECESSARY)
+        mres, _, _ = expand_inequalities(moments_from_spin(sm, n), NECESSARY)
         for idx in range(8):
             pattern = tuple((idx >> a) & 1 for a in range(3))
             kappa = spin_form_scale(pattern, n)

@@ -12,6 +12,7 @@ from momentcert.core import (
 )
 from momentcert.exact_d1 import (
     c_n1_membership,
+    c_n1_residuals,
     facet_polynomial,
     facet_residuals,
     hypercube_point,
@@ -62,6 +63,19 @@ def test_facet_residuals_batch_shape():
     r = facet_residuals(np.zeros(7), np.ones(7), np.zeros(7), 4)
     assert r.shape == (5, 7)
     assert np.allclose(r[0], 4.0)  # k=0: s1 = n
+
+
+def test_residuals_batch_columns_equal_scalar_calls():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 7, 16):
+        a0, a1, a11 = rng.normal(size=(3, 9)) * 10.0 ** rng.uniform(-3, 3, size=(3, 9))
+        for fn in (facet_residuals, c_n1_residuals):
+            batch = fn(a0, a1, a11, n)
+            assert batch.shape == (n + 1, 9)
+            for b in range(9):
+                col = batch[:, b]
+                assert np.array_equal(col, fn(a0[b], a1[b], a11[b], n))
+                assert np.array_equal(col, fn(float(a0[b]), float(a1[b]), float(a11[b]), n))
 
 
 def test_c_membership_cases():

@@ -169,11 +169,14 @@ def test_critical_polynomial_degenerate_branch_raises():
 
 
 def test_bruteforce_never_beats_reduced_d1():
-    """At d=1 the pattern search is exact, so random search can only tie."""
+    """At d=1 the pattern search and the brute-force facet minimum are both
+    exact, so they agree; at n=16 with A1 < 0 the minimum sits at k = 0."""
     rng = np.random.default_rng(36)
-    for trial in range(20):
-        n = int(rng.integers(3, 9))
-        q = rand_q(rng, n, 1)
+    cases = [rand_q(rng, int(rng.integers(3, 9)), 1) for _ in range(20)]
+    cases.append(SymmetricQuadratic(ProblemDims(16, 1), 0.0, [-1.0], [0.0]))
+    for trial, q in enumerate(cases):
         val, _ = reduced_global_min(q, seed=trial)
-        bval, _ = full_bruteforce_min(q, samples=500, seed=trial)
-        assert val <= bval + 1e-12
+        bval, bcfg = full_bruteforce_min(q, samples=500, seed=trial)
+        assert abs(val - bval) <= 1e-12
+        assert abs(evaluate(q, bcfg) - bval) <= 1e-12
+    assert bval == -16.0  # the n=16 case: every point at +1

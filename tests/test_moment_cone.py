@@ -110,7 +110,7 @@ def test_expand_inequalities_structure():
     for _ in range(200):
         n, d = int(rng.integers(2, 10)), int(rng.integers(1, 5))
         m = mv(n, d, abs(rng.normal()) + 0.1, rng.normal(size=d), rng.normal(size=d))
-        res = expand_inequalities(m, NECESSARY)
+        res, _, _ = expand_inequalities(m, NECESSARY)
         assert res.size == 2 ** d
         _, report = necessary_condition(m)
         assert abs(res.min() - report.max_form_residual) < 1e-12 * max(

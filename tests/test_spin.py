@@ -92,13 +92,34 @@ def test_spin_form_equals_scaled_moment_form():
         st = random_state(n, seed=trial)
         sm = spin_moments(st)
         m = moments_from_spin(sm, n)
-        res = expand_inequalities(m, NECESSARY)
+        res, _, _ = expand_inequalities(m, NECESSARY)
         spin_res = spin_form_residuals(sm, n)
         for idx in range(8):
             pattern = tuple((idx >> a) & 1 for a in range(3))
             kappa = spin_form_scale(pattern, n)
             assert abs(spin_res[pattern] - kappa * res[idx]) < 1e-10 * max(
                 1.0, n * n * abs(res[idx]) + n * n)
+
+
+def test_witness_rows_lhs_rhs_follow_pattern_formula():
+    """Row lhs = sum over α of z0e z_αα/(n-1) (bit α set) or z_α²/n, rhs =
+    z0e² + z0e Σ z_αα/n with z0e = z0 (necessary) or z0(n-1)/n (sufficient),
+    and rhs - lhs is the row's residual."""
+    states = [random_state(n, seed=n) for n in (2, 5, 16, 33)]
+    states += [dicke_state(8, 0.0), coherent_state(12, 0.7, 1.9), ghz_state(6)]
+    for st in states:
+        rep = entanglement_witness(st)
+        m, n = rep.moments, st.n
+        for z0e, rows in ((m.z0, rep.necessary), (m.z0 * (n - 1) / n, rep.sufficient)):
+            rhs = z0e * z0e + z0e * float(m.zz.sum()) / n
+            for r in rows:
+                terms = [z0e * m.zz[a] / (n - 1) if r.pattern[a] else m.z[a] * m.z[a] / n
+                         for a in range(3)]
+                scale = max(1.0, sum(abs(t) for t in terms))
+                assert abs(r.lhs - sum(terms)) <= 1e-12 * scale
+                assert abs(r.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+                assert abs((r.rhs - r.lhs) - r.residual) <= 1e-12 * max(
+                    1.0, abs(r.lhs), abs(r.rhs))
 
 
 def test_coherent_states_never_detected():
