@@ -210,7 +210,10 @@ def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> di
         return {"status": v.status.value, "boundary": v.boundary,
                 "witness": _witness_jsonable(v.witness)}
     if route == "halfdeg":
-        val, cfg_min = reduced_global_min(q, seed=cfg.seed)
+        try:
+            val, cfg_min = reduced_global_min(q, seed=cfg.seed)
+        except ValueError as exc:  # pattern count above halfdeg.MAX_PATTERNS
+            raise InputError(str(exc))
         t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
         status = Status.MEMBER if val >= -t else Status.NON_MEMBER
         return {"status": status.value, "boundary": -t <= val < t,

@@ -2,9 +2,12 @@
 only configurations with at most 2d distinct points.
 
 The reduction is realized numerically: enumerate multiplicity patterns
-(partitions of n into at most 2d parts), minimize over each pattern with
-multistart projected gradient descent, and compare against a brute-force
-random-search oracle.  Critical-point diagnostics (the degree-2d polynomial
+(partitions of n into at most 2d parts) and minimize over each pattern.  At
+d=1 that is an exact sign enumeration; at d >= 2 it is a multistart
+saddle-free Riemannian Newton descent, batched over the restarts
+(`_newton_descent`).  A brute-force random-search oracle runs the same descent
+on unreduced configurations.  A search over more than MAX_PATTERNS patterns is
+refused before it starts.  Critical-point diagnostics (the degree-2d polynomial
 P(t) and the coordinate-recovery quotient) come straight from the Lagrange
 stationarity conditions.
 """
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +24,11 @@ from .exact_d1 import facet_residuals, hypercube_point
 
 JITTER = 1e-10
 CLUSTER_TOL = 1e-5
+#: largest pattern count reduced_global_min will search; partition_count(n, 2d)
+#: grows like n^(2d-1) (n=20, d=3: 282; n=200, d=3: 4,775,383) and each
+#: d >= 2 pattern costs a batched Newton run of tens of milliseconds
+MAX_PATTERNS = 1000
+_HALVINGS = 0.5 ** np.arange(30)
 
 
 @dataclass(frozen=True)
@@ -68,16 +75,17 @@ def enumerate_patterns(n: int, d: int):
     yield from rec(n, n, max_parts, [])
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int, max_parts: int) -> int:
-    """Independent recurrence for the number of partitions of n into <= k parts."""
-    if n == 0:
-        return 1
-    if max_parts == 0:
-        return 0
-    # p(n, <=k) = p(n-k, <=k) + p(n, <=k-1)
-    extra = partition_count(n - max_parts, max_parts) if n >= max_parts else 0
-    return extra + partition_count(n, max_parts - 1)
+    """Number of partitions of n into <= k parts, counted independently of
+    enumerate_patterns as partitions into parts of size <= k (conjugation).
+
+    Iterative, so the cost guard of reduced_global_min works at any n.
+    """
+    ways = [1] + [0] * n
+    for part in range(1, max_parts + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 def _objective(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -93,54 +101,8 @@ def _gradient(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray) -> np.nd
                                     + 2.0 * q.aa[None, None, :] * (s[:, None, :] - y))
 
 
-def _curvature(q: SymmetricQuadratic, counts: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^T H g for the ambient quadratic, batched."""
-    t = np.einsum("j,bjd->bd", counts, g)
-    u = np.einsum("j,bjd->bd", counts, g * g)
-    return 2.0 * (t * t - u) @ q.aa
-
-
 def _normalize_rows(y: np.ndarray) -> np.ndarray:
     return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-
-def _projected_gradient_descent(q: SymmetricQuadratic, counts: np.ndarray,
-                                y0: np.ndarray, max_iter: int = 600,
-                                gtol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize the pattern objective over unit rows, batched over restarts."""
-    y = _normalize_rows(np.array(y0, dtype=float))
-    f = _objective(q, counts, y)
-    scale = max(1.0, q.coeff_scale()) * q.dims.n ** 2
-    alive = np.ones(y.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        ya, fa = y[idx], f[idx]
-        grad = _gradient(q, counts, ya)
-        tangent = grad - np.sum(grad * ya, axis=-1, keepdims=True) * ya
-        gnorm2 = np.einsum("bjd,bjd->b", tangent, tangent)
-        converged = gnorm2 <= (gtol * scale) ** 2
-        curv = _curvature(q, counts, tangent)
-        step = np.where(curv > 0.0, gnorm2 / np.maximum(curv, 1e-300),
-                        1.0 / (1.0 + np.abs(curv)))
-        improved = np.zeros(idx.size, dtype=bool)
-        for _ in range(25):
-            open_ = ~(improved | converged)
-            if not open_.any():
-                break
-            trial = _normalize_rows(ya - step[:, None, None] * tangent)
-            ft = _objective(q, counts, trial)
-            take = (ft < fa) & open_
-            if take.any():
-                ya = np.where(take[:, None, None], trial, ya)
-                fa = np.where(take, ft, fa)
-                improved |= take
-            step = np.where(improved, step, step * 0.5)
-        y[idx], f[idx] = ya, fa
-        # retire converged elements and those the line search cannot move
-        alive[idx] = improved
-    return f, y
 
 
 def _ambient_hessian(q: SymmetricQuadratic, counts: np.ndarray) -> np.ndarray:
@@ -156,72 +118,65 @@ def _ambient_hessian(q: SymmetricQuadratic, counts: np.ndarray) -> np.ndarray:
     return h
 
 
-def _newton_polish(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray,
-                   max_iter: int = 40) -> tuple[float, np.ndarray]:
-    """Quadratically convergent cleanup of one near-critical candidate.
+def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray,
+                    max_iter: int = 100, gtol: float = 1e-11
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the pattern objective over unit rows, batched over restarts.
 
-    Newton's method on the Lagrange system, restricted to the tangent space of
-    the sphere product; steps that fail to reduce the stationarity residual
-    fall back to halving, and the loop stops at machine-precision KKT.
+    y0 has shape (B, m, d).  Each iteration takes a saddle-free Riemannian
+    Newton step x = |Hess|^-1 t on the sphere product: t is the tangent
+    gradient and Hess = P(H - lambda (x) I)P + N, where N = blockdiag(y_j y_j^T)
+    puts eigenvalue 1 on the normal directions.  Replacing each eigenvalue by
+    its modulus makes x a descent direction away from minima too.  A
+    backtracking line search accepts only strict decreases, so no restart ends
+    above its normalized start.  A restart retires once |t| <= gtol * scale or
+    when the line search cannot move it.
     """
+    y = _normalize_rows(np.array(y0, dtype=float))
+    f = _objective(q, counts, y)
     m, d = counts.size, q.dims.d
     scale = max(1.0, q.coeff_scale()) * q.dims.n ** 2
-    y = _normalize_rows(np.array(y, dtype=float))
-    h_f = _ambient_hessian(q, counts)
-    best_f = float(_objective(q, counts, y[None])[0])
-    best_y = y.copy()
-
-    def kkt(yc):
-        g = _gradient(q, counts, yc[None])[0]
-        lam = np.sum(g * yc, axis=1)
-        return g - lam[:, None] * yc, lam
-
-    res, lam = kkt(y)
-    res_norm = float(np.max(np.abs(res)))
+    h = _ambient_hessian(q, counts)
+    eye_m, eye = np.eye(m), np.eye(m * d)
+    idx = np.arange(y.shape[0])
     for _ in range(max_iter):
-        if res_norm <= 1e-13 * scale:
+        ya = y[idx]
+        g = _gradient(q, counts, ya)
+        lam = np.sum(g * ya, axis=-1)
+        t = g - lam[..., None] * ya
+        moving = np.einsum("bjd,bjd->b", t, t) > (gtol * scale) ** 2
+        idx, ya, t, lam = idx[moving], ya[moving], t[moving], lam[moving]
+        if idx.size == 0:
             break
-        h = h_f - np.kron(np.diag(lam), np.eye(d))
-        # project out the d normal directions and regularize the solve
-        basis = np.zeros((m * d, m))
-        for j in range(m):
-            basis[j * d:(j + 1) * d, j] = y[j]
-        proj = np.eye(m * d) - basis @ basis.T
-        hp = proj @ h @ proj + 1e-14 * scale * np.eye(m * d)
-        step, *_ = np.linalg.lstsq(hp, proj @ res.reshape(-1), rcond=None)
-        step = step.reshape(m, d)
-        improved = False
-        for _ in range(20):
-            trial = _normalize_rows(y - step)
-            t_res, t_lam = kkt(trial)
-            t_norm = float(np.max(np.abs(t_res)))
-            if t_norm < res_norm:
-                y, res, lam, res_norm = trial, t_res, t_lam, t_norm
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        f = float(_objective(q, counts, y[None])[0])
-        if f < best_f:
-            best_f, best_y = f, y.copy()
-    f = float(_objective(q, counts, y[None])[0])
-    if f < best_f:
-        best_f, best_y = f, y
-    return best_f, best_y
+        normal = np.einsum("bja,jk,bkc->bjakc", ya, eye_m, ya).reshape(-1, m * d, m * d)
+        proj = eye - normal
+        shifted = h - np.repeat(lam, d, axis=-1)[:, :, None] * eye
+        w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
+        coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
+        coef /= np.maximum(np.abs(w), 1e-12 * scale)
+        x = np.einsum("bki,bi->bk", v, coef).reshape(ya.shape)
+        # backtracking s = 1, 1/2, ..., 2^-29, all trials in one call: the
+        # accepted step is the first (largest) with a strict decrease
+        trial = _normalize_rows(ya[:, None] - _HALVINGS[None, :, None, None] * x[:, None])
+        ft = _objective(q, counts, trial.reshape(-1, m, d)).reshape(idx.size, -1)
+        ok = ft < f[idx][:, None]
+        improved = ok.any(axis=1)
+        idx, trial, ft = idx[improved], trial[improved], ft[improved]
+        first = np.argmax(ok[improved], axis=1)
+        rows = np.arange(idx.size)
+        y[idx], f[idx] = trial[rows, first], ft[rows, first]
+    return f, y
 
 
 def _d1_exact_pattern_min(q: SymmetricQuadratic, counts: np.ndarray
                           ) -> tuple[float, np.ndarray]:
-    """Exact sign enumeration for d=1: y_j ∈ {±1}."""
+    """Exact sign enumeration for d=1: y_j ∈ {±1}, all 2^m sign rows at once."""
     m = counts.size
-    best, best_y = math.inf, None
-    for mask in range(1 << m):
-        y = np.array([[1.0 if (mask >> j) & 1 == 0 else -1.0] for j in range(m)])
-        val = float(_objective(q, counts, y[None])[0])
-        if val < best:
-            best, best_y = val, y
-    return best, best_y
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    ys = (1.0 - 2.0 * bits)[:, :, None]
+    vals = _objective(q, counts, ys)
+    k = int(np.argmin(vals))  # the first minimal mask
+    return float(vals[k]), ys[k]
 
 
 def _expand_pattern(counts: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -233,8 +188,9 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
                      ) -> tuple[float, Configuration]:
     """Best value found over configurations with the given multiplicities.
 
-    Heuristic upper bound on the true pattern minimum (multistart projected
-    gradient with exact line search on the ambient quadratic).
+    Exact at d=1 (sign enumeration).  At d >= 2 a heuristic upper bound on
+    the true pattern minimum: the best of `restarts` saddle-free Newton
+    descents from Gaussian starts drawn from `seed`.
     """
     if pattern.n != q.dims.n:
         raise ValueError(f"pattern sums to {pattern.n}, expected n={q.dims.n}")
@@ -244,13 +200,9 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
         val, y = _d1_exact_pattern_min(q, counts)
     else:
         rng = np.random.default_rng(seed)
-        y0 = rng.normal(size=(restarts, counts.size, d))
-        vals, ys = _projected_gradient_descent(q, counts, y0)
-        val, y = math.inf, None
-        for b in np.argsort(vals)[:4]:
-            pv, py = _newton_polish(q, counts, ys[b])
-            if pv < val:
-                val, y = pv, py
+        vals, ys = _newton_descent(q, counts, rng.normal(size=(restarts, counts.size, d)))
+        b = int(np.argmin(vals))
+        val, y = float(vals[b]), ys[b]
     pts = _expand_pattern(counts, y)
     return val, Configuration(q.dims, _normalize_rows(pts))
 
@@ -258,7 +210,14 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
 def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
                        ) -> tuple[float, Configuration]:
     """Minimum over all multiplicity patterns; equals the global minimum over
-    the sphere product up to optimizer accuracy."""
+    the sphere product up to optimizer accuracy.
+
+    Raises ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS.
+    """
+    count = partition_count(q.dims.n, 2 * q.dims.d)
+    if count > MAX_PATTERNS:
+        raise ValueError(f"half-degree search at n={q.dims.n}, d={q.dims.d} needs {count} "
+                         f"multiplicity patterns, more than MAX_PATTERNS={MAX_PATTERNS}")
     best_val, best_cfg = math.inf, None
     for idx, pattern in enumerate(enumerate_patterns(q.dims.n, q.dims.d)):
         val, cfg = min_over_pattern(q, pattern, restarts=restarts, seed=seed + idx)
@@ -269,7 +228,8 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
 
 def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0,
                         polish_top: int = 16) -> tuple[float, Configuration]:
-    """Random-search oracle with local polish; exact over the n+1 facets at d=1."""
+    """Random-search oracle: Newton descent from the `polish_top` best of
+    `samples` random configurations; exact over the n+1 facets at d=1."""
     n, d = q.dims.n, q.dims.d
     if d == 1:
         r = facet_residuals(q.a0, q.a[0], q.aa[0], n)
@@ -280,13 +240,9 @@ def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 
     pts = _normalize_rows(rng.normal(size=(samples, n, d)))
     vals = _objective(q, counts, pts)
     order = np.argsort(vals)[:polish_top]
-    pvals, pys = _projected_gradient_descent(q, counts, pts[order])
-    best_v, best_y = math.inf, None
-    for b in np.argsort(pvals)[:4]:
-        pv, py = _newton_polish(q, counts, pys[b])
-        if pv < best_v:
-            best_v, best_y = pv, py
-    return best_v, Configuration(q.dims, _normalize_rows(best_y))
+    pvals, pys = _newton_descent(q, counts, pts[order])
+    b = int(np.argmin(pvals))
+    return float(pvals[b]), Configuration(q.dims, _normalize_rows(pys[b]))
 
 
 def count_distinct_points(config: Configuration, tol: float = CLUSTER_TOL) -> int:

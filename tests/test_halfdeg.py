@@ -1,9 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
+from momentcert.cli import main
 from momentcert.core import Configuration, ProblemDims, SymmetricQuadratic, evaluate
 from momentcert.halfdeg import (
+    MAX_PATTERNS,
     MultiplicityPattern,
+    _newton_descent,
+    _normalize_rows,
+    _objective,
     count_distinct_points,
     critical_polynomial,
     critical_r,
@@ -180,3 +187,75 @@ def test_bruteforce_never_beats_reduced_d1():
         assert abs(val - bval) <= 1e-12
         assert abs(evaluate(q, bcfg) - bval) <= 1e-12
     assert bval == -16.0  # the n=16 case: every point at +1
+
+
+def _scale(q):
+    return max(1.0, q.coeff_scale()) * q.dims.n ** 2
+
+
+def test_one_point_pattern_matches_angle_grid():
+    """Pattern (n,) at d=2 puts every point at one unit vector y, so the
+    minimum is that of a0 + n a.y + (n^2 - n) aa.y^2 over the circle."""
+    rng = np.random.default_rng(37)
+    cases = [SymmetricQuadratic(ProblemDims(8, 2), 0.3, [0.5, -1.2], [0.4, -0.9]),
+             SymmetricQuadratic(ProblemDims(5, 2), -1.0, [2.0, 0.1], [-1.5, 0.2])]
+    cases += [rand_q(rng, int(rng.integers(3, 9)), 2) for _ in range(4)]
+    theta = np.linspace(0.0, 2.0 * np.pi, 1 << 20, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    for q in cases:
+        n = q.dims.n
+        grid = q.a0 + n * circle @ q.a + (n * n - n) * (circle * circle) @ q.aa
+        val, _ = min_over_pattern(q, MultiplicityPattern((n,)))
+        assert abs(val - float(grid.min())) <= 1e-9 * _scale(q)
+
+
+def test_newton_descent_never_rises_above_start():
+    rng = np.random.default_rng(38)
+    for trial in range(12):
+        n, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
+        q = rand_q(rng, n, d, spread=1.5)
+        patterns = list(enumerate_patterns(n, d))
+        counts = np.array(patterns[trial % len(patterns)].counts, dtype=float)
+        y0 = rng.normal(size=(16, counts.size, d))
+        start = _objective(q, counts, _normalize_rows(y0))
+        vals, ys = _newton_descent(q, counts, y0)
+        assert np.all(vals <= start)
+        assert np.allclose(np.linalg.norm(ys, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(_objective(q, counts, ys), vals, rtol=0.0,
+                           atol=1e-12 * _scale(q))
+
+
+def test_gaussian_set_argmin_is_stationary():
+    """The d >= 2 polynomials of the fixed Gaussian set (one per (n, d) in
+    {3..8} x {1, 2, 3}, drawn in that grid order from seed 0): the argmin
+    satisfies the Lagrange conditions to 1e-8 * scale."""
+    rng = np.random.default_rng(0)
+    checked = 0
+    for d in (1, 2, 3):
+        for n in range(3, 9):
+            q = SymmetricQuadratic(ProblemDims(n, d), float(rng.normal()),
+                                   rng.normal(size=d), rng.normal(size=d))
+            if d == 1:
+                continue
+            _, cfg = reduced_global_min(q)
+            assert lagrange_residual(q, cfg) <= 1e-8 * _scale(q)
+            checked += 1
+    assert checked == 12
+
+
+def test_pattern_count_guard(capsys):
+    assert partition_count(200, 6) > MAX_PATTERNS >= partition_count(20, 6)
+    q = SymmetricQuadratic(ProblemDims(200, 3), 1.0, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="MAX_PATTERNS"):
+        reduced_global_min(q)
+    for route in ("halfdeg", "all"):
+        t0 = time.perf_counter()
+        code = main(["check-poly", "--route", route, "--n", "200", "--d", "3",
+                     "--a0", "1", "--a", "0.5,-1,0.2", "--aa", "1,-0.5,0.3"])
+        assert code == 64
+        assert time.perf_counter() - t0 < 1.0
+        assert "MAX_PATTERNS" in capsys.readouterr().err
+    code = main(["check-poly", "--route", "halfdeg", "--n", "8", "--d", "3",
+                 "--a0", "1", "--a", "0.5,-1,0.2", "--aa", "1,-0.5,0.3"])
+    assert code in (0, 1)
+    assert "MAX_PATTERNS" not in capsys.readouterr().err
