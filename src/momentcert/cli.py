@@ -46,8 +46,8 @@ class RunConfig:
     output: str
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
 
 
 class InputError(Exception):
@@ -63,21 +63,32 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
-def _load_moment_rows(path: str) -> list[MomentVector]:
+def _read_text(path: str) -> str:
     try:
-        raw = open(path).read()
+        return open(path).read()
     except OSError as exc:
         raise InputError(str(exc))
+
+
+def _json_records(raw: str, path: str, cls, kind: str) -> list:
+    """``cls.from_json_dict`` of each record of a JSON object or list."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON at line {exc.lineno}")
+    rows = obj if isinstance(obj, list) else [obj]
+    if not rows:
+        raise InputError(f"{path}: no records")
+    try:
+        return [cls.from_json_dict(r) for r in rows]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad {kind} record: {exc}")
+
+
+def _load_moment_rows(path: str) -> list[MomentVector]:
+    raw = _read_text(path)
     if raw.lstrip().startswith(("{", "[")):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON at line {exc.lineno}")
-        rows = obj if isinstance(obj, list) else [obj]
-        try:
-            return [MomentVector.from_json_dict(r) for r in rows]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}: bad moment record: {exc}")
+        return _json_records(raw, path, MomentVector, "moment")
     return _parse_moment_csv(raw, path)
 
 
@@ -109,19 +120,7 @@ def _parse_moment_csv(raw: str, path: str) -> list[MomentVector]:
 
 
 def _load_poly_rows(path: str) -> list[SymmetricQuadratic]:
-    try:
-        raw = open(path).read()
-    except OSError as exc:
-        raise InputError(str(exc))
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}")
-    rows = obj if isinstance(obj, list) else [obj]
-    try:
-        return [SymmetricQuadratic.from_json_dict(r) for r in rows]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad polynomial record: {exc}")
+    return _json_records(_read_text(path), path, SymmetricQuadratic, "polynomial")
 
 
 def _exit_code(statuses: list[Status]) -> int:
@@ -149,6 +148,11 @@ def _witness_jsonable(obj):
     if hasattr(obj, "__dict__"):
         return {k: _witness_jsonable(v) for k, v in vars(obj).items()}
     return repr(obj)
+
+
+def _witness_field(witness, cfg: RunConfig):
+    """The JSON-safe witness for --output json; text and CSV never print it."""
+    return _witness_jsonable(witness) if cfg.output == "json" else None
 
 
 def _emit_verdicts(results: list[dict], cfg: RunConfig):
@@ -184,7 +188,7 @@ def cmd_check_moments(args, cfg: RunConfig) -> int:
         statuses.append(v.status)
         results.append({"input": m.to_json_dict(), "status": v.status.value,
                         "boundary": v.boundary,
-                        "witness": _witness_jsonable(v.witness)})
+                        "witness": _witness_field(v.witness, cfg)})
     _emit_verdicts(results, cfg)
     return _exit_code(statuses)
 
@@ -208,7 +212,7 @@ def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> di
             raise InputError("route exact-d1 requires d=1")
         v, _ = p_n1_membership(q, tol=cfg.tol)
         return {"status": v.status.value, "boundary": v.boundary,
-                "witness": _witness_jsonable(v.witness)}
+                "witness": _witness_field(v.witness, cfg)}
     if route == "halfdeg":
         try:
             val, cfg_min = reduced_global_min(q, seed=cfg.seed)

@@ -4,6 +4,17 @@ Everything downstream works with three kinds of objects: symmetric square-free
 quadratics on a product of n unit d-balls, candidate moment vectors, and point
 configurations (the support atoms of measures).  All values are plain 64-bit
 floats; certificates are re-validated numerically with explicit tolerances.
+
+Tolerance policy: a residual is compared with tol times the size it can reach,
+where scale = ``coeff_scale()`` or ``moment_scale()`` (both >= 1):
+
+* tol·scale: first-order checks (z0 > 0; limit-cone entries, scale = max(1, |B|));
+* tol·scale²: residuals quadratic in the moments (:func:`moment_tolerance`);
+* tol·max(1, scale·n²): P, Sigma and the d=1 facets (:func:`scaled_tolerance`);
+* tol·n²: spin-language residuals.
+
+The spin and limit-cone rules stay apart: folding either into another rule
+changes verdicts.
 """
 
 from __future__ import annotations
@@ -182,6 +193,11 @@ class ConeVerdict:
 def scaled_tolerance(tol: float, scale: float, n: int) -> float:
     """Absolute tolerance for residuals of order scale·n² (P, Sigma, d=1 facets)."""
     return tol * max(1.0, scale * n * n)
+
+
+def moment_tolerance(tol: float, scale):
+    """Absolute tolerance for residuals of order scale² (scale may be an array)."""
+    return tol * scale * scale
 
 
 def power_sums(config: Configuration) -> tuple[np.ndarray, np.ndarray]:

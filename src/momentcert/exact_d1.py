@@ -1,14 +1,13 @@
 """Exact polyhedral membership tests for the d=1 cones.
 
 These are the ground-truth oracles at d=1: the n+1 hypercube facets of the
-nonnegativity cone, the dual facets of the moment cone, the interval form of
-the sum-of-squares cone, and the 2x2 PSD limit cone.
+nonnegativity cone, the dual facets of the moment cone, the closed-form
+interval minimum behind the sum-of-squares cone, and the 2x2 PSD limit cone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,12 +22,6 @@ from .core import (
 )
 
 DEFAULT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FacetReport:
-    k: int
-    residual: float
 
 
 def _require_d1(dims: ProblemDims):
@@ -54,12 +47,12 @@ def facet_residuals(a0, a1, a11, n: int) -> np.ndarray:
 
 
 def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
-                    ) -> tuple[ConeVerdict, list[FacetReport]]:
-    """Facet test for the d=1 nonnegativity cone."""
+                    ) -> tuple[ConeVerdict, np.ndarray]:
+    """Facet test for the d=1 nonnegativity cone; also returns the (n+1,)
+    facet residuals."""
     _require_d1(q.dims)
     n = q.dims.n
     r = facet_residuals(q.a0, float(q.a[0]), float(q.aa[0]), n)
-    reports = [FacetReport(k, float(r[k])) for k in range(n + 1)]
     t = scaled_tolerance(tol, q.coeff_scale(), n)
     kmin = int(np.argmin(r))
     rmin = float(r[kmin])
@@ -71,7 +64,7 @@ def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
         verdict = ConeVerdict(Status.NON_MEMBER,
                               witness={"k": kmin, "residual": rmin,
                                        "point": hypercube_point(n, kmin)})
-    return verdict, reports
+    return verdict, r
 
 
 def c_n1_residuals(m0, m1, m11, n: int) -> np.ndarray:
@@ -114,28 +107,14 @@ def c_n1_membership(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
                                 "separating_polynomial": facet_polynomial(n, kmin)})
 
 
-def interval_quadratic_min(c0: float, c1: float, c2: float, lo: float, hi: float
-                           ) -> tuple[float, float]:
-    """Minimum of c0 + c1 x + c2 x^2 on [lo, hi]; returns (value, argmin).
-
-    Linear (c2 == 0) and concave (c2 < 0) cases use endpoints only.
-    """
-    best_x = lo
-    best = c0 + c1 * lo + c2 * lo * lo
-    v_hi = c0 + c1 * hi + c2 * hi * hi
-    if v_hi < best:
-        best, best_x = v_hi, hi
-    if c2 > 0.0:
-        xv = -c1 / (2.0 * c2)
-        if lo < xv < hi:
-            v = c0 + c1 * xv + c2 * xv * xv
-            if v < best:
-                best, best_x = v, xv
-    return best, best_x
-
-
 def sigma_n1_min(a0, a1, a11, n: int, expanded: bool = False):
-    """Minimum of P_Q over [-√n, √n]; batch-friendly (arrays in, arrays out)."""
+    """Minimum of P_Q(X) = A0 - n A11 + √n A1 X + n A11 X² over [-√n, √n] and
+    an attaining X (the lower endpoint on ties).
+
+    Scalars or arrays of shape (B,) in, the same shapes out.  With
+    expanded=True A0 is scaled by n/(n-1), which gives the outer companion
+    cone Sigma'.
+    """
     a0 = np.asarray(a0, dtype=float) * (n / (n - 1) if expanded else 1.0)
     a1 = np.asarray(a1, dtype=float)
     a11 = np.asarray(a11, dtype=float)
@@ -148,22 +127,19 @@ def sigma_n1_min(a0, a1, a11, n: int, expanded: bool = False):
     best = np.minimum(lo_val, hi_val)
     with np.errstate(divide="ignore", invalid="ignore"):
         xv = np.where(c2 > 0.0, -c1 / (2.0 * c2), 0.0)
-    inside = (c2 > 0.0) & (np.abs(xv) < rt)
     vert = c0 + c1 * xv + c2 * xv * xv
-    return np.where(inside, np.minimum(best, vert), best)
+    use_vert = (c2 > 0.0) & (np.abs(xv) < rt) & (vert < best)
+    x = np.where(use_vert, xv, np.where(hi_val < lo_val, rt, -rt))
+    return np.where(use_vert, vert, best), x
 
 
 def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
                         tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Closed-form d=1 test for the SOS cone (expanded=True gives its outer
-    companion with A0 scaled by n/(n-1))."""
+    companion with A0 scaled by n/(n-1)): :func:`sigma_n1_min` on one row."""
     _require_d1(q.dims)
     n = q.dims.n
-    a0 = q.a0 * (n / (n - 1) if expanded else 1.0)
-    rt = math.sqrt(n)
-    val, x = interval_quadratic_min(a0 - n * float(q.aa[0]),
-                                    rt * float(q.a[0]), n * float(q.aa[0]),
-                                    -rt, rt)
+    val, x = (float(v) for v in sigma_n1_min(q.a0, q.a[0], q.aa[0], n, expanded))
     t = scaled_tolerance(tol, q.coeff_scale(), n)
     if val >= -t:
         return ConeVerdict(Status.MEMBER,

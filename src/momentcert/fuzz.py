@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic, pair, scaled_tolerance
+from .core import (MomentVector, ProblemDims, Status, SymmetricQuadratic,
+                   moment_tolerance, pair, scaled_tolerance)
 from .halfdeg import count_distinct_points, full_bruteforce_min, reduced_global_min
 from .measures import lemma_approx_construct
 from .moment_cone import (
@@ -53,7 +54,8 @@ class FuzzResult:
         return "\n".join(lines)
 
 
-def _random_quadratic(rng, n: int, d: int) -> SymmetricQuadratic:
+def random_quadratic(rng, n: int, d: int) -> SymmetricQuadratic:
+    """A quadratic with standard normal coefficients a0, a, aa."""
     return SymmetricQuadratic(ProblemDims(n, d), float(rng.normal()),
                               rng.normal(size=d), rng.normal(size=d))
 
@@ -95,7 +97,7 @@ def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
         scale = np.maximum.reduce([np.ones(block), z0,
                                    np.max(np.abs(z), axis=1),
                                    np.max(np.abs(zz), axis=1)])
-        bad = np.where(res < -SOUNDNESS_TOL * scale * scale)[0]
+        bad = np.where(res < -moment_tolerance(SOUNDNESS_TOL, scale))[0]
         for b in bad:
             m = MomentVector(ProblemDims(n, d), float(z0[b]), z[b], zz[b])
             ok, report = necessary_condition(m)
@@ -115,7 +117,7 @@ def equivalence_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     for i in range(iters):
         n = int(rng.integers(2, 11))
         d = int(rng.integers(1, 5))
-        q = _random_quadratic(rng, n, d)
+        q = random_quadratic(rng, n, d)
         verdict, _ = sigma_membership_lmi(q)
         val, _ = ellipsoid_quadratic_min(q)
         t = scaled_tolerance(EQUIVALENCE_TOL, q.coeff_scale(), n)
@@ -136,8 +138,8 @@ def halfdeg_suite(iters: int = 20, seed: int = 0, tol: float = 1e-6) -> FuzzResu
     for i in range(iters):
         n = int(rng.integers(3, 7))
         d = int(rng.integers(2, 4))
-        q = _random_quadratic(rng, n, d)
-        scale = max(1.0, q.coeff_scale()) * n * n
+        q = random_quadratic(rng, n, d)
+        scale = q.coeff_scale() * n * n
         rv, rcfg = reduced_global_min(q, seed=seed + 7919 * i)
         bv, _ = full_bruteforce_min(q, samples=3000, seed=seed + 7919 * i + 1)
         if abs(rv - bv) > tol * scale:
@@ -216,6 +218,16 @@ def spin_suite(iters: int = 200, seed: int = 0) -> FuzzResult:
     return result
 
 
+def random_moment_probe(rng):
+    """Random (n, d), n in 2..32 and d in 1..4, and a moment vector with z0
+    standard normal and z, zz normal of standard deviation n; most of these
+    are NonMember."""
+    n = int(rng.integers(2, 33))
+    d = int(rng.integers(1, 5))
+    return n, d, MomentVector(ProblemDims(n, d), float(rng.normal()),
+                              n * rng.normal(size=d), n * rng.normal(size=d))
+
+
 def witness_suite(iters: int = 200, seed: int = 0) -> FuzzResult:
     """NonMember moment verdicts ship a genuine separating polynomial:
     q in the SOS cone with pair(q, m) < 0."""
@@ -223,10 +235,7 @@ def witness_suite(iters: int = 200, seed: int = 0) -> FuzzResult:
     result = FuzzResult("witness", iters)
     checked = 0
     for i in range(iters):
-        n = int(rng.integers(2, 33))
-        d = int(rng.integers(1, 5))
-        m = MomentVector(ProblemDims(n, d), float(rng.normal()),
-                         n * rng.normal(size=d), n * rng.normal(size=d))
+        n, d, m = random_moment_probe(rng)
         verdict = classify(m)
         if verdict.status is not Status.NON_MEMBER:
             continue

@@ -135,7 +135,7 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray,
     y = _normalize_rows(np.array(y0, dtype=float))
     f = _objective(q, counts, y)
     m, d = counts.size, q.dims.d
-    scale = max(1.0, q.coeff_scale()) * q.dims.n ** 2
+    scale = q.coeff_scale() * q.dims.n ** 2
     h = _ambient_hessian(q, counts)
     eye_m, eye = np.eye(m), np.eye(m * d)
     idx = np.arange(y.shape[0])

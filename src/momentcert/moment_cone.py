@@ -21,6 +21,7 @@ from .core import (
     RescaledMomentVector,
     Status,
     SymmetricQuadratic,
+    moment_tolerance,
     pair,
 )
 from .sos_cone import sigma_membership_lmi
@@ -86,10 +87,6 @@ def max_form_residual_batch(z0, z, zz, n: int, side: str = NECESSARY) -> np.ndar
     return max_form_terms(z0, z, zz, n, side).residual()
 
 
-def _tolerance(scale: float, tol: float) -> float:
-    return tol * scale * scale
-
-
 def _condition(m: MomentVector, side: str, tol: float
                ) -> tuple[bool, InequalityReport]:
     terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
@@ -99,7 +96,7 @@ def _condition(m: MomentVector, side: str, tol: float
         return True, InequalityReport(side, residual, pattern, True)
     s = m.moment_scale()
     z0_ok = m.z0 > tol * s
-    ok = z0_ok and residual >= -_tolerance(s, tol)
+    ok = z0_ok and residual >= -moment_tolerance(tol, s)
     return ok, InequalityReport(side, residual, pattern, z0_ok)
 
 
@@ -149,12 +146,13 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     x0 absorbs the trace constraint and decides feasibility by its sign.
     """
     n, d = m.dims.n, m.dims.d
-    t = _tolerance(m.moment_scale(), tol)
+    s = m.moment_scale()
+    t = moment_tolerance(tol, s)
     if m.is_zero():
         size = 2 * d + 2
         zero = MomentWitnessMatrix(np.zeros((size, size)), np.zeros(d), 0.0)
         return ConeVerdict(Status.MEMBER, witness={"matrix": zero}), zero
-    if m.z0 <= tol * m.moment_scale():
+    if m.z0 <= tol * s:
         return ConeVerdict(Status.NON_MEMBER,
                            witness={"reason": "z0 not positive", "z0": m.z0}), None
     z0 = float(max_form_terms(m.z0, m.z, m.zz, n, side).z0e)
@@ -245,7 +243,7 @@ def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) ->
         return ConeVerdict(Status.NON_MEMBER, witness={"reason": "z0 not positive"})
     residual = (z0 * z0 + z0 * float(zzt.sum())
                 - float(np.maximum(z0 * zzt, zt * zt).sum()))
-    t = tol * scale * scale
+    t = moment_tolerance(tol, scale)
     if residual >= -t:
         return ConeVerdict(Status.MEMBER, witness={"residual": residual},
                            boundary=residual < t)

@@ -278,7 +278,3 @@ def verify_sos_witness(w: SosWitness, q: SymmetricQuadratic,
                + w.c * (n - float(p.sum())))
         worst = max(worst, abs(lhs - rhs))
     return worst
-
-
-def sigma_witness_json(w: SosWitness) -> dict:
-    return {"c": w.c, "G": [list(row) for row in w.g], "H": list(w.h)}

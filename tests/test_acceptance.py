@@ -18,7 +18,12 @@ from momentcert.core import (
     pair,
 )
 from momentcert.exact_d1 import facet_residuals, sigma_n1_min
-from momentcert.fuzz import random_atomic_moments, random_lemma_target
+from momentcert.fuzz import (
+    random_atomic_moments,
+    random_lemma_target,
+    random_moment_probe,
+    random_quadratic,
+)
 from momentcert.halfdeg import (
     count_distinct_points,
     critical_polynomial,
@@ -77,9 +82,9 @@ def test_criterion_1_d1_sandwich():
         scale = np.maximum(1.0, np.maximum(np.abs(a0), np.maximum(
             np.abs(a1), np.abs(a11))) * n * n)
         t = 1e-9 * scale
-        sig = sigma_n1_min(a0, a1, a11, n)
+        sig, _ = sigma_n1_min(a0, a1, a11, n)
         p_min = facet_residuals(a0, a1, a11, n).min(axis=0)
-        sig_prime = sigma_n1_min(a0, a1, a11, n, expanded=True)
+        sig_prime, _ = sigma_n1_min(a0, a1, a11, n, expanded=True)
         violations += int(np.sum((sig > t) & (p_min < -t)))
         violations += int(np.sum((p_min > t) & (sig_prime < -t)))
         total += 10_000
@@ -97,8 +102,7 @@ def test_criterion_2_route_equivalence():
     for n in range(2, 11):
         for d in range(1, 5):
             for _ in range(1000):
-                q = SymmetricQuadratic(ProblemDims(n, d), float(rng.normal()),
-                                       rng.normal(size=d), rng.normal(size=d))
+                q = random_quadratic(rng, n, d)
                 v, _ = sigma_membership_lmi(q)
                 val, _ = ellipsoid_quadratic_min(q)
                 t = 1e-8 * max(1.0, q.coeff_scale() * n * n)
@@ -172,8 +176,7 @@ def test_criterion_5_half_degree():
     for n in range(3, 7):
         for d in (2, 3):
             for i in range(50):
-                q = SymmetricQuadratic(ProblemDims(n, d), float(rng.normal()),
-                                       rng.normal(size=d), rng.normal(size=d))
+                q = random_quadratic(rng, n, d)
                 scale = max(1.0, q.coeff_scale()) * n * n
                 seed = 1000 * n + 100 * d + i
                 val, cfg = reduced_global_min(q, restarts=24, seed=seed)
@@ -328,9 +331,7 @@ def test_criterion_9_witness_self_validation():
             sos_fail += 1
     sep_fail, checked = 0, 0
     while checked < 200:
-        n, d = int(rng.integers(2, 33)), int(rng.integers(1, 5))
-        m = MomentVector(ProblemDims(n, d), float(rng.normal()),
-                         n * rng.normal(size=d), n * rng.normal(size=d))
+        _, _, m = random_moment_probe(rng)
         verdict = classify(m)
         if verdict.status is not Status.NON_MEMBER:
             continue

@@ -177,6 +177,41 @@ def test_seed_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_bad_tol_rejected(capsys):
-    code, _, err = run(capsys, "--tol", "-1", "check-moments", "--n", "4",
-                       "--d", "1", "--z0", "1.0")
-    assert code == 64
+    # nan and inf used to pass the tol > 0 check; nan turned Member into NonMember
+    for tol in ("-1", "nan", "inf"):
+        code, _, err = run(capsys, "--tol", tol, "check-moments", "--n", "4",
+                           "--d", "1", "--z0", "1", "--z", "0", "--zz", "0")
+        assert code == 64 and "tol" in err, tol
+
+
+def test_empty_json_record_list_rejected(tmp_path, capsys):
+    f = tmp_path / "rows.json"
+    f.write_text("[]")
+    for command in ("check-moments", "check-poly"):
+        code, out, err = run(capsys, command, "--file", str(f))
+        assert code == 64 and out == "" and "no records" in err, command
+
+
+def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch):
+    import momentcert.cli as cli
+    calls = []
+    convert = cli._witness_jsonable
+    monkeypatch.setattr(cli, "_witness_jsonable",
+                        lambda obj: calls.append(obj) or convert(obj))
+    moments = tmp_path / "rows.csv"
+    moments.write_text("n,d,z0,z1,z11\n4,1,1.0,0.0,0.0\n4,1,1.0,8.0,0.0\n")
+    poly = tmp_path / "q.json"
+    poly.write_text(json.dumps([{"n": 4, "d": 1, "a0": 4.0, "a": [0.0], "aa": [1.0]},
+                                {"n": 3, "d": 1, "a0": 3.0, "a": [0.0], "aa": [-1.0]}]))
+    argvs = (("check-moments", "--file", str(moments)),
+             ("check-poly", "--route", "exact-d1", "--file", str(poly)),
+             ("check-poly", "--route", "all", "--file", str(poly)))
+    for output in ("text", "csv"):
+        for argv in argvs:
+            run(capsys, "--output", output, *argv)
+    assert calls == []
+    code, out, _ = run(capsys, "--output", "json", *argvs[0])
+    assert calls and "separating_polynomial" in out
+    calls.clear()
+    code, out, _ = run(capsys, "--output", "json", *argvs[1])
+    assert calls and json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0

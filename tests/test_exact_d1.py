@@ -16,12 +16,12 @@ from momentcert.exact_d1 import (
     facet_polynomial,
     facet_residuals,
     hypercube_point,
-    interval_quadratic_min,
     limit_cone_d1,
     p_n1_membership,
     sigma_n1_membership,
     sigma_n1_min,
 )
+from momentcert.sos_cone import ellipsoid_quadratic_min
 
 
 def q1(n, a0, a1, a11):
@@ -29,9 +29,9 @@ def q1(n, a0, a1, a11):
 
 
 def test_p_membership_trivial():
-    v, reports = p_n1_membership(q1(5, 1.0, 0.0, 0.0))
+    v, residuals = p_n1_membership(q1(5, 1.0, 0.0, 0.0))
     assert v.status is Status.MEMBER
-    assert len(reports) == 6
+    assert residuals.shape == (6,)
 
 
 def test_p_membership_negative_square():
@@ -43,10 +43,9 @@ def test_p_membership_negative_square():
 
 def test_p_membership_derived_minimum():
     # q = (n, 0, -1): residual 2n - (n-2k)^2, min at k=0 equals -3 for n=3
-    v, reports = p_n1_membership(q1(3, 3.0, 0.0, -1.0))
+    v, residuals = p_n1_membership(q1(3, 3.0, 0.0, -1.0))
     assert v.status is Status.NON_MEMBER
-    residuals = [r.residual for r in reports]
-    assert min(residuals) == -3.0 and v.witness["k"] == 0
+    assert residuals.min() == -3.0 and v.witness["k"] == 0
 
 
 def test_facet_residuals_match_hypercube_evaluation():
@@ -115,28 +114,37 @@ def test_sigma_membership_cases():
     assert v.witness["min_value"] == -4.0  # P = -n + nX^2, min at X=0
 
 
-def test_interval_quadratic_min_branches():
-    # convex with interior vertex
-    val, x = interval_quadratic_min(0.0, 0.0, 1.0, -2.0, 2.0)
-    assert val == 0.0 and x == 0.0
-    # linear: endpoint
-    val, x = interval_quadratic_min(0.0, 1.0, 0.0, -2.0, 2.0)
-    assert val == -2.0 and x == -2.0
-    # concave: endpoints only
-    val, x = interval_quadratic_min(0.0, 0.0, -1.0, -2.0, 2.0)
-    assert val == -4.0 and abs(x) == 2.0
+def test_sigma_n1_min_branches():
+    # n = 4, so P_Q(X) = A0 - 4 A11 + 2 A1 X + 4 A11 X^2 on [-2, 2]
+    # convex with interior vertex: P = -4 + 4X^2, min at X=0
+    v = sigma_n1_membership(q1(4, 0.0, 0.0, 1.0))
+    assert v.witness == {"min_value": -4.0, "argmin_x": 0.0}
+    # linear: P = 2X, min at the lower endpoint
+    v = sigma_n1_membership(q1(4, 0.0, 1.0, 0.0))
+    assert v.witness == {"min_value": -4.0, "argmin_x": -2.0}
+    # concave: P = 4 - 4X^2, endpoints only, the lower one on the tie
+    v = sigma_n1_membership(q1(4, 0.0, 0.0, -1.0))
+    assert v.witness == {"min_value": -12.0, "argmin_x": -2.0}
 
 
-def test_sigma_n1_min_batch_agrees_with_scalar():
+def test_sigma_n1_min_matches_trust_region():
+    """The closed form equals the ellipsoid (trust-region) minimum at d=1,
+    for Sigma and for Sigma' (the ellipsoid route on A0 n/(n-1))."""
     rng = np.random.default_rng(5)
-    n = 7
-    a0, a1, a11 = rng.normal(size=(3, 64))
-    batch = sigma_n1_min(a0, a1, a11, n)
-    rt = math.sqrt(n)
-    for i in range(64):
-        val, _ = interval_quadratic_min(a0[i] - n * a11[i], rt * a1[i], n * a11[i],
-                                        -rt, rt)
-        assert abs(batch[i] - val) < 1e-12 * max(1.0, abs(val))
+    for n in (2, 3, 7, 16, 64):
+        a0, a1, a11 = rng.normal(size=(3, 64))
+        for expanded in (False, True):
+            vals, xs = sigma_n1_min(a0, a1, a11, n, expanded)
+            for i in range(64):
+                a0_i = a0[i] * n / (n - 1) if expanded else a0[i]
+                ref, _ = ellipsoid_quadratic_min(q1(n, a0_i, a1[i], a11[i]))
+                scale = max(1.0, abs(a0_i), abs(a1[i]), abs(a11[i])) * n
+                assert abs(vals[i] - ref) <= 1e-10 * scale
+                # the returned X attains the minimum
+                p_at_x = (a0_i - n * a11[i] + math.sqrt(n) * a1[i] * xs[i]
+                          + n * a11[i] * xs[i] ** 2)
+                assert abs(p_at_x - vals[i]) <= 1e-12 * scale
+                assert abs(xs[i]) <= math.sqrt(n)
 
 
 def test_nesting_chain_random():

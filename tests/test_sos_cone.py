@@ -16,7 +16,6 @@ from momentcert.sos_cone import (
     pq_evaluate,
     sigma_membership_lmi,
     sigma_prime_membership,
-    sigma_witness_json,
     sos_witness,
     verify_sos_witness,
 )
@@ -177,14 +176,6 @@ def test_sos_witness_refuses_infeasible_c():
     q = SymmetricQuadratic(ProblemDims(4, 1), 0.1, [0.0], [1.0])
     with pytest.raises(ValueError):
         sos_witness(q, 4.0)  # g0 = 0.1 - 4 < 0
-
-
-def test_witness_json_schema():
-    q = SymmetricQuadratic(ProblemDims(3, 2), 2.0, np.zeros(2), np.zeros(2))
-    w = sos_witness(q, 0.0)
-    obj = sigma_witness_json(w)
-    assert set(obj) == {"c", "G", "H"}
-    assert len(obj["G"]) == 3 and len(obj["H"]) == 2
 
 
 def test_member_nonnegative_on_configurations():
