@@ -13,16 +13,37 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import fuzz as fuzz_mod
-from .core import MomentVector, ProblemDims, Status, SymmetricQuadratic, scaled_tolerance
-from .exact_d1 import limit_cone_d1, p_n1_membership
+from .core import (
+    MomentVector,
+    ProblemDims,
+    RowBatch,
+    Status,
+    SymmetricQuadratic,
+    group_rows,
+    row_batches,
+    scaled_tolerance,
+)
+from .exact_d1 import limit_cone_d1, p_n1_membership, p_n1_rows, p_n1_witness
 from .halfdeg import reduced_global_min
-from .moment_cone import classify, necessary_condition, sufficient_condition
-from .sos_cone import ellipsoid_quadratic_min, sigma_membership_lmi, sigma_prime_membership
+from .moment_cone import (
+    STATUSES,
+    classify,  # noqa: F401  (bench/tracing.py wraps this binding)
+    classify_rows,
+    classify_witnesses,
+    necessary_condition,
+    sufficient_condition,
+)
+from .sos_cone import (
+    arrow_lmi_rows,
+    ellipsoid_quadratic_min,
+    sigma_membership_lmi,
+    sigma_prime_membership,
+)
 from .spin import (
     SymmetricState,
     coherent_state,
@@ -70,8 +91,24 @@ def _read_text(path: str) -> str:
         raise InputError(str(exc))
 
 
-def _json_records(raw: str, path: str, cls, kind: str) -> list:
-    """``cls.from_json_dict`` of each record of a JSON object or list."""
+def _checked(batches: list[RowBatch]) -> list[RowBatch]:
+    """The batches if every row would pass the scalar constructors' checks
+    (n >= 2, d >= 1, finite values), else ValueError."""
+    for b in batches:
+        if b.d < 1 or not ((b.n >= 2).all() and np.isfinite(b.x0).all()
+                           and np.isfinite(b.x).all() and np.isfinite(b.xx).all()):
+            raise ValueError("a row fails validation")
+    return batches
+
+
+def _json_records(raw: str, path: str, cls, kind: str) -> list[RowBatch]:
+    """The records of a JSON object or list, grouped by d.
+
+    Fast path: each field converted for all records at once, as
+    ``cls.from_json_dict`` converts it for one.  When that fails anywhere,
+    every record goes through ``cls.from_json_dict`` in order, which raises
+    the error of the first bad record.
+    """
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -79,20 +116,42 @@ def _json_records(raw: str, path: str, cls, kind: str) -> list:
     rows = obj if isinstance(obj, list) else [obj]
     if not rows:
         raise InputError(f"{path}: no records")
+    k0, k1, k2 = (f.name for f in fields(cls)[1:])
     try:
-        return [cls.from_json_dict(r) for r in rows]
+        n = np.array([int(r["n"]) for r in rows], dtype=float)
+        d = np.array([int(r["d"]) for r in rows])
+        x0 = np.array([float(r[k0]) for r in rows])
+
+        def values(idx, dd):
+            x = np.array([rows[i][k1] for i in idx], dtype=float)
+            xx = np.array([rows[i][k2] for i in idx], dtype=float)
+            if x.shape != (idx.size, dd) or xx.shape != (idx.size, dd):
+                raise ValueError("ragged record")
+            return np.column_stack([x0[idx], x, xx])
+
+        return _checked(group_rows(n, d, values))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError):
+        pass  # reported below, record by record
+    try:
+        return row_batches([cls.from_json_dict(r) for r in rows])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad {kind} record: {exc}")
 
 
-def _load_moment_rows(path: str) -> list[MomentVector]:
+def _load_moment_rows(path: str) -> list[RowBatch]:
     raw = _read_text(path)
     if raw.lstrip().startswith(("{", "[")):
         return _json_records(raw, path, MomentVector, "moment")
     return _parse_moment_csv(raw, path)
 
 
-def _parse_moment_csv(raw: str, path: str) -> list[MomentVector]:
+def _parse_moment_csv(raw: str, path: str) -> list[RowBatch]:
+    """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d.
+
+    Fast path: all cells converted at once with ``int``/``float``.  When a
+    row fails, the rows are checked one by one in order, which reports the
+    first bad one with its line number.
+    """
     reader = csv.reader(io.StringIO(raw))
     try:
         header = next(reader)
@@ -101,10 +160,25 @@ def _parse_moment_csv(raw: str, path: str) -> list[MomentVector]:
     header = [h.strip() for h in header]
     if header[:3] != ["n", "d", "z0"]:
         raise InputError(f"{path}: line 1: header must start with n,d,z0")
-    out = []
+    rows, lines = [], []
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+        if row and any(map(str.strip, row)):
+            rows.append(row)
+            lines.append(lineno)
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    try:
+        n = np.array([int(r[0]) for r in rows], dtype=float)
+        d = np.array([int(r[1]) for r in rows])
+        if (np.array([len(r) for r in rows]) != 3 + 2 * d).any():
+            raise ValueError("wrong row length")
+        return _checked(group_rows(n, d, lambda idx, dd: np.array(
+            [float(c) for i in idx.tolist() for c in rows[i][2:]]
+        ).reshape(idx.size, 1 + 2 * dd)))
+    except (IndexError, ValueError, OverflowError):
+        pass  # reported below, line by line
+    out = []
+    for lineno, row in zip(lines, rows):
         try:
             n, d = int(row[0]), int(row[1])
             vals = [float(c) for c in row[2:]]
@@ -114,19 +188,18 @@ def _parse_moment_csv(raw: str, path: str) -> list[MomentVector]:
                                     vals[1:1 + d], vals[1 + d:]))
         except (ValueError, IndexError) as exc:
             raise InputError(f"{path}: line {lineno}: {exc}")
-    if not out:
-        raise InputError(f"{path}: no data rows")
-    return out
+    return row_batches(out)
 
 
-def _load_poly_rows(path: str) -> list[SymmetricQuadratic]:
+def _load_poly_rows(path: str) -> list[RowBatch]:
     return _json_records(_read_text(path), path, SymmetricQuadratic, "polynomial")
 
 
-def _exit_code(statuses: list[Status]) -> int:
-    if any(s is Status.NON_MEMBER for s in statuses):
+def _exit_code(results: list[dict]) -> int:
+    statuses = {r["status"] for r in results}
+    if Status.NON_MEMBER.value in statuses:
         return EXIT_NONMEMBER
-    if any(s is Status.INDETERMINATE for s in statuses):
+    if Status.INDETERMINATE.value in statuses:
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -150,69 +223,93 @@ def _witness_jsonable(obj):
     return repr(obj)
 
 
-def _witness_field(witness, cfg: RunConfig):
-    """The JSON-safe witness for --output json; text and CSV never print it."""
-    return _witness_jsonable(witness) if cfg.output == "json" else None
-
-
 def _emit_verdicts(results: list[dict], cfg: RunConfig):
     if cfg.output == "json":
         print(_json_out({"results": results}))
     elif cfg.output == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["index", "status", "boundary"])
-        for i, r in enumerate(results):
-            w.writerow([i, r["status"], r.get("boundary", False)])
+        w.writerows([i, r["status"], r.get("boundary", False)] for i, r in enumerate(results))
     else:
-        for i, r in enumerate(results):
-            extra = " (boundary)" if r.get("boundary") else ""
-            print(f"[{i}] {r['status']}{extra}")
+        sys.stdout.write("".join(
+            f"[{i}] {r['status']}{' (boundary)' if r.get('boundary') else ''}\n"
+            for i, r in enumerate(results)))
+
+
+STATUS_VALUES = tuple(s.value for s in STATUSES)
+MOMENT_FIELDS = ("z0", "z", "zz")
+POLY_FIELDS = ("a0", "a", "aa")
+
+
+def _inline_rows(cls, args, x0: str, x: str, xx: str) -> list[RowBatch]:
+    """The one row given by --n, --d and the three coefficient options."""
+    if args.n is None or args.d is None or getattr(args, x0) is None:
+        raise InputError(f"inline mode needs --n, --d, --{x0}, --{x}, --{xx}")
+    d = args.d
+    v, vv = (_parse_floats(getattr(args, k)) if getattr(args, k) else [0.0] * d
+             for k in (x, xx))
+    try:
+        return row_batches([cls(ProblemDims(args.n, d), getattr(args, x0), v, vv)])
+    except ValueError as exc:
+        raise InputError(str(exc))
 
 
 def cmd_check_moments(args, cfg: RunConfig) -> int:
-    if args.file:
-        rows = _load_moment_rows(args.file)
-    else:
-        if args.n is None or args.d is None or args.z0 is None:
-            raise InputError("inline mode needs --n, --d, --z0, --z, --zz")
-        d = args.d
-        z = _parse_floats(args.z) if args.z else [0.0] * d
-        zz = _parse_floats(args.zz) if args.zz else [0.0] * d
-        try:
-            rows = [MomentVector(ProblemDims(args.n, d), args.z0, z, zz)]
-        except ValueError as exc:
-            raise InputError(str(exc))
-    results, statuses = [], []
-    for m in rows:
-        v = classify(m, tol=cfg.tol)
-        statuses.append(v.status)
-        results.append({"input": m.to_json_dict(), "status": v.status.value,
-                        "boundary": v.boundary,
-                        "witness": _witness_field(v.witness, cfg)})
+    batches = (_load_moment_rows(args.file) if args.file
+               else _inline_rows(MomentVector, args, *MOMENT_FIELDS))
+    results: list = [None] * sum(b.index.size for b in batches)
+    for b in batches:
+        verdicts = classify_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
+        witnesses = (classify_witnesses(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
+                     if cfg.output == "json" else None)
+        for k, (i, code, edge) in enumerate(zip(b.index.tolist(), verdicts.status.tolist(),
+                                                verdicts.boundary.tolist())):
+            r = {"status": STATUS_VALUES[code], "boundary": edge}
+            if witnesses is not None:
+                r["input"] = b.record(k, MOMENT_FIELDS)
+                r["witness"] = _witness_jsonable(witnesses[k])
+            results[i] = r
     _emit_verdicts(results, cfg)
-    return _exit_code(statuses)
+    return _exit_code(results)
 
 
 ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
 
 
+def _member_value(member: bool) -> str:
+    return STATUS_VALUES[0] if member else STATUS_VALUES[1]
+
+
+def _lmi_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+    r = arrow_lmi_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
+    return [{"status": _member_value(m), "boundary": e, "c": c, "slack": f}
+            for m, e, c, f in zip(r.member.tolist(), r.boundary.tolist(),
+                                  r.c.tolist(), r.slack.tolist())]
+
+
+def _exact_d1_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+    """The d=1 facet test, one kernel call per n."""
+    out: list = [None] * b.index.size
+    for n in sorted(set(b.n.tolist())):
+        sel = np.flatnonzero(b.n == n)
+        _, kmin, rmin, member, edge = p_n1_rows(b.x0[sel], b.x[sel, 0], b.xx[sel, 0],
+                                                int(n), cfg.tol)
+        for k, km, rm, m, e in zip(sel.tolist(), kmin.tolist(), rmin.tolist(),
+                                   member.tolist(), edge.tolist()):
+            out[k] = {"status": _member_value(m), "boundary": e,
+                      "witness": (_witness_jsonable(p_n1_witness(int(n), km, rm, m))
+                                  if cfg.output == "json" else None)}
+    return out
+
+
 def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> dict:
-    if route == "lmi":
-        v, feas = sigma_membership_lmi(q, tol=cfg.tol)
-        return {"status": v.status.value, "boundary": v.boundary,
-                "c": feas.c, "slack": feas.marginal}
+    """The routes run one polynomial at a time: ellipsoid and halfdeg."""
     if route == "ellipsoid":
         val, pt = ellipsoid_quadratic_min(q)
         t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
         status = Status.MEMBER if val >= -t else Status.NON_MEMBER
         return {"status": status.value, "boundary": -t <= val < t,
                 "min_value": val, "x": list(pt.x), "y": list(pt.y)}
-    if route == "exact-d1":
-        if q.dims.d != 1:
-            raise InputError("route exact-d1 requires d=1")
-        v, _ = p_n1_membership(q, tol=cfg.tol)
-        return {"status": v.status.value, "boundary": v.boundary,
-                "witness": _witness_field(v.witness, cfg)}
     if route == "halfdeg":
         try:
             val, cfg_min = reduced_global_min(q, seed=cfg.seed)
@@ -227,39 +324,39 @@ def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> di
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
-    if args.file:
-        rows = _load_poly_rows(args.file)
-    else:
-        if args.n is None or args.d is None or args.a0 is None:
-            raise InputError("inline mode needs --n, --d, --a0, --a, --aa")
-        d = args.d
-        a = _parse_floats(args.a) if args.a else [0.0] * d
-        aa = _parse_floats(args.aa) if args.aa else [0.0] * d
-        try:
-            rows = [SymmetricQuadratic(ProblemDims(args.n, d), args.a0, a, aa)]
-        except ValueError as exc:
-            raise InputError(str(exc))
+    batches = (_load_poly_rows(args.file) if args.file
+               else _inline_rows(SymmetricQuadratic, args, *POLY_FIELDS))
     routes = ROUTES[:-1] if args.route == "all" else (args.route,)
-    results, statuses = [], []
-    for q in rows:
-        per_route = {}
-        for route in routes:
-            if route == "exact-d1" and args.route == "all" and q.dims.d != 1:
-                continue
-            per_route[route] = _poly_route_verdict(q, route, cfg)
-        verdicts = {r["status"] for r in per_route.values()}
+    if args.route == "exact-d1" and any(b.d != 1 for b in batches):
+        raise InputError("route exact-d1 requires d=1")
+    single = [r for r in routes if r in ("ellipsoid", "halfdeg")]
+    primary = "lmi" if args.route == "all" else args.route
+    # per row in input order: its batch, its index there and its route verdicts
+    rows: list = [None] * sum(b.index.size for b in batches)
+    for b in batches:
+        batched = [(r, route(b, cfg)) for r, route in (("lmi", _lmi_route),
+                                                      ("exact-d1", _exact_d1_route))
+                   if r in routes and (r == "lmi" or b.d == 1)]
+        for k, i in enumerate(b.index.tolist()):
+            rows[i] = (b, k, {r: v[k] for r, v in batched})
+    results = []
+    for b, k, per_route in rows:
+        if single:
+            q = SymmetricQuadratic(ProblemDims(int(b.n[k]), b.d), b.x0[k], b.x[k], b.xx[k])
+            for route in single:
+                per_route[route] = _poly_route_verdict(q, route, cfg)
         # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
         # disagreement only counts between the two SOS routes
         sos_verdicts = {per_route[r]["status"] for r in ("lmi", "ellipsoid")
                         if r in per_route}
-        disagreement = len(sos_verdicts) > 1
-        status = Status(per_route[routes[0] if args.route != "all" else "lmi"]["status"])
-        statuses.append(status)
-        results.append({"input": q.to_json_dict(), "status": status.value,
-                        "routes": per_route, "disagreement": disagreement,
-                        "all_statuses": sorted(verdicts)})
+        result = {"status": per_route[primary]["status"], "routes": per_route,
+                  "disagreement": len(sos_verdicts) > 1,
+                  "all_statuses": sorted({r["status"] for r in per_route.values()})}
+        if cfg.output == "json":
+            result["input"] = b.record(k, POLY_FIELDS)
+        results.append(result)
     _emit_verdicts(results, cfg)
-    return _exit_code(statuses)
+    return _exit_code(results)
 
 
 def _preset_state(args) -> SymmetricState:

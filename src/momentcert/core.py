@@ -20,8 +20,9 @@ changes verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class SymmetricQuadratic:
 
     def coeff_scale(self) -> float:
         """Magnitude used to normalize residual tolerances."""
-        return max(1.0, abs(self.a0),
-                   float(np.max(np.abs(self.a))), float(np.max(np.abs(self.aa))))
+        return float(abs_scale(self.a0, self.a, self.aa))
 
     def to_json_dict(self) -> dict:
         return {"n": self.dims.n, "d": self.dims.d, "a0": self.a0,
@@ -103,8 +103,7 @@ class MomentVector:
         _frozen_vector(self, "zz", self.zz, self.dims.d)
 
     def moment_scale(self) -> float:
-        return max(1.0, abs(self.z0),
-                   float(np.max(np.abs(self.z))), float(np.max(np.abs(self.zz))))
+        return float(abs_scale(self.z0, self.z, self.zz))
 
     def is_zero(self) -> bool:
         return self.z0 == 0.0 and not self.z.any() and not self.zz.any()
@@ -186,13 +185,71 @@ class ConeVerdict:
         return self.status is Status.MEMBER
 
 
+class RowBatch(NamedTuple):
+    """Rows of one d: their positions in the input (B,), n (B,) as float64
+    (exact below 2^53, where n(n-1) rounds as the int product does), the
+    constant term (B,) and the two (B, d) blocks: (z0, z, zz) of moment
+    vectors or (a0, a, aa) of quadratics."""
+
+    index: np.ndarray
+    n: np.ndarray
+    x0: np.ndarray
+    x: np.ndarray
+    xx: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.x.shape[1]
+
+    def record(self, k: int, names: tuple[str, str, str]) -> dict:
+        """Row k as ``to_json_dict`` writes it, with the three field names."""
+        return {"n": int(self.n[k]), "d": self.d, names[0]: float(self.x0[k]),
+                names[1]: self.x[k].tolist(), names[2]: self.xx[k].tolist()}
+
+
+def group_rows(n: np.ndarray, d: np.ndarray, values) -> list[RowBatch]:
+    """Rows grouped by d, in input order within a group; ``values(idx, d)``
+    returns the (len(idx), 1 + 2d) block (x0, x, xx) of rows ``idx``."""
+    out = []
+    for dd in sorted(set(d.tolist())):  # np.unique would import numpy.ma (20 ms)
+        idx = np.flatnonzero(d == dd)
+        v = values(idx, dd)
+        out.append(RowBatch(idx, n[idx], np.ascontiguousarray(v[:, 0]),
+                            np.ascontiguousarray(v[:, 1:1 + dd]),
+                            np.ascontiguousarray(v[:, 1 + dd:])))
+    return out
+
+
+def row_batches(rows: list) -> list[RowBatch]:
+    """A list of MomentVector or SymmetricQuadratic grouped by d."""
+    k0, k1, k2 = (f.name for f in fields(rows[0])[1:])
+    return group_rows(
+        np.array([r.dims.n for r in rows], dtype=float),
+        np.array([r.dims.d for r in rows]),
+        lambda idx, d: np.array([[getattr(rows[i], k0), *getattr(rows[i], k1),
+                                  *getattr(rows[i], k2)] for i in idx], dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # operations
 
 
-def scaled_tolerance(tol: float, scale: float, n: int) -> float:
-    """Absolute tolerance for residuals of order scale·n² (P, Sigma, d=1 facets)."""
-    return tol * max(1.0, scale * n * n)
+def abs_scale(x0, x, xx):
+    """max(1, |x0|, max |x|, max |xx|) over the last axis: ``moment_scale`` and
+    ``coeff_scale`` of one row, or of (B,) / (B, d) arrays."""
+    return np.abs(row_values(x0, x, xx)).max(axis=-1, initial=1.0)
+
+
+def row_values(x0, x, xx) -> np.ndarray:
+    """(x0, x, xx) side by side: shape (B, 1+2d), or (1+2d,) for one row."""
+    return np.concatenate([np.asarray(x0, dtype=float)[..., None], x, xx], axis=-1)
+
+
+def scaled_tolerance(tol: float, scale, n):
+    """Absolute tolerance for residuals of order scale·n² (P, Sigma, d=1 facets);
+    scale and n may be (B,) arrays."""
+    big = scale * n * n
+    return tol * (np.maximum(1.0, big) if isinstance(big, np.ndarray) else max(1.0, big))
 
 
 def moment_tolerance(tol: float, scale):

@@ -18,6 +18,7 @@ from .core import (
     ProblemDims,
     Status,
     SymmetricQuadratic,
+    abs_scale,
     scaled_tolerance,
 )
 
@@ -46,25 +47,40 @@ def facet_residuals(a0, a1, a11, n: int) -> np.ndarray:
     return a0 + np.multiply.outer(u, a1) + np.multiply.outer(u * u - n, a11)
 
 
+def p_n1_rows(a0, a1, a11, n: int, tol: float = DEFAULT_TOL):
+    """Facet test for the d=1 nonnegativity cone over rows (B,) of one n: the
+    (n+1, B) facet residuals, the first minimizing facet k (B,), its residual,
+    and per row member (residual >= -t) and boundary (member and residual < t)
+    with t = ``scaled_tolerance(tol, coeff_scale, n)``."""
+    a0, a1, a11 = (np.asarray(v, dtype=float) for v in (a0, a1, a11))
+    r = facet_residuals(a0, a1, a11, n)
+    kmin = np.argmin(r, axis=0)
+    rmin = r[kmin, np.arange(r.shape[1])]
+    t = scaled_tolerance(tol, abs_scale(a0, a1[:, None], a11[:, None]), n)
+    member = rmin >= -t
+    return r, kmin, rmin, member, member & (rmin < t)
+
+
+def p_n1_witness(n: int, kmin: int, rmin: float, member: bool) -> dict:
+    """The witness of one facet-test row: the minimizing facet, and for a
+    NonMember the hypercube point where Q is negative."""
+    if member:
+        return {"min_k": kmin, "min_residual": rmin}
+    return {"k": kmin, "residual": rmin, "point": hypercube_point(n, kmin)}
+
+
 def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
                     ) -> tuple[ConeVerdict, np.ndarray]:
-    """Facet test for the d=1 nonnegativity cone; also returns the (n+1,)
-    facet residuals."""
+    """Facet test for the d=1 nonnegativity cone (:func:`p_n1_rows` on one
+    row); also returns the (n+1,) facet residuals."""
     _require_d1(q.dims)
     n = q.dims.n
-    r = facet_residuals(q.a0, float(q.a[0]), float(q.aa[0]), n)
-    t = scaled_tolerance(tol, q.coeff_scale(), n)
-    kmin = int(np.argmin(r))
-    rmin = float(r[kmin])
-    if rmin >= -t:
-        verdict = ConeVerdict(Status.MEMBER,
-                              witness={"min_k": kmin, "min_residual": rmin},
-                              boundary=rmin < t)
-    else:
-        verdict = ConeVerdict(Status.NON_MEMBER,
-                              witness={"k": kmin, "residual": rmin,
-                                       "point": hypercube_point(n, kmin)})
-    return verdict, r
+    r, kmin, rmin, member, boundary = p_n1_rows(np.array([q.a0]), q.a, q.aa, n, tol)
+    m = bool(member[0])
+    verdict = ConeVerdict(Status.MEMBER if m else Status.NON_MEMBER,
+                          witness=p_n1_witness(n, int(kmin[0]), float(rmin[0]), m),
+                          boundary=bool(boundary[0]))
+    return verdict, r[:, 0]
 
 
 def c_n1_residuals(m0, m1, m11, n: int) -> np.ndarray:

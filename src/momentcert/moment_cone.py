@@ -21,10 +21,12 @@ from .core import (
     RescaledMomentVector,
     Status,
     SymmetricQuadratic,
+    abs_scale,
     moment_tolerance,
-    pair,
+    row_values,
 )
-from .sos_cone import sigma_membership_lmi
+from .sos_cone import arrow_lmi_rows
+from .sos_cone import sigma_membership_lmi  # noqa: F401  (bench/tracing.py wraps this binding)
 
 DEFAULT_TOL = 1e-9
 
@@ -64,11 +66,11 @@ class MaxFormTerms(NamedTuple):
         return self.term1 >= self.term0
 
 
-def max_form_terms(z0, z, zz, n: int, side: str = NECESSARY) -> MaxFormTerms:
+def max_form_terms(z0, z, zz, n, side: str = NECESSARY) -> MaxFormTerms:
     """Inequality terms for z0 of shape (B,) and z, zz of shape (B, d), or for
-    one row (shapes () and (d,)).  The sufficient side uses z0e = z0(n-1)/n
-    in place of z0; base = z0e² + z0e Σ z_αα/n, term0 = z_α²/n and
-    term1 = z0e z_αα/(n-1)."""
+    one row (shapes () and (d,)); n is a scalar or of shape (B,).  The
+    sufficient side uses z0e = z0(n-1)/n in place of z0;
+    base = z0e² + z0e Σ z_αα/n, term0 = z_α²/n and term1 = z0e z_αα/(n-1)."""
     z0 = np.asarray(z0, dtype=float)
     z = np.asarray(z, dtype=float)
     zz = np.asarray(zz, dtype=float)
@@ -78,26 +80,58 @@ def max_form_terms(z0, z, zz, n: int, side: str = NECESSARY) -> MaxFormTerms:
         z0e = z0 * (n - 1) / n
     else:
         raise ValueError(f"unknown side {side!r}")
+    nc = np.asarray(n)[..., None]
     return MaxFormTerms(z0e, z0e * z0e + z0e * zz.sum(axis=-1) / n,
-                        z * z / n, z0e[..., None] * zz / (n - 1))
+                        z * z / nc, z0e[..., None] * zz / (nc - 1))
 
 
-def max_form_residual_batch(z0, z, zz, n: int, side: str = NECESSARY) -> np.ndarray:
-    """Vectorized max-form residual; z0 shape (B,), z and zz shape (B, d)."""
+def max_form_residual_batch(z0, z, zz, n, side: str = NECESSARY) -> np.ndarray:
+    """Vectorized max-form residual; z0 shape (B,), z and zz shape (B, d), n an
+    int or shape (B,)."""
     return max_form_terms(z0, z, zz, n, side).residual()
+
+
+class ConditionRows(NamedTuple):
+    """One side's test per row: verdict, max-form residual, its sign pattern
+    (B, d), z0 > tol·scale (true for the zero vector) and the side's z0."""
+
+    ok: np.ndarray
+    residual: np.ndarray
+    pattern: np.ndarray
+    z0_ok: np.ndarray
+    z0e: np.ndarray
+
+
+def _scale_and_zero(z0, z, zz):
+    """Per row, ``moment_scale`` and whether the vector is zero."""
+    return abs_scale(z0, z, zz), ~row_values(z0, z, zz).any(axis=-1)
+
+
+def condition_rows(z0, z, zz, n, side: str, tol: float, scale, zero) -> ConditionRows:
+    """The chosen side over rows: the zero vector passes; any other row needs
+    z0 > tol·scale and a max-form residual >= -tol·scale²."""
+    terms = max_form_terms(z0, z, zz, n, side)
+    residual = terms.residual()
+    z0_ok = zero | (z0 > tol * scale)
+    ok = z0_ok & (zero | (residual >= -moment_tolerance(tol, scale)))
+    return ConditionRows(ok, residual, terms.pattern(), z0_ok, terms.z0e)
+
+
+def _report(side: str, rows: ConditionRows, k: int) -> InequalityReport:
+    return InequalityReport(side, float(rows.residual[k]),
+                            tuple(rows.pattern[k].astype(int).tolist()),
+                            bool(rows.z0_ok[k]))
+
+
+def _one_row(m: MomentVector):
+    return np.array([m.z0]), m.z[None], m.zz[None]
 
 
 def _condition(m: MomentVector, side: str, tol: float
                ) -> tuple[bool, InequalityReport]:
-    terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
-    residual = float(terms.residual())
-    pattern = tuple(terms.pattern().astype(int).tolist())
-    if m.is_zero():
-        return True, InequalityReport(side, residual, pattern, True)
-    s = m.moment_scale()
-    z0_ok = m.z0 > tol * s
-    ok = z0_ok and residual >= -moment_tolerance(tol, s)
-    return ok, InequalityReport(side, residual, pattern, z0_ok)
+    z0, z, zz = _one_row(m)
+    rows = condition_rows(z0, z, zz, m.dims.n, side, tol, *_scale_and_zero(z0, z, zz))
+    return bool(rows.ok[0]), _report(side, rows, 0)
 
 
 def necessary_condition(m: MomentVector, tol: float = DEFAULT_TOL
@@ -136,6 +170,37 @@ def pattern_of_index(idx: int, d: int) -> tuple[int, ...]:
     return tuple((idx >> alpha) & 1 for alpha in range(d))
 
 
+def _witness_diagonal(z0e, z, zz, n):
+    """Per row, the inner diagonal x_αα = max(z_αα/(n-1), z_α²/(n z0e), 0) of
+    the witness matrix and its corner x0 = z0e + Σ z_αα/n - Σ x_αα."""
+    nc = np.asarray(n)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xdiag = np.maximum.reduce([zz / (nc - 1), z * z / (nc * z0e[..., None]),
+                                   np.zeros(z.shape)])
+    return xdiag, z0e + zz.sum(axis=-1) / n - xdiag.sum(axis=-1)
+
+
+def _witness_matrices(z0e, z, zz, n, xdiag, x0) -> np.ndarray:
+    """The (B, 2d+2, 2d+2) witness matrices; only rows with z0e > 0 are
+    meaningful (the zero vector's witness is the zero matrix)."""
+    b, d = z.shape
+    nc = np.asarray(n)[..., None]
+    diag = np.arange(d)
+    x = np.zeros((b, 2 * d + 2, 2 * d + 2))
+    x[:, 0, 0] = z0e
+    x[:, 0, 1:d + 1] = x[:, 1:d + 1, 0] = z / np.sqrt(nc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[:, 1:d + 1, 1:d + 1] = z[:, :, None] * z[:, None, :] / (nc * z0e[:, None])[..., None]
+    x[:, diag + 1, diag + 1] = xdiag
+    x[:, diag + d + 1, diag + d + 1] = ((nc - 1) * xdiag - zz) / nc
+    x[:, -1, -1] = np.where(0.0 > x0, 0.0, x0)
+    return x
+
+
+def _zero_witness(d: int) -> MomentWitnessMatrix:
+    return MomentWitnessMatrix(np.zeros((2 * d + 2, 2 * d + 2)), np.zeros(d), 0.0)
+
+
 def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
                          tol: float = DEFAULT_TOL
                          ) -> tuple[ConeVerdict, MomentWitnessMatrix | None]:
@@ -145,33 +210,22 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     each diagonal x_αα sits at the max of its lower bounds; the corner entry
     x0 absorbs the trace constraint and decides feasibility by its sign.
     """
-    n, d = m.dims.n, m.dims.d
     s = m.moment_scale()
     t = moment_tolerance(tol, s)
     if m.is_zero():
-        size = 2 * d + 2
-        zero = MomentWitnessMatrix(np.zeros((size, size)), np.zeros(d), 0.0)
+        zero = _zero_witness(m.dims.d)
         return ConeVerdict(Status.MEMBER, witness={"matrix": zero}), zero
     if m.z0 <= tol * s:
         return ConeVerdict(Status.NON_MEMBER,
                            witness={"reason": "z0 not positive", "z0": m.z0}), None
-    z0 = float(max_form_terms(m.z0, m.z, m.zz, n, side).z0e)
-    xdiag = np.maximum.reduce([m.zz / (n - 1), m.z * m.z / (n * z0), np.zeros(d)])
-    x0 = z0 + float(m.zz.sum()) / n - float(xdiag.sum())
-    size = 2 * d + 2
-    x = np.zeros((size, size))
-    x[0, 0] = z0
-    x[0, 1:d + 1] = m.z / math.sqrt(n)
-    x[1:d + 1, 0] = m.z / math.sqrt(n)
-    inner = np.outer(m.z, m.z) / (n * z0)
-    inner[np.arange(d), np.arange(d)] = xdiag
-    x[1:d + 1, 1:d + 1] = inner
-    lower = ((n - 1) * xdiag - m.zz) / n
-    x[np.arange(d + 1, 2 * d + 1), np.arange(d + 1, 2 * d + 1)] = lower
-    x[size - 1, size - 1] = max(x0, 0.0)
-    witness = MomentWitnessMatrix(x, xdiag, x0)
+    z0, z, zz = _one_row(m)
+    z0e = max_form_terms(z0, z, zz, m.dims.n, side).z0e
+    xdiag, x0 = _witness_diagonal(z0e, z, zz, m.dims.n)
+    matrix = _witness_matrices(z0e, z, zz, m.dims.n, xdiag, x0)[0]
+    x0 = float(x0[0])
+    witness = MomentWitnessMatrix(matrix, xdiag[0], x0)
     if x0 >= -t:
-        eig_min = float(np.linalg.eigvalsh(x)[0])
+        eig_min = float(np.linalg.eigvalsh(witness.matrix)[0])
         return ConeVerdict(Status.MEMBER,
                            witness={"matrix": witness, "min_eigenvalue": eig_min},
                            boundary=x0 < t), witness
@@ -179,58 +233,132 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
                        witness={"matrix": witness, "x0": x0}), witness
 
 
+def separating_rows(z0, z, zz, n, scale, pattern, tol: float = DEFAULT_TOL):
+    """Coefficients (a0 (B,), a, aa (B, d)) of :func:`separating_polynomial`
+    for each row, given its moment scale and necessary-side sign pattern."""
+    b, d = z.shape
+    nc = np.asarray(n)[..., None]
+    rows = np.arange(b)
+    onehot = np.arange(d)
+    tz = tol * scale
+    # z0 <= tol·scale: the largest |z_α| > tol·scale gives a linear
+    # separator, else the largest |z_αα| a quadratic one
+    ia = np.argmax(np.abs(z), axis=-1)
+    za = z[rows, ia]
+    lin = np.abs(za) > tz
+    ib = np.argmax(np.abs(zz), axis=-1)
+    up = zz[rows, ib] > 0.0
+    a0 = np.where(lin, n, np.where(up, n * (n - 1), n))
+    a = np.where(lin[:, None] & (onehot == ia[:, None]), -np.copysign(1.0, za)[:, None], 0.0)
+    aa = np.where(~lin[:, None] & (onehot == ib[:, None]),
+                  np.where(up, -1.0, 1.0)[:, None], 0.0)
+    # z0 > tol·scale: the tangent plane of the violated max-form inequality
+    t = pattern.astype(float)
+    main = z0 > tz
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a0 = np.where(main, 1.0 + ((1 - t) * z * z).sum(axis=-1) / (n * z0 * z0), a0)
+        a = np.where(main[:, None], -(1 - t) * 2.0 * z / (nc * z0[:, None]), a)
+    aa = np.where(main[:, None], np.where(t == 1.0, -1.0 / (nc * (nc - 1)), 1.0 / nc), aa)
+    # z0 < -tol·scale: the constant 1
+    neg = z0 < -tz
+    return (np.where(neg, 1.0, a0), np.where(neg[:, None], 0.0, a),
+            np.where(neg[:, None], 0.0, aa))
+
+
 def separating_polynomial(m: MomentVector, tol: float = DEFAULT_TOL) -> SymmetricQuadratic:
     """A quadratic in the SOS cone with pair(q, m) < 0, for m failing the
-    necessary condition.
+    necessary condition: :func:`separating_rows` on one row.
 
     The main branch linearizes the violated max-form inequality: each
     quadratic-over-linear term z_α²/(n z0) is replaced by its tangent plane at
     m, which preserves validity on the whole cone by convexity.
     """
-    n, d = m.dims.n, m.dims.d
-    scale = m.moment_scale()
-    if m.z0 < -tol * scale:
-        return SymmetricQuadratic(m.dims, 1.0, np.zeros(d), np.zeros(d))
-    if m.z0 <= tol * scale:
-        alpha = int(np.argmax(np.abs(m.z)))
-        if abs(m.z[alpha]) > tol * scale:
-            a = np.zeros(d)
-            a[alpha] = -math.copysign(1.0, m.z[alpha])
-            return SymmetricQuadratic(m.dims, float(n), a, np.zeros(d))
-        alpha = int(np.argmax(np.abs(m.zz)))
-        aa = np.zeros(d)
-        if m.zz[alpha] > 0:
-            aa[alpha] = -1.0
-            return SymmetricQuadratic(m.dims, float(n * (n - 1)), np.zeros(d), aa)
-        aa[alpha] = 1.0
-        return SymmetricQuadratic(m.dims, float(n), np.zeros(d), aa)
-    t = max_form_terms(m.z0, m.z, m.zz, n, NECESSARY).pattern().astype(float)
-    a0 = 1.0 + float(((1 - t) * m.z * m.z).sum()) / (n * m.z0 * m.z0)
-    a = -(1 - t) * 2.0 * m.z / (n * m.z0)
-    aa = np.where(t == 1.0, -1.0 / (n * (n - 1)), 1.0 / n)
-    return SymmetricQuadratic(m.dims, a0, a, aa)
+    z0, z, zz = _one_row(m)
+    pattern = max_form_terms(z0, z, zz, m.dims.n, NECESSARY).pattern()
+    a0, a, aa = separating_rows(z0, z, zz, m.dims.n, abs_scale(z0, z, zz), pattern, tol)
+    return SymmetricQuadratic(m.dims, float(a0[0]), a[0], aa[0])
+
+
+class MomentRows(NamedTuple):
+    """Per-row result of :func:`classify_rows`."""
+
+    status: np.ndarray    # index into STATUSES
+    boundary: np.ndarray
+    scale: np.ndarray
+    zero: np.ndarray
+    suf: ConditionRows
+    nec: ConditionRows
+    xdiag: np.ndarray     # sufficient-side witness diagonal (B, d)
+    x0: np.ndarray        # and corner (B,)
+
+
+STATUSES = (Status.MEMBER, Status.NON_MEMBER, Status.INDETERMINATE)
+
+
+def classify_rows(z0, z, zz, n, tol: float = DEFAULT_TOL) -> MomentRows:
+    """Member where the sufficient side holds, NonMember where the necessary
+    side fails, else Indeterminate, over z0 (B,), z and zz (B, d) and n a
+    scalar or (B,).  A nonzero Member lies on the boundary when the corner of
+    its sufficient-side witness matrix is in [-tol·scale², tol·scale²)."""
+    z0, z, zz = (np.asarray(v, dtype=float) for v in (z0, z, zz))
+    scale, zero = _scale_and_zero(z0, z, zz)
+    suf = condition_rows(z0, z, zz, n, SUFFICIENT, tol, scale, zero)
+    nec = condition_rows(z0, z, zz, n, NECESSARY, tol, scale, zero)
+    xdiag, x0 = _witness_diagonal(suf.z0e, z, zz, n)
+    t = moment_tolerance(tol, scale)
+    status = ~suf.ok * (1 + nec.ok)  # 0 Member, 1 NonMember, 2 Indeterminate
+    boundary = suf.ok & ~zero & (x0 >= -t) & (x0 < t)
+    return MomentRows(status, boundary, scale, zero, suf, nec, xdiag, x0)
+
+
+def _row_dot(x, y):
+    """Row-wise dot products of (B, d) arrays, rounded as ``x[k] @ y[k]`` is."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def classify_witnesses(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> list[dict]:
+    """The witness of each row's verdict, as :func:`classify` returns it.
+
+    Member: the sufficient-side report and witness matrix.  NonMember: the
+    necessary-side report, the separating polynomial, its pairing with the
+    row and its SOS-cone verdict, all computed over the NonMember rows at
+    once.  Indeterminate: both residuals.
+    """
+    b, d = z.shape
+    n = np.broadcast_to(np.asarray(n, dtype=float), (b,))
+    out: list[dict] = [{} for _ in range(b)]
+    member = np.flatnonzero(rows.status == 0)
+    mats = _witness_matrices(rows.suf.z0e[member], z[member], zz[member], n[member],
+                             rows.xdiag[member], rows.x0[member])
+    for j, k in enumerate(member.tolist()):
+        matrix = (_zero_witness(d) if rows.zero[k] else
+                  MomentWitnessMatrix(mats[j], rows.xdiag[k], float(rows.x0[k])))
+        out[k] = {"report": _report(SUFFICIENT, rows.suf, k), "matrix": matrix}
+    non = np.flatnonzero(rows.status == 1)
+    if non.size:
+        a0, a, aa = separating_rows(z0[non], z[non], zz[non], n[non], rows.scale[non],
+                                    rows.nec.pattern[non], tol)
+        in_sigma = arrow_lmi_rows(a0, a, aa, n[non], tol).member
+        pairing = a0 * z0[non] + _row_dot(a, z[non]) + _row_dot(aa, zz[non])
+        for j, k in enumerate(non.tolist()):
+            q = SymmetricQuadratic(ProblemDims(int(n[k]), d), float(a0[j]), a[j], aa[j])
+            out[k] = {"report": _report(NECESSARY, rows.nec, k),
+                      "separating_polynomial": q, "pairing": float(pairing[j]),
+                      "witness_in_sigma": bool(in_sigma[j])}
+    for k in np.flatnonzero(rows.status == 2).tolist():
+        out[k] = {"necessary_residual": float(rows.nec.residual[k]),
+                  "sufficient_residual": float(rows.suf.residual[k])}
+    return out
 
 
 def classify(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Member / NonMember / Indeterminate with independently checkable witnesses."""
-    suff_ok, suff_report = sufficient_condition(m, tol=tol)
-    nec_ok, nec_report = necessary_condition(m, tol=tol)
-    if suff_ok:
-        verdict, witness = lmi_dual_feasibility(m, SUFFICIENT, tol=tol)
-        return ConeVerdict(Status.MEMBER,
-                           witness={"report": suff_report, "matrix": witness},
-                           boundary=verdict.boundary)
-    if not nec_ok:
-        q = separating_polynomial(m, tol=tol)
-        q_verdict, _ = sigma_membership_lmi(q, tol=tol)
-        return ConeVerdict(Status.NON_MEMBER,
-                           witness={"report": nec_report,
-                                    "separating_polynomial": q,
-                                    "pairing": pair(q, m),
-                                    "witness_in_sigma": q_verdict.is_member})
-    return ConeVerdict(Status.INDETERMINATE,
-                       witness={"necessary_residual": nec_report.max_form_residual,
-                                "sufficient_residual": suff_report.max_form_residual})
+    """Member / NonMember / Indeterminate with independently checkable
+    witnesses: :func:`classify_rows` and :func:`classify_witnesses` on one row."""
+    z0, z, zz = _one_row(m)
+    rows = classify_rows(z0, z, zz, m.dims.n, tol)
+    witness = classify_witnesses(rows, z0, z, zz, m.dims.n, tol)[0]
+    return ConeVerdict(STATUSES[rows.status[0]], witness=witness,
+                       boundary=bool(rows.boundary[0]))
 
 
 def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:

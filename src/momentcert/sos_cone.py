@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     Configuration,
     Status,
     SymmetricQuadratic,
+    abs_scale,
     scaled_tolerance,
 )
 
@@ -151,75 +153,140 @@ def ellipsoid_quadratic_min(q: SymmetricQuadratic, max_iter: int = 200
     return val, EllipsoidPoint([rt * w[i] for i in range(d)], w[d:])
 
 
-def _schur_slack(a0: float, a: list[float], aa: list[float], n: int, c: float) -> float:
+def _schur_slack(a0, a, aa, n, c):
     """f(c) = (A0 - c) - Σ (n A_α²/4)/((n-1)A_αα + c/n); -inf on a zero
-    denominator with a nonzero numerator."""
-    s = a0 - c
-    for i in range(len(a)):
-        den = (n - 1) * aa[i] + c / n
-        num = n * a[i] * a[i] / 4.0
-        if den <= 0.0:
-            if num != 0.0:
-                return -math.inf
-            continue
-        s -= num / den
-    return s
+    denominator with a nonzero numerator.
+
+    a0, n and c are scalars or (B,), a and aa are (d,) or (B, d).  The terms
+    are subtracted one column at a time in index order (np.sum would add 8 or
+    more of them pairwise); a skipped term subtracts +0.0, which leaves every
+    value, -0.0 included, unchanged.
+    """
+    a, aa, c = np.asarray(a, dtype=float), np.asarray(aa, dtype=float), np.asarray(c)
+    nc = np.asarray(n)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = (nc - 1) * aa + (c / n)[..., None]
+        num = nc * a * a / 4.0
+        skip = den <= 0.0
+        term = np.where(skip, 0.0, num / den)
+    s = np.asarray(a0, dtype=float) - c
+    for i in range(term.shape[-1]):
+        s = s - term[..., i]
+    return np.where((skip & (num != 0.0)).any(axis=-1), -np.inf, s)
 
 
-def _schur_slack_derivative(a: list[float], aa: list[float], n: int, c: float) -> float:
-    s = -1.0
-    for i in range(len(a)):
-        if a[i] == 0.0:
-            continue
-        den = (n - 1) * aa[i] + c / n
-        if den <= 0.0:
-            return math.inf
-        s += (a[i] * a[i] / 4.0) / (den * den)
-    return s
+def _schur_slack_derivative(a, aa, n):
+    """f'(c) = -1 + Σ_{A_α≠0} (A_α²/4)/((n-1)A_αα + c/n)² as a function of c
+    for fixed rows (shapes as in :func:`_schur_slack`); +inf on a
+    non-positive denominator with A_α ≠ 0.  The terms are added column by
+    column in index order, a skipped one as +0.0 (exact: the sum starts at -1
+    and never reaches -0.0)."""
+    n1aa = (np.asarray(n)[..., None] - 1) * aa
+    half2 = a * a / 4.0
+    live = a != 0.0
+
+    def fprime(c):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = n1aa + (c / n)[..., None]
+            bad = live & (den <= 0.0)
+            term = np.where(live & ~bad, half2 / (den * den), 0.0)
+        s = -1.0 + term[..., 0]
+        for i in range(1, term.shape[-1]):
+            s = s + term[..., i]
+        return np.where(bad.any(axis=-1), np.inf, s)
+
+    return fprime
+
+
+class ArrowRows(NamedTuple):
+    """Per-row result of :func:`arrow_lmi_rows`, each of shape (B,)."""
+
+    c: np.ndarray         # maximizer c* of the Schur slack, c_lo on an empty interval
+    slack: np.ndarray     # f(c*), -inf on an empty interval
+    c_lo: np.ndarray
+    c_hi: np.ndarray
+    empty: np.ndarray     # c_lo > c_hi + t: no feasible c
+    member: np.ndarray    # slack >= -t
+    boundary: np.ndarray  # member and slack < t
+
+
+def _py_max(x, y):
+    """Elementwise max(x, y) with Python's tie rule (x on ties, so 0.0 vs
+    -0.0 keeps x); np.maximum returns y on ties."""
+    return np.where(y > x, y, x)
+
+
+def _bisect(fprime, lo, hi):
+    """Per-row bisection on the sign of f' over [lo, hi]; a row stops once
+    hi - lo <= 1e-15 max(1, |hi|), the others go on (at most 200 steps)."""
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        up = fprime(mid) > 0.0
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        live &= ~(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(hi)))
+        if not live.any():
+            break
+    return 0.5 * (lo + hi)
+
+
+def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
+    """Arrow-matrix LMI test for the SOS cone over rows a0 (B,), a and aa
+    (B, d), n a scalar or (B,).
+
+    The feasible c form [c_lo, c_hi] with c_lo = max(0, n max A_αα,
+    -n(n-1) min A_αα) and c_hi = A0; empty (beyond t) means NonMember.
+    Otherwise c* is c_hi if f' >= 0 there, c_lo if f' <= 0 there, else the
+    bisection point of f'; the row is a member when f(c*) >= -t, with
+    t = ``scaled_tolerance(tol, coeff_scale, n)``.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a, aa = np.asarray(a, dtype=float), np.asarray(aa, dtype=float)
+    n = np.asarray(n, dtype=float)
+    t = scaled_tolerance(tol, abs_scale(a0, a, aa), n)
+    c_lo = _py_max(_py_max(0.0, n * aa.max(axis=-1)), -n * (n - 1) * aa.min(axis=-1))
+    c_hi = a0
+    empty = c_lo > c_hi + t
+    c = c_lo.copy()
+    slack = np.full(c.shape, -np.inf)
+    run = np.flatnonzero(~empty)
+    if run.size:
+        ar, aar, nr = a[run], aa[run], n[run] if n.ndim else n
+        lo, hi = c_lo[run], _py_max(c_hi[run], c_lo[run])
+        fprime = _schur_slack_derivative(ar, aar, nr)
+        at_hi = fprime(hi) >= 0.0
+        at_lo = ~at_hi & (fprime(lo) <= 0.0)
+        cr = np.where(at_hi, hi, lo)
+        mid = np.flatnonzero(~at_hi & ~at_lo)
+        if mid.size:
+            cr[mid] = _bisect(_schur_slack_derivative(ar[mid], aar[mid],
+                                                      nr[mid] if n.ndim else n),
+                              lo[mid], hi[mid])
+        c[run] = cr
+        slack[run] = _schur_slack(a0[run], ar, aar, nr, cr)
+    member = ~empty & (slack >= -t)
+    return ArrowRows(c, slack, c_lo, c_hi, empty, member, member & (slack < t))
 
 
 def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
                          ) -> tuple[ConeVerdict, ArrowFeasibility]:
-    """Arrow-matrix LMI feasibility test for the SOS cone."""
-    n = q.dims.n
-    a0 = q.a0
-    a = [float(v) for v in q.a]
-    aa = [float(v) for v in q.aa]
-    t = scaled_tolerance(tol, q.coeff_scale(), n)
-
-    c_lo = max(0.0, n * max(aa), -n * (n - 1) * min(aa))
-    c_hi = a0
-    feas = ArrowFeasibility(c_lo, -math.inf, (c_lo, c_hi))
-    if c_lo > c_hi + t:
+    """Arrow-matrix LMI feasibility test for the SOS cone:
+    :func:`arrow_lmi_rows` on one row."""
+    r = arrow_lmi_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n, tol)
+    c, slack = float(r.c[0]), float(r.slack[0])
+    c_range = (float(r.c_lo[0]), float(r.c_hi[0]))
+    feas = ArrowFeasibility(c, slack, c_range)
+    if r.empty[0]:
         return ConeVerdict(Status.NON_MEMBER,
-                           witness={"empty_c_interval": (c_lo, c_hi)}), feas
-
-    hi = max(c_hi, c_lo)
-    lo = c_lo
-    if _schur_slack_derivative(a, aa, n, hi) >= 0.0:
-        c_star = hi
-    elif _schur_slack_derivative(a, aa, n, lo) <= 0.0:
-        c_star = lo
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _schur_slack_derivative(a, aa, n, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-                break
-        c_star = 0.5 * (lo + hi)
-    fval = _schur_slack(a0, a, aa, n, c_star)
-    feas = ArrowFeasibility(c_star, fval, (c_lo, c_hi))
-    if fval >= -t:
-        witness = sos_witness(q, c_star, validate=False)
+                           witness={"empty_c_interval": c_range}), feas
+    if r.member[0]:
+        witness = sos_witness(q, c, validate=False)
         return ConeVerdict(Status.MEMBER,
-                           witness={"c": c_star, "slack": fval, "sos": witness},
-                           boundary=fval < t), feas
+                           witness={"c": c, "slack": slack, "sos": witness},
+                           boundary=bool(r.boundary[0])), feas
     return ConeVerdict(Status.NON_MEMBER,
-                       witness={"c": c_star, "slack": fval,
-                                "c_range": (c_lo, c_hi)}), feas
+                       witness={"c": c, "slack": slack, "c_range": c_range}), feas
 
 
 def sigma_prime_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> ConeVerdict:
@@ -258,8 +325,15 @@ def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True,
 
 def verify_sos_witness(w: SosWitness, q: SymmetricQuadratic,
                        num_configs: int = 100, seed: int = 0) -> float:
-    """Max |Q(x) - (<S,G> + <F,H> + c(n - Σ p_αα))| over random configurations."""
+    """Max |Q(x) - (<S,G> + <F,H> + c(n - Σ p_αα))| over random configurations,
+    or inf when the witness is not a certificate: G has an eigenvalue, h an
+    entry or c a value below -t, t = ``scaled_tolerance(1e-9, coeff_scale, n)``.
+    (The identity alone holds for every c, so it cannot reject anything.)"""
     n, d = q.dims.n, q.dims.d
+    t = scaled_tolerance(1e-9, q.coeff_scale(), n)
+    if (float(np.linalg.eigvalsh(w.g)[0]) < -t or float(np.min(w.h)) < -t
+            or w.c < -t):
+        return math.inf
     rng = np.random.default_rng(seed)
     g0 = float(w.g[0, 0])
     g_lin = 2.0 * w.g[0, 1:]

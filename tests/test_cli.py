@@ -215,3 +215,134 @@ def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch)
     calls.clear()
     code, out, _ = run(capsys, "--output", "json", *argvs[1])
     assert calls and json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0
+
+
+def test_input_records_built_for_json_output_only(tmp_path, capsys, monkeypatch):
+    from momentcert.core import MomentVector, SymmetricQuadratic
+    calls = []
+    for cls in (MomentVector, SymmetricQuadratic):
+        convert = cls.to_json_dict
+        monkeypatch.setattr(cls, "to_json_dict",
+                            lambda self, convert=convert: calls.append(self) or convert(self))
+    moments = tmp_path / "rows.csv"
+    moments.write_text("n,d,z0,z1,z11\n4,1,1.0,0.0,0.0\n4,1,1.0,8.0,0.0\n")
+    poly = tmp_path / "q.json"
+    poly.write_text(json.dumps([{"n": 4, "d": 1, "a0": 4.0, "a": [0.0], "aa": [1.0]},
+                                {"n": 3, "d": 1, "a0": 3.0, "a": [0.0], "aa": [-1.0]}]))
+    for output in ("text", "csv"):
+        for argv in (("check-moments", "--file", str(moments)),
+                     ("check-poly", "--file", str(poly)),
+                     ("check-poly", "--route", "all", "--file", str(poly))):
+            run(capsys, "--output", output, *argv)
+    assert calls == []
+    code, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(moments))
+    assert json.loads(out)["results"][1]["input"] == {"n": 4, "d": 1, "z0": 1.0,
+                                                       "z": [8.0], "zz": [0.0]}
+
+
+def _mixed_rows(seed: int, count: int, n_max: int = 20, d_max: int = 4):
+    """Moment vectors and quadratics with (n, d) varying row by row."""
+    from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic
+    rng = np.random.default_rng(seed)
+    moments, polys = [], []
+    for i in range(count):
+        n, d = int(rng.integers(2, n_max)), int(rng.integers(1, d_max + 1))
+        dims = ProblemDims(n, d)
+        f = [1e-3, 0.3, 3.0][i % 3]
+        moments.append(MomentVector(dims, 0.0 if i == 7 else 1.0,
+                                    f * n * rng.normal(size=d), f * n * rng.normal(size=d)))
+        polys.append(SymmetricQuadratic(dims, float(rng.normal()) + (n * n if i % 2 else 0.0),
+                                        0.3 * rng.normal(size=d), rng.normal(size=d)))
+    return moments, polys
+
+
+def _num(x):
+    return repr(float(x))
+
+
+def test_mixed_file_rows_keep_their_order(tmp_path, capsys):
+    from momentcert.moment_cone import classify
+    from momentcert.sos_cone import sigma_membership_lmi
+    moments, polys = _mixed_rows(11, 40)
+    csv_file = tmp_path / "m.csv"
+    csv_file.write_text("n,d,z0,z,zz\n" + "".join(
+        ",".join([str(m.dims.n), str(m.dims.d), _num(m.z0)] + [_num(v) for v in [*m.z, *m.zz]])
+        + "\n" for m in moments))
+    json_file = tmp_path / "m.json"
+    json_file.write_text(json.dumps([m.to_json_dict() for m in moments]))
+    poly_file = tmp_path / "q.json"
+    poly_file.write_text(json.dumps([q.to_json_dict() for q in polys]))
+    expect = [classify(m) for m in moments]
+    for path in (csv_file, json_file):
+        _, text, _ = run(capsys, "check-moments", "--file", str(path))
+        assert text.splitlines() == [
+            f"[{i}] {v.status.value}{' (boundary)' if v.boundary else ''}"
+            for i, v in enumerate(expect)]
+        _, out, _ = run(capsys, "--output", "csv", "check-moments", "--file", str(path))
+        assert out.splitlines()[1:] == [f"{i},{v.status.value},{v.boundary}"
+                                        for i, v in enumerate(expect)]
+        _, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(path))
+        results = json.loads(out)["results"]
+        assert [r["status"] for r in results] == [v.status.value for v in expect]
+        assert [r["input"] for r in results] == [json.loads(json.dumps(m.to_json_dict()))
+                                                 for m in moments]
+    assert {v.status.value for v in expect} == {"Member", "NonMember", "Indeterminate"}
+    lmi = [sigma_membership_lmi(q) for q in polys]
+    code, out, _ = run(capsys, "--output", "json", "check-poly", "--file", str(poly_file))
+    results = json.loads(out)["results"]
+    assert [r["status"] for r in results] == [v.status.value for v, _ in lmi]
+    assert [r["routes"]["lmi"]["c"] for r in results] == [f.c for _, f in lmi]
+    assert code == 1 and {v.status.value for v, _ in lmi} == {"Member", "NonMember"}
+
+
+def test_route_all_on_mixed_d_file(tmp_path, capsys):
+    from momentcert.sos_cone import sigma_membership_lmi
+    _, polys = _mixed_rows(12, 8, n_max=6, d_max=3)  # small: halfdeg searches
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps([q.to_json_dict() for q in polys]))
+    code, out, _ = run(capsys, "--output", "json", "check-poly", "--route", "all",
+                       "--file", str(f))
+    results = json.loads(out)["results"]
+    assert len(results) == len(polys)
+    for q, r in zip(polys, results):
+        routes = {"lmi", "ellipsoid", "halfdeg"} | ({"exact-d1"} if q.dims.d == 1 else set())
+        assert set(r["routes"]) == routes
+        assert r["status"] == r["routes"]["lmi"]["status"] == \
+            sigma_membership_lmi(q)[0].status.value
+    assert any(q.dims.d == 1 for q in polys) and any(q.dims.d > 1 for q in polys)
+    _, text, _ = run(capsys, "check-poly", "--route", "all", "--file", str(f))
+    assert text.splitlines() == [f"[{i}] {r['status']}" for i, r in enumerate(results)]
+    assert code == (1 if any(r["status"] == "NonMember" for r in results) else 0)
+
+
+def test_bad_row_in_mixed_csv_reports_its_line(tmp_path, capsys):
+    good = "n,d,z0,z,zz\n4,1,1.0,0.5,0.2\n7,2,1.0,0.1,0.2,0.3,0.4\n\n3,1,2.0,0.0,0.0\n"
+    for bad, message in (
+            ("5,2,1.0,oops,0.0,0.0,0.0", "line 6: could not convert string to float: 'oops'"),
+            ("5,2,1.0,0.0,0.0,0.0", "line 6: expected 5 values after n,d"),
+            ("1,1,1.0,0.0,0.0", "line 6: n must be an integer >= 2, got 1"),
+            ("5,0,1.0", "line 6: d must be an integer >= 1, got 0"),
+            ("5,1,1.0,inf,0.0", "line 6: z contains non-finite entries"),
+            ("5", "line 6: list index out of range")):
+        f = tmp_path / "rows.csv"
+        f.write_text(good + bad + "\n4,1,1.0,0.0,0.0\n9,1,1.0,x,0.0\n")
+        code, out, err = run(capsys, "check-moments", "--file", str(f))
+        assert (code, out, err) == (64, "", f"error: {f}: {message}\n"), bad
+
+
+def test_bad_json_record_reports_like_scalar_parser(tmp_path, capsys):
+    good = {"n": 4, "d": 2, "a0": 1.0, "a": [0.0, 0.1], "aa": [0.2, 0.3]}
+    for bad, message in (
+            ({**good, "aa": [0.2]}, "bad polynomial record: aa must have length 2, got (1,)"),
+            ({k: v for k, v in good.items() if k != "a0"}, "bad polynomial record: 'a0'"),
+            ({**good, "n": 1}, "bad polynomial record: n must be an integer >= 2, got 1"),
+            ({**good, "a0": "x"}, "bad polynomial record: could not convert string to float: 'x'"),
+            ([1, 2], "bad polynomial record: list indices must be integers or slices, not str")):
+        f = tmp_path / "q.json"
+        f.write_text(json.dumps([good, {**good, "d": 1, "a": [1.0], "aa": [0.0]}, bad, good]))
+        code, out, err = run(capsys, "check-poly", "--file", str(f))
+        assert (code, out, err) == (64, "", f"error: {f}: {message}\n"), bad
+    # records the fast path leaves to the scalar parser still load
+    f.write_text(json.dumps([{**good, "d": 1, "a": 0.5, "aa": [[0.25]]}, good]))
+    code, out, _ = run(capsys, "check-poly", "--file", str(f))
+    assert code in (0, 1) and len(out.splitlines()) == 2

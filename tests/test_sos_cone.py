@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,22 @@ def test_sos_witness_random_members():
         w = sos_witness(q, feas.c)
         res = verify_sos_witness(w, q, num_configs=50, seed=found)
         assert res < 1e-8 * max(1.0, q.coeff_scale() * n * n)
+
+
+def test_verify_sos_witness_rejects_non_certificates():
+    # Q(0) = -1, yet the polynomial identity holds for c = 0: G has the
+    # eigenvalue -1.5 and h the entry -0.25, so the witness must be rejected
+    q = SymmetricQuadratic(ProblemDims(4, 2), -1.0, [0.5, 0.0], [1.0, -2.0])
+    assert verify_sos_witness(sos_witness(q, 0.0, validate=False), q) == math.inf
+    # a valid witness with one part corrupted at a time
+    q = SymmetricQuadratic(ProblemDims(5, 2), 4.0, [0.2, -0.1], [0.3, 0.1])
+    v, feas = sigma_membership_lmi(q)
+    w = sos_witness(q, feas.c)
+    assert v.is_member and verify_sos_witness(w, q) < 1e-9
+    bad_g = w.g.copy()
+    bad_g[1, 1] = -1.0
+    for corrupt in (replace(w, g=bad_g), replace(w, h=w.h - 1.0), replace(w, c=-1.0)):
+        assert verify_sos_witness(corrupt, q) == math.inf
 
 
 def test_sos_witness_refuses_infeasible_c():
