@@ -24,25 +24,29 @@ from .core import (
     RowBatch,
     Status,
     SymmetricQuadratic,
+    abs_scale,
     group_rows,
     row_batches,
     scaled_tolerance,
 )
-from .exact_d1 import limit_cone_d1, p_n1_membership, p_n1_rows, p_n1_witness
+from .exact_d1 import (
+    limit_cone_d1,
+    p_n1_membership,  # noqa: F401  (bench/tracing.py wraps this binding)
+    p_n1_rows,
+    p_n1_witness,
+)
 from .halfdeg import reduced_global_min
 from .moment_cone import (
     STATUSES,
     classify,  # noqa: F401  (bench/tracing.py wraps this binding)
     classify_rows,
     classify_witnesses,
-    necessary_condition,
-    sufficient_condition,
 )
 from .sos_cone import (
     arrow_lmi_rows,
-    ellipsoid_quadratic_min,
-    sigma_membership_lmi,
-    sigma_prime_membership,
+    ellipsoid_quadratic_min,  # noqa: F401  (bench/tracing.py wraps this binding)
+    ellipsoid_rows,
+    sigma_membership_lmi,  # noqa: F401  (bench/tracing.py wraps this binding)
 )
 from .spin import (
     SymmetricState,
@@ -302,25 +306,28 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
     return out
 
 
-def _poly_route_verdict(q: SymmetricQuadratic, route: str, cfg: RunConfig) -> dict:
-    """The routes run one polynomial at a time: ellipsoid and halfdeg."""
-    if route == "ellipsoid":
-        val, pt = ellipsoid_quadratic_min(q)
-        t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
-        status = Status.MEMBER if val >= -t else Status.NON_MEMBER
-        return {"status": status.value, "boundary": -t <= val < t,
-                "min_value": val, "x": list(pt.x), "y": list(pt.y)}
-    if route == "halfdeg":
-        try:
-            val, cfg_min = reduced_global_min(q, seed=cfg.seed)
-        except ValueError as exc:  # pattern count above halfdeg.MAX_PATTERNS
-            raise InputError(str(exc))
-        t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
-        status = Status.MEMBER if val >= -t else Status.NON_MEMBER
-        return {"status": status.value, "boundary": -t <= val < t,
-                "min_value": val,
-                "argmin": [list(p) for p in cfg_min.points]}
-    raise InputError(f"unknown route {route!r}")
+def _ellipsoid_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+    val, x, y = ellipsoid_rows(b.x0, b.x, b.xx, b.n)
+    t = scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)
+    return [{"status": _member_value(m), "boundary": e, "min_value": v, "x": xk, "y": yk}
+            for m, e, v, xk, yk in zip((val >= -t).tolist(), ((-t <= val) & (val < t)).tolist(),
+                                       val.tolist(), x.tolist(), y.tolist())]
+
+
+#: the routes run once per d-group; halfdeg runs one polynomial at a time
+BATCH_ROUTES = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route, "exact-d1": _exact_d1_route}
+
+
+def _halfdeg_verdict(q: SymmetricQuadratic, cfg: RunConfig) -> dict:
+    try:
+        val, cfg_min = reduced_global_min(q, seed=cfg.seed)
+    except ValueError as exc:  # pattern count above halfdeg.MAX_PATTERNS
+        raise InputError(str(exc))
+    t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
+    status = Status.MEMBER if val >= -t else Status.NON_MEMBER
+    return {"status": status.value, "boundary": -t <= val < t,
+            "min_value": val,
+            "argmin": [list(p) for p in cfg_min.points]}
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
@@ -329,22 +336,19 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
     routes = ROUTES[:-1] if args.route == "all" else (args.route,)
     if args.route == "exact-d1" and any(b.d != 1 for b in batches):
         raise InputError("route exact-d1 requires d=1")
-    single = [r for r in routes if r in ("ellipsoid", "halfdeg")]
     primary = "lmi" if args.route == "all" else args.route
     # per row in input order: its batch, its index there and its route verdicts
     rows: list = [None] * sum(b.index.size for b in batches)
     for b in batches:
-        batched = [(r, route(b, cfg)) for r, route in (("lmi", _lmi_route),
-                                                      ("exact-d1", _exact_d1_route))
-                   if r in routes and (r == "lmi" or b.d == 1)]
+        batched = [(r, BATCH_ROUTES[r](b, cfg)) for r in routes
+                   if r in BATCH_ROUTES and (r != "exact-d1" or b.d == 1)]
         for k, i in enumerate(b.index.tolist()):
             rows[i] = (b, k, {r: v[k] for r, v in batched})
     results = []
     for b, k, per_route in rows:
-        if single:
+        if "halfdeg" in routes:
             q = SymmetricQuadratic(ProblemDims(int(b.n[k]), b.d), b.x0[k], b.x[k], b.xx[k])
-            for route in single:
-                per_route[route] = _poly_route_verdict(q, route, cfg)
+            per_route["halfdeg"] = _halfdeg_verdict(q, cfg)
         # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
         # disagreement only counts between the two SOS routes
         sos_verdicts = {per_route[r]["status"] for r in ("lmi", "ellipsoid")
@@ -420,32 +424,31 @@ CONES = ("P", "Sigma", "SigmaPrime", "C-nec", "C-suf", "limit")
 
 
 def _cone_tester(cone: str, n: int, d: int, tol: float):
-    """Membership predicate over the full coordinate vector of length 1+2d."""
-    dims = ProblemDims(n, d)
+    """Membership predicate over points (K, 1+2d) in the cone's coordinates
+    (a0, a, aa) or (z0, z, zz): one kernel call per batch of points.  A
+    non-finite point is an input error."""
+    ProblemDims(n, d)  # rejects n < 2 and d < 1
+    if cone in ("P", "limit") and d != 1:
+        raise InputError("cone P is exactly decidable only at d=1" if cone == "P"
+                         else "the limit-cone slice is defined at d=1")
+    kernels = {
+        "P": lambda a0, a, aa: p_n1_rows(a0, a[:, 0], aa[:, 0], n, tol)[3],
+        "Sigma": lambda a0, a, aa: arrow_lmi_rows(a0, a, aa, n, tol).member,
+        "SigmaPrime": lambda a0, a, aa: arrow_lmi_rows(a0 * n / (n - 1), a, aa, n, tol).member,
+        "C-nec": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).nec.ok,
+        "C-suf": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).suf.ok,
+        "limit": lambda b0, b1, b11: np.array(
+            [limit_cone_d1(b, tol=tol).is_member
+             for b in zip(b0.tolist(), b1[:, 0].tolist(), b11[:, 0].tolist())], dtype=bool),
+    }
+    kernel = kernels[cone]  # --cone is one of CONES
 
-    def poly(vec):
-        return SymmetricQuadratic(dims, vec[0], vec[1:1 + d], vec[1 + d:])
+    def member(v):
+        if not np.isfinite(v).all():
+            raise InputError("plane point is not finite")
+        return kernel(v[:, 0], v[:, 1:1 + d], v[:, 1 + d:])
 
-    def mom(vec):
-        return MomentVector(dims, vec[0], vec[1:1 + d], vec[1 + d:])
-
-    if cone == "P":
-        if d != 1:
-            raise InputError("cone P is exactly decidable only at d=1")
-        return lambda v: p_n1_membership(poly(v), tol=tol)[0].is_member
-    if cone == "Sigma":
-        return lambda v: sigma_membership_lmi(poly(v), tol=tol)[0].is_member
-    if cone == "SigmaPrime":
-        return lambda v: sigma_prime_membership(poly(v), tol=tol).is_member
-    if cone == "C-nec":
-        return lambda v: necessary_condition(mom(v), tol=tol)[0]
-    if cone == "C-suf":
-        return lambda v: sufficient_condition(mom(v), tol=tol)[0]
-    if cone == "limit":
-        if d != 1:
-            raise InputError("the limit-cone slice is defined at d=1")
-        return lambda v: limit_cone_d1((v[0], v[1], v[2]), tol=tol).is_member
-    raise InputError(f"unknown cone {cone!r}")
+    return member
 
 
 def cmd_slice(args, cfg: RunConfig) -> int:
@@ -464,40 +467,34 @@ def cmd_slice(args, cfg: RunConfig) -> int:
     member = _cone_tester(args.cone, n, d, cfg.tol)
     xs = np.linspace(lo[0], hi[0], g)
     ys = np.linspace(lo[1], hi[1], g)
-    grid = np.zeros((g, g), dtype=int)
-    for i, x in enumerate(xs):
-        for jj, y in enumerate(ys):
-            grid[i, jj] = int(member(base + x * dirs[0] + y * dirs[1]))
 
-    def refine(p_in, p_out):
-        a, b = np.array(p_in, float), np.array(p_out, float)
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            if np.max(np.abs(b - a)) < 1e-6:
-                break
-            if member(base + mid[0] * dirs[0] + mid[1] * dirs[1]):
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
+    def points(x, y):
+        return base + x[..., None] * dirs[0] + y[..., None] * dirs[1]
 
-    contour = []
-    for i in range(g):
-        for jj in range(g):
-            if grid[i, jj]:
-                for di, dj in ((1, 0), (0, 1)):
-                    ii, jjj = i + di, jj + dj
-                    if ii < g and jjj < g and not grid[ii, jjj]:
-                        contour.append(refine((xs[i], ys[jj]), (xs[ii], ys[jjj])))
-                for di, dj in ((-1, 0), (0, -1)):
-                    ii, jjj = i + di, jj + dj
-                    if ii >= 0 and jjj >= 0 and not grid[ii, jjj]:
-                        contour.append(refine((xs[i], ys[jj]), (xs[ii], ys[jjj])))
+    grid = member(points(*np.meshgrid(xs, ys, indexing="ij")).reshape(-1, 1 + 2 * d)
+                  ).reshape(g, g).astype(int)
+    # each member cell against its four neighbours, in scan order
+    pairs = [((xs[i], ys[j]), (xs[i + di], ys[j + dj]))
+             for i in range(g) for j in range(g) if grid[i, j]
+             for di, dj in ((1, 0), (0, 1), (-1, 0), (0, -1))
+             if 0 <= i + di < g and 0 <= j + dj < g and not grid[i + di, j + dj]]
+    # bisect every (member, non-member) pair in lockstep, each to 1e-6
+    ends = np.array(pairs, dtype=float).reshape(-1, 2, 2)
+    a, b = ends[:, 0], ends[:, 1]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        live = np.flatnonzero(~(np.max(np.abs(b - a), axis=1) < 1e-6))
+        if not live.size:
+            break
+        inside = member(points(mid[live, 0], mid[live, 1]))
+        a[live[inside]] = mid[live[inside]]
+        b[live[~inside]] = mid[live[~inside]]
+    contour = (0.5 * (a + b)).tolist()
     if cfg.output == "json":
         print(_json_out({"cone": args.cone, "n": n, "d": d,
-                         "x": list(xs), "y": list(ys),
+                         "x": xs.tolist(), "y": ys.tolist(),
                          "membership": grid.tolist(),
-                         "contour": [list(p) for p in contour]}))
+                         "contour": contour}))
     else:
         w = csv.writer(sys.stdout)
         w.writerow(["kind", "x", "y", "member"])

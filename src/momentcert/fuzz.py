@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MomentVector, ProblemDims, Status, SymmetricQuadratic,
-                   moment_tolerance, pair, scaled_tolerance)
+from .core import (MomentVector, ProblemDims, Status, SymmetricQuadratic, abs_scale,
+                   moment_tolerance, pair, row_batches, scaled_tolerance)
 from .halfdeg import count_distinct_points, full_bruteforce_min, reduced_global_min
 from .measures import lemma_approx_construct
 from .moment_cone import (
@@ -22,7 +22,7 @@ from .moment_cone import (
     max_form_residual_batch,
     necessary_condition,
 )
-from .sos_cone import ellipsoid_quadratic_min, sigma_membership_lmi
+from .sos_cone import arrow_lmi_rows, ellipsoid_rows, sigma_membership_lmi
 from .spin import (
     coherent_state,
     entanglement_witness,
@@ -111,22 +111,23 @@ def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
 
 
 def equivalence_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
-    """The arrow-LMI and ellipsoid-minimum routes agree on SOS membership."""
+    """The arrow-LMI and ellipsoid-minimum routes agree on SOS membership.
+
+    The instances are drawn one by one, then each route runs once per d."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("equivalence", iters)
-    for i in range(iters):
-        n = int(rng.integers(2, 11))
-        d = int(rng.integers(1, 5))
-        q = random_quadratic(rng, n, d)
-        verdict, _ = sigma_membership_lmi(q)
-        val, _ = ellipsoid_quadratic_min(q)
-        t = scaled_tolerance(EQUIVALENCE_TOL, q.coeff_scale(), n)
-        if verdict.is_member and val < -t:
-            result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
-                                      "lmi": "Member", "min": val})
-        elif not verdict.is_member and val > t:
-            result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
-                                      "lmi": "NonMember", "min": val})
+    qs = [random_quadratic(rng, int(rng.integers(2, 11)), int(rng.integers(1, 5)))
+          for _ in range(iters)]
+    for b in row_batches(qs) if qs else ():
+        member = arrow_lmi_rows(b.x0, b.x, b.xx, b.n).member
+        val = ellipsoid_rows(b.x0, b.x, b.xx, b.n)[0]
+        t = scaled_tolerance(EQUIVALENCE_TOL, abs_scale(b.x0, b.x, b.xx), b.n)
+        bad = np.flatnonzero((member & (val < -t)) | (~member & (val > t)))
+        result.violations += [
+            {"seed": seed, "index": int(b.index[k]), "n": int(b.n[k]), "d": b.d,
+             "lmi": "Member" if member[k] else "NonMember", "min": float(val[k])}
+            for k in bad.tolist()]
+    result.violations.sort(key=lambda v: v["index"])
     return result
 
 

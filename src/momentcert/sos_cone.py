@@ -6,9 +6,12 @@ sign checks plus one concave scalar Schur slack, maximized by bisection on its
 strictly decreasing derivative.
 
 Route 2 (ellipsoid): the reduced quadratic P_Q(X, Y) is nonnegative on the
-ellipsoid ||Y||^2 + ||X||^2/n <= 1.  After X = sqrt(n) u this is a
-diagonal-Hessian trust-region subproblem on the unit ball, solved exactly via
-the secular equation with explicit hard-case handling.
+ellipsoid ||Y||^2 + ||X||^2/n <= 1.  After X = sqrt(n) w this is a
+diagonal-Hessian trust-region subproblem on the unit ball, solved exactly
+over rows with explicit zero-gradient and hard cases.  Its secular
+equation Σ g_i²/(h_i + λ)² = 1 is Route 1's f'(c) = 0 with λ = 2c (Moré &
+Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so both routes bisect with
+the same per-row loop, :func:`_bisect`.
 """
 
 from __future__ import annotations
@@ -88,69 +91,99 @@ def config_to_ellipsoid(config: Configuration) -> EllipsoidPoint:
     return EllipsoidPoint(x, np.sqrt(np.maximum(y2, 0.0)))
 
 
-def _trs_unit_ball(g: list[float], h: list[float], max_iter: int = 200) -> list[float]:
-    """Exact minimizer of g·w + 0.5 Σ h_i w_i² over ||w|| <= 1 (diagonal TRS)."""
-    k = len(g)
-    hmin = min(h)
-    lam_lo = max(0.0, -hmin)
-    gnorm = math.sqrt(sum(x * x for x in g))
-    if gnorm == 0.0:
-        if lam_lo == 0.0:
-            return [0.0] * k
-        w = [0.0] * k
-        w[h.index(hmin)] = 1.0
-        return w
-    if lam_lo == 0.0 and all(h[i] > 0.0 or g[i] == 0.0 for i in range(k)):
-        w = [-g[i] / h[i] if h[i] > 0.0 else 0.0 for i in range(k)]
-        if sum(x * x for x in w) <= 1.0:
-            return w
+def _column_sum(start, terms):
+    """start + terms[..., 0] + terms[..., 1] + ..., added in index order as a
+    Python loop adds them (np.sum would add 8 or more columns pairwise)."""
+    for i in range(terms.shape[-1]):
+        start = start + terms[..., i]
+    return start
 
-    def norm2(lam: float) -> float:
-        s = 0.0
-        for i in range(k):
-            den = h[i] + lam
-            if den <= 0.0:
-                if g[i] != 0.0:
-                    return math.inf
-                continue
-            t = g[i] / den
-            s += t * t
-        return s
 
-    if norm2(lam_lo) < 1.0:
-        # hard case: zero linear term on every minimal-eigenvalue coordinate;
-        # fill up to the boundary along the smallest-index such coordinate
-        w = [-g[i] / (h[i] + lam_lo) if h[i] + lam_lo > 0.0 else 0.0 for i in range(k)]
-        j = min(i for i in range(k) if h[i] == hmin)
-        w[j] += math.sqrt(max(0.0, 1.0 - sum(x * x for x in w)))
-        return w
+def _py_max(x, y):
+    """Elementwise max(x, y) with Python's tie rule (x on ties, so 0.0 vs
+    -0.0 keeps x); np.maximum returns y on ties."""
+    return np.where(y > x, y, x)
 
-    lo, hi = lam_lo, lam_lo + gnorm
-    for _ in range(max_iter):
+
+def _bisect(above, lo, hi, rtol: float):
+    """Per-row bisection of [lo, hi] (B,) in place: lo moves up to the
+    midpoint where ``above(mid)`` holds, hi moves down elsewhere.  A row stops
+    once its midpoint is not strictly inside or hi - lo <= rtol max(1, |hi|);
+    the others go on (at most 200 steps).  Returns (lo, hi)."""
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval is down to one ulp
-        if norm2(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
+        live &= (lo < mid) & (mid < hi)
+        if not live.any():
             break
-    lam = hi
-    return [-g[i] / (h[i] + lam) for i in range(k)]
+        up = above(mid)
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        live &= ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
+    return lo, hi
 
 
-def ellipsoid_quadratic_min(q: SymmetricQuadratic, max_iter: int = 200
-                            ) -> tuple[float, EllipsoidPoint]:
-    """Global minimum of P_Q over the ellipsoid, with an attaining point."""
-    n, d = q.dims.n, q.dims.d
-    aa = [float(v) for v in q.aa]
-    g = [n * float(v) for v in q.a] + [0.0] * d
-    h = [2.0 * n * (n - 1) * v for v in aa] + [-2.0 * n * v for v in aa]
-    w = _trs_unit_ball(g, h, max_iter=max_iter)
-    val = q.a0 + sum(g[i] * w[i] + 0.5 * h[i] * w[i] * w[i] for i in range(2 * d))
-    rt = math.sqrt(n)
-    return val, EllipsoidPoint([rt * w[i] for i in range(d)], w[d:])
+def ellipsoid_rows(a0, a, aa, n):
+    """Global minimum of P_Q over the ellipsoid ||Y||^2 + ||X||^2/n <= 1 for
+    rows a0 (B,), a and aa (B, d), n a scalar or (B,): the minimum (B,) and
+    an attaining point X, Y, each (B, d).
+
+    With X = √n w[:d] and Y = w[d:] this is min g·w + ½ Σ h_i w_i² over
+    ||w|| <= 1 with g = (n A_α, 0) and h = (2n(n-1) A_αα, -2n A_αα).  Let
+    lam_lo = max(0, -min h) and w(λ) = -g/(h + λ).  Per row, w is:
+    g = 0: zero, or the unit vector on the first minimal h when lam_lo > 0;
+    the hard case ||w(lam_lo)|| < 1: w(lam_lo) (zero where h + lam_lo <= 0)
+    filled up to the sphere along the first minimal h;
+    else w(λ) at the root of the secular equation ||w(λ)||² = 1, bisected on
+    [lam_lo, lam_lo + ||g||] and taken at the upper end.
+    An interior Newton point needs lam_lo = 0, so every A_αα = 0 and h has no
+    positive entry: it never occurs for g ≠ 0.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a, aa = np.asarray(a, dtype=float), np.asarray(aa, dtype=float)
+    n = np.asarray(n, dtype=float)
+    nc = n[..., None]
+    d = a.shape[-1]
+    g = np.concatenate([nc * a, np.zeros(a.shape)], axis=-1)
+    h = np.concatenate([2.0 * nc * (nc - 1) * aa, -2.0 * nc * aa], axis=-1)
+    first = np.argmin(h, axis=-1)
+    lam_lo = _py_max(0.0, -h.min(axis=-1))
+    gnorm = np.sqrt(_column_sum(0.0, g * g))
+
+    w = np.zeros(g.shape)
+    zero = gnorm == 0.0
+    unit = np.flatnonzero(zero & (lam_lo > 0.0))
+    w[unit, first[unit]] = 1.0
+    rest = np.flatnonzero(~zero)
+    gr, hr = g[rest], h[rest]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # w(lam_lo), zero where h + lam_lo <= 0: the hard case when shorter
+        # than 1 (and so g = 0 wherever h + lam_lo <= 0)
+        den = hr + lam_lo[rest, None]
+        skip = den <= 0.0
+        w_lo = np.where(skip, 0.0, -gr / den)
+        norm2 = _column_sum(0.0, w_lo * w_lo)
+        hard = ~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0)
+        fill, sec = rest[hard], rest[~hard]
+        w[fill] = w_lo[hard]
+        w[fill, first[fill]] += np.sqrt(_py_max(0.0, 1.0 - norm2[hard]))
+        # the secular equation; h + λ > 0 at every λ > lam_lo
+        gs, hs = gr[~hard], hr[~hard]
+
+        def too_long(lam):
+            t = gs / (hs + lam[:, None])
+            return _column_sum(0.0, t * t) > 1.0
+
+        _, lam = _bisect(too_long, lam_lo[sec], lam_lo[sec] + gnorm[sec], 1e-16)
+        w[sec] = -gs / (hs + lam[:, None])
+    return a0 + _column_sum(0.0, g * w + 0.5 * h * w * w), np.sqrt(nc) * w[:, :d], w[:, d:]
+
+
+def ellipsoid_quadratic_min(q: SymmetricQuadratic) -> tuple[float, EllipsoidPoint]:
+    """Global minimum of P_Q over the ellipsoid, with an attaining point:
+    :func:`ellipsoid_rows` on one row."""
+    val, x, y = ellipsoid_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n)
+    return float(val[0]), EllipsoidPoint(x[0], y[0])
 
 
 def _schur_slack(a0, a, aa, n, c):
@@ -158,9 +191,8 @@ def _schur_slack(a0, a, aa, n, c):
     denominator with a nonzero numerator.
 
     a0, n and c are scalars or (B,), a and aa are (d,) or (B, d).  The terms
-    are subtracted one column at a time in index order (np.sum would add 8 or
-    more of them pairwise); a skipped term subtracts +0.0, which leaves every
-    value, -0.0 included, unchanged.
+    are subtracted in index order by :func:`_column_sum`; a skipped term adds
+    -0.0, which leaves every value, -0.0 included, unchanged.
     """
     a, aa, c = np.asarray(a, dtype=float), np.asarray(aa, dtype=float), np.asarray(c)
     nc = np.asarray(n)[..., None]
@@ -169,18 +201,16 @@ def _schur_slack(a0, a, aa, n, c):
         num = nc * a * a / 4.0
         skip = den <= 0.0
         term = np.where(skip, 0.0, num / den)
-    s = np.asarray(a0, dtype=float) - c
-    for i in range(term.shape[-1]):
-        s = s - term[..., i]
+    s = _column_sum(np.asarray(a0, dtype=float) - c, -term)
     return np.where((skip & (num != 0.0)).any(axis=-1), -np.inf, s)
 
 
 def _schur_slack_derivative(a, aa, n):
     """f'(c) = -1 + Σ_{A_α≠0} (A_α²/4)/((n-1)A_αα + c/n)² as a function of c
     for fixed rows (shapes as in :func:`_schur_slack`); +inf on a
-    non-positive denominator with A_α ≠ 0.  The terms are added column by
-    column in index order, a skipped one as +0.0 (exact: the sum starts at -1
-    and never reaches -0.0)."""
+    non-positive denominator with A_α ≠ 0.  The terms are added in index
+    order by :func:`_column_sum`, a skipped one as +0.0 (exact: the sum starts
+    at -1 and never reaches -0.0)."""
     n1aa = (np.asarray(n)[..., None] - 1) * aa
     half2 = a * a / 4.0
     live = a != 0.0
@@ -190,10 +220,7 @@ def _schur_slack_derivative(a, aa, n):
             den = n1aa + (c / n)[..., None]
             bad = live & (den <= 0.0)
             term = np.where(live & ~bad, half2 / (den * den), 0.0)
-        s = -1.0 + term[..., 0]
-        for i in range(1, term.shape[-1]):
-            s = s + term[..., i]
-        return np.where(bad.any(axis=-1), np.inf, s)
+        return np.where(bad.any(axis=-1), np.inf, _column_sum(-1.0, term))
 
     return fprime
 
@@ -208,27 +235,6 @@ class ArrowRows(NamedTuple):
     empty: np.ndarray     # c_lo > c_hi + t: no feasible c
     member: np.ndarray    # slack >= -t
     boundary: np.ndarray  # member and slack < t
-
-
-def _py_max(x, y):
-    """Elementwise max(x, y) with Python's tie rule (x on ties, so 0.0 vs
-    -0.0 keeps x); np.maximum returns y on ties."""
-    return np.where(y > x, y, x)
-
-
-def _bisect(fprime, lo, hi):
-    """Per-row bisection on the sign of f' over [lo, hi]; a row stops once
-    hi - lo <= 1e-15 max(1, |hi|), the others go on (at most 200 steps)."""
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        up = fprime(mid) > 0.0
-        np.copyto(lo, mid, where=live & up)
-        np.copyto(hi, mid, where=live & ~up)
-        live &= ~(hi - lo <= 1e-15 * np.maximum(1.0, np.abs(hi)))
-        if not live.any():
-            break
-    return 0.5 * (lo + hi)
 
 
 def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
@@ -260,9 +266,9 @@ def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
         cr = np.where(at_hi, hi, lo)
         mid = np.flatnonzero(~at_hi & ~at_lo)
         if mid.size:
-            cr[mid] = _bisect(_schur_slack_derivative(ar[mid], aar[mid],
-                                                      nr[mid] if n.ndim else n),
-                              lo[mid], hi[mid])
+            fp = _schur_slack_derivative(ar[mid], aar[mid], nr[mid] if n.ndim else n)
+            lo_m, hi_m = _bisect(lambda c: fp(c) > 0.0, lo[mid], hi[mid], 1e-15)
+            cr[mid] = 0.5 * (lo_m + hi_m)
         c[run] = cr
         slack[run] = _schur_slack(a0[run], ar, aar, nr, cr)
     member = ~empty & (slack >= -t)
@@ -323,32 +329,26 @@ def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True,
     return SosWitness(g, h, c)
 
 
-def verify_sos_witness(w: SosWitness, q: SymmetricQuadratic,
-                       num_configs: int = 100, seed: int = 0) -> float:
-    """Max |Q(x) - (<S,G> + <F,H> + c(n - Σ p_αα))| over random configurations,
-    or inf when the witness is not a certificate: G has an eigenvalue, h an
-    entry or c a value below -t, t = ``scaled_tolerance(1e-9, coeff_scale, n)``.
-    (The identity alone holds for every c, so it cannot reject anything.)"""
-    n, d = q.dims.n, q.dims.d
+def verify_sos_witness(w: SosWitness, q: SymmetricQuadratic) -> float:
+    """Largest mismatch between the coefficients of Q and of the certificate
+    <S,G> + <F,H> + c(n - Σ p_α) on 1, s_α, ss_α and p_α,
+
+        g00 + c n = a0,  2 G0α = a_α,  Gαα - h_α = aa_α,  Gαα + (n-1) h_α = c,
+
+    and on s_α s_β (α ≠ β), whose coefficient 2 Gαβ Q lacks.  G is read from
+    its lower triangle, the part ``eigvalsh`` checks.  inf when the witness is
+    not a certificate: G has an eigenvalue, h an entry or c a value below -t,
+    t = ``scaled_tolerance(1e-9, coeff_scale, n)``.  (The witness that
+    :func:`sos_witness` builds matches for every c, so only these checks
+    reject a bad c.)"""
+    n = q.dims.n
     t = scaled_tolerance(1e-9, q.coeff_scale(), n)
     if (float(np.linalg.eigvalsh(w.g)[0]) < -t or float(np.min(w.h)) < -t
             or w.c < -t):
         return math.inf
-    rng = np.random.default_rng(seed)
-    g0 = float(w.g[0, 0])
-    g_lin = 2.0 * w.g[0, 1:]
-    g_diag = np.diag(w.g)[1:]
-    worst = 0.0
-    for _ in range(num_configs):
-        pts = rng.normal(size=(n, d))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts *= rng.uniform(size=(n, 1)) ** (1.0 / d)
-        s = pts.sum(axis=0)
-        p = np.sum(pts * pts, axis=0)
-        ss = s * s - p
-        lhs = q.a0 + float(q.a @ s) + float(q.aa @ ss)
-        rhs = (g0 + float(g_lin @ s) + float(g_diag @ (ss + p))
-               + float(w.h @ ((n - 1) * p - ss))
-               + w.c * (n - float(p.sum())))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    g = np.tril(w.g) + np.tril(w.g, -1).T
+    g_diag = np.diag(g)[1:]
+    mismatch = np.concatenate([
+        [g[0, 0] + w.c * n - q.a0], 2.0 * g[0, 1:] - q.a, g_diag - w.h - q.aa,
+        g_diag + (n - 1) * w.h - w.c, 2.0 * (g[1:, 1:] - np.diag(g_diag)).ravel()])
+    return float(np.abs(mismatch).max())

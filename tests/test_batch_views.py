@@ -1,5 +1,6 @@
 """Each batch kernel equals its one-row view (the scalar API) row by row,
-and the arrow LMI equals the scalar loops it replaced.
+and the arrow LMI and the ellipsoid minimum equal the scalar loops they
+replaced.
 
 Rows come from the fuzz generators, with n mixed inside each d-group as the
 CLI batches them, plus hand-made rows for every branch of each kernel.
@@ -20,7 +21,12 @@ from momentcert.moment_cone import (
     necessary_condition,
     sufficient_condition,
 )
-from momentcert.sos_cone import arrow_lmi_rows, sigma_membership_lmi
+from momentcert.sos_cone import (
+    arrow_lmi_rows,
+    ellipsoid_quadratic_min,
+    ellipsoid_rows,
+    sigma_membership_lmi,
+)
 
 
 def _arrays(rows, names):
@@ -165,6 +171,121 @@ def test_arrow_lmi_rows_equal_one_row_views(d):
     at_lo = run & ~at_hi & (batch.c == batch.c_lo)
     assert batch.empty.any() and at_hi.any() and at_lo.any() and (run & ~at_hi & ~at_lo).any()
     assert batch.member.any() and (run & ~batch.member).any()
+
+
+def _trs_unit_ball(g: list[float], h: list[float]) -> tuple[list[float], str]:
+    """Exact minimizer of g·w + 0.5 Σ h_i w_i² over ||w|| <= 1 (diagonal
+    TRS), by the scalar loop the batch kernel replaced, and the branch that
+    returned it."""
+    k = len(g)
+    hmin = min(h)
+    lam_lo = max(0.0, -hmin)
+    gnorm = math.sqrt(sum(x * x for x in g))
+    if gnorm == 0.0:
+        if lam_lo == 0.0:
+            return [0.0] * k, "zero"
+        w = [0.0] * k
+        w[h.index(hmin)] = 1.0
+        return w, "unit"
+    if lam_lo == 0.0 and all(h[i] > 0.0 or g[i] == 0.0 for i in range(k)):
+        w = [-g[i] / h[i] if h[i] > 0.0 else 0.0 for i in range(k)]
+        if sum(x * x for x in w) <= 1.0:
+            return w, "interior"
+
+    def norm2(lam: float) -> float:
+        s = 0.0
+        for i in range(k):
+            den = h[i] + lam
+            if den <= 0.0:
+                if g[i] != 0.0:
+                    return math.inf
+                continue
+            t = g[i] / den
+            s += t * t
+        return s
+
+    if norm2(lam_lo) < 1.0:
+        # hard case: zero linear term on every minimal-eigenvalue coordinate;
+        # fill up to the boundary along the smallest-index such coordinate
+        w = [-g[i] / (h[i] + lam_lo) if h[i] + lam_lo > 0.0 else 0.0 for i in range(k)]
+        j = min(i for i in range(k) if h[i] == hmin)
+        w[j] += math.sqrt(max(0.0, 1.0 - sum(x * x for x in w)))
+        return w, "hard"
+
+    lo, hi = lam_lo, lam_lo + gnorm
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break  # interval is down to one ulp
+        if norm2(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    lam = hi
+    return [-g[i] / (h[i] + lam) for i in range(k)], "secular"
+
+
+def _reference_ellipsoid(q: SymmetricQuadratic) -> tuple[float, list, list, str]:
+    """(min, X, Y) of P_Q over the ellipsoid by the scalar loops the batch
+    kernel replaced, and the TRS branch taken."""
+    n, d = q.dims.n, q.dims.d
+    aa = [float(v) for v in q.aa]
+    g = [n * float(v) for v in q.a] + [0.0] * d
+    h = [2.0 * n * (n - 1) * v for v in aa] + [-2.0 * n * v for v in aa]
+    w, branch = _trs_unit_ball(g, h)
+    val = q.a0 + sum(g[i] * w[i] + 0.5 * h[i] * w[i] * w[i] for i in range(2 * d))
+    rt = math.sqrt(n)
+    return val, [rt * w[i] for i in range(d)], w[d:], branch
+
+
+def _ellipsoid_corpus(d: int) -> list[SymmetricQuadratic]:
+    """Gaussian and integer rows with n mixed, plus rows for each branch."""
+    rng = np.random.default_rng(800 + d)
+    rows = [random_quadratic(rng, int(rng.integers(2, 65)), d) for _ in range(150)]
+    for _ in range(150):  # small integers: zero a, ties in min h, signed zeros
+        n = int(rng.integers(2, 9))
+        a0, a, aa = rng.integers(-3, 4, size=(3, d)) * rng.choice([-1.0, 1.0], size=(3, d))
+        a = np.where(rng.uniform(size=d) < 0.4, -0.0 * a, a)
+        rows.append(SymmetricQuadratic(ProblemDims(n, d), float(a0[0]), a, aa))
+    z, e = np.zeros(d), np.eye(d)[0]
+    for n in (2, 3, 17):
+        dims = ProblemDims(n, d)
+        rows += [
+            SymmetricQuadratic(dims, 1.0, z, z),                 # g = 0, lam_lo = 0
+            SymmetricQuadratic(dims, -0.0, -z, -z),
+            SymmetricQuadratic(dims, 1.0, z, z + 1.0),           # g = 0, tie in the Y block
+            SymmetricQuadratic(dims, 1.0, z, -e),                # g = 0, X block
+            SymmetricQuadratic(dims, 1.0, 0.1 * (1 - e), z + 1.0),   # hard case, tie
+            SymmetricQuadratic(dims, 1.0, e, -(z + 1.0)),        # secular, tie
+            SymmetricQuadratic(dims, 1.0, z + 1e-3, z),          # secular from lam_lo = 0
+        ]
+    if d > 1:  # h ties across the blocks: 2n(n-1) A_11 = -2n A_22 at n = 2
+        rows += [SymmetricQuadratic(ProblemDims(2, d), 1.0, np.r_[0.0, 0.5, z[2:]],
+                                    np.r_[-1.0, 1.0, z[2:]])]
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ellipsoid_rows_equal_scalar_reference_and_one_row_views(d):
+    rows = _ellipsoid_corpus(d)
+    n, a0, a, aa = _arrays(rows, ("a0", "a", "aa"))
+    val, x, y = ellipsoid_rows(a0, a, aa, n)
+    ref = [_reference_ellipsoid(q) for q in rows]
+    columns = list(zip(val.tolist(), x.tolist(), y.tolist()))
+    # the same bits, signed zeros included (repr tells -0.0 from 0.0)
+    assert repr(columns) == repr([r[:3] for r in ref])
+    views = [ellipsoid_quadratic_min(q) for q in rows]
+    assert repr(columns) == repr([(v, p.x.tolist(), p.y.tolist()) for v, p in views])
+    # every reachable branch occurs; the interior Newton point is unreachable
+    branches = [r[3] for r in ref]
+    assert {"zero", "unit", "hard", "secular"} == set(branches)
+    if d > 1:  # ties in min h, where the first minimal coordinate is filled
+        h = np.concatenate([n[:, None] * (n[:, None] - 1) * aa, -n[:, None] * aa], axis=1)
+        ties = (h == h.min(axis=1, keepdims=True)).sum(axis=1) > 1
+        assert all(ties[[b == k for b in branches]].any() for k in ("unit", "hard"))
+    assert any(math.copysign(1.0, v) < 0 for r in ref for v in r[2] if v == 0.0)
 
 
 def test_p_n1_rows_equal_one_row_views():

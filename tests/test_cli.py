@@ -151,6 +151,39 @@ def test_slice_bad_plane(capsys):
     code, _, err = run(capsys, "slice", "--cone", "Sigma", "--plane", "{bad",
                        "--n", "4", "--d", "1")
     assert code == 64
+    plane = json.dumps({"base": [1.0, float("nan"), 0.0], "dirs": [[0, 1, 0], [0, 0, 1]]})
+    for cone in ("P", "Sigma", "C-nec", "limit"):
+        code, out, err = run(capsys, "slice", "--cone", cone, "--plane", plane,
+                             "--n", "4", "--d", "1")
+        assert (code, out, err) == (64, "", "error: plane point is not finite\n")
+
+
+def test_slice_grid_matches_scalar_api(capsys):
+    from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic
+    from momentcert.exact_d1 import limit_cone_d1, p_n1_membership
+    from momentcert.moment_cone import necessary_condition, sufficient_condition
+    from momentcert.sos_cone import sigma_membership_lmi, sigma_prime_membership
+    dims = ProblemDims(5, 1)
+    scalar = {
+        "P": lambda v: p_n1_membership(SymmetricQuadratic(dims, *v))[0].is_member,
+        "Sigma": lambda v: sigma_membership_lmi(SymmetricQuadratic(dims, *v))[0].is_member,
+        "SigmaPrime": lambda v: sigma_prime_membership(SymmetricQuadratic(dims, *v)).is_member,
+        "C-nec": lambda v: necessary_condition(MomentVector(dims, *v))[0],
+        "C-suf": lambda v: sufficient_condition(MomentVector(dims, *v))[0],
+        "limit": lambda v: limit_cone_d1(v).is_member,
+    }
+    for cone, member in scalar.items():
+        s = 5.0 if cone.startswith("C") else 0.2
+        base, dirs = np.array([1.0, 0.0, 0.0]), np.array([[0, s, 0], [0, 0, s]])
+        plane = json.dumps({"base": base.tolist(), "dirs": dirs.tolist(),
+                            "lo": [-2, -2], "hi": [2, 2]})
+        code, out, _ = run(capsys, "--output", "json", "slice", "--cone", cone,
+                           "--plane", plane, "--n", "5", "--d", "1", "--grid", "9")
+        obj = json.loads(out)
+        expect = [[int(member(base + x * dirs[0] + y * dirs[1])) for y in obj["y"]]
+                  for x in obj["x"]]
+        assert code == 0 and obj["membership"] == expect, cone
+        assert 0 < np.sum(expect) < 81 and obj["contour"], cone
 
 
 def test_fuzz_suite_runs(capsys):
@@ -262,7 +295,7 @@ def _num(x):
 
 def test_mixed_file_rows_keep_their_order(tmp_path, capsys):
     from momentcert.moment_cone import classify
-    from momentcert.sos_cone import sigma_membership_lmi
+    from momentcert.sos_cone import ellipsoid_quadratic_min, sigma_membership_lmi
     moments, polys = _mixed_rows(11, 40)
     csv_file = tmp_path / "m.csv"
     csv_file.write_text("n,d,z0,z,zz\n" + "".join(
@@ -293,6 +326,13 @@ def test_mixed_file_rows_keep_their_order(tmp_path, capsys):
     assert [r["status"] for r in results] == [v.status.value for v, _ in lmi]
     assert [r["routes"]["lmi"]["c"] for r in results] == [f.c for _, f in lmi]
     assert code == 1 and {v.status.value for v, _ in lmi} == {"Member", "NonMember"}
+    # the ellipsoid route's batch columns are the one-row views, to the bit
+    _, out, _ = run(capsys, "--output", "json", "check-poly", "--route", "ellipsoid",
+                    "--file", str(poly_file))
+    routes = [r["routes"]["ellipsoid"] for r in json.loads(out)["results"]]
+    views = [ellipsoid_quadratic_min(q) for q in polys]
+    assert repr([(r["min_value"], r["x"], r["y"]) for r in routes]) == \
+        repr([(v, p.x.tolist(), p.y.tolist()) for v, p in views])
 
 
 def test_route_all_on_mixed_d_file(tmp_path, capsys):

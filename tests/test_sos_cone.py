@@ -14,6 +14,7 @@ from momentcert.core import (
 from momentcert.exact_d1 import p_n1_membership, sigma_n1_membership
 from momentcert.sos_cone import (
     EllipsoidPoint,
+    SosWitness,
     config_to_ellipsoid,
     ellipsoid_quadratic_min,
     pq_evaluate,
@@ -171,7 +172,7 @@ def test_sos_witness_random_members():
             continue
         found += 1
         w = sos_witness(q, feas.c)
-        res = verify_sos_witness(w, q, num_configs=50, seed=found)
+        res = verify_sos_witness(w, q)
         assert res < 1e-8 * max(1.0, q.coeff_scale() * n * n)
 
 
@@ -189,6 +190,20 @@ def test_verify_sos_witness_rejects_non_certificates():
     bad_g[1, 1] = -1.0
     for corrupt in (replace(w, g=bad_g), replace(w, h=w.h - 1.0), replace(w, c=-1.0)):
         assert verify_sos_witness(corrupt, q) == math.inf
+
+
+def test_verify_sos_witness_returns_the_coefficient_mismatch():
+    # an exact certificate of q = 5 + 0.5 (s_1 + s_2) at n = 4:
+    # g00 + 4c = 5, 2 G0α = 0.5, Gαα - h_α = 0, Gαα + 3 h_α = c
+    q = SymmetricQuadratic(ProblemDims(4, 2), 5.0, [0.5, 0.5], [0.0, 0.0])
+    g = np.array([[1.0, 0.25, 0.25], [0.25, 0.25, 0.0], [0.25, 0.0, 0.25]])
+    w = SosWitness(g, np.array([0.25, 0.25]), 1.0)
+    assert verify_sos_witness(w, q) == 0.0
+    # c off by 0.5: the constant is off by 4 * 0.5, each p_α coefficient by 0.5
+    assert verify_sos_witness(replace(w, c=1.5), q) == 2.0
+    # G_12 = 0.125 (G stays PSD) adds 0.25 s_1 s_2, a term q lacks
+    g12 = g + 0.125 * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert verify_sos_witness(replace(w, g=g12), q) == 0.25
 
 
 def test_sos_witness_refuses_infeasible_c():
