@@ -19,6 +19,7 @@ import numpy as np
 
 from . import fuzz as fuzz_mod
 from .core import (
+    DEFAULT_TOL,
     MomentVector,
     ProblemDims,
     RowBatch,
@@ -26,6 +27,7 @@ from .core import (
     SymmetricQuadratic,
     abs_scale,
     group_rows,
+    margin_verdict,
     row_batches,
     scaled_tolerance,
 )
@@ -35,7 +37,7 @@ from .exact_d1 import (
     p_n1_rows,
     p_n1_witness,
 )
-from .halfdeg import reduced_global_min
+from .halfdeg import check_pattern_budget, reduced_global_min
 from .moment_cone import (
     STATUSES,
     classify,  # noqa: F401  (bench/tracing.py wraps this binding)
@@ -284,6 +286,12 @@ def _member_value(member: bool) -> str:
     return STATUS_VALUES[0] if member else STATUS_VALUES[1]
 
 
+def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[list, list]:
+    """Member and boundary of each row's minimum of Q (P/Sigma tolerance)."""
+    t = scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)
+    return tuple(v.tolist() for v in margin_verdict(val, t))
+
+
 def _lmi_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
     r = arrow_lmi_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
     return [{"status": _member_value(m), "boundary": e, "c": c, "slack": f}
@@ -308,26 +316,24 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
 
 def _ellipsoid_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
     val, x, y = ellipsoid_rows(b.x0, b.x, b.xx, b.n)
-    t = scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)
     return [{"status": _member_value(m), "boundary": e, "min_value": v, "x": xk, "y": yk}
-            for m, e, v, xk, yk in zip((val >= -t).tolist(), ((-t <= val) & (val < t)).tolist(),
-                                       val.tolist(), x.tolist(), y.tolist())]
+            for m, e, v, xk, yk in zip(*_min_verdicts(b, cfg, val), val.tolist(),
+                                       x.tolist(), y.tolist())]
 
 
-#: the routes run once per d-group; halfdeg runs one polynomial at a time
-BATCH_ROUTES = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route, "exact-d1": _exact_d1_route}
+def _halfdeg_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+    """The half-degree search, one polynomial at a time."""
+    val, found = zip(*(reduced_global_min(SymmetricQuadratic(ProblemDims(n, b.d), *v),
+                                          seed=cfg.seed)
+                       for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
+    return [{"status": _member_value(m), "boundary": e, "min_value": v,
+             "argmin": c.points.tolist()}
+            for m, e, v, c in zip(*_min_verdicts(b, cfg, np.array(val)), val, found)]
 
 
-def _halfdeg_verdict(q: SymmetricQuadratic, cfg: RunConfig) -> dict:
-    try:
-        val, cfg_min = reduced_global_min(q, seed=cfg.seed)
-    except ValueError as exc:  # pattern count above halfdeg.MAX_PATTERNS
-        raise InputError(str(exc))
-    t = scaled_tolerance(cfg.tol, q.coeff_scale(), q.dims.n)
-    status = Status.MEMBER if val >= -t else Status.NON_MEMBER
-    return {"status": status.value, "boundary": -t <= val < t,
-            "min_value": val,
-            "argmin": [list(p) for p in cfg_min.points]}
+#: each route runs once per d-group, over the rows of that group
+ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
+               "exact-d1": _exact_d1_route, "halfdeg": _halfdeg_route}
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
@@ -336,29 +342,26 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
     routes = ROUTES[:-1] if args.route == "all" else (args.route,)
     if args.route == "exact-d1" and any(b.d != 1 for b in batches):
         raise InputError("route exact-d1 requires d=1")
+    if "halfdeg" in routes:  # before any search, each (n, d) in input order
+        rows = sorted((i, int(n), b.d) for b in batches for i, n in zip(b.index, b.n))
+        for n, d in dict.fromkeys(row[1:] for row in rows):
+            check_pattern_budget(n, d)
     primary = "lmi" if args.route == "all" else args.route
-    # per row in input order: its batch, its index there and its route verdicts
-    rows: list = [None] * sum(b.index.size for b in batches)
+    results: list = [None] * sum(b.index.size for b in batches)
     for b in batches:
-        batched = [(r, BATCH_ROUTES[r](b, cfg)) for r in routes
-                   if r in BATCH_ROUTES and (r != "exact-d1" or b.d == 1)]
+        batched = [(r, ROUTE_TABLE[r](b, cfg)) for r in routes if r != "exact-d1" or b.d == 1]
         for k, i in enumerate(b.index.tolist()):
-            rows[i] = (b, k, {r: v[k] for r, v in batched})
-    results = []
-    for b, k, per_route in rows:
-        if "halfdeg" in routes:
-            q = SymmetricQuadratic(ProblemDims(int(b.n[k]), b.d), b.x0[k], b.x[k], b.xx[k])
-            per_route["halfdeg"] = _halfdeg_verdict(q, cfg)
-        # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
-        # disagreement only counts between the two SOS routes
-        sos_verdicts = {per_route[r]["status"] for r in ("lmi", "ellipsoid")
-                        if r in per_route}
-        result = {"status": per_route[primary]["status"], "routes": per_route,
-                  "disagreement": len(sos_verdicts) > 1,
-                  "all_statuses": sorted({r["status"] for r in per_route.values()})}
-        if cfg.output == "json":
-            result["input"] = b.record(k, POLY_FIELDS)
-        results.append(result)
+            per_route = {r: v[k] for r, v in batched}
+            # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
+            # disagreement only counts between the two SOS routes
+            sos_verdicts = {per_route[r]["status"] for r in ("lmi", "ellipsoid")
+                            if r in per_route}
+            result = {"status": per_route[primary]["status"], "routes": per_route,
+                      "disagreement": len(sos_verdicts) > 1,
+                      "all_statuses": sorted({r["status"] for r in per_route.values()})}
+            if cfg.output == "json":
+                result["input"] = b.record(k, POLY_FIELDS)
+            results[i] = result
     _emit_verdicts(results, cfg)
     return _exit_code(results)
 
@@ -527,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "polynomial dual; witness collective-spin entanglement.")
     ap.add_argument("--seed", type=int, default=0,
                     help="RNG seed (env MC_SEED overrides)")
-    ap.add_argument("--tol", type=float, default=1e-9)
+    ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ap.add_argument("--output", choices=("json", "csv", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,16 +5,18 @@ quadratics on a product of n unit d-balls, candidate moment vectors, and point
 configurations (the support atoms of measures).  All values are plain 64-bit
 floats; certificates are re-validated numerically with explicit tolerances.
 
-Tolerance policy: a residual is compared with tol times the size it can reach,
-where scale = ``coeff_scale()`` or ``moment_scale()`` (both >= 1):
+Tolerance policy: a margin (the residual, slack or minimum a test decides
+on) is compared with t, tol (default :data:`DEFAULT_TOL`) times the size it
+can reach, where scale = :func:`abs_scale` of the row (>= 1):
 
-* tol·scale: first-order checks (z0 > 0; limit-cone entries, scale = max(1, |B|));
+* tol·scale: first-order checks (z0 > 0; limit-cone entries);
 * tol·scale²: residuals quadratic in the moments (:func:`moment_tolerance`);
 * tol·max(1, scale·n²): P, Sigma and the d=1 facets (:func:`scaled_tolerance`);
 * tol·n²: spin-language residuals.
 
-The spin and limit-cone rules stay apart: folding either into another rule
-changes verdicts.
+Cones are closed, so :func:`margin_verdict` decides every test alike: Member
+at margin >= -t, on the boundary if also margin < t.  The spin and limit-cone
+rules stay apart: folding either into another rule changes verdicts.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+#: default tolerance of every cone test
+DEFAULT_TOL = 1e-9
 #: slack allowed when validating that configuration points lie in the unit ball
 BALL_TOL = 1e-12
 
@@ -255,6 +259,31 @@ def scaled_tolerance(tol: float, scale, n):
 def moment_tolerance(tol: float, scale):
     """Absolute tolerance for residuals of order scale² (scale may be an array)."""
     return tol * scale * scale
+
+
+def margin_verdict(margin, t):
+    """(member, boundary) of a closed cone's test: member when margin >= -t,
+    boundary when member and margin < t; scalars or arrays alike."""
+    member = margin >= -t
+    return member, member & (margin < t)
+
+
+def bisect_rows(above, lo, hi, rtol: float):
+    """Per-row bisection of [lo, hi] (B,) in place: lo moves up to the
+    midpoint where ``above(mid)`` holds, hi moves down elsewhere.  A row stops
+    once its midpoint is not strictly inside or hi - lo <= rtol max(1, |hi|);
+    the others go on (at most 200 steps).  Returns (lo, hi)."""
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        live &= (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        up = above(mid)
+        np.copyto(lo, mid, where=live & up)
+        np.copyto(hi, mid, where=live & ~up)
+        live &= ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
+    return lo, hi
 
 
 def power_sums(config: Configuration) -> tuple[np.ndarray, np.ndarray]:

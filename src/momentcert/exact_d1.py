@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     ConeVerdict,
     Configuration,
     MomentVector,
@@ -19,10 +20,9 @@ from .core import (
     Status,
     SymmetricQuadratic,
     abs_scale,
+    margin_verdict,
     scaled_tolerance,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 def _require_d1(dims: ProblemDims):
@@ -57,8 +57,7 @@ def p_n1_rows(a0, a1, a11, n: int, tol: float = DEFAULT_TOL):
     kmin = np.argmin(r, axis=0)
     rmin = r[kmin, np.arange(r.shape[1])]
     t = scaled_tolerance(tol, abs_scale(a0, a1[:, None], a11[:, None]), n)
-    member = rmin >= -t
-    return r, kmin, rmin, member, member & (rmin < t)
+    return (r, kmin, rmin, *margin_verdict(rmin, t))
 
 
 def p_n1_witness(n: int, kmin: int, rmin: float, member: bool) -> dict:
@@ -111,13 +110,12 @@ def c_n1_membership(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
     _require_d1(m.dims)
     n = m.dims.n
     r = c_n1_residuals(m.z0, float(m.z[0]), float(m.zz[0]), n)
-    t = scaled_tolerance(tol, m.moment_scale(), n)
     kmin = int(np.argmin(r))
     rmin = float(r[kmin])
-    if rmin >= -t:
-        return ConeVerdict(Status.MEMBER,
-                           witness={"min_k": kmin, "min_residual": rmin},
-                           boundary=rmin < t)
+    member, boundary = margin_verdict(rmin, scaled_tolerance(tol, m.moment_scale(), n))
+    if member:
+        return ConeVerdict(Status.MEMBER, witness={"min_k": kmin, "min_residual": rmin},
+                           boundary=boundary)
     return ConeVerdict(Status.NON_MEMBER,
                        witness={"k": kmin, "residual": rmin,
                                 "separating_polynomial": facet_polynomial(n, kmin)})
@@ -156,19 +154,15 @@ def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
     _require_d1(q.dims)
     n = q.dims.n
     val, x = (float(v) for v in sigma_n1_min(q.a0, q.a[0], q.aa[0], n, expanded))
-    t = scaled_tolerance(tol, q.coeff_scale(), n)
-    if val >= -t:
-        return ConeVerdict(Status.MEMBER,
-                           witness={"min_value": val, "argmin_x": x},
-                           boundary=val < t)
-    return ConeVerdict(Status.NON_MEMBER,
-                       witness={"min_value": val, "argmin_x": x})
+    member, boundary = margin_verdict(val, scaled_tolerance(tol, q.coeff_scale(), n))
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"min_value": val, "argmin_x": x}, boundary=boundary)
 
 
 def limit_cone_d1(b: tuple[float, float, float], tol: float = DEFAULT_TOL) -> ConeVerdict:
     """PSD test for [[B0-B11, B1/2], [B1/2, B11]], the large-n d=1 limit cone."""
     b0, b1, b11 = (float(x) for x in b)
-    scale = max(1.0, abs(b0), abs(b1), abs(b11))
+    scale = float(abs_scale(b0, [b1], [b11]))
     t = tol * scale
     m00 = b0 - b11
     det = m00 * b11 - 0.25 * b1 * b1

@@ -118,8 +118,7 @@ def _ambient_hessian(q: SymmetricQuadratic, counts: np.ndarray) -> np.ndarray:
     return h
 
 
-def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray,
-                    max_iter: int = 100, gtol: float = 1e-11
+def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize the pattern objective over unit rows, batched over restarts.
 
@@ -129,8 +128,8 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray,
     puts eigenvalue 1 on the normal directions.  Replacing each eigenvalue by
     its modulus makes x a descent direction away from minima too.  A
     backtracking line search accepts only strict decreases, so no restart ends
-    above its normalized start.  A restart retires once |t| <= gtol * scale or
-    when the line search cannot move it.
+    above its normalized start.  A restart retires once |t| <= 1e-11 * scale
+    or when the line search cannot move it; all stop after 100 iterations.
     """
     y = _normalize_rows(np.array(y0, dtype=float))
     f = _objective(q, counts, y)
@@ -139,12 +138,12 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray,
     h = _ambient_hessian(q, counts)
     eye_m, eye = np.eye(m), np.eye(m * d)
     idx = np.arange(y.shape[0])
-    for _ in range(max_iter):
+    for _ in range(100):
         ya = y[idx]
         g = _gradient(q, counts, ya)
         lam = np.sum(g * ya, axis=-1)
         t = g - lam[..., None] * ya
-        moving = np.einsum("bjd,bjd->b", t, t) > (gtol * scale) ** 2
+        moving = np.einsum("bjd,bjd->b", t, t) > (1e-11 * scale) ** 2
         idx, ya, t, lam = idx[moving], ya[moving], t[moving], lam[moving]
         if idx.size == 0:
             break
@@ -207,6 +206,14 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
     return val, Configuration(q.dims, _normalize_rows(pts))
 
 
+def check_pattern_budget(n: int, d: int):
+    """Raise ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS."""
+    count = partition_count(n, 2 * d)
+    if count > MAX_PATTERNS:
+        raise ValueError(f"half-degree search at n={n}, d={d} needs {count} "
+                         f"multiplicity patterns, more than MAX_PATTERNS={MAX_PATTERNS}")
+
+
 def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
                        ) -> tuple[float, Configuration]:
     """Minimum over all multiplicity patterns; equals the global minimum over
@@ -214,10 +221,7 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
 
     Raises ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS.
     """
-    count = partition_count(q.dims.n, 2 * q.dims.d)
-    if count > MAX_PATTERNS:
-        raise ValueError(f"half-degree search at n={q.dims.n}, d={q.dims.d} needs {count} "
-                         f"multiplicity patterns, more than MAX_PATTERNS={MAX_PATTERNS}")
+    check_pattern_budget(q.dims.n, q.dims.d)
     best_val, best_cfg = math.inf, None
     for idx, pattern in enumerate(enumerate_patterns(q.dims.n, q.dims.d)):
         val, cfg = min_over_pattern(q, pattern, restarts=restarts, seed=seed + idx)
@@ -226,10 +230,10 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     return best_val, best_cfg
 
 
-def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0,
-                        polish_top: int = 16) -> tuple[float, Configuration]:
-    """Random-search oracle: Newton descent from the `polish_top` best of
-    `samples` random configurations; exact over the n+1 facets at d=1."""
+def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0
+                        ) -> tuple[float, Configuration]:
+    """Random-search oracle: Newton descent from the 16 best of `samples`
+    random configurations; exact over the n+1 facets at d=1."""
     n, d = q.dims.n, q.dims.d
     if d == 1:
         r = facet_residuals(q.a0, q.a[0], q.aa[0], n)
@@ -239,7 +243,7 @@ def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 
     counts = np.ones(n)
     pts = _normalize_rows(rng.normal(size=(samples, n, d)))
     vals = _objective(q, counts, pts)
-    order = np.argsort(vals)[:polish_top]
+    order = np.argsort(vals)[:16]
     pvals, pys = _newton_descent(q, counts, pts[order])
     b = int(np.argmin(pvals))
     return float(pvals[b]), Configuration(q.dims, _normalize_rows(pys[b]))

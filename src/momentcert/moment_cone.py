@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     ConeVerdict,
     MomentVector,
     ProblemDims,
@@ -22,13 +23,13 @@ from .core import (
     Status,
     SymmetricQuadratic,
     abs_scale,
+    bisect_rows,
+    margin_verdict,
     moment_tolerance,
     row_values,
 )
 from .sos_cone import arrow_lmi_rows
 from .sos_cone import sigma_membership_lmi  # noqa: F401  (bench/tracing.py wraps this binding)
-
-DEFAULT_TOL = 1e-9
 
 NECESSARY = "necessary"
 SUFFICIENT = "sufficient"
@@ -113,7 +114,7 @@ def condition_rows(z0, z, zz, n, side: str, tol: float, scale, zero) -> Conditio
     terms = max_form_terms(z0, z, zz, n, side)
     residual = terms.residual()
     z0_ok = zero | (z0 > tol * scale)
-    ok = z0_ok & (zero | (residual >= -moment_tolerance(tol, scale)))
+    ok = z0_ok & (zero | margin_verdict(residual, moment_tolerance(tol, scale))[0])
     return ConditionRows(ok, residual, terms.pattern(), z0_ok, terms.z0e)
 
 
@@ -211,7 +212,6 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     x0 absorbs the trace constraint and decides feasibility by its sign.
     """
     s = m.moment_scale()
-    t = moment_tolerance(tol, s)
     if m.is_zero():
         zero = _zero_witness(m.dims.d)
         return ConeVerdict(Status.MEMBER, witness={"matrix": zero}), zero
@@ -224,11 +224,12 @@ def lmi_dual_feasibility(m: MomentVector, side: str = NECESSARY,
     matrix = _witness_matrices(z0e, z, zz, m.dims.n, xdiag, x0)[0]
     x0 = float(x0[0])
     witness = MomentWitnessMatrix(matrix, xdiag[0], x0)
-    if x0 >= -t:
+    member, boundary = margin_verdict(x0, moment_tolerance(tol, s))
+    if member:
         eig_min = float(np.linalg.eigvalsh(witness.matrix)[0])
         return ConeVerdict(Status.MEMBER,
                            witness={"matrix": witness, "min_eigenvalue": eig_min},
-                           boundary=x0 < t), witness
+                           boundary=boundary), witness
     return ConeVerdict(Status.NON_MEMBER,
                        witness={"matrix": witness, "x0": x0}), witness
 
@@ -305,9 +306,8 @@ def classify_rows(z0, z, zz, n, tol: float = DEFAULT_TOL) -> MomentRows:
     suf = condition_rows(z0, z, zz, n, SUFFICIENT, tol, scale, zero)
     nec = condition_rows(z0, z, zz, n, NECESSARY, tol, scale, zero)
     xdiag, x0 = _witness_diagonal(suf.z0e, z, zz, n)
-    t = moment_tolerance(tol, scale)
     status = ~suf.ok * (1 + nec.ok)  # 0 Member, 1 NonMember, 2 Indeterminate
-    boundary = suf.ok & ~zero & (x0 >= -t) & (x0 < t)
+    boundary = suf.ok & ~zero & margin_verdict(x0, moment_tolerance(tol, scale))[1]
     return MomentRows(status, boundary, scale, zero, suf, nec, xdiag, x0)
 
 
@@ -364,46 +364,36 @@ def classify(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
 def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Membership in the common large-n limit of both condition families."""
     z0, zt, zzt = rm.z0, rm.zt, rm.zzt
-    scale = max(1.0, abs(z0), float(np.max(np.abs(zt))), float(np.max(np.abs(zzt))))
+    scale = float(abs_scale(z0, zt, zzt))
     if z0 == 0.0 and not zt.any() and not zzt.any():
         return ConeVerdict(Status.MEMBER, witness={"residual": 0.0})
     if z0 <= tol * scale:
         return ConeVerdict(Status.NON_MEMBER, witness={"reason": "z0 not positive"})
     residual = (z0 * z0 + z0 * float(zzt.sum())
                 - float(np.maximum(z0 * zzt, zt * zt).sum()))
-    t = moment_tolerance(tol, scale)
-    if residual >= -t:
-        return ConeVerdict(Status.MEMBER, witness={"residual": residual},
-                           boundary=residual < t)
-    return ConeVerdict(Status.NON_MEMBER, witness={"residual": residual})
+    member, boundary = margin_verdict(residual, moment_tolerance(tol, scale))
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"residual": residual}, boundary=boundary)
 
 
-def ray_crossing(direction: RescaledMomentVector, n: int, side: str,
-                 tol: float = 1e-12) -> float:
+def ray_crossing(direction: RescaledMomentVector, n: int, side: str) -> float:
     """Largest t >= 0 with (1, t z̃, t z̃z̃) passing the chosen side's test.
 
     Both condition sets are convex and contain the ray base point strictly, so
-    membership along the ray is an interval and bisection applies.
+    membership along the ray is an interval: it is bracketed by the first
+    t = 2^k (k < 80) that fails and bisected to rtol 1e-12.
     """
     ProblemDims(n, direction.zt.size)  # rejects n < 2 before any division
     rt = math.sqrt(n)
 
-    def residual(t: float) -> float:
-        return float(max_form_terms(1.0, t * direction.zt * rt,
-                                    t * direction.zzt * n, n, side).residual())
+    def residual(t: np.ndarray) -> np.ndarray:
+        return max_form_terms(np.ones(t.shape), t[:, None] * direction.zt * rt,
+                              t[:, None] * direction.zzt * n, n, side).residual()
 
-    hi = 1.0
-    for _ in range(80):
-        if residual(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):  # t up to 2^79
+        out = residual(2.0 ** np.arange(80)) < 0.0
+    if not out.any():
         raise ValueError("direction never leaves the cone")
-    lo = 0.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    lo, hi = bisect_rows(lambda t: residual(t) >= 0.0, np.zeros(1),
+                         np.array([2.0 ** int(np.argmax(out))]), 1e-12)
+    return float(0.5 * (lo[0] + hi[0]))

@@ -11,7 +11,7 @@ diagonal-Hessian trust-region subproblem on the unit ball, solved exactly
 over rows with explicit zero-gradient and hard cases.  Its secular
 equation Σ g_i²/(h_i + λ)² = 1 is Route 1's f'(c) = 0 with λ = 2c (Moré &
 Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so both routes bisect with
-the same per-row loop, :func:`_bisect`.
+the same per-row loop, :func:`core.bisect_rows`.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ import numpy as np
 
 from .core import (
     BALL_TOL,
+    DEFAULT_TOL,
     ConeVerdict,
     Configuration,
     Status,
     SymmetricQuadratic,
     abs_scale,
+    bisect_rows,
+    margin_verdict,
     scaled_tolerance,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,24 +106,6 @@ def _py_max(x, y):
     return np.where(y > x, y, x)
 
 
-def _bisect(above, lo, hi, rtol: float):
-    """Per-row bisection of [lo, hi] (B,) in place: lo moves up to the
-    midpoint where ``above(mid)`` holds, hi moves down elsewhere.  A row stops
-    once its midpoint is not strictly inside or hi - lo <= rtol max(1, |hi|);
-    the others go on (at most 200 steps).  Returns (lo, hi)."""
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live &= (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        up = above(mid)
-        np.copyto(lo, mid, where=live & up)
-        np.copyto(hi, mid, where=live & ~up)
-        live &= ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
-    return lo, hi
-
-
 def ellipsoid_rows(a0, a, aa, n):
     """Global minimum of P_Q over the ellipsoid ||Y||^2 + ||X||^2/n <= 1 for
     rows a0 (B,), a and aa (B, d), n a scalar or (B,): the minimum (B,) and
@@ -132,8 +115,9 @@ def ellipsoid_rows(a0, a, aa, n):
     ||w|| <= 1 with g = (n A_α, 0) and h = (2n(n-1) A_αα, -2n A_αα).  Let
     lam_lo = max(0, -min h) and w(λ) = -g/(h + λ).  Per row, w is:
     g = 0: zero, or the unit vector on the first minimal h when lam_lo > 0;
-    the hard case ||w(lam_lo)|| < 1: w(lam_lo) (zero where h + lam_lo <= 0)
-    filled up to the sphere along the first minimal h;
+    the hard case ||w(lam_lo)|| < 1, or [lam_lo, lam_lo + ||g||] empty in floats:
+    w(lam_lo) (zero where h + lam_lo <= 0) filled up to the sphere along the
+    first minimal h, against the sign of g there;
     else w(λ) at the root of the secular equation ||w(λ)||² = 1, bisected on
     [lam_lo, lam_lo + ||g||] and taken at the upper end.
     An interior Newton point needs lam_lo = 0, so every A_αα = 0 and h has no
@@ -163,10 +147,12 @@ def ellipsoid_rows(a0, a, aa, n):
         skip = den <= 0.0
         w_lo = np.where(skip, 0.0, -gr / den)
         norm2 = _column_sum(0.0, w_lo * w_lo)
-        hard = ~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0)
+        hard = ((~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0))
+                | ~(lam_lo[rest] + gnorm[rest] > lam_lo[rest]))
         fill, sec = rest[hard], rest[~hard]
         w[fill] = w_lo[hard]
-        w[fill, first[fill]] += np.sqrt(_py_max(0.0, 1.0 - norm2[hard]))
+        w[fill, first[fill]] += (np.where(g[fill, first[fill]] > 0.0, -1.0, 1.0)
+                                 * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
         # the secular equation; h + λ > 0 at every λ > lam_lo
         gs, hs = gr[~hard], hr[~hard]
 
@@ -174,7 +160,7 @@ def ellipsoid_rows(a0, a, aa, n):
             t = gs / (hs + lam[:, None])
             return _column_sum(0.0, t * t) > 1.0
 
-        _, lam = _bisect(too_long, lam_lo[sec], lam_lo[sec] + gnorm[sec], 1e-16)
+        _, lam = bisect_rows(too_long, lam_lo[sec], lam_lo[sec] + gnorm[sec], 1e-16)
         w[sec] = -gs / (hs + lam[:, None])
     return a0 + _column_sum(0.0, g * w + 0.5 * h * w * w), np.sqrt(nc) * w[:, :d], w[:, d:]
 
@@ -267,12 +253,11 @@ def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
         mid = np.flatnonzero(~at_hi & ~at_lo)
         if mid.size:
             fp = _schur_slack_derivative(ar[mid], aar[mid], nr[mid] if n.ndim else n)
-            lo_m, hi_m = _bisect(lambda c: fp(c) > 0.0, lo[mid], hi[mid], 1e-15)
+            lo_m, hi_m = bisect_rows(lambda c: fp(c) > 0.0, lo[mid], hi[mid], 1e-15)
             cr[mid] = 0.5 * (lo_m + hi_m)
         c[run] = cr
         slack[run] = _schur_slack(a0[run], ar, aar, nr, cr)
-    member = ~empty & (slack >= -t)
-    return ArrowRows(c, slack, c_lo, c_hi, empty, member, member & (slack < t))
+    return ArrowRows(c, slack, c_lo, c_hi, empty, *margin_verdict(slack, t))
 
 
 def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
@@ -303,8 +288,7 @@ def sigma_prime_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> C
     return verdict
 
 
-def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True,
-                tol: float = DEFAULT_TOL) -> SosWitness:
+def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True) -> SosWitness:
     """Reconstruct (G, H, c) from a feasible LMI parameter.
 
     ``c_lmi`` is the pencil parameter; the proof-scale parameter stored in the
@@ -321,7 +305,7 @@ def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True,
     g[1:, 0] = q.a / 2.0
     g[np.arange(1, d + 1), np.arange(1, d + 1)] = g_diag
     if validate:
-        t = scaled_tolerance(tol, q.coeff_scale(), n)
+        t = scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), n)
         eig_min = float(np.linalg.eigvalsh(g)[0])
         if eig_min < -t or float(np.min(h)) < -t:
             raise ValueError(f"infeasible parameter c_lmi={c_lmi}: "
@@ -338,11 +322,11 @@ def verify_sos_witness(w: SosWitness, q: SymmetricQuadratic) -> float:
     and on s_α s_β (α ≠ β), whose coefficient 2 Gαβ Q lacks.  G is read from
     its lower triangle, the part ``eigvalsh`` checks.  inf when the witness is
     not a certificate: G has an eigenvalue, h an entry or c a value below -t,
-    t = ``scaled_tolerance(1e-9, coeff_scale, n)``.  (The witness that
+    t = ``scaled_tolerance(DEFAULT_TOL, coeff_scale, n)``.  (The witness that
     :func:`sos_witness` builds matches for every c, so only these checks
     reject a bad c.)"""
     n = q.dims.n
-    t = scaled_tolerance(1e-9, q.coeff_scale(), n)
+    t = scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), n)
     if (float(np.linalg.eigvalsh(w.g)[0]) < -t or float(np.min(w.h)) < -t
             or w.c < -t):
         return math.inf

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MomentVector, ProblemDims
+from .core import DEFAULT_TOL, MomentVector, ProblemDims
 from .moment_cone import (
     NECESSARY,
     SUFFICIENT,
@@ -25,7 +25,6 @@ from .moment_cone import (
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
-WITNESS_TOL = 1e-9
 
 DETECTED = "EntanglementDetected"
 CERTIFIED = "SeparabilityCertified"
@@ -223,7 +222,7 @@ class WitnessReport:
                 "sufficient": rows(self.sufficient)}
 
 
-def entanglement_witness(state: SymmetricState, tol: float = WITNESS_TOL) -> WitnessReport:
+def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> WitnessReport:
     """Evaluate the eight necessary-for-separability inequalities and their
     sufficient-side counterparts on the state's projected moments.
 

@@ -386,3 +386,25 @@ def test_bad_json_record_reports_like_scalar_parser(tmp_path, capsys):
     f.write_text(json.dumps([{**good, "d": 1, "a": 0.5, "aa": [[0.25]]}, good]))
     code, out, _ = run(capsys, "check-poly", "--file", str(f))
     assert code in (0, 1) and len(out.splitlines()) == 2
+
+
+def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):
+    # ||g|| = 2e-20 is below one ulp of lam_lo = 4, so [lam_lo, lam_lo + ||g||]
+    # is empty; the minimum is the hard-case point against the sign of g
+    import math
+
+    from momentcert.core import DEFAULT_TOL, ProblemDims, SymmetricQuadratic, scaled_tolerance
+    from momentcert.sos_cone import EllipsoidPoint, pq_evaluate
+
+    def strict(name):
+        raise ValueError(f"non-finite number {name} in the output")
+
+    code, out, _ = run(capsys, "--output", "json", "check-poly", "--route", "ellipsoid",
+                       "--n", "2", "--d", "1", "--a0", "1", "--a", "1e-20", "--aa", "-1")
+    r = json.loads(out, parse_constant=strict)["results"][0]["routes"]["ellipsoid"]
+    assert code == 1 and r["status"] == "NonMember"
+    assert r["min_value"] == -1.0 and r["x"] == [-math.sqrt(2.0)] and r["y"] == [0.0]
+    q = SymmetricQuadratic(ProblemDims(2, 1), 1.0, [1e-20], [-1.0])
+    pt = EllipsoidPoint(r["x"], r["y"])
+    assert pt.check_inside(2)
+    assert abs(pq_evaluate(q, pt) - r["min_value"]) <= scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), 2)

@@ -15,6 +15,7 @@ from momentcert.core import (
     SymmetricQuadratic,
     coeffs_from_rescaled,
     evaluate,
+    margin_verdict,
     moments_of_configuration,
     pair,
     power_sums,
@@ -162,3 +163,15 @@ def test_json_round_trip():
 def test_rescaled_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         RescaledMomentVector(float("nan"), [0.0], [0.0])
+
+
+def test_margin_verdict_scalars_and_arrays():
+    t = 1e-3
+    margins = [-1.0, -t, -0.5 * t, 0.0, 0.5 * t, t, 1.0, -math.inf]
+    member, edge = margin_verdict(np.array(margins), t)
+    assert member.tolist() == [False, True, True, True, True, True, True, False]
+    assert edge.tolist() == [False, True, True, True, True, False, False, False]
+    assert [margin_verdict(m, t) for m in margins] == list(zip(member.tolist(), edge.tolist()))
+    # t per row
+    member, edge = margin_verdict(np.array([0.5, 0.5]), np.array([0.1, 1.0]))
+    assert member.tolist() == [True, True] and edge.tolist() == [False, True]

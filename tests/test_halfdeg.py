@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -259,3 +260,21 @@ def test_pattern_count_guard(capsys):
                  "--a0", "1", "--a", "0.5,-1,0.2", "--aa", "1,-0.5,0.3"])
     assert code in (0, 1)
     assert "MAX_PATTERNS" not in capsys.readouterr().err
+
+
+def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatch):
+    import momentcert.cli as cli
+
+    def search(q, **kwargs):
+        raise AssertionError(f"searched n={q.dims.n} before the budget check")
+
+    monkeypatch.setattr(cli, "reduced_global_min", search)
+    row = {"d": 3, "a0": 1.0, "a": [0.5, -1.0, 0.2], "aa": [1.0, -0.5, 0.3]}
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps([{"n": 12, **row}] * 3 + [{"n": 200, **row}, {"n": 300, **row}]))
+    for route in ("halfdeg", "all"):
+        code = main(["check-poly", "--route", route, "--file", str(f)])
+        out = capsys.readouterr()
+        assert (code, out.out) == (64, "")
+        assert out.err == ("error: half-degree search at n=200, d=3 needs 4775383 "
+                           "multiplicity patterns, more than MAX_PATTERNS=1000\n")
