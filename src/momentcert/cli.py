@@ -92,7 +92,8 @@ def _parse_floats(text: str) -> list[float]:
 
 def _read_text(path: str) -> str:
     try:
-        return open(path).read()
+        with open(path) as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(str(exc))
 
@@ -398,9 +399,10 @@ def args_seed(args) -> int:
 def cmd_spin(args, cfg: RunConfig) -> int:
     if args.state:
         try:
-            obj = json.load(open(args.state))
+            with open(args.state) as fh:
+                obj = json.load(fh)
             state = SymmetricState.from_json_dict(obj)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"invalid state: {exc}")
     elif args.preset:
         state = _preset_state(args)

@@ -45,7 +45,7 @@ PATTERN_LABELS = {
 
 @dataclass(frozen=True)
 class SymmetricState:
-    """Hermitian PSD unit-trace matrix on the symmetric subspace."""
+    """Finite Hermitian PSD unit-trace matrix on the symmetric subspace."""
 
     n: int
     rho: np.ndarray
@@ -57,12 +57,20 @@ class SymmetricState:
             raise ValueError("n must be >= 1")
         if rho.shape != (n + 1, n + 1):
             raise ValueError(f"rho must be {(n + 1, n + 1)}, got {rho.shape}")
+        # first: NaN passes every comparison below, and spin_moments reads
+        # only diagonals 0-2, so a non-finite entry elsewhere would go unseen
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("rho has a non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
             raise ValueError("rho is not Hermitian")
         if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
             raise ValueError("rho does not have unit trace")
-        if float(np.linalg.eigvalsh(rho)[0]) < -EIGENVALUE_TOL:
-            raise ValueError("rho has a negative eigenvalue")
+        # lambda_min >= -EIGENVALUE_TOL iff rho + EIGENVALUE_TOL I admits a
+        # Cholesky factor: O(n^3 / 3) with no eigensolver iterations
+        try:
+            np.linalg.cholesky(rho + EIGENVALUE_TOL * np.eye(n + 1))
+        except np.linalg.LinAlgError:
+            raise ValueError("rho has a negative eigenvalue") from None
         rho.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rho", rho)
@@ -73,8 +81,11 @@ class SymmetricState:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SymmetricState":
+        n = obj["n"]
+        if isinstance(n, bool) or int(n) != n:
+            raise ValueError(f"n must be an integer, got {n!r}")
         rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return SymmetricState(int(obj["n"]), rho)
+        return SymmetricState(int(n), rho)
 
 
 @dataclass(frozen=True)
@@ -87,27 +98,22 @@ class SpinMoments:
     jz2: float
 
 
-def collective_operators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spin-j matrices (Jx, Jy, Jz) in the Dicke basis, j = n/2."""
-    j = n / 2.0
-    m = j - np.arange(n + 1)
-    jz = np.diag(m).astype(complex)
-    # J+ raises m by one: index i maps to i-1
-    ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    jp = np.zeros((n + 1, n + 1), dtype=complex)
-    jp[np.arange(n), np.arange(1, n + 1)] = ladder
-    jm = jp.conj().T
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    return jx, jy, jz
-
-
 def coherent_state(n: int, theta: float, phi: float) -> SymmetricState:
-    """Product state of n identical qubits pointing along (theta, phi)."""
+    """Product state of n identical qubits pointing along (theta, phi).
+
+    The amplitudes sqrt(C(n,k)) cos(θ/2)^(n-k) (sin(θ/2) e^{iφ})^k are built
+    in log space and then normalised, so neither C(n,k) nor the powers
+    overflow or underflow at large n."""
     k = np.arange(n + 1)
-    amps = (np.sqrt([math.comb(n, int(i)) for i in k])
-            * np.cos(theta / 2.0) ** (n - k)
-            * (np.sin(theta / 2.0) * np.exp(1j * phi)) ** k)
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    lg = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag = (0.5 * (lg[n] - lg - lg[::-1])
+                   + np.where(k < n, (n - k) * np.log(abs(c)), 0.0)
+                   + np.where(k > 0, k * np.log(abs(s)), 0.0))
+    amps = (np.exp(log_mag - log_mag.max()) * np.sign(c) ** (n - k)
+            * np.sign(s) ** k * np.exp(1j * phi * k))
+    amps /= np.linalg.norm(amps)
     return SymmetricState(n, np.outer(amps, amps.conj()))
 
 
@@ -148,14 +154,23 @@ def random_state(n: int, seed: int) -> SymmetricState:
 
 
 def spin_moments(state: SymmetricState) -> SpinMoments:
-    jx, jy, jz = collective_operators(state.n)
-    rho = state.rho
+    """First and second collective-spin moments in O(n).
 
-    def ev(op):
-        return float(np.trace(rho @ op).real)
-
-    return SpinMoments(ev(jx), ev(jy), ev(jz),
-                       ev(jx @ jx), ev(jy @ jy), ev(jz @ jz))
+    Index i carries m_i = j - i.  J_z is diagonal, and J+ maps index i to
+    i-1 with c_i = sqrt(j(j+1) - m_i(m_i+1)), so <J+> reads diagonal -1 of
+    rho and <J+²> diagonal -2; <J_x> + i<J_y> = <J+>, <J_x²> - <J_y²> =
+    Re<J+²> and <J_x²> + <J_y²> = j(j+1) tr rho - <J_z²>.
+    """
+    rho, j = state.rho, state.n / 2.0
+    m = j - np.arange(state.n + 1)
+    diag = np.diagonal(rho).real
+    jz, jz2 = float(diag @ m), float(diag @ (m * m))
+    c = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    jp = complex(np.diagonal(rho, -1) @ c)
+    jp2 = float((np.diagonal(rho, -2) @ (c[1:] * c[:-1])).real)
+    perp = j * (j + 1) * float(diag.sum()) - jz2
+    return SpinMoments(jp.real, jp.imag, jz,
+                       0.5 * (perp + jp2), 0.5 * (perp - jp2), jz2)
 
 
 def moments_from_spin(sm: SpinMoments, n: int) -> MomentVector:

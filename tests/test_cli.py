@@ -1,6 +1,9 @@
 import json
+import math
+import warnings
 
 import numpy as np
+import pytest
 
 from momentcert.cli import main
 from momentcert.spin import ghz_state
@@ -115,6 +118,58 @@ def test_spin_state_file(tmp_path, capsys):
 def test_spin_needs_input(capsys):
     code, _, err = run(capsys, "spin")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "coherent", "--n", "70", "--theta", "0.9"],
+    ["--preset", "coherent", "--n", "512", "--theta", "2.2", "--phi", "1.3"],
+    ["--preset", "mixed", "--n", "100"],
+    ["--preset", "mixed", "--n", "512", "--components", "4"],
+])
+def test_spin_large_coherent_presets(capsys, argv):
+    """C(n, k) exceeds int64 from n = 68 on; coherent states and their
+    mixtures are never detected."""
+    code, out, _ = run(capsys, "spin", *argv)
+    assert code == 0
+    assert out.startswith("verdict: ") and "EntanglementDetected" not in out
+
+
+def test_spin_state_file_non_finite(tmp_path, capsys):
+    """Refused also off diagonals 0-2, which the moments never read."""
+    for value, pos in ((math.nan, (0, 4)), (math.inf, (0, 4)), (math.nan, (1, 1)),
+                       (-math.inf, (2, 1))):
+        rho = np.eye(5) / 5.0
+        rho[pos] = value
+        f = tmp_path / "state.json"
+        f.write_text(json.dumps({"n": 4, "re": rho.tolist(), "im": np.zeros((5, 5)).tolist()}))
+        code, _, err = run(capsys, "spin", "--state", str(f))
+        assert code == 64
+        assert "invalid state" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"rho"', "3",
+                                  '{"n": null, "re": [[1.0]], "im": [[0.0]]}',
+                                  '{"n": Infinity, "re": [[1.0]], "im": [[0.0]]}',
+                                  '{"n": 1, "re": {"a": 1}, "im": [[0.0]]}',
+                                  '{"n": 1.7, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+                                  '{"n": true, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}',
+                                  '{"n": "1", "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'])
+def test_spin_state_file_malformed(tmp_path, capsys, text):
+    f = tmp_path / "state.json"
+    f.write_text(text)
+    code, _, err = run(capsys, "spin", "--state", str(f))
+    assert code == 64 and "invalid state" in err
+
+
+def test_input_files_closed(tmp_path, capsys):
+    state, rows = tmp_path / "state.json", tmp_path / "rows.csv"
+    state.write_text(json.dumps(ghz_state(2).to_json_dict()))
+    rows.write_text("n,d,z0,z1,z11\n4,1,1,0,0\n")
+    for argv in (["spin", "--state", str(state)], ["check-moments", "--file", str(rows)]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run(capsys, *argv)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)], argv
 
 
 def test_slice_limit_cone_contour(capsys):

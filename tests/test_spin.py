@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -8,11 +9,11 @@ from momentcert.moment_cone import NECESSARY, expand_inequalities
 from momentcert.spin import (
     CERTIFIED,
     DETECTED,
+    EIGENVALUE_TOL,
     INCONCLUSIVE,
     PATTERN_LABELS,
     SymmetricState,
     coherent_state,
-    collective_operators,
     dicke_state,
     entanglement_witness,
     ghz_state,
@@ -23,6 +24,33 @@ from momentcert.spin import (
     spin_form_scale,
     spin_moments,
 )
+
+
+def collective_operators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense reference: spin-j matrices (Jx, Jy, Jz) in the Dicke basis,
+    j = n/2, index i carrying m = j - i."""
+    j = n / 2.0
+    m = j - np.arange(n + 1)
+    jz = np.diag(m).astype(complex)
+    # J+ raises m by one: index i maps to i-1
+    ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    jp = np.zeros((n + 1, n + 1), dtype=complex)
+    jp[np.arange(n), np.arange(1, n + 1)] = ladder
+    jm = jp.conj().T
+    jx = (jp + jm) / 2.0
+    jy = (jp - jm) / 2.0j
+    return jx, jy, jz
+
+
+def dense_moments(rho: np.ndarray) -> np.ndarray:
+    """(<Jx>, <Jy>, <Jz>, <Jx²>, <Jy²>, <Jz²>) as tr(rho J) on the dense
+    operators."""
+    ops = collective_operators(rho.shape[0] - 1)
+
+    def ev(op):
+        return float(np.sum(rho.T * op).real)
+
+    return np.array([ev(op) for op in ops] + [ev(op @ op) for op in ops])
 
 
 def test_state_validation():
@@ -48,6 +76,99 @@ def test_operator_algebra():
         assert np.allclose(jy @ jz - jz @ jy, 1j * jx, atol=1e-12)
         casimir = jx @ jx + jy @ jy + jz @ jz
         assert np.allclose(casimir, j * (j + 1) * np.eye(n + 1), atol=1e-12)
+
+
+def test_moments_match_dense_reference():
+    """The O(n) diagonal formulas agree with tr(rho J) on the dense operators:
+    they sum the same products in another order, so the bound is set from the
+    dtype, 1e-14 · max(1, n²) (the moments are O(n²))."""
+    for n in (1, 2, 5, 64, 512):
+        states = [random_state(n, seed=n), coherent_state(n, 0.7, 1.9),
+                  coherent_state(n, 2.3, -0.4), dicke_state(n, n / 2.0 - n // 3),
+                  ghz_state(n)]
+        for st in states:
+            err = np.max(np.abs(np.array(dataclasses.astuple(spin_moments(st))) - dense_moments(st.rho)))
+            assert err <= 1e-14 * max(1.0, n * n), (n, err)
+
+
+def _state_with_min_eigenvalue(n: int, lam_min: float, rng) -> np.ndarray:
+    """Unit-trace Hermitian matrix whose lowest eigenvalues (one, or half of
+    them) equal lam_min, in a random eigenbasis."""
+    a = rng.normal(size=(n + 1, n + 1)) + 1j * rng.normal(size=(n + 1, n + 1))
+    v = np.linalg.qr(a)[0]
+    lam = rng.uniform(0.1, 1.0, size=n + 1)
+    low = int(rng.choice([1, (n + 1) // 2]))
+    lam[:low] = lam_min
+    lam[low:] *= (1.0 - low * lam_min) / lam[low:].sum()
+    rho = (v * lam) @ v.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def test_cholesky_psd_test_agrees_with_eigvalsh():
+    """Acceptance iff lambda_min >= -EIGENVALUE_TOL, decided by the Cholesky
+    factor of rho + EIGENVALUE_TOL I exactly where eigvalsh decides it, on
+    spectra placed just inside and just outside the bound."""
+    rng = np.random.default_rng(44)
+    for n in (1, 2, 5, 64, 200):
+        for delta in (-1e-9, -1e-11, -3e-12, 3e-12, 1e-11, 1e-9):
+            for _ in range(3):
+                rho = _state_with_min_eigenvalue(n, -EIGENVALUE_TOL + delta, rng)
+                by_eig = float(np.linalg.eigvalsh(rho)[0]) >= -EIGENVALUE_TOL
+                assert by_eig == (delta > 0)
+                try:
+                    SymmetricState(n, rho)
+                    accepted = True
+                except ValueError as exc:
+                    assert "negative eigenvalue" in str(exc)
+                    accepted = False
+                assert accepted == by_eig, (n, delta)
+
+
+def test_rank_one_states_accepted_at_n512():
+    n = 512
+    rng = np.random.default_rng(45)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    vec /= np.linalg.norm(vec)
+    SymmetricState(n, np.outer(vec, vec.conj()))
+    for st in (coherent_state(n, 1.1, 0.3), dicke_state(n, 0.0), ghz_state(n)):
+        SymmetricState(n, st.rho)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("pos", [(0, 0), (2, 2), (1, 0), (0, 1), (3, 1), (0, 2),
+                                 (0, 4), (4, 0), (1, 4)])
+def test_non_finite_entries_rejected(value, pos):
+    """A non-finite entry is refused wherever it sits, also off the three
+    diagonals that spin_moments reads."""
+    rho = np.eye(5, dtype=complex) / 5.0
+    rho[pos] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        SymmetricState(4, rho)
+
+
+def test_coherent_state_matches_direct_formula():
+    for n in (1, 2, 7, 20):
+        for theta, phi in ((0.0, 0.0), (math.pi, 0.3), (0.7, 1.9), (4.0, -2.5),
+                           (-1.2, 0.5)):
+            k = np.arange(n + 1)
+            amps = (np.sqrt([math.comb(n, int(i)) for i in k])
+                    * np.cos(theta / 2.0) ** (n - k)
+                    * (np.sin(theta / 2.0) * np.exp(1j * phi)) ** k)
+            ref = np.outer(amps, amps.conj())
+            assert np.max(np.abs(coherent_state(n, theta, phi).rho - ref)) < 1e-13
+
+
+def test_coherent_state_large_n():
+    """Amplitudes past C(n, k) > 2**63 (n >= 68): the state points along
+    (theta, phi) with <J_z> = j cos(theta)."""
+    n, j = 512, 256.0
+    for theta, phi in ((0.0, 0.0), (0.3, 1.0), (math.pi / 2.0, -0.7), (2.9, 2.0),
+                       (4.0, 0.5)):
+        sm = spin_moments(coherent_state(n, theta, phi))
+        assert abs(sm.jz - j * math.cos(theta)) <= 1e-12 * j
+        assert abs(sm.jx - j * math.sin(theta) * math.cos(phi)) <= 1e-12 * j
+        assert abs(sm.jy - j * math.sin(theta) * math.sin(phi)) <= 1e-12 * j
+    assert abs(spin_moments(coherent_state(70, 1.0, 0.0)).jz - 35.0 * math.cos(1.0)) < 1e-12 * 35
 
 
 def test_coherent_state_moments():
