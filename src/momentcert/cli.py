@@ -57,6 +57,7 @@ from .spin import (
     entanglement_witness,
     ghz_state,
     mixed,
+    spin_tolerance,
 )
 
 SCHEMA = "1"
@@ -81,9 +82,58 @@ class InputError(Exception):
     pass
 
 
+#: verdict records per block of streamed JSON output: bounds the per-byte
+#: index arrays of the re-indent pass, while a block still has enough bytes
+#: that its few numpy calls cost little per record
+JSON_BLOCK = 128
+
+#: compact separators and no indent select the stdlib's C encoder
+_compact_json = json.JSONEncoder(separators=(",", ": "), sort_keys=True).encode
+_JSON_MARKS = np.zeros(256, dtype=bool)
+_JSON_MARKS[list(b'",[]{}')] = True
+_JSON_STEP = np.zeros(256, dtype=np.intp)  # nesting step of each mark
+_JSON_STEP[list(b"[{")] = 1
+_JSON_STEP[list(b"]}")] = -1
+
+
+def _indented_json(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` with every line after
+    the first indented ``depth`` levels further.
+
+    The C encoder writes the compact text; then, outside strings (told by
+    quote parity), a newline and two spaces per level go after each
+    non-empty ``[``/``{`` and each ``,``, and before each non-empty
+    ``]``/``}``.  Text with a backslash, the only way a quote can sit inside
+    a string, takes the stdlib's indenting encoder instead.
+    """
+    text = _compact_json(obj)
+    if "\\" in text:
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    pos = np.flatnonzero(_JSON_MARKS[b])
+    quote = b[pos] == ord('"')
+    pos = pos[~quote & (np.cumsum(quote) % 2 == 0)]
+    step = _JSON_STEP[b[pos]]
+    level = depth + np.cumsum(step)
+    empty = (step[:-1] > 0) & (step[1:] < 0) & (np.diff(pos) == 1)
+    after = step >= 0  # an open or a comma
+    after[:-1] &= ~empty
+    before = step < 0
+    before[1:] &= ~empty
+    gap = after | before
+    at = (pos + after)[gap]  # byte index each newline goes in front of
+    width = 1 + 2 * level[gap]
+    shift = np.zeros(b.size, dtype=np.intp)
+    shift[at] = width
+    np.cumsum(shift, out=shift)
+    out = np.full(b.size + int(shift[-1]), ord(" "), dtype=np.uint8)
+    out[np.arange(b.size) + shift] = b
+    out[at + shift[at] - width] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 def _json_out(payload: dict) -> str:
-    payload = {"schema": SCHEMA, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return _indented_json({"schema": SCHEMA, **payload})
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -232,7 +282,14 @@ def _witness_jsonable(obj):
 
 def _emit_verdicts(results: list[dict], cfg: RunConfig):
     if cfg.output == "json":
-        print(_json_out({"results": results}))
+        # _json_out's layout, written a block of records at a time: sorted
+        # keys put "results" before "schema"
+        write = sys.stdout.write
+        write('{\n  "results": [')
+        for start in range(0, len(results), JSON_BLOCK):
+            block = _indented_json(results[start:start + JSON_BLOCK], depth=1)
+            write(("," if start else "") + block[1:-4])  # without "[" and "\n  ]"
+        write(("\n  ]" if results else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
     elif cfg.output == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["index", "status", "boundary"])
@@ -416,12 +473,15 @@ def cmd_spin(args, cfg: RunConfig) -> int:
         print(_json_out(report.to_json_dict()))
     else:
         print(f"verdict: {report.verdict}")
+        t = spin_tolerance(cfg.tol, state.n)
         for kind, rows in (("necessary", report.necessary),
                            ("sufficient", report.sufficient)):
             for r in rows:
                 flag = " VIOLATED" if r.violated else ""
+                # a residual within tolerance of 0 prints as 0, not as noise
+                residual = 0.0 if abs(r.spin_residual) <= t else r.residual
                 print(f"  {kind} {r.label:28s} lhs={r.lhs: .6g} "
-                      f"rhs={r.rhs: .6g} residual={r.residual: .6g}{flag}")
+                      f"rhs={r.rhs: .6g} residual={residual: .6g}{flag}")
     return EXIT_OK
 
 

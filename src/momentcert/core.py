@@ -82,7 +82,7 @@ class SymmetricQuadratic:
 
     def to_json_dict(self) -> dict:
         return {"n": self.dims.n, "d": self.dims.d, "a0": self.a0,
-                "a": list(self.a), "aa": list(self.aa)}
+                "a": self.a.tolist(), "aa": self.aa.tolist()}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SymmetricQuadratic":
@@ -114,7 +114,7 @@ class MomentVector:
 
     def to_json_dict(self) -> dict:
         return {"n": self.dims.n, "d": self.dims.d, "z0": self.z0,
-                "z": list(self.z), "zz": list(self.zz)}
+                "z": self.z.tolist(), "zz": self.zz.tolist()}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "MomentVector":

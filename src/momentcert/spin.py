@@ -206,6 +206,12 @@ def spin_form_scale(pattern: tuple[int, ...], n: int) -> float:
     return float(n * (n - 1))
 
 
+def spin_tolerance(tol: float, n: int) -> float:
+    """Absolute tolerance of a spin-form residual: a row is violated when
+    its residual is below minus this."""
+    return tol * n * n
+
+
 @dataclass(frozen=True)
 class InequalityResult:
     pattern: tuple[int, ...]
@@ -249,7 +255,7 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
         raise ValueError("witness needs n >= 2")
     sm = spin_moments(state)
     m = moments_from_spin(sm, n)
-    t = tol * n * n
+    t = spin_tolerance(tol, n)
 
     def rows(side):
         res, lhs, rhs = expand_inequalities(m, side)

@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps package functions by the names their
+callers bind; renaming one of them must fail here, not only in a traced
+benchmark run."""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+MODULES = ("cli", "core", "moment_cone", "sos_cone", "exact_d1", "halfdeg", "spin")
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_installs_on_the_package_and_restores_it(capsys):
+    pkg = {name: importlib.import_module(f"momentcert.{name}") for name in MODULES}
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install(pkg)
+        wrapped = list(tracer._restore)
+        assert pkg["cli"].main(["--output", "json", "check-moments", "--n", "4", "--d", "1",
+                                "--z0", "1", "--z", "3", "--zz", "0"]) == 1
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert spans["cli.serialize"]["count"] >= 1 and spans["cli.witness_jsonable"]["count"] >= 1
+    assert all(vars(owner)[attr] is raw for owner, attr, raw in wrapped)
+    assert json.loads(capsys.readouterr().out)["results"][0]["status"] == "NonMember"

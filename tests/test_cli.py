@@ -463,3 +463,95 @@ def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):
     pt = EllipsoidPoint(r["x"], r["y"])
     assert pt.check_inside(2)
     assert abs(pq_evaluate(q, pt) - r["min_value"]) <= scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), 2)
+
+
+def test_json_output_is_the_indented_layout(tmp_path, capsys):
+    """Every JSON-emitting command prints json.dumps(..., indent=2,
+    sort_keys=True) of what it prints, plus a newline."""
+    moments, polys = _mixed_rows(13, 12, n_max=6, d_max=3)
+    mfile, pfile, d1file = (tmp_path / name for name in ("m.json", "q.json", "q1.json"))
+    mfile.write_text(json.dumps([m.to_json_dict() for m in moments]))
+    pfile.write_text(json.dumps([q.to_json_dict() for q in polys]))
+    d1file.write_text(json.dumps([q.to_json_dict() for q in polys if q.dims.d == 1]))
+    plane = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0, 1, 0], [0, 0, 1]]})
+    argvs = [("check-moments", "--file", str(mfile))]
+    argvs += [("check-poly", "--route", route, "--file", str(d1file if route == "exact-d1"
+                                                             else pfile))
+              for route in ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")]
+    argvs += [("spin", "--preset", "dicke", "--n", "4", "--m", "0"),
+              ("slice", "--cone", "Sigma", "--plane", plane, "--n", "5", "--d", "1",
+               "--grid", "7"),
+              ("fuzz", "--suite", "witness", "--iters", "5")]
+    for argv in argvs:
+        code, out, _ = run(capsys, "--output", "json", *argv)
+        assert code != 64 and out == json.dumps(json.loads(out), indent=2,
+                                                sort_keys=True) + "\n", argv
+
+
+def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
+    import io
+    import sys
+
+    import momentcert.cli as cli
+
+    class Writes(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    moments, _ = _mixed_rows(14, 2 * cli.JSON_BLOCK + 3)
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps([m.to_json_dict() for m in moments]))
+    sizes, out = [], Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["--output", "json", "check-moments", "--file", str(f)]) in (1, 2)
+    text = out.getvalue()
+    results = json.loads(text)["results"]
+    assert text == json.dumps({"results": results, "schema": "1"}, indent=2,
+                              sort_keys=True) + "\n"
+    blocks = [results[s:s + cli.JSON_BLOCK] for s in range(0, len(results), cli.JSON_BLOCK)]
+    block_text = max(len(json.dumps(b, indent=2, sort_keys=True).replace("\n", "\n  "))
+                     for b in blocks)
+    assert len(blocks) == 3 and len(sizes) >= 3 and max(sizes) <= block_text
+
+
+def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
+    import momentcert.cli as cli
+    payloads = []
+    emit = cli._emit_verdicts
+    monkeypatch.setattr(cli, "_emit_verdicts",
+                        lambda results, cfg: payloads.append(results) or emit(results, cfg))
+    moments, polys = _mixed_rows(15, 12, n_max=6, d_max=2)
+    mfile, pfile = tmp_path / "m.json", tmp_path / "q.json"
+    mfile.write_text(json.dumps([m.to_json_dict() for m in moments]))
+    pfile.write_text(json.dumps([q.to_json_dict() for q in polys]))
+    run(capsys, "--output", "json", "check-moments", "--file", str(mfile))
+    run(capsys, "--output", "json", "check-poly", "--route", "all", "--file", str(pfile))
+
+    def types(obj):
+        yield type(obj)
+        if isinstance(obj, dict):
+            obj = [*obj.keys(), *obj.values()]
+        if isinstance(obj, list):
+            for v in obj:
+                yield from types(v)
+
+    assert "separating_polynomial" in json.dumps(payloads[0])
+    assert set(types(payloads)) <= {dict, list, str, int, float, bool, type(None)}
+
+
+def test_spin_text_prints_residuals_within_tolerance_as_zero(capsys):
+    argv = ("spin", "--preset", "coherent", "--n", "7", "--theta", "0.4")
+    _, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, "--output", "json", *argv)
+    report = json.loads(out)
+    rows = report["necessary"] + report["sufficient"]
+    lines = [ln for ln in text.splitlines() if "residual=" in ln]
+    assert len(lines) == len(rows) == 16
+    t = 1e-9 * 7 * 7  # the tolerance that sets VIOLATED
+    for line, r in zip(lines, rows):
+        printed = line.split("residual=")[1].split()[0]
+        assert printed == ("0" if abs(r["spin_residual"]) <= t else f"{r['residual']:.6g}")
+        assert ("VIOLATED" in line) == r["violated"]
+    # the coherent state saturates every necessary row up to rounding noise
+    assert any(abs(r["spin_residual"]) <= t and r["residual"] != 0 for r in rows)
