@@ -27,6 +27,7 @@ from .core import (
     SymmetricQuadratic,
     abs_scale,
     group_rows,
+    json_int,
     margin_verdict,
     row_batches,
     scaled_tolerance,
@@ -175,8 +176,8 @@ def _json_records(raw: str, path: str, cls, kind: str) -> list[RowBatch]:
         raise InputError(f"{path}: no records")
     k0, k1, k2 = (f.name for f in fields(cls)[1:])
     try:
-        n = np.array([int(r["n"]) for r in rows], dtype=float)
-        d = np.array([int(r["d"]) for r in rows])
+        n = np.array([json_int(r, "n") for r in rows], dtype=float)
+        d = np.array([json_int(r, "d") for r in rows])
         x0 = np.array([float(r[k0]) for r in rows])
 
         def values(idx, dd):
@@ -647,10 +648,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(seed=args_seed(args), tol=args.tol, output=args.output)
         return args.fn(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

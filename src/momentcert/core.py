@@ -9,14 +9,14 @@ Tolerance policy: a margin (the residual, slack or minimum a test decides
 on) is compared with t, tol (default :data:`DEFAULT_TOL`) times the size it
 can reach, where scale = :func:`abs_scale` of the row (>= 1):
 
-* tol·scale: first-order checks (z0 > 0; limit-cone entries);
+* tol·scale: first-order checks (z0 > 0; the limit cone's min(entries, det/scale));
 * tol·scale²: residuals quadratic in the moments (:func:`moment_tolerance`);
 * tol·max(1, scale·n²): P, Sigma and the d=1 facets (:func:`scaled_tolerance`);
 * tol·n²: spin-language residuals.
 
-Cones are closed, so :func:`margin_verdict` decides every test alike: Member
-at margin >= -t, on the boundary if also margin < t.  The spin and limit-cone
-rules stay apart: folding either into another rule changes verdicts.
+Cones are closed, so :func:`margin_verdict` decides every test alike, on the
+margin the output reports: Member at margin >= -t, on the boundary if also
+margin < t.  Only the scales differ between families.
 """
 
 from __future__ import annotations
@@ -32,6 +32,14 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 #: slack allowed when validating that configuration points lie in the unit ball
 BALL_TOL = 1e-12
+
+
+def json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` as an int: a bool, a string or a non-integral number raises."""
+    v = obj[key]
+    if type(v) is not int and (isinstance(v, (bool, str)) or not float(v).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
 
 
 def _frozen_vector(obj, name, values, d):
@@ -86,7 +94,7 @@ class SymmetricQuadratic:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SymmetricQuadratic":
-        dims = ProblemDims(int(obj["n"]), int(obj["d"]))
+        dims = ProblemDims(json_int(obj, "n"), json_int(obj, "d"))
         return SymmetricQuadratic(dims, float(obj["a0"]), obj["a"], obj["aa"])
 
 
@@ -118,7 +126,7 @@ class MomentVector:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "MomentVector":
-        dims = ProblemDims(int(obj["n"]), int(obj["d"]))
+        dims = ProblemDims(json_int(obj, "n"), json_int(obj, "d"))
         return MomentVector(dims, float(obj["z0"]), obj["z"], obj["zz"])
 
 

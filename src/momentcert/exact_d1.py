@@ -163,11 +163,9 @@ def limit_cone_d1(b: tuple[float, float, float], tol: float = DEFAULT_TOL) -> Co
     """PSD test for [[B0-B11, B1/2], [B1/2, B11]], the large-n d=1 limit cone."""
     b0, b1, b11 = (float(x) for x in b)
     scale = float(abs_scale(b0, [b1], [b11]))
-    t = tol * scale
     m00 = b0 - b11
     det = m00 * b11 - 0.25 * b1 * b1
-    checks = {"top_left": m00, "bottom_right": b11, "det": det}
-    if m00 >= -t and b11 >= -t and det >= -t * scale:
-        margin = min(m00, b11, det / scale)
-        return ConeVerdict(Status.MEMBER, witness=checks, boundary=margin < t)
-    return ConeVerdict(Status.NON_MEMBER, witness=checks)
+    member, boundary = margin_verdict(float(np.min([m00, b11, det / scale])), tol * scale)
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"top_left": m00, "bottom_right": b11, "det": det},
+                       boundary=boundary)

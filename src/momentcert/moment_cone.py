@@ -289,8 +289,6 @@ class MomentRows(NamedTuple):
     zero: np.ndarray
     suf: ConditionRows
     nec: ConditionRows
-    xdiag: np.ndarray     # sufficient-side witness diagonal (B, d)
-    x0: np.ndarray        # and corner (B,)
 
 
 STATUSES = (Status.MEMBER, Status.NON_MEMBER, Status.INDETERMINATE)
@@ -299,16 +297,15 @@ STATUSES = (Status.MEMBER, Status.NON_MEMBER, Status.INDETERMINATE)
 def classify_rows(z0, z, zz, n, tol: float = DEFAULT_TOL) -> MomentRows:
     """Member where the sufficient side holds, NonMember where the necessary
     side fails, else Indeterminate, over z0 (B,), z and zz (B, d) and n a
-    scalar or (B,).  A nonzero Member lies on the boundary when the corner of
-    its sufficient-side witness matrix is in [-tol·scale², tol·scale²)."""
+    scalar or (B,).  A nonzero Member lies on the boundary when the
+    sufficient residual that decides it is in [-tol·scale², tol·scale²)."""
     z0, z, zz = (np.asarray(v, dtype=float) for v in (z0, z, zz))
     scale, zero = _scale_and_zero(z0, z, zz)
     suf = condition_rows(z0, z, zz, n, SUFFICIENT, tol, scale, zero)
     nec = condition_rows(z0, z, zz, n, NECESSARY, tol, scale, zero)
-    xdiag, x0 = _witness_diagonal(suf.z0e, z, zz, n)
     status = ~suf.ok * (1 + nec.ok)  # 0 Member, 1 NonMember, 2 Indeterminate
-    boundary = suf.ok & ~zero & margin_verdict(x0, moment_tolerance(tol, scale))[1]
-    return MomentRows(status, boundary, scale, zero, suf, nec, xdiag, x0)
+    boundary = suf.ok & ~zero & margin_verdict(suf.residual, moment_tolerance(tol, scale))[1]
+    return MomentRows(status, boundary, scale, zero, suf, nec)
 
 
 def _row_dot(x, y):
@@ -328,11 +325,12 @@ def classify_witnesses(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL)
     n = np.broadcast_to(np.asarray(n, dtype=float), (b,))
     out: list[dict] = [{} for _ in range(b)]
     member = np.flatnonzero(rows.status == 0)
-    mats = _witness_matrices(rows.suf.z0e[member], z[member], zz[member], n[member],
-                             rows.xdiag[member], rows.x0[member])
+    z0e, zm, zzm, nm = rows.suf.z0e[member], z[member], zz[member], n[member]
+    xdiag, x0 = _witness_diagonal(z0e, zm, zzm, nm)
+    mats = _witness_matrices(z0e, zm, zzm, nm, xdiag, x0)
     for j, k in enumerate(member.tolist()):
         matrix = (_zero_witness(d) if rows.zero[k] else
-                  MomentWitnessMatrix(mats[j], rows.xdiag[k], float(rows.x0[k])))
+                  MomentWitnessMatrix(mats[j], xdiag[j], float(x0[j])))
         out[k] = {"report": _report(SUFFICIENT, rows.suf, k), "matrix": matrix}
     non = np.flatnonzero(rows.status == 1)
     if non.size:

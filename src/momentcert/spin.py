@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MomentVector, ProblemDims
-from .moment_cone import (
-    NECESSARY,
-    SUFFICIENT,
-    expand_inequalities,
-    pattern_of_index,
-    sufficient_condition,
-)
+from .core import DEFAULT_TOL, MomentVector, ProblemDims, json_int, margin_verdict
+from .moment_cone import NECESSARY, SUFFICIENT, expand_inequalities, pattern_of_index
+from .moment_cone import sufficient_condition  # noqa: F401  (bench/tracing.py wraps this binding)
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -81,11 +76,9 @@ class SymmetricState:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SymmetricState":
-        n = obj["n"]
-        if isinstance(n, bool) or int(n) != n:
-            raise ValueError(f"n must be an integer, got {n!r}")
+        n = json_int(obj, "n")
         rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return SymmetricState(int(n), rho)
+        return SymmetricState(n, rho)
 
 
 @dataclass(frozen=True)
@@ -247,8 +240,12 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
     """Evaluate the eight necessary-for-separability inequalities and their
     sufficient-side counterparts on the state's projected moments.
 
-    A SeparabilityCertified verdict means the projected quadratic moments admit
-    a representing measure: nothing detectable from these moments.
+    Each row is VIOLATED when ``margin_verdict(spin_residual, tol·n²)`` says
+    it is not a member, and the verdict is read from the 16 rows alone.
+    SeparabilityCertified (no row violated) means the projected quadratic
+    moments admit a representing measure.  Every symmetric state has
+    Σ<J_α²> = j(j+1), so the sufficient second-moment-sum row is -(n-1):
+    at the default tol this family certifies no symmetric state.
     """
     n = state.n
     if n < 2:
@@ -267,7 +264,7 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
             out.append(InequalityResult(pattern, PATTERN_LABELS[pattern],
                                         float(lhs[idx]), float(rhs[idx]),
                                         float(res[idx]), spin_res,
-                                        bool(spin_res < -t)))
+                                        not margin_verdict(spin_res, t)[0]))
         return out
 
     nec_rows, suf_rows = rows(NECESSARY), rows(SUFFICIENT)
@@ -277,7 +274,7 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
                          "the input is not a valid density matrix")
     if any(r.violated for r in nec_rows):
         verdict = DETECTED
-    elif sufficient_condition(m, tol=tol)[0]:
+    elif not any(r.violated for r in suf_rows):
         verdict = CERTIFIED
     else:
         verdict = INCONCLUSIVE

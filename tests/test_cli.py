@@ -99,13 +99,14 @@ def test_spin_preset_dicke_detected(capsys):
 
 
 def test_spin_preset_coherent_text(capsys):
-    code, out, _ = run(capsys, "spin", "--preset", "coherent", "--n", "6",
-                       "--theta", "0.7")
-    assert code == 0
-    assert "verdict: Inconclusive" in out
-    # necessary rows all hold; only sufficient-side rows may fail
-    nec_lines = [ln for ln in out.splitlines() if ln.strip().startswith("necessary")]
-    assert nec_lines and all("VIOLATED" not in ln for ln in nec_lines)
+    for n in ("6", "512"):
+        code, out, _ = run(capsys, "spin", "--preset", "coherent", "--n", n,
+                           "--theta", "0.7")
+        assert code == 0
+        assert "verdict: Inconclusive" in out
+        # necessary rows all hold; only sufficient-side rows may fail
+        nec_lines = [ln for ln in out.splitlines() if ln.strip().startswith("necessary")]
+        assert nec_lines and all("VIOLATED" not in ln for ln in nec_lines)
 
 
 def test_spin_state_file(tmp_path, capsys):
@@ -431,6 +432,10 @@ def test_bad_json_record_reports_like_scalar_parser(tmp_path, capsys):
             ({**good, "aa": [0.2]}, "bad polynomial record: aa must have length 2, got (1,)"),
             ({k: v for k, v in good.items() if k != "a0"}, "bad polynomial record: 'a0'"),
             ({**good, "n": 1}, "bad polynomial record: n must be an integer >= 2, got 1"),
+            ({**good, "n": 4.7}, "bad polynomial record: n must be an integer, got 4.7"),
+            ({**good, "n": True}, "bad polynomial record: n must be an integer, got True"),
+            ({**good, "n": "4"}, "bad polynomial record: n must be an integer, got '4'"),
+            ({**good, "d": 2.5}, "bad polynomial record: d must be an integer, got 2.5"),
             ({**good, "a0": "x"}, "bad polynomial record: could not convert string to float: 'x'"),
             ([1, 2], "bad polynomial record: list indices must be integers or slices, not str")):
         f = tmp_path / "q.json"
@@ -441,6 +446,21 @@ def test_bad_json_record_reports_like_scalar_parser(tmp_path, capsys):
     f.write_text(json.dumps([{**good, "d": 1, "a": 0.5, "aa": [[0.25]]}, good]))
     code, out, _ = run(capsys, "check-poly", "--file", str(f))
     assert code in (0, 1) and len(out.splitlines()) == 2
+
+
+def test_json_moment_record_integer_fields(tmp_path, capsys):
+    """n and d are refused, not truncated, unless integral; 4.0 reads as 4."""
+    f = tmp_path / "m.json"
+    for n, d, message in ((4.7, 1, "n must be an integer, got 4.7"),
+                          (4, 1.9, "d must be an integer, got 1.9"),
+                          (False, 1, "n must be an integer, got False"),
+                          (math.inf, 1, "n must be an integer, got inf")):
+        f.write_text(json.dumps([{"n": n, "d": d, "z0": 1.0, "z": [0.0], "zz": [0.0]}]))
+        code, out, err = run(capsys, "check-moments", "--file", str(f))
+        assert (code, out) == (64, "") and err == f"error: {f}: bad moment record: {message}\n"
+    f.write_text(json.dumps({"n": 4.0, "d": 1.0, "z0": 1.0, "z": [0.0], "zz": [0.0]}))
+    code, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(f))
+    assert code == 0 and json.loads(out)["results"][0]["input"]["n"] == 4
 
 
 def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):

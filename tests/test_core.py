@@ -160,6 +160,19 @@ def test_json_round_trip():
     assert m2.z0 == m.z0 and np.array_equal(m2.zz, m.zz)
 
 
+def test_from_json_dict_refuses_non_integral_n_and_d():
+    """n and d are never truncated: a bool, a string, a fractional or a
+    non-finite value raises; an integral float reads as its int."""
+    m = {"n": 4, "d": 1, "z0": 1.0, "z": [0.0], "zz": [0.0]}
+    q = {"n": 4, "d": 1, "a0": 1.0, "a": [0.0], "aa": [0.0]}
+    for cls, good in ((MomentVector, m), (SymmetricQuadratic, q)):
+        for key, value in (("n", 4.7), ("n", True), ("n", "4"), ("n", math.nan),
+                           ("n", math.inf), ("d", 1.9), ("d", False)):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+                cls.from_json_dict({**good, key: value})
+        assert cls.from_json_dict({**good, "n": 4.0, "d": 1.0}).dims == ProblemDims(4, 1)
+
+
 def test_rescaled_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         RescaledMomentVector(float("nan"), [0.0], [0.0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -188,6 +189,39 @@ def test_limit_cone_d1():
     assert limit_cone_d1((0.0, 0.0, 1.0)).status is Status.NON_MEMBER
     # det = (1-1)*1 - 1 = -1
     assert limit_cone_d1((1.0, 2.0, 1.0)).status is Status.NON_MEMBER
+
+
+def _limit_cone_three_comparisons(b, tol):
+    """Reference: the limit-cone rule as three separate comparisons,
+    (member, boundary)."""
+    b0, b1, b11 = (float(x) for x in b)
+    scale = max(1.0, abs(b0), abs(b1), abs(b11))
+    t = tol * scale
+    m00 = b0 - b11
+    det = m00 * b11 - 0.25 * b1 * b1
+    if m00 >= -t and b11 >= -t and det >= -t * scale:
+        return True, min(m00, b11, det / scale) < t
+    return False, False
+
+
+def test_limit_cone_d1_matches_three_comparison_rule():
+    """margin_verdict on min(m00, b11, det/scale) decides as the three
+    comparisons do: integer and half-integer ties (tol a power of two makes
+    -t exact), signed zeros, wide scales and points on the PSD boundary."""
+    rng = np.random.default_rng(7)
+    corpus = [(b, tol) for tol in (1e-9, 0.25, 0.5)
+              for b in itertools.product(np.arange(-3.0, 3.5, 0.5), repeat=3)]
+    corpus += [(b, 1e-9) for b in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=3)]
+    corpus.append(((3e200, 1e200, 1e200), 1e-9))  # det = inf - inf = NaN
+    for s in (1e-12, 1e-6, 1.0, 1e6, 1e150):
+        corpus += [(tuple(b), 1e-9) for b in rng.normal(size=(1000, 3)) * s]
+    for b0, b11 in rng.normal(size=(2000, 2)):
+        b11 = abs(b11)
+        b1 = 2.0 * math.sqrt(max((b0 - b11) * b11, 0.0)) * (1.0 + 1e-9 * rng.normal())
+        corpus.append(((b0, b1, b11), 1e-9))
+    for b, tol in corpus:
+        v = limit_cone_d1(b, tol)
+        assert (v.is_member, v.boundary) == _limit_cone_three_comparisons(b, tol), (b, tol)
 
 
 def test_limit_cone_is_large_n_limit_of_sigma():

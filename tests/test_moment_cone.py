@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from momentcert.core import (
+    DEFAULT_TOL,
     MomentVector,
     ProblemDims,
     RescaledMomentVector,
     Status,
+    margin_verdict,
+    moment_tolerance,
     pair,
 )
 from momentcert.exact_d1 import c_n1_membership, limit_cone_d1
 from momentcert.moment_cone import (
     NECESSARY,
     SUFFICIENT,
+    _witness_diagonal,
     classify,
+    classify_rows,
     expand_inequalities,
     limit_cone_membership,
     lmi_dual_feasibility,
@@ -70,6 +75,48 @@ def test_classify_three_way():
     assert classify(mv(4, 1, 1.0, [0.0], [0.0])).is_member
     assert classify(mv(4, 1, 1.0, [8.0], [0.0])).status is Status.NON_MEMBER
     assert classify(mv(2, 1, 1.0, [2.0], [2.0])).status is Status.INDETERMINATE
+
+
+def test_boundary_is_read_from_the_sufficient_residual():
+    """boundary is margin_verdict on the sufficient residual that decides
+    Member, not on the witness corner x0 = residual / z0e: with z0e far
+    from 1 the two bands differ."""
+    rows = []
+    for n in (2, 4, 16):
+        for d in (1, 3):
+            for z0 in (0.01, 0.1, 10.0, 100.0):
+                z0e = z0 * (n - 1) / n
+                # z = 0 and zz > 0: residual = z0e² - z0e Σzz / (n(n-1))
+                scale = max(1.0, z0, z0e * n * (n - 1) / d)
+                t = moment_tolerance(DEFAULT_TOL, scale)
+                for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 0.99, 2.0, 50.0, 200.0):
+                    total = (z0e * z0e - k * t) * n * (n - 1) / z0e
+                    rows.append((n, d, z0, [total / d] * d))
+    for d in (1, 3):
+        sel = [r for r in rows if r[1] == d]
+        n = np.array([r[0] for r in sel], dtype=float)
+        z0 = np.array([r[2] for r in sel])
+        z, zz = np.zeros((len(sel), d)), np.array([r[3] for r in sel])
+        got = classify_rows(z0, z, zz, n)
+        t = moment_tolerance(DEFAULT_TOL, got.scale)
+        member = got.status == 0
+        assert np.array_equal(member, got.suf.ok)
+        want = member & margin_verdict(got.suf.residual, t)[1]
+        assert np.array_equal(got.boundary, want)
+        assert want.any() and (member & ~want).any() and (~member).any()
+        corner = member & margin_verdict(_witness_diagonal(got.suf.z0e, z, zz, n)[1], t)[1]
+        assert (corner != want).any()
+
+
+@pytest.mark.xfail(strict=True, reason="the moment tolerance tol·max|zz|² is above 1 "
+                   "from n = 256 and swallows the necessary residual of about -1")
+@pytest.mark.parametrize("n", [256, 512])
+def test_balanced_dicke_moments_not_member(n):
+    """The balanced Dicke moments (z = 0, zz = (n²/2, n²/2, -n)), which the
+    spin witness reports as entangled, are outside C."""
+    m = mv(n, 3, 1.0, [0.0, 0.0, 0.0], [n * n / 2, n * n / 2, -n])
+    assert not necessary_condition(m)[0]
+    assert classify(m).status is Status.NON_MEMBER
 
 
 def test_lmi_feasibility_hand_check():

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from momentcert.core import DEFAULT_TOL, margin_verdict
 from momentcert.moment_cone import NECESSARY, expand_inequalities
 from momentcert.spin import (
     CERTIFIED,
@@ -288,6 +289,41 @@ def test_random_states_respect_universal_constraints():
         for r in rep.necessary:
             if r.pattern in ((0, 0, 0), (1, 1, 1)):
                 assert not r.violated
+
+
+def _witness_states(n: int, seed: int):
+    """Random, coherent, Dicke, GHZ and coherent-mixture states on n qubits."""
+    rng = np.random.default_rng(seed)
+
+    def angles():
+        return math.acos(2 * rng.uniform() - 1), 2 * math.pi * rng.uniform()
+
+    return {"random": random_state(n, seed), "coherent": coherent_state(n, *angles()),
+            "dicke": dicke_state(n, 0.0 if n % 2 == 0 else 0.5), "ghz": ghz_state(n),
+            "mixture": mixed([coherent_state(n, *angles()) for _ in range(3)],
+                             rng.uniform(size=3) + 0.1)}
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 128, 256, 512])
+def test_verdict_is_read_from_the_printed_rows(n):
+    """Each row is VIOLATED exactly when margin_verdict on its spin residual
+    at tol n² says not a member; the verdict follows from the 16 rows alone,
+    so SeparabilityCertified never sits above a VIOLATED row.  The
+    sufficient second-moment-sum row is -(n-1) for every symmetric state."""
+    for tol in (DEFAULT_TOL, 0.5):
+        for kind, state in _witness_states(n, seed=n).items():
+            rep = entanglement_witness(state, tol=tol)
+            rows = rep.necessary + rep.sufficient
+            for r in rows:
+                assert r.violated == (not margin_verdict(r.spin_residual, tol * n * n)[0])
+            nec = any(r.violated for r in rep.necessary)
+            want = DETECTED if nec else (INCONCLUSIVE if any(r.violated for r in rows)
+                                         else CERTIFIED)
+            assert rep.verdict == want, (n, kind, tol)
+            (casimir,) = [r for r in rep.sufficient if r.pattern == (1, 1, 1)]
+            assert abs(casimir.spin_residual + (n - 1)) <= 1e-13 * n ** 3, (n, kind)
+            if tol == DEFAULT_TOL:
+                assert rep.verdict != CERTIFIED
 
 
 def test_invalid_moments_raise_universal_violation():
