@@ -13,14 +13,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fuzz as fuzz_mod
 from .core import (
     DEFAULT_TOL,
-    MomentVector,
     ProblemDims,
     RowBatch,
     Status,
@@ -29,11 +28,10 @@ from .core import (
     group_rows,
     json_int,
     margin_verdict,
-    row_batches,
     scaled_tolerance,
 )
 from .exact_d1 import (
-    limit_cone_d1,
+    limit_cone_rows,
     p_n1_membership,  # noqa: F401  (bench/tracing.py wraps this binding)
     p_n1_rows,
     p_n1_witness,
@@ -149,24 +147,78 @@ def _read_text(path: str) -> str:
         raise InputError(str(exc))
 
 
-def _checked(batches: list[RowBatch]) -> list[RowBatch]:
-    """The batches if every row would pass the scalar constructors' checks
-    (n >= 2, d >= 1, finite values), else ValueError."""
+MOMENT_FIELDS = ("z0", "z", "zz")
+POLY_FIELDS = ("a0", "a", "aa")
+#: what converting a record's fields, or a row rule, raises on bad input
+PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
+def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
+    """``group_rows(n, d, values)`` under the row rules: n >= 2, n < 2^53,
+    d >= 1 and every value finite.  A broken rule raises ValueError with the
+    scalar constructors' message for the first row that breaks it."""
+    low = np.flatnonzero(n < 2)
+    if low.size:
+        raise ValueError(f"n must be an integer >= 2, got {int(n[low[0]])}")
+    if (n >= 2.0 ** 53).any():
+        raise ValueError("n must be an integer < 2^53")
+    low = np.flatnonzero(d < 1)
+    if low.size:
+        raise ValueError(f"d must be an integer >= 1, got {int(d[low[0]])}")
+    batches = group_rows(n, d, values)
     for b in batches:
-        if b.d < 1 or not ((b.n >= 2).all() and np.isfinite(b.x0).all()
-                           and np.isfinite(b.x).all() and np.isfinite(b.xx).all()):
-            raise ValueError("a row fails validation")
+        for name, v in zip(names, b[2:]):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite" if v.ndim == 1
+                                 else f"{name} contains non-finite entries")
     return batches
 
 
-def _json_records(raw: str, path: str, cls, kind: str) -> list[RowBatch]:
-    """The records of a JSON object or list, grouped by d.
+def _parsed(parse, rows: list, label) -> list[RowBatch]:
+    """``parse(rows)``; when that fails, ``parse`` runs on one row at a time
+    (its B=1 view) and the first row that fails is reported as InputError
+    ``label(i)`` followed by its error."""
+    try:
+        return parse(rows)
+    except PARSE_ERRORS:
+        pass
+    for i, row in enumerate(rows):
+        try:
+            parse([row])
+        except PARSE_ERRORS as exc:
+            raise InputError(f"{label(i)}{exc}") from None
+    raise AssertionError("rows that parse one at a time failed together")
 
-    Fast path: each field converted for all records at once, as
-    ``cls.from_json_dict`` converts it for one.  When that fails anywhere,
-    every record goes through ``cls.from_json_dict`` in order, which raises
-    the error of the first bad record.
-    """
+
+def _record_batches(rows: list, names) -> list[RowBatch]:
+    """JSON-like records with n, d and the three named fields, grouped by d:
+    each field converted for all records of a group at once, as
+    ``from_json_dict`` converts it for one."""
+    k0, k1, k2 = names
+
+    def block(idx: list, key: str, d: int) -> np.ndarray:
+        vals = [rows[i][key] for i in idx]
+        try:
+            v = np.array(vals, dtype=float)
+        except ValueError:  # scalar, nested and flat spellings side by side
+            v = np.array([np.array(x, dtype=float).ravel() for x in vals])
+        v = v.reshape(len(idx), -1)
+        if v.shape[1] != d:
+            raise ValueError(f"{key} must have length {d}, got {v.shape[1:]}")
+        return v
+
+    def values(idx: np.ndarray, d: int) -> np.ndarray:
+        idx = idx.tolist()
+        return np.column_stack([[float(rows[i][k0]) for i in idx],
+                                block(idx, k1, d), block(idx, k2, d)])
+
+    n = np.array([json_int(r, "n") for r in rows], dtype=float)
+    d = np.array([json_int(r, "d") for r in rows])
+    return _checked(n, d, values, names)
+
+
+def _json_records(raw: str, path: str, names, kind: str) -> list[RowBatch]:
+    """The records of a JSON object or list, grouped by d."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -174,42 +226,36 @@ def _json_records(raw: str, path: str, cls, kind: str) -> list[RowBatch]:
     rows = obj if isinstance(obj, list) else [obj]
     if not rows:
         raise InputError(f"{path}: no records")
-    k0, k1, k2 = (f.name for f in fields(cls)[1:])
-    try:
-        n = np.array([json_int(r, "n") for r in rows], dtype=float)
-        d = np.array([json_int(r, "d") for r in rows])
-        x0 = np.array([float(r[k0]) for r in rows])
-
-        def values(idx, dd):
-            x = np.array([rows[i][k1] for i in idx], dtype=float)
-            xx = np.array([rows[i][k2] for i in idx], dtype=float)
-            if x.shape != (idx.size, dd) or xx.shape != (idx.size, dd):
-                raise ValueError("ragged record")
-            return np.column_stack([x0[idx], x, xx])
-
-        return _checked(group_rows(n, d, values))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError):
-        pass  # reported below, record by record
-    try:
-        return row_batches([cls.from_json_dict(r) for r in rows])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad {kind} record: {exc}")
+    return _parsed(lambda r: _record_batches(r, names), rows,
+                   lambda i: f"{path}: bad {kind} record: ")
 
 
 def _load_moment_rows(path: str) -> list[RowBatch]:
     raw = _read_text(path)
     if raw.lstrip().startswith(("{", "[")):
-        return _json_records(raw, path, MomentVector, "moment")
+        return _json_records(raw, path, MOMENT_FIELDS, "moment")
     return _parse_moment_csv(raw, path)
 
 
-def _parse_moment_csv(raw: str, path: str) -> list[RowBatch]:
-    """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d.
+def _csv_batches(rows: list[list[str]]) -> list[RowBatch]:
+    """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d, every cell
+    converted with ``int``/``float``."""
+    n = np.array([int(r[0]) for r in rows], dtype=float)
+    d = np.array([int(r[1]) for r in rows])
+    width = np.array([len(r) for r in rows])
 
-    Fast path: all cells converted at once with ``int``/``float``.  When a
-    row fails, the rows are checked one by one in order, which reports the
-    first bad one with its line number.
-    """
+    def values(idx: np.ndarray, d: int) -> np.ndarray:
+        if (width[idx] != 3 + 2 * d).any():
+            raise ValueError(f"expected {1 + 2 * d} values after n,d")
+        return np.array([float(c) for i in idx.tolist() for c in rows[i][2:]]
+                        ).reshape(idx.size, 1 + 2 * d)
+
+    return _checked(n, d, values, MOMENT_FIELDS)
+
+
+def _parse_moment_csv(raw: str, path: str) -> list[RowBatch]:
+    """The rows of a moment CSV file with header n,d,z0,..., grouped by d;
+    blank lines are skipped, and a bad row is reported with its line."""
     reader = csv.reader(io.StringIO(raw))
     try:
         header = next(reader)
@@ -225,32 +271,11 @@ def _parse_moment_csv(raw: str, path: str) -> list[RowBatch]:
             lines.append(lineno)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    try:
-        n = np.array([int(r[0]) for r in rows], dtype=float)
-        d = np.array([int(r[1]) for r in rows])
-        if (np.array([len(r) for r in rows]) != 3 + 2 * d).any():
-            raise ValueError("wrong row length")
-        return _checked(group_rows(n, d, lambda idx, dd: np.array(
-            [float(c) for i in idx.tolist() for c in rows[i][2:]]
-        ).reshape(idx.size, 1 + 2 * dd)))
-    except (IndexError, ValueError, OverflowError):
-        pass  # reported below, line by line
-    out = []
-    for lineno, row in zip(lines, rows):
-        try:
-            n, d = int(row[0]), int(row[1])
-            vals = [float(c) for c in row[2:]]
-            if len(vals) != 1 + 2 * d:
-                raise ValueError(f"expected {1 + 2 * d} values after n,d")
-            out.append(MomentVector(ProblemDims(n, d), vals[0],
-                                    vals[1:1 + d], vals[1 + d:]))
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}")
-    return row_batches(out)
+    return _parsed(_csv_batches, rows, lambda i: f"{path}: line {lines[i]}: ")
 
 
 def _load_poly_rows(path: str) -> list[RowBatch]:
-    return _json_records(_read_text(path), path, SymmetricQuadratic, "polynomial")
+    return _json_records(_read_text(path), path, POLY_FIELDS, "polynomial")
 
 
 def _exit_code(results: list[dict]) -> int:
@@ -302,26 +327,23 @@ def _emit_verdicts(results: list[dict], cfg: RunConfig):
 
 
 STATUS_VALUES = tuple(s.value for s in STATUSES)
-MOMENT_FIELDS = ("z0", "z", "zz")
-POLY_FIELDS = ("a0", "a", "aa")
 
 
-def _inline_rows(cls, args, x0: str, x: str, xx: str) -> list[RowBatch]:
-    """The one row given by --n, --d and the three coefficient options."""
+def _inline_rows(args, names) -> list[RowBatch]:
+    """The one row given by --n, --d and the three coefficient options, read
+    as a one-record file."""
+    x0, x, xx = names
     if args.n is None or args.d is None or getattr(args, x0) is None:
         raise InputError(f"inline mode needs --n, --d, --{x0}, --{x}, --{xx}")
-    d = args.d
-    v, vv = (_parse_floats(getattr(args, k)) if getattr(args, k) else [0.0] * d
-             for k in (x, xx))
-    try:
-        return row_batches([cls(ProblemDims(args.n, d), getattr(args, x0), v, vv)])
-    except ValueError as exc:
-        raise InputError(str(exc))
+    record = {"n": args.n, "d": args.d, x0: getattr(args, x0)}
+    for k in (x, xx):
+        record[k] = _parse_floats(getattr(args, k)) if getattr(args, k) else [0.0] * args.d
+    return _parsed(lambda r: _record_batches(r, names), [record], lambda i: "")
 
 
 def cmd_check_moments(args, cfg: RunConfig) -> int:
     batches = (_load_moment_rows(args.file) if args.file
-               else _inline_rows(MomentVector, args, *MOMENT_FIELDS))
+               else _inline_rows(args, MOMENT_FIELDS))
     results: list = [None] * sum(b.index.size for b in batches)
     for b in batches:
         verdicts = classify_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
@@ -397,7 +419,7 @@ ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
     batches = (_load_poly_rows(args.file) if args.file
-               else _inline_rows(SymmetricQuadratic, args, *POLY_FIELDS))
+               else _inline_rows(args, POLY_FIELDS))
     routes = ROUTES[:-1] if args.route == "all" else (args.route,)
     if args.route == "exact-d1" and any(b.d != 1 for b in batches):
         raise InputError("route exact-d1 requires d=1")
@@ -503,9 +525,7 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
         "SigmaPrime": lambda a0, a, aa: arrow_lmi_rows(a0 * n / (n - 1), a, aa, n, tol).member,
         "C-nec": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).nec.ok,
         "C-suf": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).suf.ok,
-        "limit": lambda b0, b1, b11: np.array(
-            [limit_cone_d1(b, tol=tol).is_member
-             for b in zip(b0.tolist(), b1[:, 0].tolist(), b11[:, 0].tolist())], dtype=bool),
+        "limit": lambda b0, b1, b11: limit_cone_rows(b0, b1[:, 0], b11[:, 0], tol)[2],
     }
     kernel = kernels[cone]  # --cone is one of CONES
 

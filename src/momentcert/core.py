@@ -199,9 +199,9 @@ class ConeVerdict:
 
 class RowBatch(NamedTuple):
     """Rows of one d: their positions in the input (B,), n (B,) as float64
-    (exact below 2^53, where n(n-1) rounds as the int product does), the
-    constant term (B,) and the two (B, d) blocks: (z0, z, zz) of moment
-    vectors or (a0, a, aa) of quadratics."""
+    (exact below 2^53, where n(n-1) rounds as the int product does; the CLI
+    refuses n >= 2^53), the constant term (B,) and the two (B, d) blocks:
+    (z0, z, zz) of moment vectors or (a0, a, aa) of quadratics."""
 
     index: np.ndarray
     n: np.ndarray

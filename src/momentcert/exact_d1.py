@@ -159,13 +159,23 @@ def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
                        witness={"min_value": val, "argmin_x": x}, boundary=boundary)
 
 
+def limit_cone_rows(b0, b1, b11, tol: float = DEFAULT_TOL):
+    """PSD test for [[B0-B11, B1/2], [B1/2, B11]], the large-n d=1 limit cone,
+    over rows (B,): the corner B0-B11 and det per row, and member and boundary
+    of min(B0-B11, B11, det/scale) against t = tol·scale."""
+    b0, b1, b11 = (np.asarray(v, dtype=float) for v in (b0, b1, b11))
+    scale = abs_scale(b0, b1[:, None], b11[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic: inf, NaN
+        m00 = b0 - b11
+        det = m00 * b11 - 0.25 * b1 * b1
+    margin = np.minimum(np.minimum(m00, b11), det / scale)
+    return (m00, det, *margin_verdict(margin, tol * scale))
+
+
 def limit_cone_d1(b: tuple[float, float, float], tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """PSD test for [[B0-B11, B1/2], [B1/2, B11]], the large-n d=1 limit cone."""
-    b0, b1, b11 = (float(x) for x in b)
-    scale = float(abs_scale(b0, [b1], [b11]))
-    m00 = b0 - b11
-    det = m00 * b11 - 0.25 * b1 * b1
-    member, boundary = margin_verdict(float(np.min([m00, b11, det / scale])), tol * scale)
+    """PSD test for the large-n d=1 limit cone: :func:`limit_cone_rows` on one row."""
+    m00, det, member, boundary = (v[0].item()
+                                  for v in limit_cone_rows(*([x] for x in b), tol=tol))
     return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
-                       witness={"top_left": m00, "bottom_right": b11, "det": det},
+                       witness={"top_left": m00, "bottom_right": float(b[2]), "det": det},
                        boundary=boundary)

@@ -79,7 +79,9 @@ def partition_count(n: int, max_parts: int) -> int:
     """Number of partitions of n into <= k parts, counted independently of
     enumerate_patterns as partitions into parts of size <= k (conjugation).
 
-    Iterative, so the cost guard of reduced_global_min works at any n.
+    Iterative, but it builds a list of n + 1 counts (O(n) memory, O(nk)
+    time), so the cost guard :func:`check_pattern_budget` refuses large n
+    before counting.
     """
     ways = [1] + [0] * n
     for part in range(1, max_parts + 1):
@@ -207,7 +209,15 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
 
 
 def check_pattern_budget(n: int, d: int):
-    """Raise ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS."""
+    """Raise ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS.
+
+    With 2d >= 2 parts there are at least floor(n/2) + 1 patterns (the
+    splits of n into two parts), so n >= 2 MAX_PATTERNS is refused without
+    counting: at any n the guard costs at most O(MAX_PATTERNS d).
+    """
+    if n >= 2 * MAX_PATTERNS:
+        raise ValueError(f"half-degree search at n={n}, d={d} needs more than "
+                         f"MAX_PATTERNS={MAX_PATTERNS} multiplicity patterns")
     count = partition_count(n, 2 * d)
     if count > MAX_PATTERNS:
         raise ValueError(f"half-degree search at n={n}, d={d} needs {count} "

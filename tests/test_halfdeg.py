@@ -12,6 +12,7 @@ from momentcert.halfdeg import (
     _newton_descent,
     _normalize_rows,
     _objective,
+    check_pattern_budget,
     count_distinct_points,
     critical_polynomial,
     critical_r,
@@ -260,6 +261,20 @@ def test_pattern_count_guard(capsys):
                  "--a0", "1", "--a", "0.5,-1,0.2", "--aa", "1,-0.5,0.3"])
     assert code in (0, 1)
     assert "MAX_PATTERNS" not in capsys.readouterr().err
+
+
+def test_pattern_count_guard_refuses_large_n_without_counting():
+    # counting would build a list of n + 1 partition counts: 8 GB at n = 10^9
+    for d in (1, 3):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="needs more than MAX_PATTERNS=1000"):
+            check_pattern_budget(10**9, d)
+        assert time.perf_counter() - t0 < 0.1
+    # the shortcut refuses only what counting refuses: 2 parts give
+    # floor(n/2) + 1 patterns, one too many from n = 2 MAX_PATTERNS on
+    assert partition_count(2 * MAX_PATTERNS - 1, 2) == MAX_PATTERNS
+    assert partition_count(2 * MAX_PATTERNS, 2) == MAX_PATTERNS + 1
+    check_pattern_budget(2 * MAX_PATTERNS - 1, 1)
 
 
 def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatch):
