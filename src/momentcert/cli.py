@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -175,18 +174,26 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
 
 
 def _parsed(parse, rows: list, label) -> list[RowBatch]:
-    """``parse(rows)``; when that fails, ``parse`` runs on one row at a time
-    (its B=1 view) and the first row that fails is reported as InputError
-    ``label(i)`` followed by its error."""
+    """``parse(rows)``; when that fails, the failing range is bisected (the
+    first half is parsed, and the half that fails is kept) down to one row,
+    which is reported as InputError ``label(i)`` followed by the error of
+    ``parse`` on that row alone (its B=1 view): O(log B) calls."""
     try:
         return parse(rows)
     except PARSE_ERRORS:
         pass
-    for i, row in enumerate(rows):
+    lo, hi = 0, len(rows)  # rows[:lo] parse, rows[lo:hi] fail together
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         try:
-            parse([row])
-        except PARSE_ERRORS as exc:
-            raise InputError(f"{label(i)}{exc}") from None
+            parse(rows[lo:mid])
+            lo = mid
+        except PARSE_ERRORS:
+            hi = mid
+    try:
+        parse(rows[lo:hi])
+    except PARSE_ERRORS as exc:
+        raise InputError(f"{label(lo)}{exc}") from None
     raise AssertionError("rows that parse one at a time failed together")
 
 
@@ -447,7 +454,16 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
     return _exit_code(results)
 
 
-def _preset_state(args) -> SymmetricState:
+def _count(args, name: str, least: int):
+    """The count option ``--name`` (None when not given), refused below
+    ``least``."""
+    value = getattr(args, name)
+    if value is not None and value < least:
+        raise InputError(f"--{name} must be >= {least}, got {value}")
+    return value
+
+
+def _preset_state(args, cfg: RunConfig) -> SymmetricState:
     if args.n is None:
         raise InputError("--preset needs --n")
     n = args.n
@@ -463,17 +479,12 @@ def _preset_state(args) -> SymmetricState:
     if args.preset == "ghz":
         return ghz_state(n)
     if args.preset == "mixed":
-        rng = np.random.default_rng(args_seed(args))
+        rng = np.random.default_rng(cfg.seed)
         comps = [coherent_state(n, math.acos(2 * rng.uniform() - 1),
                                 2 * math.pi * rng.uniform())
-                 for _ in range(max(2, args.components))]
+                 for _ in range(_count(args, "components", 2))]
         return mixed(comps, np.ones(len(comps)))
     raise InputError(f"unknown preset {args.preset!r}")
-
-
-def args_seed(args) -> int:
-    env = os.environ.get("MC_SEED")
-    return int(env) if env is not None else args.seed
 
 
 def cmd_spin(args, cfg: RunConfig) -> int:
@@ -485,7 +496,7 @@ def cmd_spin(args, cfg: RunConfig) -> int:
         except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"invalid state: {exc}")
     elif args.preset:
-        state = _preset_state(args)
+        state = _preset_state(args, cfg)
     else:
         raise InputError("need --state or --preset")
     try:
@@ -497,14 +508,12 @@ def cmd_spin(args, cfg: RunConfig) -> int:
     else:
         print(f"verdict: {report.verdict}")
         t = spin_tolerance(cfg.tol, state.n)
-        for kind, rows in (("necessary", report.necessary),
-                           ("sufficient", report.sufficient)):
-            for r in rows:
-                flag = " VIOLATED" if r.violated else ""
-                # a residual within tolerance of 0 prints as 0, not as noise
-                residual = 0.0 if abs(r.spin_residual) <= t else r.residual
-                print(f"  {kind} {r.label:28s} lhs={r.lhs: .6g} "
-                      f"rhs={r.rhs: .6g} residual={residual: .6g}{flag}")
+        for r in report.necessary:
+            flag = " VIOLATED" if r.violated else ""
+            # a residual within tolerance of 0 prints as 0, not as noise
+            residual = 0.0 if abs(r.spin_residual) <= t else r.residual
+            print(f"  necessary {r.label:28s} lhs={r.lhs: .6g} "
+                  f"rhs={r.rhs: .6g} residual={residual: .6g}{flag}")
     return EXIT_OK
 
 
@@ -546,7 +555,7 @@ def cmd_slice(args, cfg: RunConfig) -> int:
         hi = np.asarray(plane.get("hi", [1.0, 1.0]), dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid plane spec: {exc}")
-    n, d, g = args.n, args.d, args.grid
+    n, d, g = args.n, args.d, _count(args, "grid", 1)
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "
                          f"direction vectors of the same length")
@@ -594,7 +603,8 @@ def cmd_slice(args, cfg: RunConfig) -> int:
 
 def cmd_fuzz(args, cfg: RunConfig) -> int:
     try:
-        result = fuzz_mod.run_suite(args.suite, iters=args.iters, seed=cfg.seed)
+        result = fuzz_mod.run_suite(args.suite, iters=_count(args, "iters", 1),
+                                    seed=cfg.seed)
     except ValueError as exc:
         raise InputError(str(exc))
     if cfg.output == "json":
@@ -611,8 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="momentcert",
         description="Certify membership in the separable-moment cone and its "
                     "polynomial dual; witness collective-spin entanglement.")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="RNG seed (env MC_SEED overrides)")
+    ap.add_argument("--seed", type=int, default=0, help="RNG seed")
     ap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     ap.add_argument("--output", choices=("json", "csv", "text"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -666,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(seed=args_seed(args), tol=args.tol, output=args.output)
+        cfg = RunConfig(seed=args.seed, tol=args.tol, output=args.output)
         return args.fn(args, cfg)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 States live in the n+1 dimensional Dicke basis |j,m>, j = n/2, ordered
 m = j, j-1, ..., -j.  The moment dictionary maps first and second collective
-spin moments to a d=3 moment vector; the eight necessary-for-separability
-inequalities and their sufficient-side counterparts then decide detection.
+spin moments to a d=3 moment vector; of the eight necessary-for-separability
+inequalities on it, the three spin-squeezing rows decide detection.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, MomentVector, ProblemDims, json_int, margin_verdict
-from .moment_cone import NECESSARY, SUFFICIENT, expand_inequalities, pattern_of_index
+from .moment_cone import NECESSARY, expand_inequalities, pattern_of_index
 from .moment_cone import sufficient_condition  # noqa: F401  (bench/tracing.py wraps this binding)
 
 HERMITIAN_TOL = 1e-12
@@ -22,20 +22,18 @@ TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
 DETECTED = "EntanglementDetected"
-CERTIFIED = "SeparabilityCertified"
 INCONCLUSIVE = "Inconclusive"
 
-#: human-readable labels for the eight sign patterns (t1, t2, t3)
+#: labels of the three spin-squeezing sign patterns (t1, t2, t3), the rows
+#: that are reported and decide the verdict
 PATTERN_LABELS = {
-    (0, 0, 0): "variance-sum (trivial)",
-    (1, 0, 0): "planar-x",
-    (0, 1, 0): "planar-y",
-    (0, 0, 1): "planar-z",
     (0, 1, 1): "squeezing-x",
     (1, 0, 1): "squeezing-y",
     (1, 1, 0): "squeezing-z",
-    (1, 1, 1): "second-moment-sum (trivial)",
 }
+#: the variance-sum and second-moment-sum patterns, which every density
+#: matrix satisfies
+TRIVIAL = ((0, 0, 0), (1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -220,32 +218,27 @@ class InequalityResult:
 class WitnessReport:
     verdict: str
     moments: MomentVector
-    necessary: list[InequalityResult]
-    sufficient: list[InequalityResult]
+    necessary: list[InequalityResult]  # the three squeezing rows
 
     def to_json_dict(self) -> dict:
-        def rows(items):
-            return [{"pattern": list(r.pattern), "label": r.label,
-                     "lhs": r.lhs, "rhs": r.rhs, "residual": r.residual,
-                     "spin_residual": r.spin_residual, "violated": r.violated}
-                    for r in items]
-
         return {"verdict": self.verdict,
                 "moments": self.moments.to_json_dict(),
-                "necessary": rows(self.necessary),
-                "sufficient": rows(self.sufficient)}
+                "necessary": [{"pattern": list(r.pattern), "label": r.label,
+                               "lhs": r.lhs, "rhs": r.rhs, "residual": r.residual,
+                               "spin_residual": r.spin_residual, "violated": r.violated}
+                              for r in self.necessary]}
 
 
 def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> WitnessReport:
-    """Evaluate the eight necessary-for-separability inequalities and their
-    sufficient-side counterparts on the state's projected moments.
+    """Evaluate the eight necessary-for-separability inequalities on the
+    state's projected moments and report the three squeezing rows.
 
-    Each row is VIOLATED when ``margin_verdict(spin_residual, tol·n²)`` says
-    it is not a member, and the verdict is read from the 16 rows alone.
-    SeparabilityCertified (no row violated) means the projected quadratic
-    moments admit a representing measure.  Every symmetric state has
-    Σ<J_α²> = j(j+1), so the sufficient second-moment-sum row is -(n-1):
-    at the default tol this family certifies no symmetric state.
+    A row is VIOLATED when ``margin_verdict(spin_residual, tol·n²)`` says it
+    is not a member.  For a symmetric state each planar-a row is the sum of
+    the squeezing rows of the other two axes and the second-moment-sum row
+    is 0, so the squeezing rows alone decide: EntanglementDetected when one
+    is violated, Inconclusive otherwise.  A violated trivial row (variance
+    sum, second-moment sum) is refused: no density matrix violates them.
     """
     n = state.n
     if n < 2:
@@ -253,29 +246,20 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
     sm = spin_moments(state)
     m = moments_from_spin(sm, n)
     t = spin_tolerance(tol, n)
-
-    def rows(side):
-        res, lhs, rhs = expand_inequalities(m, side)
-        out = []
-        for idx in range(res.size):
-            pattern = pattern_of_index(idx, 3)
-            kappa = spin_form_scale(pattern, n) if side == NECESSARY else float(n * n)
-            spin_res = kappa * float(res[idx])
-            out.append(InequalityResult(pattern, PATTERN_LABELS[pattern],
-                                        float(lhs[idx]), float(rhs[idx]),
-                                        float(res[idx]), spin_res,
-                                        not margin_verdict(spin_res, t)[0]))
-        return out
-
-    nec_rows, suf_rows = rows(NECESSARY), rows(SUFFICIENT)
-    trivial = [r for r in nec_rows if r.pattern in ((0, 0, 0), (1, 1, 1))]
-    if any(r.violated for r in trivial):
+    res, lhs, rhs = expand_inequalities(m, NECESSARY)
+    rows, trivial_ok = [], True
+    for idx in range(res.size):
+        pattern = pattern_of_index(idx, 3)
+        spin_res = spin_form_scale(pattern, n) * float(res[idx])
+        ok = margin_verdict(spin_res, t)[0]
+        if pattern in TRIVIAL:
+            trivial_ok &= ok
+        elif pattern in PATTERN_LABELS:
+            rows.append(InequalityResult(pattern, PATTERN_LABELS[pattern],
+                                         float(lhs[idx]), float(rhs[idx]),
+                                         float(res[idx]), spin_res, not ok))
+    if not trivial_ok:
         raise ValueError("state moments violate a universal quantum constraint; "
                          "the input is not a valid density matrix")
-    if any(r.violated for r in nec_rows):
-        verdict = DETECTED
-    elif not any(r.violated for r in suf_rows):
-        verdict = CERTIFIED
-    else:
-        verdict = INCONCLUSIVE
-    return WitnessReport(verdict, m, nec_rows, suf_rows)
+    verdict = DETECTED if any(r.violated for r in rows) else INCONCLUSIVE
+    return WitnessReport(verdict, m, rows)

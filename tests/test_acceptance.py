@@ -261,10 +261,13 @@ def test_criterion_8_spin_witness():
     """Coherent states are never detected and saturate their squeezing
     inequality to 1e-9 n^2; balanced Dicke states are detected at -n^2 on the
     z squeezing family; trivial inequalities hold on 10^3 random states; the
-    spin-language forms match the expanded moment forms."""
+    spin-language forms match the expanded moment forms, and on them each
+    planar row is the sum of two squeezing rows and the second-moment-sum
+    row is 0, so the three squeezing rows decide the verdict."""
     t0 = time.time()
     rng = np.random.default_rng(108)
     coherent_fail = saturation_fail = dicke_fail = trivial_fail = form_fail = 0
+    identity_fail = 0
     # coherent states: random directions, never detected
     for n in range(2, 33):
         for _ in range(5):
@@ -289,7 +292,9 @@ def test_criterion_8_spin_witness():
               and abs(hits[(1, 1, 0)].spin_residual + n * n) <= 1e-9 * n * n)
         if not ok:
             dicke_fail += 1
-    # trivial inequalities on 10^3 random valid states + form identity
+    # trivial inequalities on 10^3 random valid states + form identity; the
+    # rows that never decide: planar-a = squeezing-b + squeezing-c (the two
+    # squeezing patterns with bit a set) and second-moment-sum = 0
     for i in range(1000):
         n = int(rng.integers(2, 33))
         sm = spin_moments(random_state(n, seed=200_000 + i))
@@ -303,12 +308,19 @@ def test_criterion_8_spin_witness():
             diff = abs(res[pattern] - kappa * float(mres[idx]))
             if diff > 1e-12 * max(float(n * n), abs(res[pattern])):
                 form_fail += 1
+        for planar in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            a = planar.index(1)
+            squeezing = sum(res[p] for p in ((0, 1, 1), (1, 0, 1), (1, 1, 0)) if p[a])
+            if abs(res[planar] - squeezing) > 1e-12 * max(float(n * n), abs(res[planar])):
+                identity_fail += 1
+        if abs(res[(1, 1, 1)]) > 1e-12 * n * n:
+            identity_fail += 1
     ok = (coherent_fail == saturation_fail == dicke_fail
-          == trivial_fail == form_fail == 0)
+          == trivial_fail == form_fail == identity_fail == 0)
     _report(8, "spin witness", ok,
             f"{coherent_fail} false detections, {saturation_fail} saturation, "
             f"{dicke_fail} Dicke, {trivial_fail} trivial, {form_fail} form-"
-            f"identity failures", 30.0, time.time() - t0)
+            f"identity, {identity_fail} row-identity failures", 30.0, time.time() - t0)
 
 
 def test_criterion_9_witness_self_validation():

@@ -99,7 +99,7 @@ def test_spin_preset_dicke_detected(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "EntanglementDetected"
-    assert len(obj["necessary"]) == 8
+    assert len(obj["necessary"]) == 3 and "sufficient" not in obj
 
 
 def test_spin_preset_coherent_text(capsys):
@@ -108,9 +108,11 @@ def test_spin_preset_coherent_text(capsys):
                            "--theta", "0.7")
         assert code == 0
         assert "verdict: Inconclusive" in out
-        # necessary rows all hold; only sufficient-side rows may fail
-        nec_lines = [ln for ln in out.splitlines() if ln.strip().startswith("necessary")]
-        assert nec_lines and all("VIOLATED" not in ln for ln in nec_lines)
+        # the verdict line, then the three squeezing rows, none violated
+        lines = out.splitlines()
+        assert len(lines) == 4 and all(ln.startswith("  necessary squeezing-")
+                                       for ln in lines[1:])
+        assert "VIOLATED" not in out
 
 
 def test_spin_state_file(tmp_path, capsys):
@@ -255,18 +257,18 @@ def test_fuzz_suite_runs(capsys):
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    # the mixed preset draws its components from the run seed
-    monkeypatch.setenv("MC_SEED", "7")
-    code, out1, _ = run(capsys, "--output", "json", "spin", "--preset",
-                        "mixed", "--n", "4")
+    """The mixed preset draws its components from --seed, the one source of
+    the run seed: an MC_SEED in the environment is not read."""
     monkeypatch.setenv("MC_SEED", "8")
-    code, out2, _ = run(capsys, "--output", "json", "spin", "--preset",
-                        "mixed", "--n", "4")
-    assert json.loads(out1)["moments"] != json.loads(out2)["moments"]
-    monkeypatch.setenv("MC_SEED", "7")
-    code, out3, _ = run(capsys, "--output", "json", "spin", "--preset",
-                        "mixed", "--n", "4")
-    assert json.loads(out1)["moments"] == json.loads(out3)["moments"]
+
+    def moments(seed):
+        code, out, _ = run(capsys, "--seed", seed, "--output", "json", "spin",
+                           "--preset", "mixed", "--n", "4")
+        assert code == 0
+        return json.loads(out)["moments"]
+
+    out1, out2, out3 = moments("7"), moments("8"), moments("7")
+    assert out1 != out2 and out1 == out3
 
 
 def test_bad_tol_rejected(capsys):
@@ -511,6 +513,94 @@ def test_first_bad_record_reported_as_from_json_dict_reports_it(tmp_path, capsys
         assert (code, out, err) == (64, "", f"error: {f}: bad {kind} record: {exc.value}\n"), bad
 
 
+@pytest.mark.parametrize("kind", ("moment", "polynomial"))
+def test_failing_parse_is_bisected(tmp_path, capsys, monkeypatch, kind):
+    """A 10,001-row file whose last row is bad: the batch parse runs
+    O(log2 B) times, not once per row, and the error names that row."""
+    import momentcert.cli as cli
+
+    rows = 10_001
+    if kind == "moment":
+        f, command, parser = tmp_path / "rows.csv", "check-moments", "_csv_batches"
+        f.write_text("n,d,z0,z,zz\n" + "4,1,1.0,0.5,0.2\n" * (rows - 1) + "5,1,1.0,x,0.0\n")
+        message = f"line {rows + 1}: could not convert string to float: 'x'"
+    else:
+        f, command, parser = tmp_path / "q.json", "check-poly", "_record_batches"
+        good = {"n": 4, "d": 1, "a0": 1.0, "a": [0.1], "aa": [0.2]}
+        f.write_text(json.dumps([good] * (rows - 1) + [{**good, "aa": [0.2, 0.3]}]))
+        message = "bad polynomial record: aa must have length 1, got (2,)"
+    calls = []
+    parse = getattr(cli, parser)
+    monkeypatch.setattr(cli, parser, lambda *a: calls.append(len(a[0])) or parse(*a))
+    code, out, err = run(capsys, command, "--file", str(f))
+    assert (code, out, err) == (64, "", f"error: {f}: {message}\n")
+    assert calls[0] == rows and len(calls) <= math.ceil(math.log2(rows)) + 2, calls
+
+
+def test_bisected_parse_names_the_first_row_that_fails_alone():
+    """Random CSV rows with a few bad ones: ``_parsed`` reports the row and
+    the error that parsing each row alone, in order, finds first."""
+    from momentcert.cli import PARSE_ERRORS, InputError, _csv_batches, _parsed
+
+    good = [["4", "1", "1.0", "0.5", "0.2"], ["7", "2", "1", "0.1", "0.2", "0.3", "0.4"]]
+    bad = [["5", "1", "1.0", "x", "0"], ["1", "1", "1", "0", "0"], ["5", "2", "1", "0"],
+           ["5"], ["5", "0", "1"], ["5", "1", "1", "inf", "0"]]
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        rows = [good[k] for k in rng.integers(2, size=int(rng.integers(1, 40)))]
+        for at in rng.integers(len(rows), size=int(rng.integers(1, 4))):
+            rows[at] = bad[int(rng.integers(len(bad)))]
+        want = None
+        for i, row in enumerate(rows):
+            try:
+                _csv_batches([row])
+            except PARSE_ERRORS as exc:
+                want = f"row {i}: {exc}"
+                break
+        with pytest.raises(InputError) as got:
+            _parsed(_csv_batches, rows, lambda i: f"row {i}: ")
+        assert str(got.value) == want, rows
+
+
+def test_rows_that_fail_only_together_are_a_fault():
+    from momentcert.cli import _parsed
+
+    def together(rows):
+        if len(rows) > 1:
+            raise ValueError("rows fail together")
+        return []
+
+    with pytest.raises(AssertionError):
+        _parsed(together, [1, 2, 3], str)
+
+
+def test_fuzz_iters_below_one_refused(capsys):
+    for iters in ("-5", "0"):
+        code, out, err = run(capsys, "fuzz", "--suite", "soundness", "--iters", iters)
+        assert (code, out, err) == (64, "", f"error: --iters must be >= 1, got {iters}\n")
+    assert run(capsys, "fuzz", "--suite", "soundness", "--iters", "1")[0] == 0
+
+
+def test_spin_components_below_two_refused(capsys):
+    for k in ("-1", "0", "1"):
+        code, out, err = run(capsys, "spin", "--preset", "mixed", "--n", "4",
+                             "--components", k)
+        assert (code, out, err) == (64, "", f"error: --components must be >= 2, got {k}\n")
+    code, out, _ = run(capsys, "spin", "--preset", "mixed", "--n", "4", "--components", "2")
+    assert code == 0 and out.startswith("verdict: ")
+
+
+def test_slice_grid_below_one_refused(capsys):
+    plane = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0, 1, 0], [0, 0, 1]]})
+    for g in ("-1", "0"):
+        code, out, err = run(capsys, "slice", "--cone", "Sigma", "--plane", plane,
+                             "--n", "5", "--d", "1", "--grid", g)
+        assert (code, out, err) == (64, "", f"error: --grid must be >= 1, got {g}\n")
+    code, out, _ = run(capsys, "slice", "--cone", "Sigma", "--plane", plane,
+                       "--n", "5", "--d", "1", "--grid", "1")
+    assert code == 0 and out.splitlines()[1:] == ["grid,-1,-1,0"]
+
+
 @pytest.mark.parametrize("route", ("lmi", "ellipsoid", "exact-d1"))
 @pytest.mark.parametrize("n", (30_000, pytest.param(40_000, marks=pytest.mark.xfail(
     strict=True, reason="the P/Sigma tolerance tol max(1, scale n^2) is 1.6 at "
@@ -638,13 +728,13 @@ def test_spin_text_prints_residuals_within_tolerance_as_zero(capsys):
     _, text, _ = run(capsys, *argv)
     _, out, _ = run(capsys, "--output", "json", *argv)
     report = json.loads(out)
-    rows = report["necessary"] + report["sufficient"]
+    rows = report["necessary"]
     lines = [ln for ln in text.splitlines() if "residual=" in ln]
-    assert len(lines) == len(rows) == 16
+    assert len(lines) == len(rows) == 3
     t = 1e-9 * 7 * 7  # the tolerance that sets VIOLATED
     for line, r in zip(lines, rows):
         printed = line.split("residual=")[1].split()[0]
         assert printed == ("0" if abs(r["spin_residual"]) <= t else f"{r['residual']:.6g}")
         assert ("VIOLATED" in line) == r["violated"]
-    # the coherent state saturates every necessary row up to rounding noise
+    # the coherent state saturates every squeezing row up to rounding noise
     assert any(abs(r["spin_residual"]) <= t and r["residual"] != 0 for r in rows)

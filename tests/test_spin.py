@@ -8,7 +8,6 @@ import pytest
 from momentcert.core import DEFAULT_TOL, margin_verdict
 from momentcert.moment_cone import NECESSARY, expand_inequalities
 from momentcert.spin import (
-    CERTIFIED,
     DETECTED,
     EIGENVALUE_TOL,
     INCONCLUSIVE,
@@ -224,24 +223,22 @@ def test_spin_form_equals_scaled_moment_form():
 
 
 def test_witness_rows_lhs_rhs_follow_pattern_formula():
-    """Row lhs = sum over α of z0e z_αα/(n-1) (bit α set) or z_α²/n, rhs =
-    z0e² + z0e Σ z_αα/n with z0e = z0 (necessary) or z0(n-1)/n (sufficient),
-    and rhs - lhs is the row's residual."""
+    """Row lhs = sum over α of z0 z_αα/(n-1) (bit α set) or z_α²/n, rhs =
+    z0² + z0 Σ z_αα/n, and rhs - lhs is the row's residual."""
     states = [random_state(n, seed=n) for n in (2, 5, 16, 33)]
     states += [dicke_state(8, 0.0), coherent_state(12, 0.7, 1.9), ghz_state(6)]
     for st in states:
         rep = entanglement_witness(st)
         m, n = rep.moments, st.n
-        for z0e, rows in ((m.z0, rep.necessary), (m.z0 * (n - 1) / n, rep.sufficient)):
-            rhs = z0e * z0e + z0e * float(m.zz.sum()) / n
-            for r in rows:
-                terms = [z0e * m.zz[a] / (n - 1) if r.pattern[a] else m.z[a] * m.z[a] / n
-                         for a in range(3)]
-                scale = max(1.0, sum(abs(t) for t in terms))
-                assert abs(r.lhs - sum(terms)) <= 1e-12 * scale
-                assert abs(r.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-                assert abs((r.rhs - r.lhs) - r.residual) <= 1e-12 * max(
-                    1.0, abs(r.lhs), abs(r.rhs))
+        rhs = m.z0 * m.z0 + m.z0 * float(m.zz.sum()) / n
+        for r in rep.necessary:
+            terms = [m.z0 * m.zz[a] / (n - 1) if r.pattern[a] else m.z[a] * m.z[a] / n
+                     for a in range(3)]
+            scale = max(1.0, sum(abs(t) for t in terms))
+            assert abs(r.lhs - sum(terms)) <= 1e-12 * scale
+            assert abs(r.rhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+            assert abs((r.rhs - r.lhs) - r.residual) <= 1e-12 * max(
+                1.0, abs(r.lhs), abs(r.rhs))
 
 
 def test_coherent_states_never_detected():
@@ -285,10 +282,7 @@ def test_random_states_respect_universal_constraints():
     for trial in range(100):
         n = 2 + trial % 9
         rep = entanglement_witness(random_state(n, seed=trial))
-        assert rep.verdict in (DETECTED, CERTIFIED, INCONCLUSIVE)
-        for r in rep.necessary:
-            if r.pattern in ((0, 0, 0), (1, 1, 1)):
-                assert not r.violated
+        assert rep.verdict in (DETECTED, INCONCLUSIVE)
 
 
 def _witness_states(n: int, seed: int):
@@ -306,24 +300,19 @@ def _witness_states(n: int, seed: int):
 
 @pytest.mark.parametrize("n", [2, 16, 64, 128, 256, 512])
 def test_verdict_is_read_from_the_printed_rows(n):
-    """Each row is VIOLATED exactly when margin_verdict on its spin residual
-    at tol n² says not a member; the verdict follows from the 16 rows alone,
-    so SeparabilityCertified never sits above a VIOLATED row.  The
-    sufficient second-moment-sum row is -(n-1) for every symmetric state."""
+    """The report holds the squeezing-z, -y and -x rows, in that order; each
+    is VIOLATED exactly when margin_verdict on its spin residual at tol n²
+    says not a member, and the verdict is EntanglementDetected exactly when
+    one of them is."""
     for tol in (DEFAULT_TOL, 0.5):
         for kind, state in _witness_states(n, seed=n).items():
             rep = entanglement_witness(state, tol=tol)
-            rows = rep.necessary + rep.sufficient
-            for r in rows:
+            assert [r.label for r in rep.necessary] == [
+                "squeezing-z", "squeezing-y", "squeezing-x"]
+            for r in rep.necessary:
                 assert r.violated == (not margin_verdict(r.spin_residual, tol * n * n)[0])
-            nec = any(r.violated for r in rep.necessary)
-            want = DETECTED if nec else (INCONCLUSIVE if any(r.violated for r in rows)
-                                         else CERTIFIED)
+            want = DETECTED if any(r.violated for r in rep.necessary) else INCONCLUSIVE
             assert rep.verdict == want, (n, kind, tol)
-            (casimir,) = [r for r in rep.sufficient if r.pattern == (1, 1, 1)]
-            assert abs(casimir.spin_residual + (n - 1)) <= 1e-13 * n ** 3, (n, kind)
-            if tol == DEFAULT_TOL:
-                assert rep.verdict != CERTIFIED
 
 
 def test_invalid_moments_raise_universal_violation():
@@ -340,12 +329,13 @@ def test_witness_requires_two_qubits():
 
 def test_report_rows_and_json():
     rep = entanglement_witness(dicke_state(4, 0.0))
-    assert len(rep.necessary) == 8 and len(rep.sufficient) == 8
+    assert len(rep.necessary) == 3
     assert {r.pattern for r in rep.necessary} == set(PATTERN_LABELS)
     for r in rep.necessary:
         assert abs((r.rhs - r.lhs) - r.residual) < 1e-12
     obj = rep.to_json_dict()
-    assert set(obj) == {"verdict", "moments", "necessary", "sufficient"}
+    assert set(obj) == {"verdict", "moments", "necessary"}
+    assert len(obj["necessary"]) == 3
     assert obj["verdict"] == DETECTED
 
 
