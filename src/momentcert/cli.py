@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -285,11 +286,17 @@ def _load_poly_rows(path: str) -> list[RowBatch]:
     return _json_records(_read_text(path), path, POLY_FIELDS, "polynomial")
 
 
-def _exit_code(results: list[dict]) -> int:
-    statuses = {r["status"] for r in results}
-    if Status.NON_MEMBER.value in statuses:
+STATUS_VALUES = tuple(s.value for s in STATUSES)
+MEMBER, NON_MEMBER, INDETERMINATE = (
+    STATUSES.index(s) for s in (Status.MEMBER, Status.NON_MEMBER, Status.INDETERMINATE))
+#: the text line after "[i] " of status code c and boundary flag e, at 2c + e
+_TEXT_TAILS = [v + tail for v in STATUS_VALUES for tail in ("\n", " (boundary)\n")]
+
+
+def _exit_code(status: np.ndarray) -> int:
+    if (status == NON_MEMBER).any():
         return EXIT_NONMEMBER
-    if Status.INDETERMINATE.value in statuses:
+    if (status == INDETERMINATE).any():
         return EXIT_INDETERMINATE
     return EXIT_OK
 
@@ -313,27 +320,46 @@ def _witness_jsonable(obj):
     return repr(obj)
 
 
-def _emit_verdicts(results: list[dict], cfg: RunConfig):
+def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, records, cfg: RunConfig):
+    """Write the verdicts of the input rows in input order.  Text lines and
+    CSV rows come straight from the status codes (indices into
+    STATUS_VALUES) and boundary flags; JSON from ``records(lo, hi)``, the
+    records of rows lo..hi-1, built and written one JSON_BLOCK at a time."""
+    count = status.size
     if cfg.output == "json":
         # _json_out's layout, written a block of records at a time: sorted
         # keys put "results" before "schema"
         write = sys.stdout.write
         write('{\n  "results": [')
-        for start in range(0, len(results), JSON_BLOCK):
-            block = _indented_json(results[start:start + JSON_BLOCK], depth=1)
+        for start in range(0, count, JSON_BLOCK):
+            block = _indented_json(records(start, min(start + JSON_BLOCK, count)), depth=1)
             write(("," if start else "") + block[1:-4])  # without "[" and "\n  ]"
-        write(("\n  ]" if results else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
+        write(("\n  ]" if count else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
     elif cfg.output == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["index", "status", "boundary"])
-        w.writerows([i, r["status"], r.get("boundary", False)] for i, r in enumerate(results))
+        w.writerows(zip(range(count), [STATUS_VALUES[c] for c in status.tolist()],
+                        boundary.tolist()))
     else:
-        sys.stdout.write("".join(
-            f"[{i}] {r['status']}{' (boundary)' if r.get('boundary') else ''}\n"
-            for i, r in enumerate(results)))
+        sys.stdout.write("".join([f"[{i}] {_TEXT_TAILS[k]}"
+                                  for i, k in enumerate((2 * status + boundary).tolist())]))
 
 
-STATUS_VALUES = tuple(s.value for s in STATUSES)
+def _block_records(parts: list):
+    """``records(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per
+    d-group, the input positions of its rows and ``build(s, e)``, the
+    records of its rows s..e-1; a d-group keeps input order, so its rows
+    among lo..hi-1 are one slice of it."""
+    def records(lo: int, hi: int) -> list:
+        out: list = [None] * (hi - lo)
+        for index, build in parts:
+            s, e = np.searchsorted(index, (lo, hi)).tolist()
+            if s < e:
+                for i, r in zip(index[s:e].tolist(), build(s, e)):
+                    out[i - lo] = r
+        return out
+
+    return records
 
 
 def _inline_rows(args, names) -> list[RowBatch]:
@@ -348,80 +374,114 @@ def _inline_rows(args, names) -> list[RowBatch]:
     return _parsed(lambda r: _record_batches(r, names), [record], lambda i: "")
 
 
+def _columns(batches: list[RowBatch]) -> tuple[np.ndarray, np.ndarray]:
+    """Empty status-code and boundary columns for every input row."""
+    count = sum(b.index.size for b in batches)
+    return np.empty(count, dtype=np.intp), np.empty(count, dtype=bool)
+
+
+def _moment_records(b: RowBatch, verdicts, witnesses: list, s: int, e: int) -> list[dict]:
+    return [{"status": STATUS_VALUES[c], "boundary": edge,
+             "input": b.record(k, MOMENT_FIELDS), "witness": _witness_jsonable(witnesses[k])}
+            for k, c, edge in zip(range(s, e), verdicts.status[s:e].tolist(),
+                                  verdicts.boundary[s:e].tolist())]
+
+
 def cmd_check_moments(args, cfg: RunConfig) -> int:
     batches = (_load_moment_rows(args.file) if args.file
                else _inline_rows(args, MOMENT_FIELDS))
-    results: list = [None] * sum(b.index.size for b in batches)
+    status, boundary = _columns(batches)
+    parts = []
     for b in batches:
         verdicts = classify_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
-        witnesses = (classify_witnesses(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
-                     if cfg.output == "json" else None)
-        for k, (i, code, edge) in enumerate(zip(b.index.tolist(), verdicts.status.tolist(),
-                                                verdicts.boundary.tolist())):
-            r = {"status": STATUS_VALUES[code], "boundary": edge}
-            if witnesses is not None:
-                r["input"] = b.record(k, MOMENT_FIELDS)
-                r["witness"] = _witness_jsonable(witnesses[k])
-            results[i] = r
-    _emit_verdicts(results, cfg)
-    return _exit_code(results)
+        status[b.index], boundary[b.index] = verdicts.status, verdicts.boundary
+        if cfg.output == "json":
+            witnesses = classify_witnesses(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
+            parts.append((b.index, partial(_moment_records, b, verdicts, witnesses)))
+    _emit_verdicts(status, boundary, _block_records(parts), cfg)
+    return _exit_code(status)
 
 
 ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
 
 
 def _member_value(member: bool) -> str:
-    return STATUS_VALUES[0] if member else STATUS_VALUES[1]
+    return STATUS_VALUES[MEMBER if member else NON_MEMBER]
 
 
-def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[list, list]:
+def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[np.ndarray, np.ndarray]:
     """Member and boundary of each row's minimum of Q (P/Sigma tolerance)."""
     t = scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)
-    return tuple(v.tolist() for v in margin_verdict(val, t))
+    return margin_verdict(val, t)
 
 
-def _lmi_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+def _lmi_route(b: RowBatch, cfg: RunConfig):
     r = arrow_lmi_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
-    return [{"status": _member_value(m), "boundary": e, "c": c, "slack": f}
-            for m, e, c, f in zip(r.member.tolist(), r.boundary.tolist(),
-                                  r.c.tolist(), r.slack.tolist())]
+    return r.member, r.boundary, lambda s, e: {"c": r.c[s:e].tolist(),
+                                               "slack": r.slack[s:e].tolist()}
 
 
-def _exact_d1_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+def _exact_d1_route(b: RowBatch, cfg: RunConfig):
     """The d=1 facet test, one kernel call per n."""
-    out: list = [None] * b.index.size
+    kmin, rmin = np.empty(b.index.size, dtype=np.intp), np.empty(b.index.size)
+    member, edge = np.empty(b.index.size, dtype=bool), np.empty(b.index.size, dtype=bool)
     for n in sorted(set(b.n.tolist())):
         sel = np.flatnonzero(b.n == n)
-        _, kmin, rmin, member, edge = p_n1_rows(b.x0[sel], b.x[sel, 0], b.xx[sel, 0],
-                                                int(n), cfg.tol)
-        for k, km, rm, m, e in zip(sel.tolist(), kmin.tolist(), rmin.tolist(),
-                                   member.tolist(), edge.tolist()):
-            out[k] = {"status": _member_value(m), "boundary": e,
-                      "witness": (_witness_jsonable(p_n1_witness(int(n), km, rm, m))
-                                  if cfg.output == "json" else None)}
-    return out
+        _, kmin[sel], rmin[sel], member[sel], edge[sel] = p_n1_rows(
+            b.x0[sel], b.x[sel, 0], b.xx[sel, 0], int(n), cfg.tol)
+
+    def fields(s: int, e: int) -> dict[str, list]:
+        return {"witness": [_witness_jsonable(p_n1_witness(int(n), km, rm, m))
+                            for n, km, rm, m in zip(b.n[s:e].tolist(), kmin[s:e].tolist(),
+                                                    rmin[s:e].tolist(), member[s:e].tolist())]}
+
+    return member, edge, fields
 
 
-def _ellipsoid_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+def _ellipsoid_route(b: RowBatch, cfg: RunConfig):
     val, x, y = ellipsoid_rows(b.x0, b.x, b.xx, b.n)
-    return [{"status": _member_value(m), "boundary": e, "min_value": v, "x": xk, "y": yk}
-            for m, e, v, xk, yk in zip(*_min_verdicts(b, cfg, val), val.tolist(),
-                                       x.tolist(), y.tolist())]
+    return (*_min_verdicts(b, cfg, val),
+            lambda s, e: {"min_value": val[s:e].tolist(), "x": x[s:e].tolist(),
+                          "y": y[s:e].tolist()})
 
 
-def _halfdeg_route(b: RowBatch, cfg: RunConfig) -> list[dict]:
+def _halfdeg_route(b: RowBatch, cfg: RunConfig):
     """The half-degree search, one polynomial at a time."""
     val, found = zip(*(reduced_global_min(SymmetricQuadratic(ProblemDims(n, b.d), *v),
                                           seed=cfg.seed)
                        for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
-    return [{"status": _member_value(m), "boundary": e, "min_value": v,
-             "argmin": c.points.tolist()}
-            for m, e, v, c in zip(*_min_verdicts(b, cfg, np.array(val)), val, found)]
+    return (*_min_verdicts(b, cfg, np.array(val)),
+            lambda s, e: {"min_value": list(val[s:e]),
+                          "argmin": [c.points.tolist() for c in found[s:e]]})
 
 
-#: each route runs once per d-group, over the rows of that group
+#: each route runs once per d-group, over the rows of that group, and gives
+#: member and boundary (B,) and ``fields(s, e)``: its JSON fields besides
+#: status and boundary, as columns over the group's rows s..e-1
 ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
                "exact-d1": _exact_d1_route, "halfdeg": _halfdeg_route}
+
+
+def _poly_records(b: RowBatch, columns: dict, primary: str, s: int, e: int) -> list[dict]:
+    """The records of rows s..e-1 of ``b`` from each route's columns."""
+    per_route = {}
+    for route, (member, edge, fields) in columns.items():
+        extra = fields(s, e)
+        per_route[route] = [
+            {"status": _member_value(m), "boundary": on_edge, **dict(zip(extra, vals))}
+            for m, on_edge, *vals in zip(member[s:e].tolist(), edge[s:e].tolist(),
+                                         *extra.values())]
+    out = []
+    for k, verdicts in enumerate(zip(*per_route.values())):
+        routes = dict(zip(per_route, verdicts))
+        # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
+        # disagreement only counts between the two SOS routes
+        sos_verdicts = {routes[r]["status"] for r in ("lmi", "ellipsoid") if r in routes}
+        out.append({"status": routes[primary]["status"], "routes": routes,
+                    "disagreement": len(sos_verdicts) > 1,
+                    "all_statuses": sorted({r["status"] for r in routes.values()}),
+                    "input": b.record(s + k, POLY_FIELDS)})
+    return out
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
@@ -435,23 +495,16 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
         for n, d in dict.fromkeys(row[1:] for row in rows):
             check_pattern_budget(n, d)
     primary = "lmi" if args.route == "all" else args.route
-    results: list = [None] * sum(b.index.size for b in batches)
+    status, boundary = _columns(batches)
+    parts = []
     for b in batches:
-        batched = [(r, ROUTE_TABLE[r](b, cfg)) for r in routes if r != "exact-d1" or b.d == 1]
-        for k, i in enumerate(b.index.tolist()):
-            per_route = {r: v[k] for r, v in batched}
-            # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
-            # disagreement only counts between the two SOS routes
-            sos_verdicts = {per_route[r]["status"] for r in ("lmi", "ellipsoid")
-                            if r in per_route}
-            result = {"status": per_route[primary]["status"], "routes": per_route,
-                      "disagreement": len(sos_verdicts) > 1,
-                      "all_statuses": sorted({r["status"] for r in per_route.values()})}
-            if cfg.output == "json":
-                result["input"] = b.record(k, POLY_FIELDS)
-            results[i] = result
-    _emit_verdicts(results, cfg)
-    return _exit_code(results)
+        columns = {r: ROUTE_TABLE[r](b, cfg) for r in routes if r != "exact-d1" or b.d == 1}
+        member, edge, _ = columns[primary]
+        status[b.index] = np.where(member, MEMBER, NON_MEMBER)
+        boundary[b.index] = edge
+        parts.append((b.index, partial(_poly_records, b, columns, primary)))
+    _emit_verdicts(status, boundary, _block_records(parts), cfg)
+    return _exit_code(status)
 
 
 def _count(args, name: str, least: int):

@@ -32,3 +32,20 @@ def test_bench_tracer_installs_on_the_package_and_restores_it(capsys):
     assert spans["cli.serialize"]["count"] >= 1 and spans["cli.witness_jsonable"]["count"] >= 1
     assert all(vars(owner)[attr] is raw for owner, attr, raw in wrapped)
     assert json.loads(capsys.readouterr().out)["results"][0]["status"] == "NonMember"
+
+
+def test_bench_tracer_times_the_text_writer(capsys):
+    """Text output converts no witness, and its writer still has a span, so
+    the serialize layer of a text workload times the writer."""
+    pkg = {name: importlib.import_module(f"momentcert.{name}") for name in MODULES}
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install(pkg)
+        assert pkg["cli"].main(["check-poly", "--route", "all", "--n", "4", "--d", "1",
+                                "--a0", "1", "--a", "3", "--aa", "0"]) == 1
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()["spans"]
+    assert spans["cli.serialize"]["count"] == 1
+    assert spans.get(_tracing().WITNESS, {"count": 0})["count"] == 0
+    assert capsys.readouterr().out == "[0] NonMember\n"

@@ -288,11 +288,18 @@ def test_empty_json_record_list_rejected(tmp_path, capsys):
 
 
 def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch):
+    """Text and CSV come from the verdict columns: no witness conversion, no
+    input record and no JSON record is built for them."""
     import momentcert.cli as cli
+    from momentcert.core import RowBatch
     calls = []
-    convert = cli._witness_jsonable
+    convert, record, emit = cli._witness_jsonable, RowBatch.record, cli._emit_verdicts
     monkeypatch.setattr(cli, "_witness_jsonable",
                         lambda obj: calls.append(obj) or convert(obj))
+    monkeypatch.setattr(RowBatch, "record",
+                        lambda self, *a: calls.append("record") or record(self, *a))
+    monkeypatch.setattr(cli, "_emit_verdicts", lambda status, boundary, records, cfg: emit(
+        status, boundary, lambda lo, hi: calls.append("records") or records(lo, hi), cfg))
     moments = tmp_path / "rows.csv"
     moments.write_text("n,d,z0,z1,z11\n4,1,1.0,0.0,0.0\n4,1,1.0,8.0,0.0\n")
     poly = tmp_path / "q.json"
@@ -306,10 +313,11 @@ def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch)
             run(capsys, "--output", output, *argv)
     assert calls == []
     code, out, _ = run(capsys, "--output", "json", *argvs[0])
-    assert calls and "separating_polynomial" in out
+    assert {"record", "records"} < set(map(str, calls)) and "separating_polynomial" in out
     calls.clear()
     code, out, _ = run(capsys, "--output", "json", *argvs[1])
-    assert calls and json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0
+    assert {"record", "records"} < set(map(str, calls))
+    assert json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0
 
 
 def test_input_records_built_for_json_output_only(tmp_path, capsys, monkeypatch):
@@ -415,6 +423,73 @@ def test_route_all_on_mixed_d_file(tmp_path, capsys):
     _, text, _ = run(capsys, "check-poly", "--route", "all", "--file", str(f))
     assert text.splitlines() == [f"[{i}] {r['status']}" for i, r in enumerate(results)]
     assert code == (1 if any(r["status"] == "NonMember" for r in results) else 0)
+
+
+@pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "all"])
+def test_check_poly_text_and_csv_show_the_primary_route_boundary(capsys, route):
+    argv = ("check-poly", "--route", route, "--n", "4", "--d", "1",
+            "--a0", "0", "--a", "0", "--aa", "0")  # Q = 0: on the boundary of every cone
+    code, out, _ = run(capsys, "--output", "json", *argv)
+    assert json.loads(out)["results"][0]["routes"]["lmi" if route == "all" else route][
+        "boundary"] is True
+    assert run(capsys, *argv) == (code, "[0] Member (boundary)\n", "")
+    assert run(capsys, "--output", "csv", *argv) == (
+        code, "index,status,boundary\r\n0,Member,True\r\n", "")
+
+
+def _with_boundary_rows(moments, polys, every: int = 29):
+    """Every ``every``-th row replaced by a boundary row of its (n, d): the
+    moment vector z0 = 1, z = 0, sum zz = (n-1)^2, whose sufficient residual
+    is 0, and Q = 0."""
+    from momentcert.core import MomentVector, SymmetricQuadratic
+    for i in range(0, len(moments), every):
+        dims = moments[i].dims
+        moments[i] = MomentVector(dims, 1.0, np.zeros(dims.d),
+                                  np.full(dims.d, (dims.n - 1) ** 2 / dims.d))
+        polys[i] = SymmetricQuadratic(polys[i].dims, 0.0, np.zeros(polys[i].dims.d),
+                                      np.zeros(polys[i].dims.d))
+    return moments, polys
+
+
+@pytest.mark.parametrize("case", ["moments-csv", "moments-json", "lmi", "ellipsoid",
+                                  "exact-d1", "halfdeg", "all"])
+def test_text_and_csv_agree_with_json_on_a_mixed_corpus(tmp_path, capsys, case):
+    """Over more than one JSON block of mixed (n, d) rows, the text lines and
+    CSV rows carry the status and boundary that JSON gives (for check-poly
+    those of the primary route), and all three formats exit alike."""
+    import momentcert.cli as cli
+    count = cli.JSON_BLOCK + 9
+    small = {"exact-d1": {"d_max": 1}, "halfdeg": {"n_max": 4, "d_max": 2},
+             "all": {"n_max": 4, "d_max": 2}}.get(case, {})  # halfdeg searches row by row
+    moments, polys = _with_boundary_rows(*_mixed_rows(16, count, **small))
+    f = tmp_path / "rows.csv"
+    if case == "moments-csv":
+        f.write_text("n,d,z0,z,zz\n" + "".join(
+            ",".join([str(m.dims.n), str(m.dims.d), _num(m.z0)] + [_num(v) for v in [*m.z, *m.zz]])
+            + "\n" for m in moments))
+        argv = ("check-moments", "--file", str(f))
+    elif case == "moments-json":
+        f.write_text(json.dumps([m.to_json_dict() for m in moments]))
+        argv = ("check-moments", "--file", str(f))
+    else:
+        f.write_text(json.dumps([q.to_json_dict() for q in polys]))
+        argv = ("check-poly", "--route", case, "--file", str(f))
+    code, out, _ = run(capsys, "--output", "json", *argv)
+    results = json.loads(out)["results"]
+    if case.startswith("moments"):
+        verdicts = [(r["status"], r["boundary"]) for r in results]
+    else:
+        primary = "lmi" if case == "all" else case
+        verdicts = [(r["status"], r["routes"][primary]["boundary"]) for r in results]
+    assert len(verdicts) == count and any(e for _, e in verdicts)
+    assert len({v for v, _ in verdicts}) > 1
+    text_code, text, _ = run(capsys, *argv)
+    assert text.splitlines() == [f"[{i}] {v}{' (boundary)' if e else ''}"
+                                 for i, (v, e) in enumerate(verdicts)]
+    csv_code, out, _ = run(capsys, "--output", "csv", *argv)
+    assert out.splitlines() == ["index,status,boundary"] + [
+        f"{i},{v},{e}" for i, (v, e) in enumerate(verdicts)]
+    assert code == text_code == csv_code != 64
 
 
 def test_bad_row_in_mixed_csv_reports_its_line(tmp_path, capsys):
@@ -703,7 +778,9 @@ def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
     payloads = []
     emit = cli._emit_verdicts
     monkeypatch.setattr(cli, "_emit_verdicts",
-                        lambda results, cfg: payloads.append(results) or emit(results, cfg))
+                        lambda status, boundary, records, cfg: emit(
+                            status, boundary, lambda lo, hi: payloads.append(records(lo, hi))
+                            or payloads[-1], cfg))
     moments, polys = _mixed_rows(15, 12, n_max=6, d_max=2)
     mfile, pfile = tmp_path / "m.json", tmp_path / "q.json"
     mfile.write_text(json.dumps([m.to_json_dict() for m in moments]))

@@ -69,7 +69,9 @@ def test_indented_json_refuses_what_stdlib_refuses(obj):
 def _emitted(results) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_verdicts(results, cli.RunConfig(seed=0, tol=1e-9, output="json"))
+        cli._emit_verdicts(np.zeros(len(results), dtype=int), np.zeros(len(results), dtype=bool),
+                           lambda lo, hi: results[lo:hi],
+                           cli.RunConfig(seed=0, tol=1e-9, output="json"))
     return out.getvalue()
 
 
