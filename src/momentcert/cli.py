@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -28,20 +28,21 @@ from .core import (
     group_rows,
     json_int,
     margin_verdict,
+    row_values,
     scaled_tolerance,
 )
 from .exact_d1 import (
+    hypercube_points,
     limit_cone_rows,
     p_n1_membership,  # noqa: F401  (bench/tracing.py wraps this binding)
     p_n1_rows,
-    p_n1_witness,
 )
 from .halfdeg import check_pattern_budget, reduced_global_min
 from .moment_cone import (
     STATUSES,
     classify,  # noqa: F401  (bench/tracing.py wraps this binding)
     classify_rows,
-    classify_witnesses,
+    witness_rows,
 )
 from .sos_cone import (
     arrow_lmi_rows,
@@ -81,9 +82,9 @@ class InputError(Exception):
     pass
 
 
-#: verdict records per block of streamed JSON output: bounds the per-byte
-#: index arrays of the re-indent pass, while a block still has enough bytes
-#: that its few numpy calls cost little per record
+#: verdict records per block of streamed JSON output: bounds the leaf-text
+#: arrays of a block, while a block still has enough records that the few
+#: numpy calls of each record layout cost little per record
 JSON_BLOCK = 128
 
 #: compact separators and no indent select the stdlib's C encoder
@@ -153,10 +154,22 @@ POLY_FIELDS = ("a0", "a", "aa")
 PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
+def _magnitude_bound(n, d: int, names) -> np.ndarray:
+    """The largest |value| a row of n (B,) and d may hold: sqrt(max float /
+    (2d+1)) for moments, that over n for polynomials.  A moment test's
+    max-form residual and its parts are at most (2d+1) scale² in size, and
+    its tolerance tol scale²; the polynomial kernels square n times a
+    coefficient (the ellipsoid gradient n a_α, summed over d) and form
+    scale n².  So below the bound none of them overflows."""
+    bound = math.sqrt(sys.float_info.max / (2 * d + 1))
+    return bound / n if names == POLY_FIELDS else np.full(np.shape(n), bound)
+
+
 def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
     """``group_rows(n, d, values)`` under the row rules: n >= 2, n < 2^53,
-    d >= 1 and every value finite.  A broken rule raises ValueError with the
-    scalar constructors' message for the first row that breaks it."""
+    d >= 1, every value finite and at most ``_magnitude_bound`` in size.  A
+    broken rule raises ValueError with the scalar constructors' message (or,
+    for the bound, the bound) for the first row that breaks it."""
     low = np.flatnonzero(n < 2)
     if low.size:
         raise ValueError(f"n must be an integer >= 2, got {int(n[low[0]])}")
@@ -171,6 +184,11 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite" if v.ndim == 1
                                  else f"{name} contains non-finite entries")
+        bound = _magnitude_bound(b.n, b.d, names)
+        big = np.flatnonzero(np.abs(row_values(b.x0, b.x, b.xx)).max(axis=-1) > bound)
+        if big.size:
+            raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
+                             f"magnitude at n={int(b.n[big[0]])}, d={b.d}")
     return batches
 
 
@@ -320,11 +338,103 @@ def _witness_jsonable(obj):
     return repr(obj)
 
 
-def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, records, cfg: RunConfig):
+# Verdict records are written from their columns.  A record is given as a
+# tree: the dicts of its JSON object, whose leaves are either constants or
+# the leaf texts of every row at once, object arrays of shape (rows, ...)
+# with one JSON text per entry.  The rows of a tree share one layout, the
+# text _indented_json writes for the record whose leaves are slot markers.
+
+
+def _floats(v, witness: bool = False) -> np.ndarray:
+    """The JSON texts of the floats ``v``, as the encoder writes Python
+    floats: ``float.__repr__``, and NaN, Infinity or -Infinity; a witness
+    value that is not finite is written, as ``_witness_jsonable`` gives it,
+    as its quoted repr."""
+    v = np.asarray(v, dtype=float)
+    flat = v.ravel()
+    out = np.fromiter(map(float.__repr__, flat.tolist()), dtype=object, count=flat.size)
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        out[i] = _compact_json(out[i] if witness else float(flat[i]))
+    return out.reshape(v.shape)
+
+
+def _ints(v) -> np.ndarray:
+    """The JSON texts of the integers ``v`` (any numeric dtype)."""
+    flat = np.ravel(v).astype(np.int64)
+    return np.fromiter(map(str, flat.tolist()), dtype=object,
+                       count=flat.size).reshape(np.shape(v))
+
+
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+_STATUS_TEXTS = np.array([_compact_json(v) for v in STATUS_VALUES], dtype=object)
+#: ``all_statuses`` of a check-poly record (["Member"], ["NonMember"] or
+#: both) at 2 * any Member + any NonMember - 1, indented as a record key
+_ALL_STATUSES = np.array([_indented_json(v, depth=3) for v in (
+    [STATUS_VALUES[NON_MEMBER]], [STATUS_VALUES[MEMBER]], list(STATUS_VALUES[:2]))],
+    dtype=object)
+
+
+def _bools(v) -> np.ndarray:
+    return _BOOL_TEXTS[np.asarray(v, dtype=np.intp)]
+
+
+@lru_cache(maxsize=256)
+def _layout(skeleton: str) -> np.ndarray:
+    """The pieces of text between the leaves of a record as _emit_verdicts
+    writes it (after its block's "[" or ","), from its compact ``skeleton``,
+    in which each leaf array is "@" followed by the shape of one row's
+    leaves."""
+    def slots(node):
+        if isinstance(node, dict):
+            return {key: slots(v) for key, v in node.items()}
+        if isinstance(node, str) and node[:1] == "@":
+            return np.full([int(k) for k in node[1:].split(",") if k], "@", dtype=object).tolist()
+        return node
+
+    text = _indented_json([slots(json.loads(skeleton))], depth=1)[1:-4]
+    pieces = np.array(text.split('"@"'), dtype=object)
+    pieces.setflags(write=False)  # shared by every caller
+    return pieces
+
+
+def _record_texts(tree: dict) -> np.ndarray:
+    """The JSON texts of the rows of one record tree: its layout's pieces
+    interleaved with the leaf texts, which the encoder meets in text order."""
+    leaves = []
+
+    def leaf(v: np.ndarray) -> str:
+        leaves.append(v.reshape(v.shape[0], -1))
+        return "@" + ",".join(map(str, v.shape[1:]))
+
+    pieces = _layout(json.JSONEncoder(sort_keys=True, default=leaf).encode(tree))
+    rows = leaves[0].shape[0]
+    out = np.empty((rows, 2 * pieces.size - 1), dtype=object)
+    out[:, 0::2] = pieces
+    out[:, 1::2] = np.concatenate(leaves, axis=1)
+    return np.fromiter(map("".join, out.tolist()), dtype=object, count=rows)
+
+
+def _texts_by_shape(shape: np.ndarray, tree, s: int) -> np.ndarray:
+    """The record texts of a d-group's rows s..s+len(shape)-1 in order;
+    ``tree(ks)`` is the record tree of group rows ks, all of one shape."""
+    out = np.empty(shape.size, dtype=object)
+    for key in set(shape.tolist()):
+        sel = np.flatnonzero(shape == key)
+        out[sel] = _record_texts(tree(s + sel))
+    return out
+
+
+def _input_tree(b: RowBatch, names, ks: np.ndarray) -> dict:
+    """Rows ks of ``b`` as ``to_json_dict`` writes them, with the three field names."""
+    return {"n": _ints(b.n[ks]), "d": b.d, names[0]: _floats(b.x0[ks]),
+            names[1]: _floats(b.x[ks]), names[2]: _floats(b.xx[ks])}
+
+
+def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConfig):
     """Write the verdicts of the input rows in input order.  Text lines and
     CSV rows come straight from the status codes (indices into
-    STATUS_VALUES) and boundary flags; JSON from ``records(lo, hi)``, the
-    records of rows lo..hi-1, built and written one JSON_BLOCK at a time."""
+    STATUS_VALUES) and boundary flags; JSON from ``texts(lo, hi)``, the
+    record texts of rows lo..hi-1, made and written one JSON_BLOCK at a time."""
     count = status.size
     if cfg.output == "json":
         # _json_out's layout, written a block of records at a time: sorted
@@ -332,8 +442,7 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, records, cfg: RunCo
         write = sys.stdout.write
         write('{\n  "results": [')
         for start in range(0, count, JSON_BLOCK):
-            block = _indented_json(records(start, min(start + JSON_BLOCK, count)), depth=1)
-            write(("," if start else "") + block[1:-4])  # without "[" and "\n  ]"
+            write(("," if start else "") + ",".join(texts(start, min(start + JSON_BLOCK, count))))
         write(("\n  ]" if count else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
     elif cfg.output == "csv":
         w = csv.writer(sys.stdout)
@@ -345,21 +454,20 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, records, cfg: RunCo
                                   for i, k in enumerate((2 * status + boundary).tolist())]))
 
 
-def _block_records(parts: list):
-    """``records(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per
-    d-group, the input positions of its rows and ``build(s, e)``, the
-    records of its rows s..e-1; a d-group keeps input order, so its rows
-    among lo..hi-1 are one slice of it."""
-    def records(lo: int, hi: int) -> list:
-        out: list = [None] * (hi - lo)
+def _block_texts(parts: list):
+    """``texts(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per d-group,
+    the input positions of its rows and ``build(s, e)``, the texts of its
+    rows s..e-1; a d-group keeps input order, so its rows among lo..hi-1
+    are one slice of it."""
+    def texts(lo: int, hi: int) -> list:
+        out = np.empty(hi - lo, dtype=object)
         for index, build in parts:
             s, e = np.searchsorted(index, (lo, hi)).tolist()
             if s < e:
-                for i, r in zip(index[s:e].tolist(), build(s, e)):
-                    out[i - lo] = r
-        return out
+                out[index[s:e] - lo] = build(s, e)
+        return out.tolist()
 
-    return records
+    return texts
 
 
 def _inline_rows(args, names) -> list[RowBatch]:
@@ -380,11 +488,36 @@ def _columns(batches: list[RowBatch]) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(count, dtype=np.intp), np.empty(count, dtype=bool)
 
 
-def _moment_records(b: RowBatch, verdicts, witnesses: list, s: int, e: int) -> list[dict]:
-    return [{"status": STATUS_VALUES[c], "boundary": edge,
-             "input": b.record(k, MOMENT_FIELDS), "witness": _witness_jsonable(witnesses[k])}
-            for k, c, edge in zip(range(s, e), verdicts.status[s:e].tolist(),
-                                  verdicts.boundary[s:e].tolist())]
+def _report_tree(rows, side: str, ks: np.ndarray) -> dict:
+    """The ``InequalityReport`` of one side's ConditionRows at rows ks."""
+    return {"side": side, "max_form_residual": _floats(rows.residual[ks], witness=True),
+            "worst_pattern": _ints(rows.pattern[ks]), "z0_ok": _bools(rows.z0_ok[ks])}
+
+
+def _moment_texts(b: RowBatch, v, w, s: int, e: int) -> np.ndarray:
+    """The record texts of rows s..e-1 of ``b`` from its verdict columns ``v``
+    and witness columns ``w``, one layout per verdict."""
+    def tree(ks: np.ndarray) -> dict:
+        kind = int(v.status[ks[0]])
+        if kind == MEMBER:
+            witness = {"matrix": {"matrix": _floats(w.matrix[ks]),
+                                  "x0": _floats(w.x0[ks], witness=True),
+                                  "xdiag": _floats(w.xdiag[ks])},
+                       "report": _report_tree(v.suf, "sufficient", ks)}
+        elif kind == NON_MEMBER:
+            witness = {"pairing": _floats(w.pairing[ks], witness=True),
+                       "report": _report_tree(v.nec, "necessary", ks),
+                       "separating_polynomial": {"n": _ints(b.n[ks]), "d": b.d,
+                                                 "a0": _floats(w.a0[ks]), "a": _floats(w.a[ks]),
+                                                 "aa": _floats(w.aa[ks])},
+                       "witness_in_sigma": _bools(w.in_sigma[ks])}
+        else:
+            witness = {"necessary_residual": _floats(v.nec.residual[ks], witness=True),
+                       "sufficient_residual": _floats(v.suf.residual[ks], witness=True)}
+        return {"status": STATUS_VALUES[kind], "boundary": _bools(v.boundary[ks]),
+                "input": _input_tree(b, MOMENT_FIELDS, ks), "witness": witness}
+
+    return _texts_by_shape(v.status[s:e], tree, s)
 
 
 def cmd_check_moments(args, cfg: RunConfig) -> int:
@@ -396,17 +529,13 @@ def cmd_check_moments(args, cfg: RunConfig) -> int:
         verdicts = classify_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
         status[b.index], boundary[b.index] = verdicts.status, verdicts.boundary
         if cfg.output == "json":
-            witnesses = classify_witnesses(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
-            parts.append((b.index, partial(_moment_records, b, verdicts, witnesses)))
-    _emit_verdicts(status, boundary, _block_records(parts), cfg)
+            witnesses = witness_rows(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
+            parts.append((b.index, partial(_moment_texts, b, verdicts, witnesses)))
+    _emit_verdicts(status, boundary, _block_texts(parts), cfg)
     return _exit_code(status)
 
 
 ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
-
-
-def _member_value(member: bool) -> str:
-    return STATUS_VALUES[MEMBER if member else NON_MEMBER]
 
 
 def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +546,7 @@ def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[np.ndarray, np.ndar
 
 def _lmi_route(b: RowBatch, cfg: RunConfig):
     r = arrow_lmi_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
-    return r.member, r.boundary, lambda s, e: {"c": r.c[s:e].tolist(),
-                                               "slack": r.slack[s:e].tolist()}
+    return r.member, r.boundary, lambda ks: {"c": _floats(r.c[ks]), "slack": _floats(r.slack[ks])}
 
 
 def _exact_d1_route(b: RowBatch, cfg: RunConfig):
@@ -430,10 +558,15 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig):
         _, kmin[sel], rmin[sel], member[sel], edge[sel] = p_n1_rows(
             b.x0[sel], b.x[sel, 0], b.xx[sel, 0], int(n), cfg.tol)
 
-    def fields(s: int, e: int) -> dict[str, list]:
-        return {"witness": [_witness_jsonable(p_n1_witness(int(n), km, rm, m))
-                            for n, km, rm, m in zip(b.n[s:e].tolist(), kmin[s:e].tolist(),
-                                                    rmin[s:e].tolist(), member[s:e].tolist())]}
+    def fields(ks: np.ndarray) -> dict:
+        """``p_n1_witness`` of rows ks, all Member, or all NonMember at one n."""
+        if member[ks[0]]:
+            return {"witness": {"min_k": _ints(kmin[ks]),
+                                "min_residual": _floats(rmin[ks], witness=True)}}
+        n = int(b.n[ks[0]])
+        return {"witness": {"k": _ints(kmin[ks]), "residual": _floats(rmin[ks], witness=True),
+                            "point": {"dims": {"d": 1, "n": n},
+                                      "points": _floats(hypercube_points(n, kmin[ks]))}}}
 
     return member, edge, fields
 
@@ -441,8 +574,8 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig):
 def _ellipsoid_route(b: RowBatch, cfg: RunConfig):
     val, x, y = ellipsoid_rows(b.x0, b.x, b.xx, b.n)
     return (*_min_verdicts(b, cfg, val),
-            lambda s, e: {"min_value": val[s:e].tolist(), "x": x[s:e].tolist(),
-                          "y": y[s:e].tolist()})
+            lambda ks: {"min_value": _floats(val[ks]), "x": _floats(x[ks]),
+                        "y": _floats(y[ks])})
 
 
 def _halfdeg_route(b: RowBatch, cfg: RunConfig):
@@ -450,38 +583,45 @@ def _halfdeg_route(b: RowBatch, cfg: RunConfig):
     val, found = zip(*(reduced_global_min(SymmetricQuadratic(ProblemDims(n, b.d), *v),
                                           seed=cfg.seed)
                        for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
-    return (*_min_verdicts(b, cfg, np.array(val)),
-            lambda s, e: {"min_value": list(val[s:e]),
-                          "argmin": [c.points.tolist() for c in found[s:e]]})
+    val = np.array(val, dtype=float)
+    return (*_min_verdicts(b, cfg, val),
+            lambda ks: {"min_value": _floats(val[ks]),
+                        "argmin": _floats([found[k].points for k in ks.tolist()])})
 
 
 #: each route runs once per d-group, over the rows of that group, and gives
-#: member and boundary (B,) and ``fields(s, e)``: its JSON fields besides
-#: status and boundary, as columns over the group's rows s..e-1
+#: member and boundary (B,) and ``fields(ks)``: the tree of its JSON fields
+#: besides status and boundary for group rows ks, which share one shape: one
+#: exact-d1 verdict, and one n where a witness lists n points
 ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
                "exact-d1": _exact_d1_route, "halfdeg": _halfdeg_route}
 
 
-def _poly_records(b: RowBatch, columns: dict, primary: str, s: int, e: int) -> list[dict]:
-    """The records of rows s..e-1 of ``b`` from each route's columns."""
-    per_route = {}
-    for route, (member, edge, fields) in columns.items():
-        extra = fields(s, e)
-        per_route[route] = [
-            {"status": _member_value(m), "boundary": on_edge, **dict(zip(extra, vals))}
-            for m, on_edge, *vals in zip(member[s:e].tolist(), edge[s:e].tolist(),
-                                         *extra.values())]
-    out = []
-    for k, verdicts in enumerate(zip(*per_route.values())):
-        routes = dict(zip(per_route, verdicts))
+def _poly_texts(b: RowBatch, columns: dict, primary: str, s: int, e: int) -> np.ndarray:
+    """The record texts of rows s..e-1 of ``b`` from each route's columns."""
+    def tree(ks: np.ndarray) -> dict:
+        routes = {r: {"status": _STATUS_TEXTS[np.where(member[ks], MEMBER, NON_MEMBER)],
+                      "boundary": _bools(edge[ks]), **fields(ks)}
+                  for r, (member, edge, fields) in columns.items()}
+        members = np.array([member[ks] for member, _, _ in columns.values()])
         # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
         # disagreement only counts between the two SOS routes
-        sos_verdicts = {routes[r]["status"] for r in ("lmi", "ellipsoid") if r in routes}
-        out.append({"status": routes[primary]["status"], "routes": routes,
-                    "disagreement": len(sos_verdicts) > 1,
-                    "all_statuses": sorted({r["status"] for r in routes.values()}),
-                    "input": b.record(s + k, POLY_FIELDS)})
-    return out
+        sos = ([columns[r][0][ks] for r in ("lmi", "ellipsoid") if r in columns]
+               or [np.zeros(ks.size, dtype=bool)])
+        return {"status": routes[primary]["status"], "routes": routes,
+                "disagreement": _bools(sos[0] != sos[-1]),
+                "all_statuses": _ALL_STATUSES[2 * members.any(axis=0) + ~members.all(axis=0) - 1],
+                "input": _input_tree(b, POLY_FIELDS, ks)}
+
+    # a row's shape, 2n + its exact-d1 verdict: n counts where a witness
+    # lists n points (a halfdeg argmin, an exact-d1 NonMember's point)
+    shape = np.zeros(e - s, dtype=np.int64)
+    points = np.full(e - s, "halfdeg" in columns)
+    if "exact-d1" in columns:
+        shape += columns["exact-d1"][0][s:e]
+        points |= shape == 0
+    shape += 2 * np.where(points, b.n[s:e], 0).astype(np.int64)
+    return _texts_by_shape(shape, tree, s)
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
@@ -502,8 +642,8 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
         member, edge, _ = columns[primary]
         status[b.index] = np.where(member, MEMBER, NON_MEMBER)
         boundary[b.index] = edge
-        parts.append((b.index, partial(_poly_records, b, columns, primary)))
-    _emit_verdicts(status, boundary, _block_records(parts), cfg)
+        parts.append((b.index, partial(_poly_texts, b, columns, primary)))
+    _emit_verdicts(status, boundary, _block_texts(parts), cfg)
     return _exit_code(status)
 
 
@@ -669,7 +809,10 @@ def cmd_fuzz(args, cfg: RunConfig) -> int:
     return EXIT_OK if result.passed else EXIT_NONMEMBER
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(
         prog="momentcert",
         description="Certify membership in the separable-moment cone and its "

@@ -213,11 +213,6 @@ class RowBatch(NamedTuple):
     def d(self) -> int:
         return self.x.shape[1]
 
-    def record(self, k: int, names: tuple[str, str, str]) -> dict:
-        """Row k as ``to_json_dict`` writes it, with the three field names."""
-        return {"n": int(self.n[k]), "d": self.d, names[0]: float(self.x0[k]),
-                names[1]: self.x[k].tolist(), names[2]: self.xx[k].tolist()}
-
 
 def group_rows(n: np.ndarray, d: np.ndarray, values) -> list[RowBatch]:
     """Rows grouped by d, in input order within a group; ``values(idx, d)``

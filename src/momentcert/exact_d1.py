@@ -30,11 +30,15 @@ def _require_d1(dims: ProblemDims):
         raise ValueError(f"d=1 required, got d={dims.d}")
 
 
+def hypercube_points(n: int, k) -> np.ndarray:
+    """The points of the hypercube configurations with k entries -1 and n-k
+    entries +1: shape (n, 1) for an int k, (B, n, 1) for k of shape (B,)."""
+    return np.where(np.arange(n)[:, None] < np.asarray(k)[..., None, None], -1.0, 1.0)
+
+
 def hypercube_point(n: int, k: int) -> Configuration:
     """The hypercube configuration with k entries -1 and n-k entries +1."""
-    pts = np.ones((n, 1))
-    pts[:k, 0] = -1.0
-    return Configuration(ProblemDims(n, 1), pts)
+    return Configuration(ProblemDims(n, 1), hypercube_points(n, k))
 
 
 def facet_residuals(a0, a1, a11, n: int) -> np.ndarray:

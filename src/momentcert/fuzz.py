@@ -19,9 +19,9 @@ from .measures import lemma_approx_construct
 from .moment_cone import (
     NECESSARY,
     classify_rows,
-    classify_witnesses,
     max_form_residual_batch,
     necessary_condition,
+    witness_rows,
 )
 from .sos_cone import arrow_lmi_rows, ellipsoid_rows
 from .spin import (
@@ -234,14 +234,13 @@ def witness_suite(iters: int = 200, seed: int = 0) -> FuzzResult:
     ms = [random_moment_probe(rng)[2] for _ in range(iters)]
     for b in row_batches(ms) if ms else ():
         rows = classify_rows(b.x0, b.x, b.xx, b.n)
-        witnesses = classify_witnesses(rows, b.x0, b.x, b.xx, b.n)
+        w = witness_rows(rows, b.x0, b.x, b.xx, b.n)
         for k in np.flatnonzero(rows.status == 1).tolist():
             result.iterations += 1
-            w = witnesses[k]
-            if not w["witness_in_sigma"] or w["pairing"] >= 0.0:
+            if not w.in_sigma[k] or w.pairing[k] >= 0.0:
                 result.violations.append(
                     {"seed": seed, "index": int(b.index[k]), "n": int(b.n[k]), "d": b.d,
-                     "pairing": w["pairing"], "q_in_sigma": w["witness_in_sigma"]})
+                     "pairing": float(w.pairing[k]), "q_in_sigma": bool(w.in_sigma[k])})
     result.violations.sort(key=lambda v: v["index"])
     return result
 

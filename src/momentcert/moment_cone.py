@@ -313,50 +313,73 @@ def _row_dot(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def classify_witnesses(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> list[dict]:
-    """The witness of each row's verdict, as :func:`classify` returns it.
+class MomentWitnessRows(NamedTuple):
+    """The witness columns of :func:`classify_rows`' verdicts, each set on
+    the rows of its verdict and zero elsewhere.  Member: the witness matrix
+    (B, 2d+2, 2d+2), its inner diagonal (B, d) and corner x0 (B,), all zero
+    for the zero vector.  NonMember: the separating polynomial a0 (B,), a and
+    aa (B, d), its pairing with the row and whether it lies in Sigma."""
 
-    Member: the sufficient-side report and witness matrix.  NonMember: the
-    necessary-side report, the separating polynomial, its pairing with the
-    row and its SOS-cone verdict, all computed over the NonMember rows at
-    once.  Indeterminate: both residuals.
-    """
+    matrix: np.ndarray
+    xdiag: np.ndarray
+    x0: np.ndarray
+    a0: np.ndarray
+    a: np.ndarray
+    aa: np.ndarray
+    pairing: np.ndarray
+    in_sigma: np.ndarray
+
+
+def witness_rows(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> MomentWitnessRows:
+    """The witnesses of each row's verdict, each kind computed over the rows
+    of its verdict at once.  A separating polynomial that is not finite
+    raises the ValueError of the SymmetricQuadratic it would make."""
     b, d = z.shape
     n = np.broadcast_to(np.asarray(n, dtype=float), (b,))
-    out: list[dict] = [{} for _ in range(b)]
-    member = np.flatnonzero(rows.status == 0)
-    z0e, zm, zzm, nm = rows.suf.z0e[member], z[member], zz[member], n[member]
-    xdiag, x0 = _witness_diagonal(z0e, zm, zzm, nm)
-    mats = _witness_matrices(z0e, zm, zzm, nm, xdiag, x0)
-    for j, k in enumerate(member.tolist()):
-        matrix = (_zero_witness(d) if rows.zero[k] else
-                  MomentWitnessMatrix(mats[j], xdiag[j], float(x0[j])))
-        out[k] = {"report": _report(SUFFICIENT, rows.suf, k), "matrix": matrix}
-    non = np.flatnonzero(rows.status == 1)
-    if non.size:
-        a0, a, aa = separating_rows(z0[non], z[non], zz[non], n[non], rows.scale[non],
-                                    rows.nec.pattern[non], tol)
-        in_sigma = arrow_lmi_rows(a0, a, aa, n[non], tol).member
-        pairing = a0 * z0[non] + _row_dot(a, z[non]) + _row_dot(aa, zz[non])
-        for j, k in enumerate(non.tolist()):
-            q = SymmetricQuadratic(ProblemDims(int(n[k]), d), float(a0[j]), a[j], aa[j])
-            out[k] = {"report": _report(NECESSARY, rows.nec, k),
-                      "separating_polynomial": q, "pairing": float(pairing[j]),
-                      "witness_in_sigma": bool(in_sigma[j])}
-    for k in np.flatnonzero(rows.status == 2).tolist():
-        out[k] = {"necessary_residual": float(rows.nec.residual[k]),
-                  "sufficient_residual": float(rows.suf.residual[k])}
-    return out
+    matrix, xdiag, x0 = np.zeros((b, 2 * d + 2, 2 * d + 2)), np.zeros((b, d)), np.zeros(b)
+    k = np.flatnonzero((rows.status == 0) & ~rows.zero)
+    z0e = rows.suf.z0e[k]
+    xdiag[k], x0[k] = _witness_diagonal(z0e, z[k], zz[k], n[k])
+    matrix[k] = _witness_matrices(z0e, z[k], zz[k], n[k], xdiag[k], x0[k])
+    a0, a, aa, pairing = np.zeros(b), np.zeros((b, d)), np.zeros((b, d)), np.zeros(b)
+    in_sigma = np.zeros(b, dtype=bool)
+    k = np.flatnonzero(rows.status == 1)
+    if k.size:
+        a0[k], a[k], aa[k] = separating_rows(z0[k], z[k], zz[k], n[k], rows.scale[k],
+                                             rows.nec.pattern[k], tol)
+        bad = k[~np.isfinite(row_values(a0[k], a[k], aa[k])).all(axis=-1)]
+        if bad.size:  # raises the constructor's error for the first such row
+            j = bad[0]
+            SymmetricQuadratic(ProblemDims(int(n[j]), d), a0[j], a[j], aa[j])
+        in_sigma[k] = arrow_lmi_rows(a0[k], a[k], aa[k], n[k], tol).member
+        pairing[k] = a0[k] * z0[k] + _row_dot(a[k], z[k]) + _row_dot(aa[k], zz[k])
+    return MomentWitnessRows(matrix, xdiag, x0, a0, a, aa, pairing, in_sigma)
 
 
 def classify(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
     """Member / NonMember / Indeterminate with independently checkable
-    witnesses: :func:`classify_rows` and :func:`classify_witnesses` on one row."""
+    witnesses: :func:`classify_rows` and :func:`witness_rows` on one row.
+
+    Member: the sufficient-side report and witness matrix.  NonMember: the
+    necessary-side report, the separating polynomial, its pairing with the
+    row and its SOS-cone verdict.  Indeterminate: both residuals.
+    """
     z0, z, zz = _one_row(m)
     rows = classify_rows(z0, z, zz, m.dims.n, tol)
-    witness = classify_witnesses(rows, z0, z, zz, m.dims.n, tol)[0]
-    return ConeVerdict(STATUSES[rows.status[0]], witness=witness,
-                       boundary=bool(rows.boundary[0]))
+    w = witness_rows(rows, z0, z, zz, m.dims.n, tol)
+    status = int(rows.status[0])
+    if status == 0:
+        witness = {"report": _report(SUFFICIENT, rows.suf, 0),
+                   "matrix": MomentWitnessMatrix(w.matrix[0], w.xdiag[0], float(w.x0[0]))}
+    elif status == 1:
+        witness = {"report": _report(NECESSARY, rows.nec, 0),
+                   "separating_polynomial": SymmetricQuadratic(m.dims, float(w.a0[0]),
+                                                               w.a[0], w.aa[0]),
+                   "pairing": float(w.pairing[0]), "witness_in_sigma": bool(w.in_sigma[0])}
+    else:
+        witness = {"necessary_residual": float(rows.nec.residual[0]),
+                   "sufficient_residual": float(rows.suf.residual[0])}
+    return ConeVerdict(STATUSES[status], witness=witness, boundary=bool(rows.boundary[0]))
 
 
 def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:

@@ -26,12 +26,19 @@ def test_bench_tracer_installs_on_the_package_and_restores_it(capsys):
         wrapped = list(tracer._restore)
         assert pkg["cli"].main(["--output", "json", "check-moments", "--n", "4", "--d", "1",
                                 "--z0", "1", "--z", "3", "--zz", "0"]) == 1
+        moments = capsys.readouterr().out
+        serialize = tracer.summary()["spans"]["cli.serialize"]["count"]
+        # fuzz output converts its witness objects
+        assert pkg["cli"].main(["--output", "json", "fuzz", "--suite", "witness",
+                                "--iters", "3"]) == 0
     finally:
         tracer.uninstall()
     spans = tracer.summary()["spans"]
-    assert spans["cli.serialize"]["count"] >= 1 and spans["cli.witness_jsonable"]["count"] >= 1
+    assert serialize == 1 and spans["cli.serialize"]["count"] == 2
+    assert spans["cli.witness_jsonable"]["count"] >= 1
     assert all(vars(owner)[attr] is raw for owner, attr, raw in wrapped)
-    assert json.loads(capsys.readouterr().out)["results"][0]["status"] == "NonMember"
+    assert json.loads(moments)["results"][0]["status"] == "NonMember"
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 def test_bench_tracer_times_the_text_writer(capsys):

@@ -288,18 +288,20 @@ def test_empty_json_record_list_rejected(tmp_path, capsys):
 
 
 def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch):
-    """Text and CSV come from the verdict columns: no witness conversion, no
-    input record and no JSON record is built for them."""
+    """Text and CSV come from the verdict columns: no witness column and no
+    record text is made for them.  JSON is written from the columns, with
+    no witness object converted."""
     import momentcert.cli as cli
-    from momentcert.core import RowBatch
     calls = []
-    convert, record, emit = cli._witness_jsonable, RowBatch.record, cli._emit_verdicts
+    convert, witness, texts, emit = (cli._witness_jsonable, cli.witness_rows, cli._record_texts,
+                                     cli._emit_verdicts)
     monkeypatch.setattr(cli, "_witness_jsonable",
                         lambda obj: calls.append(obj) or convert(obj))
-    monkeypatch.setattr(RowBatch, "record",
-                        lambda self, *a: calls.append("record") or record(self, *a))
-    monkeypatch.setattr(cli, "_emit_verdicts", lambda status, boundary, records, cfg: emit(
-        status, boundary, lambda lo, hi: calls.append("records") or records(lo, hi), cfg))
+    monkeypatch.setattr(cli, "witness_rows",
+                        lambda *a: calls.append("witness_rows") or witness(*a))
+    monkeypatch.setattr(cli, "_record_texts", lambda tree: calls.append("record") or texts(tree))
+    monkeypatch.setattr(cli, "_emit_verdicts", lambda status, boundary, texts, cfg: emit(
+        status, boundary, lambda lo, hi: calls.append("records") or texts(lo, hi), cfg))
     moments = tmp_path / "rows.csv"
     moments.write_text("n,d,z0,z1,z11\n4,1,1.0,0.0,0.0\n4,1,1.0,8.0,0.0\n")
     poly = tmp_path / "q.json"
@@ -313,10 +315,11 @@ def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch)
             run(capsys, "--output", output, *argv)
     assert calls == []
     code, out, _ = run(capsys, "--output", "json", *argvs[0])
-    assert {"record", "records"} < set(map(str, calls)) and "separating_polynomial" in out
+    assert calls.count("witness_rows") == 1 and {"record", "records"} < set(map(str, calls))
+    assert "separating_polynomial" in out
     calls.clear()
     code, out, _ = run(capsys, "--output", "json", *argvs[1])
-    assert {"record", "records"} < set(map(str, calls))
+    assert {"record", "records"} == set(map(str, calls))
     assert json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0
 
 
@@ -774,12 +777,14 @@ def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
 
 
 def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
+    """Every block of record texts is plain JSON: no numpy scalar's repr
+    leaks into a record, and each block parses to builtin types only."""
     import momentcert.cli as cli
     payloads = []
     emit = cli._emit_verdicts
     monkeypatch.setattr(cli, "_emit_verdicts",
-                        lambda status, boundary, records, cfg: emit(
-                            status, boundary, lambda lo, hi: payloads.append(records(lo, hi))
+                        lambda status, boundary, texts, cfg: emit(
+                            status, boundary, lambda lo, hi: payloads.append(texts(lo, hi))
                             or payloads[-1], cfg))
     moments, polys = _mixed_rows(15, 12, n_max=6, d_max=2)
     mfile, pfile = tmp_path / "m.json", tmp_path / "q.json"
@@ -796,8 +801,11 @@ def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
             for v in obj:
                 yield from types(v)
 
-    assert "separating_polynomial" in json.dumps(payloads[0])
-    assert set(types(payloads)) <= {dict, list, str, int, float, bool, type(None)}
+    assert len(payloads) == 2 and all(type(t) is str for block in payloads for t in block)
+    assert not any("np." in t for block in payloads for t in block)
+    records = [json.loads("[" + ",".join(block) + "]") for block in payloads]
+    assert "separating_polynomial" in json.dumps(records[0])
+    assert set(types(records)) <= {dict, list, str, int, float, bool, type(None)}
 
 
 def test_spin_text_prints_residuals_within_tolerance_as_zero(capsys):
@@ -815,3 +823,80 @@ def test_spin_text_prints_residuals_within_tolerance_as_zero(capsys):
         assert ("VIOLATED" in line) == r["violated"]
     # the coherent state saturates every squeezing row up to rounding noise
     assert any(abs(r["spin_residual"]) <= t and r["residual"] != 0 for r in rows)
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """The parser is built once per process; calls with other subcommands
+    and options, and an argparse error between them, print what separate
+    processes print."""
+    import os
+    import subprocess
+    import sys
+
+    import momentcert.cli as cli
+    moments = ("check-moments", "--n", "4", "--d", "1", "--z0", "1", "--z", "3", "--zz", "0")
+    argvs = [moments,
+             ("--output", "json", "check-poly", "--route", "all", "--n", "4", "--d", "1",
+              "--a0", "1", "--a", "0", "--aa", "0"),
+             ("check-poly", "--route", "nope"),
+             ("--output", "csv", "--tol", "1e-6", "check-moments", "--n", "4", "--d", "2",
+              "--z0", "1", "--z", "0.1,0.2", "--zz", "0.3,0.1"),
+             ("spin", "--preset", "ghz", "--n", "3"),
+             moments]
+    together = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    assert cli.build_parser.cache_info().currsize == 1
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    apart = [subprocess.run([sys.executable, "-m", "momentcert.cli", *argv], env=env,
+                            capture_output=True) for argv in argvs]
+    assert together == [(p.returncode, p.stdout.decode()) for p in apart]
+    assert [code for code, _ in together] == [1, 0, 2, 0, 0, 1]
+
+
+def _scaled(argv: list, values: dict, s: float) -> list:
+    """``argv`` followed by the inline options ``values``, each times ``s``."""
+    return argv + [f"--{k}={float(v * s)!r}" for k, v in values.items()]
+
+
+def test_moment_rows_past_the_magnitude_bound_are_refused(tmp_path, capsys):
+    """A moment row whose max-form residual would overflow is refused: at
+    S = 1e155 every part of (4, 1, S, S, S) printed a NaN residual and a
+    NonMember verdict.  At the bound the row is still a Member, as at any
+    smaller scale (the moment cone is a cone)."""
+    import momentcert.cli as cli
+    bound = float(cli._magnitude_bound(np.array([4.0]), 1, cli.MOMENT_FIELDS)[0])
+    argv, row = ["check-moments", "--n", "4", "--d", "1"], {"z0": 1.0, "z": 1.0, "zz": 1.0}
+    for s in (1.0, 1e100, bound):
+        assert run(capsys, *_scaled(argv, row, s))[:2] == (0, "[0] Member\n"), s
+    for s in (np.nextafter(bound, np.inf), 1e155):
+        code, out, err = run(capsys, *_scaled(argv, row, s))
+        assert (code, out) == (64, "") and err.count("\n") == 1, s
+        assert f"must be at most {bound!r} in magnitude" in err
+    f = tmp_path / "m.csv"
+    f.write_text("n,d,z0,z1,z11\n4,1,1,0,0\n4,1,1e155,1e155,1e155\n")
+    code, out, err = run(capsys, "check-moments", "--file", str(f))
+    assert (code, out) == (64, "") and err.startswith(f"error: {f}: line 3: z0, z, zz must be")
+
+
+@pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "halfdeg"])
+def test_polynomials_past_the_magnitude_bound_are_refused(capsys, route):
+    """Up to sqrt(max float / (2d+1)) / n each route gives the verdict of the
+    unscaled quadratic (P and Sigma are cones); past it the row is refused.
+    Without the bound, lmi and ellipsoid flipped verdicts near 1e154 and
+    halfdeg raised OverflowError at 1e200."""
+    import momentcert.cli as cli
+    for n, row in ((3, {"a0": 1.0, "a": 0.0, "aa": 0.4}),  # in P, not in Sigma
+                   (4, {"a0": -1.0, "a": 0.5, "aa": 0.0}),
+                   (5, {"a0": 1.0, "a": 0.25, "aa": -0.125})):
+        bound = float(cli._magnitude_bound(np.array([float(n)]), 1, cli.POLY_FIELDS)[0])
+        argv = ["check-poly", "--route", route, "--n", str(n), "--d", "1"]
+        expect = run(capsys, *_scaled(argv, row, 1.0))[:2]
+        assert run(capsys, *_scaled(argv, row, bound))[:2] == expect, (n, route)
+        for s in (np.nextafter(bound, np.inf), 1e200):
+            code, out, err = run(capsys, *_scaled(argv, row, s))
+            assert (code, out) == (64, "") and "must be at most" in err, (n, route, s)

@@ -11,6 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentcert import cli
+from momentcert.core import (MomentVector, ProblemDims, SymmetricQuadratic, margin_verdict,
+                             scaled_tolerance)
+from momentcert.exact_d1 import p_n1_membership
+from momentcert.halfdeg import reduced_global_min
+from momentcert.moment_cone import classify
+from momentcert.sos_cone import arrow_lmi_rows, ellipsoid_rows
 
 #: characters that are JSON structure outside a string, escapes, and
 #: non-ASCII text, so that strings exercise the quote-parity mask and the
@@ -34,8 +40,6 @@ def _containers(children):
 
 
 TREES = st.recursive(SCALARS, _containers, max_leaves=25)
-RECORDS = st.dictionaries(st.sampled_from(["status", "boundary", "input", "witness"]),
-                          TREES, max_size=4)
 
 
 def _reference(obj, depth: int = 0) -> str:
@@ -66,19 +70,166 @@ def test_indented_json_refuses_what_stdlib_refuses(obj):
         cli._indented_json(obj)
 
 
-def _emitted(results) -> str:
+def _stdout(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_verdicts(np.zeros(len(results), dtype=int), np.zeros(len(results), dtype=bool),
-                           lambda lo, hi: results[lo:hi],
-                           cli.RunConfig(seed=0, tol=1e-9, output="json"))
-    return out.getvalue()
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _moment_reference(moments, tol: float) -> list[dict]:
+    """check-moments records as dicts: the verdict and witness of each row's
+    B=1 view, converted by ``_witness_jsonable``."""
+    out = []
+    for m in moments:
+        v = classify(m, tol)
+        out.append({"status": v.status.value, "boundary": v.boundary,
+                    "input": m.to_json_dict(), "witness": cli._witness_jsonable(v.witness)})
+    return out
+
+
+def _route_record(route: str, q: SymmetricQuadratic, tol: float) -> dict:
+    """One route's record of q from its kernel run on q alone."""
+    n = q.dims.n
+    one = (np.array([q.a0]), q.a[None], q.aa[None], n)
+    t = scaled_tolerance(tol, q.coeff_scale(), n)
+    if route == "lmi":
+        r = arrow_lmi_rows(*one, tol)
+        member, edge = r.member[0], r.boundary[0]
+        extra = {"c": r.c.tolist()[0], "slack": r.slack.tolist()[0]}
+    elif route == "ellipsoid":
+        val, x, y = ellipsoid_rows(*one)
+        member, edge = margin_verdict(val[0], t)
+        extra = {"min_value": val.tolist()[0], "x": x[0].tolist(), "y": y[0].tolist()}
+    elif route == "exact-d1":
+        v, _ = p_n1_membership(q, tol)
+        member, edge = v.is_member, v.boundary
+        extra = {"witness": cli._witness_jsonable(v.witness)}
+    else:
+        val, found = reduced_global_min(q, seed=0)
+        member, edge = margin_verdict(val, t)
+        extra = {"min_value": val, "argmin": found.points.tolist()}
+    return {"status": "Member" if member else "NonMember", "boundary": bool(edge), **extra}
+
+
+def _poly_reference(polys, route: str, tol: float) -> list[dict]:
+    """check-poly records as dicts, as each route reports them."""
+    names = ("lmi", "ellipsoid", "exact-d1", "halfdeg") if route == "all" else (route,)
+    out = []
+    for q in polys:
+        routes = {r: _route_record(r, q, tol) for r in names if r != "exact-d1" or q.dims.d == 1}
+        sos = {routes[r]["status"] for r in ("lmi", "ellipsoid") if r in routes}
+        out.append({"status": routes["lmi" if route == "all" else route]["status"],
+                    "routes": routes, "disagreement": len(sos) > 1,
+                    "all_statuses": sorted({r["status"] for r in routes.values()}),
+                    "input": q.to_json_dict()})
+    return out
+
+
+def _corpus(seed: int, count: int, d_max: int, n_max: int = 8):
+    """``count`` moment vectors and quadratics of mixed (n, d), with every
+    moment verdict, zero and -0.0 entries and moment vectors with z0 = 0."""
+    rng = np.random.default_rng(seed)
+    moments, polys = [], []
+    for i in range(count):
+        n, d = int(rng.integers(2, n_max + 1)), int(rng.integers(1, d_max + 1))
+        dims = ProblemDims(n, d)
+        f = [1e-3, 0.3, 3.0][i % 3]
+        z, zz = f * n * rng.normal(size=d), f * n * rng.normal(size=d)
+        z[::2] *= i % 5 != 0  # 0.0 or -0.0
+        moments.append(MomentVector(dims, float(i % 7 != 0), z, zz))
+        a0 = float(rng.normal()) + (n * n if i % 2 else 0.0)
+        a, aa = 0.3 * rng.normal(size=d), rng.normal(size=d)
+        aa[-1] *= i % 4 != 0
+        polys.append(SymmetricQuadratic(dims, a0, a, aa))
+    return moments, polys
+
+
+#: the zero vector, a Member on the boundary (sufficient residual 0) and -0.0
+EDGE_MOMENTS = [MomentVector(ProblemDims(4, 1), 0.0, [0.0], [0.0]),
+                MomentVector(ProblemDims(4, 1), 1.0, [0.0], [-3.0]),
+                MomentVector(ProblemDims(4, 2), 1.0, [-0.0, 0.0], [-3.0, -0.0])]
+#: Q = -1 (the arrow LMI's c interval is empty: slack -inf), Q = 0 and two
+#: quadratics in P but not in Sigma
+EDGE_POLYS = [SymmetricQuadratic(ProblemDims(4, 1), -1.0, [0.0], [0.0]),
+              SymmetricQuadratic(ProblemDims(3, 1), 0.0, [-0.0], [-0.0]),
+              SymmetricQuadratic(ProblemDims(3, 1), 1.25, [0.0], [0.5]),
+              SymmetricQuadratic(ProblemDims(5, 1), 2.25, [0.0], [0.5])]
+
+
+def _write(path, rows) -> str:
+    path.write_text(json.dumps([r.to_json_dict() for r in rows]))
+    return str(path)
+
+
+def _matches(argv, expect: list) -> str:
+    code, out = _stdout(["--output", "json", *argv])
+    assert code != 64
+    assert out == json.dumps({"results": expect, "schema": cli.SCHEMA}, indent=2,
+                             sort_keys=True) + "\n", argv
+    return out
 
 
 @pytest.mark.parametrize("count", [0, 1, cli.JSON_BLOCK, cli.JSON_BLOCK + 1])
-@settings(max_examples=25, deadline=None)
-@given(records=st.lists(RECORDS, min_size=1, max_size=5))
-def test_streamed_verdicts_match_one_dump(count, records):
-    results = [records[i % len(records)] for i in range(count)]
-    assert _emitted(results) == _reference({"results": results, "schema": cli.SCHEMA}) + "\n"
+def test_streamed_verdicts_match_one_dump(tmp_path, count):
+    """Records written a JSON_BLOCK at a time read as one dump, at the
+    block edges too."""
+    if not count:  # no input file has no rows
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_verdicts(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool),
+                               lambda lo, hi: [], cli.RunConfig(seed=0, tol=1e-9, output="json"))
+        assert out.getvalue() == _reference({"results": [], "schema": cli.SCHEMA}) + "\n"
+        return
+    moments, _ = _corpus(6, count, 3)
+    _matches(["check-moments", "--file", _write(tmp_path / "m.json", moments)],
+             _moment_reference(moments, 1e-9))
 
+
+def test_moment_writer_matches_one_dump_of_reference_records(tmp_path):
+    moments, _ = _corpus(3, cli.JSON_BLOCK + 40, 4)
+    moments += EDGE_MOMENTS
+    expect = _moment_reference(moments, 1e-9)
+    out = _matches(["check-moments", "--file", _write(tmp_path / "m.json", moments)], expect)
+    assert {r["status"] for r in expect} == {"Member", "NonMember", "Indeterminate"}
+    assert any(r["boundary"] for r in expect) and '"z0": 0.0' in out and "-0.0" in out
+    assert len({(m.dims.n, m.dims.d) for m in moments}) > 8
+
+
+@pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "all"])
+def test_poly_writer_matches_one_dump_of_reference_records(tmp_path, route):
+    # every route, halfdeg's search included, on small n and d
+    _, polys = (_corpus(4, cli.JSON_BLOCK + 12, 2, n_max=5) if route == "all" else
+                _corpus(4, cli.JSON_BLOCK + 12, 1 if route == "exact-d1" else 3))
+    polys += EDGE_POLYS
+    expect = _poly_reference(polys, route, 1e-9)
+    out = _matches(["check-poly", "--route", route,
+                    "--file", _write(tmp_path / "q.json", polys)], expect)
+    assert "-0.0" in out and len({q.dims.n for q in polys}) > 3
+    if route != "ellipsoid":
+        assert "-Infinity" in out if route != "exact-d1" else '"point"' in out
+    if route in ("exact-d1", "all"):
+        assert len({r["input"]["n"] for r in expect
+                    if r["routes"].get("exact-d1", {}).get("status") == "NonMember"}) > 2
+    if route == "all":
+        assert any(len(r["all_statuses"]) == 2 for r in expect)
+
+
+def test_route_all_writer_shows_a_disagreement(tmp_path):
+    """At --tol 1e-15 rounding noise in the two SOS routes decides: this
+    quadratic sits on the Sigma boundary, and lmi and ellipsoid disagree."""
+    _, polys = _corpus(5, 6, 2)
+    polys.append(SymmetricQuadratic(ProblemDims(3, 1), 3.62999999999994, [0.01], [-0.6]))
+    expect = _poly_reference(polys, "all", 1e-15)
+    _matches(["--tol", "1e-15", "check-poly", "--route", "all",
+              "--file", _write(tmp_path / "q.json", polys)], expect)
+    assert expect[-1]["disagreement"] and len(expect[-1]["all_statuses"]) == 2
+
+
+def test_non_finite_values_are_written_as_the_encoder_writes_them():
+    """Route values are written as NaN/Infinity; witness values, converted
+    by ``_witness_jsonable``, as their quoted repr."""
+    v = np.array([[1.5, -0.0, math.nan], [math.inf, -math.inf, 1e-310]])
+    assert cli._floats(v).tolist() == [["1.5", "-0.0", "NaN"], ["Infinity", "-Infinity", "1e-310"]]
+    assert cli._floats(v, witness=True).tolist() == [
+        [json.dumps(cli._witness_jsonable(float(x))) for x in row] for row in v.tolist()]
