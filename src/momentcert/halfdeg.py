@@ -91,10 +91,15 @@ def partition_count(n: int, max_parts: int) -> int:
 
 
 def _objective(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batched objective; y has shape (B, m, d), returns (B,)."""
+    """Batched objective; y has shape (B, m, d), returns (B,).
+
+    Every row is reduced on its own (einsum, not the BLAS gemv of ``@``, which
+    may round a row differently with the number of rows in the call), so a
+    row's value does not depend on the batch it is evaluated in.
+    """
     s = np.einsum("j,bjd->bd", counts, y)
     p = np.einsum("j,bjd->bd", counts, y * y)
-    return q.a0 + s @ q.a + (s * s - p) @ q.aa
+    return q.a0 + np.einsum("bd,d->b", s, q.a) + np.einsum("bd,d->b", s * s - p, q.aa)
 
 
 def _gradient(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray) -> np.ndarray:
