@@ -26,9 +26,12 @@ JITTER = 1e-10
 CLUSTER_TOL = 1e-5
 #: largest pattern count reduced_global_min will search; partition_count(n, 2d)
 #: grows like n^(2d-1) (n=20, d=3: 282; n=200, d=3: 4,775,383) and each
-#: d >= 2 pattern costs a batched Newton run of tens of milliseconds
+#: d >= 2 pattern costs a batched Newton run of milliseconds (median about
+#: 4 ms at d=2 and 6 ms at d=3 over the n=3..8 Gaussian grid of the bench,
+#: 2-core x86-64), more as n and d grow
 MAX_PATTERNS = 1000
-_HALVINGS = 0.5 ** np.arange(30)
+#: the backtracking steps tried after the full one: 1/2, 1/4, ..., 2^-29
+_HALVINGS = 0.5 ** np.arange(1, 30)
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ def _gradient(q: SymmetricQuadratic, counts: np.ndarray, y: np.ndarray) -> np.nd
 
 
 def _normalize_rows(y: np.ndarray) -> np.ndarray:
-    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+    return y / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True))  # np.linalg.norm's sum, inlined
 
 
 def _ambient_hessian(q: SymmetricQuadratic, counts: np.ndarray) -> np.ndarray:
@@ -133,44 +136,61 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
     Newton step x = |Hess|^-1 t on the sphere product: t is the tangent
     gradient and Hess = P(H - lambda (x) I)P + N, where N = blockdiag(y_j y_j^T)
     puts eigenvalue 1 on the normal directions.  Replacing each eigenvalue by
-    its modulus makes x a descent direction away from minima too.  A
-    backtracking line search accepts only strict decreases, so no restart ends
-    above its normalized start.  A restart retires once |t| <= 1e-11 * scale
-    or when the line search cannot move it; all stop after 100 iterations.
+    its modulus makes x a descent direction away from minima too.
+
+    Backtracking line search: every restart tries the full step s = 1; the
+    restarts it does not strictly decrease try s = 1/2, ..., 2^-29 in one
+    call and take the first (largest) strict decrease.  `_objective` values a
+    row alike in any batch, so these are the steps that trying all 30 sizes
+    for every restart takes, bit for bit, and a restart's descent does not
+    depend on the other restarts.  Only strict decreases are accepted, so no
+    restart ends above its normalized start.  A restart retires once
+    |t| <= 1e-11 * scale or when no step size decreases it; all stop after
+    100 iterations.
     """
     y = _normalize_rows(np.array(y0, dtype=float))
     f = _objective(q, counts, y)
     m, d = counts.size, q.dims.d
     scale = q.coeff_scale() * q.dims.n ** 2
     h = _ambient_hessian(q, counts)
-    eye_m, eye = np.eye(m), np.eye(m * d)
-    idx = np.arange(y.shape[0])
+    eye = np.eye(m * d)
+    idx, ya, fa = np.arange(y.shape[0]), y, f  # the restarts still moving
     for _ in range(100):
-        ya = y[idx]
         g = _gradient(q, counts, ya)
-        lam = np.sum(g * ya, axis=-1)
+        lam = np.add.reduce(g * ya, axis=-1)
         t = g - lam[..., None] * ya
         moving = np.einsum("bjd,bjd->b", t, t) > (1e-11 * scale) ** 2
-        idx, ya, t, lam = idx[moving], ya[moving], t[moving], lam[moving]
+        if not moving.all():
+            idx, ya, fa, t, lam = idx[moving], ya[moving], fa[moving], t[moving], lam[moving]
         if idx.size == 0:
             break
-        normal = np.einsum("bja,jk,bkc->bjakc", ya, eye_m, ya).reshape(-1, m * d, m * d)
+        normal = np.zeros((idx.size, m, d, m, d))  # N, filled through a view
+        blocks = np.einsum("bjajc->bjac", normal)  # of its m diagonal blocks
+        blocks += ya[..., :, None] * ya[..., None, :]
+        normal = normal.reshape(-1, m * d, m * d)
         proj = eye - normal
         shifted = h - np.repeat(lam, d, axis=-1)[:, :, None] * eye
         w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
         coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
         coef /= np.maximum(np.abs(w), 1e-12 * scale)
         x = np.einsum("bki,bi->bk", v, coef).reshape(ya.shape)
-        # backtracking s = 1, 1/2, ..., 2^-29, all trials in one call: the
-        # accepted step is the first (largest) with a strict decrease
-        trial = _normalize_rows(ya[:, None] - _HALVINGS[None, :, None, None] * x[:, None])
-        ft = _objective(q, counts, trial.reshape(-1, m, d)).reshape(idx.size, -1)
-        ok = ft < f[idx][:, None]
-        improved = ok.any(axis=1)
-        idx, trial, ft = idx[improved], trial[improved], ft[improved]
-        first = np.argmax(ok[improved], axis=1)
-        rows = np.arange(idx.size)
-        y[idx], f[idx] = trial[rows, first], ft[rows, first]
+        # the full step, then the halvings where it does not strictly decrease
+        trial = _normalize_rows(ya - x)
+        ft = _objective(q, counts, trial)
+        ok = ft < fa
+        back = np.flatnonzero(~ok)
+        if back.size:
+            half = _normalize_rows(ya[back, None] - _HALVINGS[None, :, None, None] * x[back, None])
+            fh = _objective(q, counts, half.reshape(-1, m, d)).reshape(back.size, -1)
+            okh = fh < fa[back, None]
+            found = okh.any(axis=1)
+            back, half, fh = back[found], half[found], fh[found]
+            first = np.argmax(okh[found], axis=1)
+            rows = np.arange(back.size)
+            trial[back], ft[back], ok[back] = half[rows, first], fh[rows, first], True
+            idx, trial, ft = idx[ok], trial[ok], ft[ok]
+        ya, fa = trial, ft
+        y[idx], f[idx] = ya, fa
     return f, y
 
 
