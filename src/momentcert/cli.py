@@ -20,15 +20,17 @@ import numpy as np
 from . import fuzz as fuzz_mod
 from .core import (
     DEFAULT_TOL,
+    MOMENT_FIELDS,
+    POLY_FIELDS,
     ProblemDims,
     RowBatch,
     Status,
     SymmetricQuadratic,
     abs_scale,
+    check_magnitude,
     group_rows,
     json_int,
     margin_verdict,
-    row_values,
     scaled_tolerance,
 )
 from .exact_d1 import (
@@ -148,26 +150,13 @@ def _read_text(path: str) -> str:
         raise InputError(str(exc))
 
 
-MOMENT_FIELDS = ("z0", "z", "zz")
-POLY_FIELDS = ("a0", "a", "aa")
 #: what converting a record's fields, or a row rule, raises on bad input
 PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
-def _magnitude_bound(n, d: int, names) -> np.ndarray:
-    """The largest |value| a row of n (B,) and d may hold: sqrt(max float /
-    (2d+1)) for moments, that over n for polynomials.  A moment test's
-    max-form residual and its parts are at most (2d+1) scale² in size, and
-    its tolerance tol scale²; the polynomial kernels square n times a
-    coefficient (the ellipsoid gradient n a_α, summed over d) and form
-    scale n².  So below the bound none of them overflows."""
-    bound = math.sqrt(sys.float_info.max / (2 * d + 1))
-    return bound / n if names == POLY_FIELDS else np.full(np.shape(n), bound)
-
-
 def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
     """``group_rows(n, d, values)`` under the row rules: n >= 2, n < 2^53,
-    d >= 1, every value finite and at most ``_magnitude_bound`` in size.  A
+    d >= 1, every value finite and at most ``core.magnitude_bound`` in size.  A
     broken rule raises ValueError with the scalar constructors' message (or,
     for the bound, the bound) for the first row that breaks it."""
     low = np.flatnonzero(n < 2)
@@ -184,11 +173,7 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite" if v.ndim == 1
                                  else f"{name} contains non-finite entries")
-        bound = _magnitude_bound(b.n, b.d, names)
-        big = np.flatnonzero(np.abs(row_values(b.x0, b.x, b.xx)).max(axis=-1) > bound)
-        if big.size:
-            raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
-                             f"magnitude at n={int(b.n[big[0]])}, d={b.d}")
+        check_magnitude(b, names)
     return batches
 
 

@@ -17,11 +17,15 @@ can reach, where scale = :func:`abs_scale` of the row (>= 1):
 Cones are closed, so :func:`margin_verdict` decides every test alike, on the
 margin the output reports: Member at margin >= -t, on the boundary if also
 margin < t.  Only the scales differ between families.
+
+Values larger than :func:`magnitude_bound` are refused
+(:func:`check_magnitude`), so no kernel or tolerance overflows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -32,6 +36,9 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 #: slack allowed when validating that configuration points lie in the unit ball
 BALL_TOL = 1e-12
+#: the fields (x0, x, xx) of a moment row and of a polynomial row
+MOMENT_FIELDS = ("z0", "z", "zz")
+POLY_FIELDS = ("a0", "a", "aa")
 
 
 def json_int(obj: dict, key: str) -> int:
@@ -250,6 +257,28 @@ def abs_scale(x0, x, xx):
 def row_values(x0, x, xx) -> np.ndarray:
     """(x0, x, xx) side by side: shape (B, 1+2d), or (1+2d,) for one row."""
     return np.concatenate([np.asarray(x0, dtype=float)[..., None], x, xx], axis=-1)
+
+
+def magnitude_bound(n, d: int, names) -> np.ndarray:
+    """The largest |value| a row of n (B,) and d may hold: sqrt(max float /
+    (2d+1)) for moments (``names`` = MOMENT_FIELDS), that over n for
+    polynomials (POLY_FIELDS).  A moment test's max-form residual and its
+    parts are at most (2d+1) scale² in size, and its tolerance tol scale²;
+    the polynomial kernels square n times a coefficient (the ellipsoid
+    gradient n a_α, summed over d) and form scale n².  So below the bound
+    none of them overflows."""
+    bound = math.sqrt(sys.float_info.max / (2 * d + 1))
+    return bound / n if names == POLY_FIELDS else np.full(np.shape(n), bound)
+
+
+def check_magnitude(b: RowBatch, names):
+    """Raise ValueError, naming the bound, at the first row of ``b`` that
+    holds a value past :func:`magnitude_bound`."""
+    bound = magnitude_bound(b.n, b.d, names)
+    big = np.flatnonzero(np.abs(row_values(b.x0, b.x, b.xx)).max(axis=-1) > bound)
+    if big.size:
+        raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
+                         f"magnitude at n={int(b.n[big[0]])}, d={b.d}")
 
 
 def scaled_tolerance(tol: float, scale, n):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, SymmetricQuadratic
+from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude, row_batches
 from .exact_d1 import facet_residuals, hypercube_point
 
 JITTER = 1e-10
@@ -205,6 +205,12 @@ def _d1_exact_pattern_min(q: SymmetricQuadratic, counts: np.ndarray
     return float(vals[k]), ys[k]
 
 
+def _check_magnitude(q: SymmetricQuadratic):
+    """The CLI's magnitude rule on q (its B=1 view).  Below the bound the
+    descent's squared tolerance (1e-11 scale)^2 is a finite float."""
+    check_magnitude(row_batches([q])[0], POLY_FIELDS)
+
+
 def _expand_pattern(counts: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.repeat(y, counts.astype(int), axis=0)
 
@@ -217,9 +223,12 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
     Exact at d=1 (sign enumeration).  At d >= 2 a heuristic upper bound on
     the true pattern minimum: the best of `restarts` saddle-free Newton
     descents from Gaussian starts drawn from `seed`.
+
+    Raises ValueError when a coefficient exceeds ``core.magnitude_bound``.
     """
     if pattern.n != q.dims.n:
         raise ValueError(f"pattern sums to {pattern.n}, expected n={q.dims.n}")
+    _check_magnitude(q)
     counts = np.array(pattern.counts, dtype=float)
     d = q.dims.d
     if d == 1:
@@ -254,9 +263,11 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     """Minimum over all multiplicity patterns; equals the global minimum over
     the sphere product up to optimizer accuracy.
 
-    Raises ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS.
+    Raises ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS or a
+    coefficient exceeds ``core.magnitude_bound``.
     """
     check_pattern_budget(q.dims.n, q.dims.d)
+    _check_magnitude(q)
     best_val, best_cfg = math.inf, None
     for idx, pattern in enumerate(enumerate_patterns(q.dims.n, q.dims.d)):
         val, cfg = min_over_pattern(q, pattern, restarts=restarts, seed=seed + idx)
@@ -268,7 +279,11 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
 def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0
                         ) -> tuple[float, Configuration]:
     """Random-search oracle: Newton descent from the 16 best of `samples`
-    random configurations; exact over the n+1 facets at d=1."""
+    random configurations; exact over the n+1 facets at d=1.
+
+    Raises ValueError when a coefficient exceeds ``core.magnitude_bound``.
+    """
+    _check_magnitude(q)
     n, d = q.dims.n, q.dims.d
     if d == 1:
         r = facet_residuals(q.a0, q.a[0], q.aa[0], n)

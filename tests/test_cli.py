@@ -1,12 +1,14 @@
 import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from momentcert.cli import main
+from momentcert.core import MOMENT_FIELDS, POLY_FIELDS, magnitude_bound
 from momentcert.spin import ghz_state
 
 #: a 400-digit integer literal: beyond every float
@@ -831,7 +833,6 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
     processes print."""
     import os
     import subprocess
-    import sys
 
     import momentcert.cli as cli
     moments = ("check-moments", "--n", "4", "--d", "1", "--z0", "1", "--z", "3", "--zz", "0")
@@ -868,8 +869,8 @@ def test_moment_rows_past_the_magnitude_bound_are_refused(tmp_path, capsys):
     S = 1e155 every part of (4, 1, S, S, S) printed a NaN residual and a
     NonMember verdict.  At the bound the row is still a Member, as at any
     smaller scale (the moment cone is a cone)."""
-    import momentcert.cli as cli
-    bound = float(cli._magnitude_bound(np.array([4.0]), 1, cli.MOMENT_FIELDS)[0])
+    bound = float(magnitude_bound(np.array([4.0]), 1, MOMENT_FIELDS)[0])
+    assert bound == math.sqrt(sys.float_info.max / 3)
     argv, row = ["check-moments", "--n", "4", "--d", "1"], {"z0": 1.0, "z": 1.0, "zz": 1.0}
     for s in (1.0, 1e100, bound):
         assert run(capsys, *_scaled(argv, row, s))[:2] == (0, "[0] Member\n"), s
@@ -889,11 +890,11 @@ def test_polynomials_past_the_magnitude_bound_are_refused(capsys, route):
     unscaled quadratic (P and Sigma are cones); past it the row is refused.
     Without the bound, lmi and ellipsoid flipped verdicts near 1e154 and
     halfdeg raised OverflowError at 1e200."""
-    import momentcert.cli as cli
     for n, row in ((3, {"a0": 1.0, "a": 0.0, "aa": 0.4}),  # in P, not in Sigma
                    (4, {"a0": -1.0, "a": 0.5, "aa": 0.0}),
                    (5, {"a0": 1.0, "a": 0.25, "aa": -0.125})):
-        bound = float(cli._magnitude_bound(np.array([float(n)]), 1, cli.POLY_FIELDS)[0])
+        bound = float(magnitude_bound(np.array([float(n)]), 1, POLY_FIELDS)[0])
+        assert bound == math.sqrt(sys.float_info.max / 3) / n
         argv = ["check-poly", "--route", route, "--n", str(n), "--d", "1"]
         expect = run(capsys, *_scaled(argv, row, 1.0))[:2]
         assert run(capsys, *_scaled(argv, row, bound))[:2] == expect, (n, route)

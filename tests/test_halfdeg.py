@@ -1,11 +1,19 @@
 import json
+import re
 import time
 
 import numpy as np
 import pytest
 
 from momentcert.cli import main
-from momentcert.core import Configuration, ProblemDims, SymmetricQuadratic, evaluate
+from momentcert.core import (
+    POLY_FIELDS,
+    Configuration,
+    ProblemDims,
+    SymmetricQuadratic,
+    evaluate,
+    magnitude_bound,
+)
 from momentcert.halfdeg import (
     MAX_PATTERNS,
     MultiplicityPattern,
@@ -293,3 +301,26 @@ def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatc
         assert (code, out.out) == (64, "")
         assert out.err == ("error: half-degree search at n=200, d=3 needs 4775383 "
                            "multiplicity patterns, more than MAX_PATTERNS=1000\n")
+
+
+def test_coefficients_past_the_magnitude_bound_are_refused():
+    """The CLI's row rule holds for the library too: a (3, 2) quadratic
+    scaled to 1e200 raised OverflowError from |t|^2 in the Newton descent.
+    At the bound the search still answers, with the scaled minimum."""
+    base = SymmetricQuadratic(ProblemDims(3, 2), 1.0, [0.5, -1.0], [0.3, 0.2])
+    bound = float(magnitude_bound(np.array([3.0]), 2, POLY_FIELDS)[0])
+
+    def scaled(s):
+        return SymmetricQuadratic(base.dims, s * base.a0, s * base.a, s * base.aa)
+
+    for fn in (reduced_global_min, full_bruteforce_min,
+               lambda q: min_over_pattern(q, MultiplicityPattern((2, 1)))):
+        with pytest.raises(ValueError, match=re.escape(f"must be at most {bound!r} in "
+                                                       "magnitude at n=3, d=2")):
+            fn(scaled(1e200))
+    for fn in (reduced_global_min, full_bruteforce_min):
+        val, cfg = fn(scaled(bound))
+        ref, _ = fn(base)
+        assert abs(val / bound - ref) <= 1e-9 * max(1.0, abs(ref))
+        assert np.isfinite(cfg.points).all()
+
