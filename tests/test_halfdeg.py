@@ -17,6 +17,8 @@ from momentcert.core import (
 from momentcert.halfdeg import (
     MAX_PATTERNS,
     MultiplicityPattern,
+    _ambient_hessian,
+    _gradient,
     _newton_descent,
     _normalize_rows,
     _objective,
@@ -324,3 +326,103 @@ def test_coefficients_past_the_magnitude_bound_are_refused():
         assert abs(val / bound - ref) <= 1e-9 * max(1.0, abs(ref))
         assert np.isfinite(cfg.points).all()
 
+
+def _random_case(rng, d=None):
+    """A random q (d from 2 to 4, coefficients scaled by 1e-3 to 1e3) and the
+    counts of one of its patterns."""
+    d = int(rng.integers(2, 5)) if d is None else d
+    n = int(rng.integers(3, 8))
+    q = rand_q(rng, n, d, spread=10.0 ** rng.uniform(-3.0, 3.0))
+    patterns = list(enumerate_patterns(n, d))
+    counts = np.array(patterns[int(rng.integers(len(patterns)))].counts, dtype=float)
+    return q, counts
+
+
+def test_objective_of_a_row_does_not_depend_on_its_batch():
+    """Each row's value is the same bits alone, in its batch and inside a
+    larger shuffled batch (BLAS gemv rounded some rows by batch size)."""
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        q, counts = _random_case(rng)
+        b, extra = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        y = _normalize_rows(rng.normal(size=(b + extra, counts.size, q.dims.d)))
+        vals = _objective(q, counts, y[:b])
+        alone = np.concatenate([_objective(q, counts, y[i:i + 1]) for i in range(b)])
+        perm = rng.permutation(b + extra)
+        shuffled = np.empty(b + extra)
+        shuffled[perm] = _objective(q, counts, y[perm])
+        assert np.array_equal(vals, alone)
+        assert np.array_equal(vals, shuffled[:b])
+
+
+def test_newton_descent_of_a_restart_does_not_depend_on_its_batch():
+    """32 restarts give, bit for bit, what they give shuffled and one by one."""
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        q, counts = _random_case(rng, d=2 + trial % 3)
+        y0 = rng.normal(size=(32, counts.size, q.dims.d))
+        vals, ys = _newton_descent(q, counts, y0)
+        perm = rng.permutation(32)
+        pvals, pys = _newton_descent(q, counts, y0[perm])
+        assert np.array_equal(pvals, vals[perm]) and np.array_equal(pys, ys[perm])
+        for i in range(32):
+            v1, y1 = _newton_descent(q, counts, y0[i:i + 1])
+            assert v1[0] == vals[i] and np.array_equal(y1[0], ys[i])
+
+
+def _all_halvings_descent(q, counts, y0, stats):
+    """The descent with every step size s = 1, 1/2, ..., 2^-29 evaluated for
+    every restart on every iteration; the first strict decrease is taken.
+    ``stats`` counts row-steps by the step taken (full, halved) and the
+    restarts the line search stalls."""
+    y = _normalize_rows(np.array(y0, dtype=float))
+    f = _objective(q, counts, y)
+    m, d = counts.size, q.dims.d
+    scale = q.coeff_scale() * q.dims.n ** 2
+    h = _ambient_hessian(q, counts)
+    eye_m, eye = np.eye(m), np.eye(m * d)
+    steps = 0.5 ** np.arange(30)
+    idx = np.arange(y.shape[0])
+    for _ in range(100):
+        ya = y[idx]
+        g = _gradient(q, counts, ya)
+        lam = np.sum(g * ya, axis=-1)
+        t = g - lam[..., None] * ya
+        moving = np.einsum("bjd,bjd->b", t, t) > (1e-11 * scale) ** 2
+        idx, ya, t, lam = idx[moving], ya[moving], t[moving], lam[moving]
+        if idx.size == 0:
+            break
+        normal = np.einsum("bja,jk,bkc->bjakc", ya, eye_m, ya).reshape(-1, m * d, m * d)
+        proj = eye - normal
+        shifted = h - np.repeat(lam, d, axis=-1)[:, :, None] * eye
+        w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
+        coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
+        coef /= np.maximum(np.abs(w), 1e-12 * scale)
+        x = np.einsum("bki,bi->bk", v, coef).reshape(ya.shape)
+        trial = _normalize_rows(ya[:, None] - steps[None, :, None, None] * x[:, None])
+        ft = _objective(q, counts, trial.reshape(-1, m, d)).reshape(idx.size, -1)
+        ok = ft < f[idx][:, None]
+        improved = ok.any(axis=1)
+        first = np.argmax(ok, axis=1)
+        stats["full"] += int(np.sum(improved & (first == 0)))
+        stats["halved"] += int(np.sum(improved & (first > 0)))
+        stats["stalled"] += int(np.sum(~improved))
+        idx, trial, ft, first = idx[improved], trial[improved], ft[improved], first[improved]
+        rows = np.arange(idx.size)
+        y[idx], f[idx] = trial[rows, first], ft[rows, first]
+    return f, y
+
+
+def test_full_step_first_matches_all_halvings_bitwise():
+    """Trying s = 1 before the halvings takes the same steps as evaluating all
+    30 step sizes at once: same values and points, bit for bit, on 200
+    random descents, among them halved steps and stalled restarts."""
+    rng = np.random.default_rng(42)
+    stats = {"full": 0, "halved": 0, "stalled": 0}
+    for _ in range(200):
+        q, counts = _random_case(rng)
+        y0 = rng.normal(size=(int(rng.integers(1, 9)), counts.size, q.dims.d))
+        vals, ys = _newton_descent(q, counts, y0)
+        rvals, rys = _all_halvings_descent(q, counts, y0, stats)
+        assert np.array_equal(vals, rvals) and np.array_equal(ys, rys)
+    assert min(stats.values()) >= 50, stats
