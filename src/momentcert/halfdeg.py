@@ -164,8 +164,9 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
             idx, ya, fa, t, lam = idx[moving], ya[moving], fa[moving], t[moving], lam[moving]
         if idx.size == 0:
             break
-        normal = np.zeros((idx.size, m, d, m, d))  # N, filled through a view
-        blocks = np.einsum("bjajc->bjac", normal)  # of its m diagonal blocks
+        # N = blockdiag(y_j y_j^T), written through a view of its m diagonal blocks
+        normal = np.zeros((idx.size, m, d, m, d))
+        blocks = np.einsum("bjajc->bjac", normal)
         blocks += ya[..., :, None] * ya[..., None, :]
         normal = normal.reshape(-1, m * d, m * d)
         proj = eye - normal
