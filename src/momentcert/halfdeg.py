@@ -4,7 +4,8 @@ only configurations with at most 2d distinct points.
 The reduction is realized numerically: enumerate multiplicity patterns
 (partitions of n into at most 2d parts) and minimize over each pattern.  At
 d=1 that is an exact sign enumeration; at d >= 2 it is a multistart
-saddle-free Riemannian Newton descent, batched over the restarts
+saddle-free Riemannian Newton descent, batched over the restarts, whose step
+is solved in a Householder basis of each point's tangent space
 (`_newton_descent`).  A brute-force random-search oracle runs the same descent
 on unreduced configurations.  A search over more than MAX_PATTERNS patterns is
 refused before it starts.  Critical-point diagnostics (the degree-2d polynomial
@@ -115,17 +116,29 @@ def _normalize_rows(y: np.ndarray) -> np.ndarray:
     return y / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True))  # np.linalg.norm's sum, inlined
 
 
-def _ambient_hessian(q: SymmetricQuadratic, counts: np.ndarray) -> np.ndarray:
-    """Hessian of the objective in the flattened (point, coordinate) basis.
+def _tangent_basis(y: np.ndarray) -> np.ndarray:
+    """Rows 2..d of the Householder reflection mapping e_1 to -sign(y_1) y: an
+    orthonormal tangent basis (..., d-1, d) at unit rows y, over 1 + |y_1| >= 1."""
+    y1 = y[..., :1]
+    v = np.concatenate([y1 + np.where(y1 < 0.0, -1.0, 1.0), y[..., 1:]], axis=-1)
+    return np.eye(y.shape[-1])[1:] - (y[..., 1:] / (1.0 + np.abs(y1)))[..., None] * v[..., None, :]
 
-    Coordinates decouple: H[(j,a),(k,a)] = 2 A_aa (c_j c_k - delta_jk c_j).
-    """
-    m, d = counts.size, q.dims.d
-    h = np.zeros((m * d, m * d))
-    outer = np.outer(counts, counts) - np.diag(counts)
-    for a in range(d):
-        h[a::d, a::d] = 2.0 * q.aa[a] * outer
-    return h
+
+def _newton_step(aa: np.ndarray, coupling: np.ndarray, y: np.ndarray, t: np.ndarray,
+                 lam: np.ndarray, floor: float) -> np.ndarray:
+    """x = T |T^T (H - lambda (x) I) T|^-1 T^T t at rows y (B, m, d), T the tangent
+    bases, eigenvalue moduli floored at ``floor``.  H's coordinates decouple:
+    T_j^T H_jk T_k = T_j^T diag(aa) T_k * coupling_jk, the tiled 2 (c c^T - diag c)."""
+    bt = _tangent_basis(y)
+    rows = bt.reshape(y.shape[0], -1, y.shape[-1])
+    r = rows.shape[1]
+    hess = (rows * aa) @ rows.transpose(0, 2, 1) * coupling
+    hess.reshape(-1, r * r)[:, ::r + 1] -= np.repeat(lam, y.shape[-1] - 1, axis=-1)
+    w, v = np.linalg.eigh(hess)
+    coef = np.einsum("bki,bk->bi", v, np.einsum("bjka,bja->bjk", bt, t).reshape(-1, r))
+    coef /= np.maximum(np.abs(w), floor)
+    z = np.einsum("bki,bi->bk", v, coef).reshape(bt.shape[:-1])
+    return np.einsum("bjka,bjk->bja", bt, z)
 
 
 def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
@@ -133,10 +146,11 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
     """Minimize the pattern objective over unit rows, batched over restarts.
 
     y0 has shape (B, m, d).  Each iteration takes a saddle-free Riemannian
-    Newton step x = |Hess|^-1 t on the sphere product: t is the tangent
-    gradient and Hess = P(H - lambda (x) I)P + N, where N = blockdiag(y_j y_j^T)
-    puts eigenvalue 1 on the normal directions.  Replacing each eigenvalue by
-    its modulus makes x a descent direction away from minima too.
+    Newton step x = T |Hess|^-1 T^T t (`_newton_step`): t is the tangent
+    gradient, T an orthonormal basis of the tangent space (`_tangent_basis`)
+    and Hess = T^T (H - lambda (x) I) T, m(d-1) square.  Replacing each
+    eigenvalue by its modulus makes x a descent direction away from minima
+    too.  At d = 1 every t is 0 and the normalized start is returned.
 
     Backtracking line search: every restart tries the full step s = 1; the
     restarts it does not strictly decrease try s = 1/2, ..., 2^-29 in one
@@ -152,8 +166,7 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
     f = _objective(q, counts, y)
     m, d = counts.size, q.dims.d
     scale = q.coeff_scale() * q.dims.n ** 2
-    h = _ambient_hessian(q, counts)
-    eye = np.eye(m * d)
+    coupling = np.kron(2.0 * (np.outer(counts, counts) - np.diag(counts)), np.ones((d - 1, d - 1)))
     idx, ya, fa = np.arange(y.shape[0]), y, f  # the restarts still moving
     for _ in range(100):
         g = _gradient(q, counts, ya)
@@ -164,17 +177,7 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
             idx, ya, fa, t, lam = idx[moving], ya[moving], fa[moving], t[moving], lam[moving]
         if idx.size == 0:
             break
-        # N = blockdiag(y_j y_j^T), written through a view of its m diagonal blocks
-        normal = np.zeros((idx.size, m, d, m, d))
-        blocks = np.einsum("bjajc->bjac", normal)
-        blocks += ya[..., :, None] * ya[..., None, :]
-        normal = normal.reshape(-1, m * d, m * d)
-        proj = eye - normal
-        shifted = h - np.repeat(lam, d, axis=-1)[:, :, None] * eye
-        w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
-        coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
-        coef /= np.maximum(np.abs(w), 1e-12 * scale)
-        x = np.einsum("bki,bi->bk", v, coef).reshape(ya.shape)
+        x = _newton_step(q.aa, coupling, ya, t, lam, 1e-12 * scale)
         # the full step, then the halvings where it does not strictly decrease
         trial = _normalize_rows(ya - x)
         ft = _objective(q, counts, trial)
@@ -212,10 +215,6 @@ def _check_magnitude(q: SymmetricQuadratic):
     check_magnitude(row_batches([q])[0], POLY_FIELDS)
 
 
-def _expand_pattern(counts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.repeat(y, counts.astype(int), axis=0)
-
-
 def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
                      restarts: int = 32, seed: int = 0
                      ) -> tuple[float, Configuration]:
@@ -239,7 +238,7 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
         vals, ys = _newton_descent(q, counts, rng.normal(size=(restarts, counts.size, d)))
         b = int(np.argmin(vals))
         val, y = float(vals[b]), ys[b]
-    pts = _expand_pattern(counts, y)
+    pts = np.repeat(y, counts.astype(int), axis=0)
     return val, Configuration(q.dims, _normalize_rows(pts))
 
 

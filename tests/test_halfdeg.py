@@ -17,11 +17,12 @@ from momentcert.core import (
 from momentcert.halfdeg import (
     MAX_PATTERNS,
     MultiplicityPattern,
-    _ambient_hessian,
     _gradient,
     _newton_descent,
+    _newton_step,
     _normalize_rows,
     _objective,
+    _tangent_basis,
     check_pattern_budget,
     count_distinct_points,
     critical_polynomial,
@@ -370,6 +371,11 @@ def test_newton_descent_of_a_restart_does_not_depend_on_its_batch():
             assert v1[0] == vals[i] and np.array_equal(y1[0], ys[i])
 
 
+def _coupling(counts, d):
+    """The descent's tiled 2 (c c^T - diag c), one (d-1)-square block per pair."""
+    return np.kron(2.0 * (np.outer(counts, counts) - np.diag(counts)), np.ones((d - 1, d - 1)))
+
+
 def _all_halvings_descent(q, counts, y0, stats):
     """The descent with every step size s = 1, 1/2, ..., 2^-29 evaluated for
     every restart on every iteration; the first strict decrease is taken.
@@ -379,8 +385,7 @@ def _all_halvings_descent(q, counts, y0, stats):
     f = _objective(q, counts, y)
     m, d = counts.size, q.dims.d
     scale = q.coeff_scale() * q.dims.n ** 2
-    h = _ambient_hessian(q, counts)
-    eye_m, eye = np.eye(m), np.eye(m * d)
+    coupling = _coupling(counts, d)
     steps = 0.5 ** np.arange(30)
     idx = np.arange(y.shape[0])
     for _ in range(100):
@@ -392,13 +397,7 @@ def _all_halvings_descent(q, counts, y0, stats):
         idx, ya, t, lam = idx[moving], ya[moving], t[moving], lam[moving]
         if idx.size == 0:
             break
-        normal = np.einsum("bja,jk,bkc->bjakc", ya, eye_m, ya).reshape(-1, m * d, m * d)
-        proj = eye - normal
-        shifted = h - np.repeat(lam, d, axis=-1)[:, :, None] * eye
-        w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
-        coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
-        coef /= np.maximum(np.abs(w), 1e-12 * scale)
-        x = np.einsum("bki,bi->bk", v, coef).reshape(ya.shape)
+        x = _newton_step(q.aa, coupling, ya, t, lam, 1e-12 * scale)
         trial = _normalize_rows(ya[:, None] - steps[None, :, None, None] * x[:, None])
         ft = _objective(q, counts, trial.reshape(-1, m, d)).reshape(idx.size, -1)
         ok = ft < f[idx][:, None]
@@ -426,3 +425,101 @@ def test_full_step_first_matches_all_halvings_bitwise():
         rvals, rys = _all_halvings_descent(q, counts, y0, stats)
         assert np.array_equal(vals, rvals) and np.array_equal(ys, rys)
     assert min(stats.values()) >= 50, stats
+
+
+def _ambient_hessian(q, counts):
+    """Hessian of the objective in the flattened (point, coordinate) basis.
+
+    Coordinates decouple: H[(j,a),(k,a)] = 2 A_aa (c_j c_k - delta_jk c_j).
+    """
+    m, d = counts.size, q.dims.d
+    h = np.zeros((m * d, m * d))
+    outer = np.outer(counts, counts) - np.diag(counts)
+    for a in range(d):
+        h[a::d, a::d] = 2.0 * q.aa[a] * outer
+    return h
+
+
+def _ambient_step(q, counts, y, t, lam, floor):
+    """The step in md coordinates: x = |P(H - lambda (x) I)P + N|^-1 t with
+    P the tangent projector and N = blockdiag(y_j y_j^T), whose eigenvalue 1
+    on the normal directions meets t's zero normal part."""
+    m, d = counts.size, q.dims.d
+    eye_m, eye = np.eye(m), np.eye(m * d)
+    normal = np.einsum("bja,jk,bkc->bjakc", y, eye_m, y).reshape(-1, m * d, m * d)
+    proj = eye - normal
+    shifted = _ambient_hessian(q, counts) - np.repeat(lam, d, axis=-1)[:, :, None] * eye
+    w, v = np.linalg.eigh(proj @ shifted @ proj + normal)
+    coef = np.einsum("bki,bk->bi", v, t.reshape(-1, m * d))
+    coef /= np.maximum(np.abs(w), floor)
+    return np.einsum("bki,bi->bk", v, coef).reshape(y.shape)
+
+
+def _points_on_sign_branches(rng, b, m, d):
+    """b restarts of m unit rows, a third of them with y_1 = 0, -0.0, +1 or -1
+    (the sign branches of the Householder basis)."""
+    y = _normalize_rows(rng.normal(size=(b, m, d)))
+    for i, j in zip(*np.nonzero(rng.random((b, m)) < 1.0 / 3.0)):
+        kind = int(rng.integers(4))
+        if kind < 2:
+            rest = rng.normal(size=d - 1)
+            y[i, j] = np.concatenate([[(0.0, -0.0)[kind]], rest / np.linalg.norm(rest)])
+        else:
+            y[i, j] = 0.0
+            y[i, j, 0] = (1.0, -1.0)[kind - 2]
+    return y
+
+
+def test_tangent_basis_is_orthonormal_and_orthogonal_to_y():
+    rng = np.random.default_rng(43)
+    for d in (2, 3, 4, 6):
+        y = _points_on_sign_branches(rng, 64, 8, d)
+        bt = _tangent_basis(y)
+        assert bt.shape == (64, 8, d - 1, d)
+        gram = bt @ bt.swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(d - 1)).max() <= 1e-15
+        assert np.abs(np.einsum("bjka,bja->bjk", bt, y)).max() <= 1e-15
+    # the branches: y_1 = +-1 gives the other unit vectors, up to sign
+    bt = _tangent_basis(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [-0.0, 1.0, 0.0]]))
+    assert np.array_equal(np.abs(bt[0]), np.eye(3)[1:])
+    assert np.array_equal(np.abs(bt[1]), np.eye(3)[1:])
+    assert np.array_equal(np.abs(bt[2]), np.eye(3)[[0, 2]])
+
+
+def test_tangent_step_matches_the_ambient_step():
+    """The Newton step in the m(d-1) tangent basis equals the md ambient one
+    to 1e-10 relative, at d = 2, 3, 4 with m = 1 and m = 2d points,
+    coefficients scaled 1e-3 to 1e3, and rows on every sign branch."""
+    rng = np.random.default_rng(44)
+    checked = 0
+    for d in (2, 3, 4):
+        for m in (1, 2 * d):
+            for _ in range(12):
+                counts = rng.integers(1, 4, size=m).astype(float)
+                counts[0] += 1.0  # n >= 2
+                q = rand_q(rng, int(counts.sum()), d, spread=10.0 ** rng.uniform(-3.0, 3.0))
+                y = _points_on_sign_branches(rng, 16, m, d)
+                g = _gradient(q, counts, y)
+                lam = np.sum(g * y, axis=-1)
+                t = g - lam[..., None] * y
+                floor = 1e-12 * q.coeff_scale() * q.dims.n ** 2
+                x = _newton_step(q.aa, _coupling(counts, d), y, t, lam, floor)
+                ref = _ambient_step(q, counts, y, t, lam, floor)
+                err = np.linalg.norm((x - ref).reshape(16, -1), axis=1)
+                size = np.linalg.norm(ref.reshape(16, -1), axis=1)
+                assert np.all(err <= 1e-10 * size), (d, m, float(np.max(err / size)))
+                checked += 16
+    assert checked == 3 * 2 * 12 * 16
+
+
+def test_newton_descent_at_d1_returns_the_normalized_start():
+    """At d = 1 the tangent space is empty: every tangent gradient is 0, so
+    the descent returns the signs of the start and their values unchanged."""
+    rng = np.random.default_rng(45)
+    for n in (2, 5, 9):
+        q = rand_q(rng, n, 1)
+        counts = np.array([n - 1.0, 1.0]) if n > 2 else np.ones(2)
+        y0 = 10.0 ** rng.uniform(-3.0, 3.0, size=(8, 2, 1)) * rng.choice([-1.0, 1.0], size=(8, 2, 1))
+        vals, ys = _newton_descent(q, counts, y0)
+        assert np.array_equal(ys, np.sign(y0))
+        assert np.array_equal(vals, _objective(q, counts, np.sign(y0)))
