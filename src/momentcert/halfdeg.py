@@ -28,7 +28,7 @@ CLUSTER_TOL = 1e-5
 #: largest pattern count reduced_global_min will search; partition_count(n, 2d)
 #: grows like n^(2d-1) (n=20, d=3: 282; n=200, d=3: 4,775,383) and each
 #: d >= 2 pattern costs a batched Newton run of milliseconds (median about
-#: 4 ms at d=2 and 6 ms at d=3 over the n=3..8 Gaussian grid of the bench,
+#: 4 ms at d=2 and 6.5 ms at d=3 over the n=3..8 Gaussian grid of the bench,
 #: 2-core x86-64), more as n and d grow
 MAX_PATTERNS = 1000
 #: the backtracking steps tried after the full one: 1/2, 1/4, ..., 2^-29
