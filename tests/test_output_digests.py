@@ -1,0 +1,142 @@
+"""Byte identity of the CLI's output on a fixed corpus.
+
+The corpus is the benchmark's seed-1 inputs, written by
+``bench/workloads.generate`` into a temporary directory: every certify call
+(text and JSON), every spin call, and a fixed subset of the halfdeg calls
+(cycle 0, one call per (n, d) cell, plus the warm-up, set-up and judged
+calls).  A few hand-written calls cover what those files lack: boundary rows,
+signed zeros, ``--route all``, CSV output, and the ``slice`` and ``fuzz``
+payloads.  Each call's stdout sha256 and exit code must equal the committed
+table ``output_digests.json``.
+
+The halfdeg argmins, and the last bits of other witnesses, depend on the
+numpy/LAPACK build, so the table records the build it was written on.  On
+another build only the exit codes are compared, and the digest half of the
+test is skipped.  A change that moves output on purpose rewrites the table:
+
+    PYTHONPATH=src python tests/test_output_digests.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "output_digests.json"
+SEED = 1
+
+#: hand-written inputs: boundary rows (Q = 0, the zero moment vector), -0.0,
+#: a point on the Sigma boundary of a d=2 row, and mixed (n, d)
+POLY_ROWS = [
+    {"n": 4, "d": 1, "a0": 0.0, "a": [0.0], "aa": [0.0]},
+    {"n": 4, "d": 1, "a0": 1.0, "a": [-0.0], "aa": [-0.0]},
+    {"n": 3, "d": 2, "a0": 2.5, "a": [0.5, -0.25], "aa": [0.125, -0.0625]},
+    {"n": 7, "d": 2, "a0": -1.0, "a": [1.0, 2.0], "aa": [0.5, 0.25]},
+    {"n": 5, "d": 3, "a0": 40.0, "a": [1.0, -2.0, 0.5], "aa": [-0.5, 0.25, 1.0]},
+    {"n": 2, "d": 1, "a0": 1.0, "a": [2.0], "aa": [0.0]},
+]
+MOMENTS_CSV = """n,d,z0,z,zz
+4,1,0.0,0.0,0.0
+4,1,1.0,-0.0,-0.0
+6,2,1.0,0.5,-0.5,2.0,3.0
+6,2,1.0,6.0,0.0,30.0,0.0
+3,1,-1.0,1.0,1.0
+"""
+PLANE = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                    "lo": [-2.0, -2.0], "hi": [2.0, 2.0]})
+
+
+def build() -> dict:
+    """The numpy version and its BLAS/LAPACK build, as the table records it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version")}
+    except (KeyError, TypeError):
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def _corpus(directory: Path) -> dict[str, list[str]]:
+    """Call key -> argv.  The key names input files relative to
+    ``directory``, so it does not depend on where the corpus is written."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    calls: dict[str, list[str]] = {}
+
+    def add(prefix: str, argv: list[str]):
+        key = " ".join(a.replace(str(directory) + "/", "") for a in argv)
+        calls[f"{prefix}: {key}"] = argv
+
+    for workload in ("certify-text", "halfdeg-search", "spin-states"):
+        plan = workloads.generate(workload, SEED, directory / workload)
+        if workload == "halfdeg-search":
+            ids = (plan.cycles[0] + plan.warmup + [plan.setup_call] + plan.judge_only)
+        else:
+            ids = range(len(plan.calls))
+        for i in sorted(ids):
+            argv = plan.calls[i]["argv"]
+            add(workload, argv)
+            if workload == "certify-text":
+                add("certify-json", ["--output", "json"] + argv[2:])
+    poly = directory / "mixed" / "poly.json"
+    poly.write_text(json.dumps(POLY_ROWS))
+    moments = directory / "mixed" / "moments.csv"
+    moments.write_text(MOMENTS_CSV)
+    for output in ("text", "json", "csv"):
+        add("mixed", ["--output", output, "check-poly", "--route", "all", "--file", str(poly)])
+        add("mixed", ["--output", output, "check-moments", "--file", str(moments)])
+    for cone, output in (("Sigma", "json"), ("SigmaPrime", "csv"), ("C-suf", "json")):
+        add("mixed", ["--output", output, "slice", "--cone", cone, "--plane", PLANE,
+                      "--grid", "9", "--n", "4", "--d", "1"])
+    add("mixed", ["--output", "json", "fuzz", "--suite", "witness", "--iters", "4"])
+    add("mixed", ["fuzz", "--suite", "equivalence", "--iters", "20"])
+    return calls
+
+
+def _run(argv: list[str]) -> dict:
+    from momentcert import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": rc}
+
+
+def _digests(directory: Path) -> dict[str, dict]:
+    (directory / "mixed").mkdir(parents=True)
+    return {key: _run(argv) for key, argv in _corpus(directory).items()}
+
+
+def test_cli_output_matches_the_digest_table(tmp_path):
+    table = json.loads(TABLE.read_text())
+    got = _digests(tmp_path)
+    assert sorted(got) == sorted(table["calls"])
+    exits = {k: v["exit"] for k, v in got.items() if v["exit"] != table["calls"][k]["exit"]}
+    assert not exits, f"exit codes moved: {exits}"
+    if table["build"] != build():
+        pytest.skip(f"digests recorded on {table['build']}, this is {build()}")
+    moved = sorted(k for k, v in got.items() if v != table["calls"][k])
+    assert not moved, f"{len(moved)} outputs moved, the first: {moved[:5]}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = _digests(Path(tmp))
+    TABLE.write_text(json.dumps({"build": build(), "seed": SEED, "calls": calls},
+                                indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(calls)} digests to {TABLE}")
