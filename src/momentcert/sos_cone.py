@@ -2,16 +2,17 @@
 
 Route 1 (LMI): the arrow-structured matrix pencil is positive semidefinite for
 some feasibility parameter c >= 0; the arrow shape reduces this to diagonal
-sign checks plus one concave scalar Schur slack, maximized by bisection on its
-strictly decreasing derivative.
+sign checks plus one concave scalar Schur slack, maximized where its strictly
+decreasing derivative vanishes.
 
 Route 2 (ellipsoid): the reduced quadratic P_Q(X, Y) is nonnegative on the
 ellipsoid ||Y||^2 + ||X||^2/n <= 1.  After X = sqrt(n) w this is a
 diagonal-Hessian trust-region subproblem on the unit ball, solved exactly
 over rows with explicit zero-gradient and hard cases.  Its secular
 equation Σ g_i²/(h_i + λ)² = 1 is Route 1's f'(c) = 0 with λ = 2c (Moré &
-Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so both routes bisect with
-the same per-row loop, :func:`core.bisect_rows`.
+Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so both routes solve it
+with the same safeguarded Newton iteration, :func:`secular_rows`, in a
+handful of steps per row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .core import (
     Status,
     SymmetricQuadratic,
     abs_scale,
-    bisect_rows,
     margin_verdict,
     scaled_tolerance,
 )
@@ -106,6 +106,81 @@ def _py_max(x, y):
     return np.where(y > x, y, x)
 
 
+EPS = float(np.finfo(float).eps)
+#: a row of :func:`secular_rows` ends where psi lies in this band: 2 eps above
+#: the root, so that the TRS point w stays in the unit ball through the
+#: rounding of X = √n w and of the check, and 8 eps wide, so that a Newton
+#: step aimed at its middle lands in it
+PSI_BAND = (2.0 * EPS, 10.0 * EPS)
+#: iterations before a row of :func:`secular_rows` ends at its bracket's upper
+#: end (no row took more than 8 on the benchmark's certify files)
+NEWTON_STEPS = 100
+
+
+def secular_rows(g, h, lo, hi, k=1.0):
+    """Per row, the root of the secular equation Σ_i t_i² = 1 with
+    t_i = g_i / (h_i + λ/k) in the bracket (lo, hi] (B,), by a safeguarded
+    Newton iteration on psi(λ) = 1/sqrt(Σ t_i²) - 1 (Moré & Sorensen, 1983).
+
+    g, h are (B, m), k a scalar or (B,); a term with g_i = 0 is 0, wherever
+    its own pole is.  Where every other h_i + λ/k is positive, psi is
+    increasing, concave and nearly linear (linear for one term), so a Newton
+    step from below never passes the point it aims at.  The root must lie
+    above every such pole.
+
+    Each row starts at the lower bound max_i k(|g_i| - h_i) of the root (no
+    term may exceed 1), kept in (lo, hi], and retires on its own.  At a point
+    λ it moves the lower end L of its bracket to λ when psi(λ) is below
+    ``PSI_BAND`` or λ is at or below a pole (some h_i + λ/k <= 0 with
+    g_i ≠ 0; rounding can put lo there), and the upper end H to λ otherwise.
+    The row retires at H when psi(λ) is in the band.  Else Newton aims at the
+    middle of the band, and a step from below goes at least to the next
+    float.  A Newton point at or beyond H retires the row at H: the root is
+    H to working precision (as when g is nonzero only on a minimal h).  At a
+    pole, or when the Newton point is at or below L (a step from far above
+    the root), the next point is the midpoint of [L, H], and the row retires
+    at H when that is not strictly inside: L and H are then adjacent floats,
+    as where psi moves by more than the band's width from one float to the
+    next.  Terms are added in index order (:func:`_column_sum`).
+
+    Returns H (B,).  There psi >= 2 eps, so Σ t_i² < 1, except where H is
+    still hi, and the root is hi to working precision.
+    """
+    band_lo, band_hi = PSI_BAND
+    aim = 0.5 * (band_lo + band_hi)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    kb = np.broadcast_to(np.asarray(k, dtype=float), lo.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam = np.minimum(_py_max(np.nextafter(lo, np.inf), kb * (np.abs(g) - h).max(axis=-1)), hi)
+        live = np.arange(lo.size)
+        for _ in range(NEWTON_STEPS):
+            if not live.size:
+                break
+            x, gl = lam[live], g[live]
+            xk = (x / kb[live])[:, None]
+            den = h[live] + xk
+            pole = ((den <= 0.0) & (gl != 0.0)).any(axis=-1)
+            den[gl == 0.0] = 1.0  # the term is 0 wherever its own pole is
+            t = gl / den
+            t2 = t * t
+            norm2 = _column_sum(0.0, t2)
+            phi = np.sqrt(norm2)
+            psi = 1.0 / phi - 1.0
+            below = pole | (psi < band_lo)
+            lo_l = np.where(below, x, lo[live])
+            hi_l = np.where(below, hi[live], x)
+            lo[live], hi[live] = lo_l, hi_l
+            # psi' = Σ t_i² / (k (h_i + λ/k)) / phi³; the step (aim - psi) / psi'
+            # is formed with λ psi', a sum of O(1) terms however small λ is
+            nxt = x + (aim - psi) * (norm2 * phi) * x / _column_sum(0.0, t2 * (xk / den))
+            nxt = np.where(below, _py_max(nxt, np.nextafter(x, np.inf)), nxt)
+            nxt = np.where(pole | ~(nxt > lo_l), 0.5 * (lo_l + hi_l), nxt)
+            done = (~below & (psi <= band_hi)) | ~((lo_l < nxt) & (nxt < hi_l))
+            lam[live] = nxt
+            live = live[~done]
+    return hi
+
+
 def ellipsoid_rows(a0, a, aa, n):
     """Global minimum of P_Q over the ellipsoid ||Y||^2 + ||X||^2/n <= 1 for
     rows a0 (B,), a and aa (B, d), n a scalar or (B,): the minimum (B,) and
@@ -118,8 +193,10 @@ def ellipsoid_rows(a0, a, aa, n):
     the hard case ||w(lam_lo)|| < 1, or [lam_lo, lam_lo + ||g||] empty in floats:
     w(lam_lo) (zero where h + lam_lo <= 0) filled up to the sphere along the
     first minimal h, against the sign of g there;
-    else w(λ) at the root of the secular equation ||w(λ)||² = 1, bisected on
-    [lam_lo, lam_lo + ||g||] and taken at the upper end.
+    else w(λ) at the root of the secular equation ||w(λ)||² = 1 in
+    (lam_lo, lam_lo + ||g||], by :func:`secular_rows`: λ is a few eps above
+    the root, so ||w|| < 1, unless the root is the upper end to working
+    precision (as when g is nonzero only on the first minimal h).
     An interior Newton point needs lam_lo = 0, so every A_αα = 0 and h has no
     positive entry: it never occurs for g ≠ 0.
     """
@@ -156,11 +233,7 @@ def ellipsoid_rows(a0, a, aa, n):
         # the secular equation; h + λ > 0 at every λ > lam_lo
         gs, hs = gr[~hard], hr[~hard]
 
-        def too_long(lam):
-            t = gs / (hs + lam[:, None])
-            return _column_sum(0.0, t * t) > 1.0
-
-        _, lam = bisect_rows(too_long, lam_lo[sec], lam_lo[sec] + gnorm[sec], 1e-16)
+        lam = secular_rows(gs, hs, lam_lo[sec], lam_lo[sec] + gnorm[sec])
         w[sec] = -gs / (hs + lam[:, None])
     return a0 + _column_sum(0.0, g * w + 0.5 * h * w * w), np.sqrt(nc) * w[:, :d], w[:, d:]
 
@@ -230,8 +303,9 @@ def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
     The feasible c form [c_lo, c_hi] with c_lo = max(0, n max A_αα,
     -n(n-1) min A_αα) and c_hi = A0; empty (beyond t) means NonMember.
     Otherwise c* is c_hi if f' >= 0 there, c_lo if f' <= 0 there, else the
-    bisection point of f'; the row is a member when f(c*) >= -t, with
-    t = ``scaled_tolerance(tol, coeff_scale, n)``.
+    root of f'(c) = 0, the secular equation Σ (A_α/2)²/((n-1)A_αα + c/n)² = 1,
+    by :func:`secular_rows` (a few eps of psi above it); the row is a member
+    when f(c*) >= -t, with t = ``scaled_tolerance(tol, coeff_scale, n)``.
     """
     a0 = np.asarray(a0, dtype=float)
     a, aa = np.asarray(a, dtype=float), np.asarray(aa, dtype=float)
@@ -252,9 +326,9 @@ def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
         cr = np.where(at_hi, hi, lo)
         mid = np.flatnonzero(~at_hi & ~at_lo)
         if mid.size:
-            fp = _schur_slack_derivative(ar[mid], aar[mid], nr[mid] if n.ndim else n)
-            lo_m, hi_m = bisect_rows(lambda c: fp(c) > 0.0, lo[mid], hi[mid], 1e-15)
-            cr[mid] = 0.5 * (lo_m + hi_m)
+            nm = nr[mid] if n.ndim else n
+            cr[mid] = secular_rows(0.5 * ar[mid], (nm[..., None] - 1) * aar[mid],
+                                   lo[mid], hi[mid], nm)
         c[run] = cr
         slack[run] = _schur_slack(a0[run], ar, aar, nr, cr)
     return ArrowRows(c, slack, c_lo, c_hi, empty, *margin_verdict(slack, t))

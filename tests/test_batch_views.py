@@ -1,6 +1,7 @@
 """Each batch kernel equals its one-row view (the scalar API) row by row,
-and the arrow LMI and the ellipsoid minimum equal the scalar loops they
-replaced.
+and the arrow LMI and the ellipsoid minimum equal scalar loops of the same
+rule to the last bit.  The bisections that the secular Newton iteration
+replaced stay here as a second reference, matched within stated bounds.
 
 Rows come from the fuzz generators, with n mixed inside each d-group as the
 CLI batches them, plus hand-made rows for every branch of each kernel.
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic
+from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic, abs_scale
 from momentcert.exact_d1 import p_n1_membership, p_n1_rows
 from momentcert.fuzz import random_moment_probe, random_quadratic
 from momentcert.moment_cone import (
@@ -22,9 +23,13 @@ from momentcert.moment_cone import (
     sufficient_condition,
 )
 from momentcert.sos_cone import (
+    NEWTON_STEPS,
+    PSI_BAND,
+    _column_sum,
     arrow_lmi_rows,
     ellipsoid_quadratic_min,
     ellipsoid_rows,
+    secular_rows,
     sigma_membership_lmi,
 )
 
@@ -102,13 +107,61 @@ def _poly_rows(d: int) -> list[SymmetricQuadratic]:
             SymmetricQuadratic(dims, 4.0, z + 0.5, z + 0.1),       # bisection
             # A_1 = 0 with denominator (n-1)A_11 + c/n = 0 at c = c_lo
             SymmetricQuadratic(dims, n * (n - 1) + 3.0, a_zero, aa_neg),
+            # the same denominator with A_1 ≠ 0: f' has its pole at c_lo
+            SymmetricQuadratic(dims, n * (n - 1) + 3.0, a_zero + 1e-3, aa_neg),
+            # tiny c* = n sqrt(d) |A_α| / 2, far below the bisection's 1e-15
+            SymmetricQuadratic(dims, 1.0, z + 1e-300, z),
+            SymmetricQuadratic(dims, 1.0, np.r_[3e-310, z[1:] - 1e-310], z),
         ]
     return rows
 
 
-def _reference_lmi(q: SymmetricQuadratic) -> tuple[float, float]:
-    """(c*, f(c*)) of the arrow LMI by the scalar loops the batch kernel
-    replaced, for a quadratic whose c-interval is not empty."""
+def _newton_root(g, h, lo, hi, k=1.0) -> float:
+    """The root of Σ t_i² = 1, t_i = g_i / (h_i + λ/k), in (lo, hi] by the
+    rule of :func:`secular_rows`, for one row in Python floats."""
+    band_lo, band_hi = PSI_BAND
+    aim = 0.5 * (band_lo + band_hi)
+    x = min(max(math.nextafter(lo, math.inf), k * max(abs(gi) - hi_ for gi, hi_ in zip(g, h))), hi)
+    for _ in range(NEWTON_STEPS):
+        norm2 = s = 0.0
+        pole = False
+        xk = x / k
+        for gi, hi_ in zip(g, h):
+            den = hi_ + xk
+            if gi == 0.0:
+                continue
+            if den <= 0.0:
+                pole = True
+                break
+            t = gi / den
+            norm2 += t * t
+            s += t * t * (xk / den)
+        if not pole:
+            phi = math.sqrt(norm2)
+            psi = 1.0 / phi - 1.0
+        below = pole or psi < band_lo
+        if below:
+            lo = x
+        else:
+            hi = x
+            if psi <= band_hi:
+                return hi
+        if not pole:
+            nxt = x + (aim - psi) * (norm2 * phi) * x / s
+            if below and math.nextafter(x, math.inf) > nxt:
+                nxt = math.nextafter(x, math.inf)
+        if pole or not nxt > lo:
+            nxt = 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            return hi
+        x = nxt
+    return hi
+
+
+def _reference_lmi(q: SymmetricQuadratic, bisect: bool = False) -> tuple[float, float]:
+    """(c*, f(c*)) of the arrow LMI by scalar loops, for a quadratic whose
+    c-interval is not empty: between the end tests, the Newton rule of the
+    kernel, or with ``bisect`` the bisection of f' it replaced."""
     n, a0, a, aa = q.dims.n, q.a0, [float(v) for v in q.a], [float(v) for v in q.aa]
 
     def slack(c):
@@ -139,6 +192,8 @@ def _reference_lmi(q: SymmetricQuadratic) -> tuple[float, float]:
         c = hi
     elif fprime(lo) <= 0.0:
         c = lo
+    elif not bisect:
+        c = _newton_root([0.5 * v for v in a], [(n - 1) * v for v in aa], lo, hi, float(n))
     else:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -162,21 +217,29 @@ def test_arrow_lmi_rows_equal_one_row_views(d):
     assert np.array_equal([f.marginal for _, f in views], batch.slack)
     assert np.array_equal([v.is_member for v, _ in views], batch.member)
     assert np.array_equal([v.boundary for v, _ in views], batch.boundary)
-    # and the scalar loops it replaced, to the last bit
-    ref = [_reference_lmi(q) for q, empty in zip(rows, batch.empty) if not empty]
-    assert np.array_equal(ref, np.stack([batch.c, batch.slack], axis=1)[~batch.empty])
-    # every exit of the search occurs: empty interval, c_hi, c_lo, bisection
+    # and scalar loops of the same rule, to the last bit
     run = ~batch.empty
+    ref = [_reference_lmi(q) for q, empty in zip(rows, batch.empty) if not empty]
+    assert np.array_equal(ref, np.stack([batch.c, batch.slack], axis=1)[run])
+    # the bisection of f' that the Newton rule replaced
+    old = np.array([_reference_lmi(q, bisect=True) for q, e in zip(rows, batch.empty) if not e])
+    dc = np.abs(batch.c[run] - old[:, 0]) / np.maximum(1.0, np.abs(old[:, 0]))
+    ds = np.abs(batch.slack[run] - old[:, 1]) / np.maximum(1.0, abs_scale(a0, a, aa)[run] * n[run] ** 2)
+    # largest seen: 1.1e-15 in c (d = 4) and 1.1e-16 in the slack
+    assert dc.max() <= 1e-14 and ds.max() <= 1e-15
+    # every exit of the search occurs: empty interval, c_hi, c_lo, Newton
     at_hi = run & (batch.c == np.maximum(batch.c_hi, batch.c_lo))
     at_lo = run & ~at_hi & (batch.c == batch.c_lo)
     assert batch.empty.any() and at_hi.any() and at_lo.any() and (run & ~at_hi & ~at_lo).any()
     assert batch.member.any() and (run & ~batch.member).any()
 
 
-def _trs_unit_ball(g: list[float], h: list[float]) -> tuple[list[float], str]:
+def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
+                   ) -> tuple[list[float], str]:
     """Exact minimizer of g·w + 0.5 Σ h_i w_i² over ||w|| <= 1 (diagonal
-    TRS), by the scalar loop the batch kernel replaced, and the branch that
-    returned it."""
+    TRS) by a scalar loop, and the branch that returned it.  The secular
+    equation is solved by the kernel's Newton rule, or with ``bisect`` by the
+    bisection it replaced."""
     k = len(g)
     hmin = min(h)
     lam_lo = max(0.0, -hmin)
@@ -213,7 +276,7 @@ def _trs_unit_ball(g: list[float], h: list[float]) -> tuple[list[float], str]:
         return w, "hard"
 
     lo, hi = lam_lo, lam_lo + gnorm
-    for _ in range(200):
+    for _ in range(200 if bisect else 0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval is down to one ulp
@@ -223,18 +286,19 @@ def _trs_unit_ball(g: list[float], h: list[float]) -> tuple[list[float], str]:
             hi = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
-    lam = hi
+    lam = hi if bisect else _newton_root(g, h, lo, hi)
     return [-g[i] / (h[i] + lam) for i in range(k)], "secular"
 
 
-def _reference_ellipsoid(q: SymmetricQuadratic) -> tuple[float, list, list, str]:
-    """(min, X, Y) of P_Q over the ellipsoid by the scalar loops the batch
-    kernel replaced, and the TRS branch taken."""
+def _reference_ellipsoid(q: SymmetricQuadratic, bisect: bool = False
+                         ) -> tuple[float, list, list, str]:
+    """(min, X, Y) of P_Q over the ellipsoid by scalar loops, and the TRS
+    branch taken (``bisect`` as in :func:`_trs_unit_ball`)."""
     n, d = q.dims.n, q.dims.d
     aa = [float(v) for v in q.aa]
     g = [n * float(v) for v in q.a] + [0.0] * d
     h = [2.0 * n * (n - 1) * v for v in aa] + [-2.0 * n * v for v in aa]
-    w, branch = _trs_unit_ball(g, h)
+    w, branch = _trs_unit_ball(g, h, bisect)
     val = q.a0 + sum(g[i] * w[i] + 0.5 * h[i] * w[i] * w[i] for i in range(2 * d))
     rt = math.sqrt(n)
     return val, [rt * w[i] for i in range(d)], w[d:], branch
@@ -260,6 +324,9 @@ def _ellipsoid_corpus(d: int) -> list[SymmetricQuadratic]:
             SymmetricQuadratic(dims, 1.0, 0.1 * (1 - e), z + 1.0),   # hard case, tie
             SymmetricQuadratic(dims, 1.0, e, -(z + 1.0)),        # secular, tie
             SymmetricQuadratic(dims, 1.0, z + 1e-3, z),          # secular from lam_lo = 0
+            SymmetricQuadratic(dims, 1.0, z + 1e-300, z),        # tiny root, at hi
+            # the root 1e-9 n above the pole at lam_lo (at hi when d = 1)
+            SymmetricQuadratic(dims, 1.0, np.r_[1e-9, z[1:] + 1.0], np.r_[-1.0, z[1:] + 0.5]),
         ]
     if d > 1:  # h ties across the blocks: 2n(n-1) A_11 = -2n A_22 at n = 2
         rows += [SymmetricQuadratic(ProblemDims(2, d), 1.0, np.r_[0.0, 0.5, z[2:]],
@@ -286,6 +353,51 @@ def test_ellipsoid_rows_equal_scalar_reference_and_one_row_views(d):
         ties = (h == h.min(axis=1, keepdims=True)).sum(axis=1) > 1
         assert all(ties[[b == k for b in branches]].any() for k in ("unit", "hard"))
     assert any(math.copysign(1.0, v) < 0 for r in ref for v in r[2] if v == 0.0)
+    # the bisection the Newton rule replaced: the same branches, the minimum
+    # within 1e-13 of max(1, scale n²) (largest seen: 2.6e-14, at d = 3; near
+    # the pole psi moves by many eps from one float λ to the next, and the
+    # two rules may stop one float apart), and a secular point inside the
+    # ellipsoid wherever the bisection's point was
+    old = [_reference_ellipsoid(q, bisect=True) for q in rows]
+    assert [r[3] for r in old] == branches
+    dv = np.abs(val - [r[0] for r in old]) / np.maximum(1.0, abs_scale(a0, a, aa) * n * n)
+    assert dv.max() <= 1e-13
+
+    def inside(x, y, n):
+        x, y = np.array(x), np.array(y)
+        return float(y @ y + (x @ x) / n) <= 1.0
+
+    sec = [i for i, b in enumerate(branches) if b == "secular"]
+    was = [i for i in sec if inside(old[i][1], old[i][2], n[i])]
+    assert was and all(inside(x[i], y[i], n[i]) for i in was)
+
+
+def test_secular_rows_at_the_bracket_end_the_pole_and_tiny_roots():
+    """Roots exactly at hi (g nonzero only on a minimal h, or every h equal),
+    a root 1.3e-9 above the pole at lo, a tiny root, a zero term whose own
+    pole is the start, and a start on a pole: the kernel equals the scalar
+    rule and ends where Σ t_i² < 1."""
+    g = np.array([[3.0, 0.0], [1e-9, 1.0], [1e-150, 2e-150], [0.5, 0.25],
+                  [0.0, 1.0], [1e-20, 1.0]])
+    h = np.array([[-2.0, 5.0], [-1.0, 0.5], [0.0, 0.0], [-1.0, -0.5],
+                  [-1.0, 0.0], [-1.0, 0.0]])
+    lo = np.maximum(0.0, -h.min(axis=1))
+    hi = lo + np.sqrt(_column_sum(0.0, g * g))
+    # a bracket past the zero term's pole at 1 = the root; lo below the pole
+    # at 1 of the last row, where the start 1e-20 + 1 rounds onto it
+    lo[4:], hi[4:] = 0.0, 2.0
+    lo[5] = 0.5
+    for k in (1.0, 16.0):
+        lam = secular_rows(g, h, lo * k, hi * k, k)
+        ref = [_newton_root(gi.tolist(), hi_.tolist(), float(l), float(u), k)
+               for gi, hi_, l, u in zip(g, h, lo * k, hi * k)]
+        assert lam.tolist() == ref
+        assert (lam > lo * k).all() and (lam <= hi * k).all()
+        assert lam[0] == 5.0 * k and lam[2] == hi[2] * k
+        t = g / (h + lam[:, None] / k)
+        assert (_column_sum(0.0, t * t)[[1, 3, 4, 5]] < 1.0).all()
+        assert abs(lam[1] / k - 1.0 - 1.3416e-9) < 1e-12
+        assert 0.0 < lam[4] / k - 1.0 < 1e-14 and 0.0 < lam[5] / k - 1.0 < 1e-13
 
 
 def test_p_n1_rows_equal_one_row_views():
