@@ -201,6 +201,21 @@ def _parsed(parse, rows: list, label) -> list[RowBatch]:
     raise AssertionError("rows that parse one at a time failed together")
 
 
+def _integral(col: list) -> np.ndarray | None:
+    """The values of a column of JSON numbers as floats when every one is an
+    int, or a float, that is integral and below 2^53 in size: checked on the
+    whole column.  None otherwise; the caller then converts value by value
+    with ``json_int``, which gives the same values or raises for the first
+    bad one."""
+    if not set(map(type, col)) <= {int, float}:
+        return None
+    try:
+        v = np.array(col, dtype=float)
+    except OverflowError:
+        return None
+    return v if ((np.abs(v) < 2.0 ** 53) & (v == np.floor(v))).all() else None
+
+
 def _record_batches(rows: list, names) -> list[RowBatch]:
     """JSON-like records with n, d and the three named fields, grouped by d:
     each field converted for all records of a group at once, as
@@ -223,8 +238,11 @@ def _record_batches(rows: list, names) -> list[RowBatch]:
         return np.column_stack([[float(rows[i][k0]) for i in idx],
                                 block(idx, k1, d), block(idx, k2, d)])
 
-    n = np.array([json_int(r, "n") for r in rows], dtype=float)
-    d = np.array([json_int(r, "d") for r in rows])
+    n = _integral([r["n"] for r in rows])
+    if n is None:
+        n = np.array([json_int(r, "n") for r in rows], dtype=float)
+    d = _integral([r["d"] for r in rows])
+    d = np.array([json_int(r, "d") for r in rows]) if d is None else d.astype(np.int64)
     return _checked(n, d, values, names)
 
 
@@ -248,11 +266,23 @@ def _load_moment_rows(path: str) -> list[RowBatch]:
     return _parse_moment_csv(raw, path)
 
 
+def _int_cells(col: list[str]) -> np.ndarray | list[int]:
+    """``int`` of every cell of a CSV column: at once into int64 (numpy
+    applies ``int`` to each cell); cell by cell when that fails, so that
+    ``int`` raises its own error for the first bad cell, or returns a value
+    beyond int64."""
+    try:
+        return np.array(col, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return [int(c) for c in col]
+
+
 def _csv_batches(rows: list[list[str]]) -> list[RowBatch]:
     """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d, every cell
-    converted with ``int``/``float``."""
-    n = np.array([int(r[0]) for r in rows], dtype=float)
-    d = np.array([int(r[1]) for r in rows])
+    converted with ``int``/``float``, the n and d columns by
+    :func:`_int_cells`."""
+    n = np.array(_int_cells([r[0] for r in rows]), dtype=float)
+    d = np.array(_int_cells([r[1] for r in rows]))
     width = np.array([len(r) for r in rows])
 
     def values(idx: np.ndarray, d: int) -> np.ndarray:

@@ -617,6 +617,45 @@ def test_failing_parse_is_bisected(tmp_path, capsys, monkeypatch, kind):
     assert calls[0] == rows and len(calls) <= math.ceil(math.log2(rows)) + 2, calls
 
 
+def test_n_and_d_columns_follow_the_per_value_rules(monkeypatch):
+    """The batch parsers check n and d on whole columns (``_integral``,
+    ``_int_cells``).  On random columns mixing good and bad values they give
+    the batches of the per-value rules (``json_int``, ``int`` of each cell)
+    or raise the same error."""
+    import momentcert.cli as cli
+    from momentcert.cli import PARSE_ERRORS, _csv_batches, _record_batches
+    from momentcert.core import MOMENT_FIELDS
+
+    good = [2, 4, 4.0, 7, 16.0, 2 ** 52, 2 ** 53, 2 ** 60, 10 ** 30]
+    bad = [10 ** 400, 1, -3, 4.5, math.inf, math.nan, True, "4", None, [4]]
+    cells = ["4", " 7", "+5", "1_0", "\u0663", "9223372036854775808", "4.0", "x", "", "-3"]
+
+    def outcome(parse, rows):
+        try:
+            return [(b.d, b.index.tolist(), b.n.tolist(), b.x0.tolist(), b.x.tolist(),
+                     b.xx.tolist()) for b in parse(rows)]
+        except PARSE_ERRORS as exc:
+            return type(exc), str(exc)
+
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        size = int(rng.integers(1, 8))
+        pick = (lambda pool: pool[int(rng.integers(len(pool)))])
+        n = [pick(good) if rng.uniform() < 0.8 else pick(bad) for _ in range(size)]
+        d = [pick([1, 2, 2.0]) if rng.uniform() < 0.9 else pick(bad) for _ in range(size)]
+        records = [{"n": a, "d": b, "z0": 1.0, "z": [0.5, 0.0][:1 + (b == 2)],
+                    "zz": [0.25, 0.0][:1 + (b == 2)]} for a, b in zip(n, d)]
+        rows = [[str(a) if rng.uniform() < 0.85 else pick(cells), pick(["1", "1", " 1", "x"]),
+                 "1.0", "0.5", "0.25"] for a in rng.integers(2, 65, size=size)]
+        got = outcome(lambda r: _record_batches(r, MOMENT_FIELDS), records), outcome(_csv_batches, rows)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_integral", lambda col: None)
+            m.setattr(cli, "_int_cells", lambda col: [int(c) for c in col])
+            want = (outcome(lambda r: _record_batches(r, MOMENT_FIELDS), records),
+                    outcome(_csv_batches, rows))
+        assert repr(got) == repr(want), (records, rows)
+
+
 def test_bisected_parse_names_the_first_row_that_fails_alone():
     """Random CSV rows with a few bad ones: ``_parsed`` reports the row and
     the error that parsing each row alone, in order, finds first."""
