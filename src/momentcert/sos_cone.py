@@ -232,7 +232,6 @@ def ellipsoid_rows(a0, a, aa, n):
                                  * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
         # the secular equation; h + λ > 0 at every λ > lam_lo
         gs, hs = gr[~hard], hr[~hard]
-
         lam = secular_rows(gs, hs, lam_lo[sec], lam_lo[sec] + gnorm[sec])
         w[sec] = -gs / (hs + lam[:, None])
     return a0 + _column_sum(0.0, g * w + 0.5 * h * w * w), np.sqrt(nc) * w[:, :d], w[:, d:]

@@ -91,7 +91,7 @@ def _poly_rows(d: int) -> list[SymmetricQuadratic]:
     for _ in range(200):
         n = int(rng.integers(2, 65))
         q = random_quadratic(rng, n, d)
-        # half of them shifted into [c_lo, c_hi] so the bisection runs
+        # half of them shifted into [c_lo, c_hi] so the root search runs
         if rng.uniform() < 0.5:
             q = SymmetricQuadratic(q.dims, n * n * (1.0 + abs(q.a0)), 0.3 * q.a, q.aa)
         rows.append(q)
@@ -104,7 +104,7 @@ def _poly_rows(d: int) -> list[SymmetricQuadratic]:
             SymmetricQuadratic(dims, -1.0, z, z + 1.0),            # empty c-interval
             SymmetricQuadratic(dims, 1.0, z + 10.0, z),            # f'(c_hi) >= 0
             SymmetricQuadratic(dims, 1.0, z, z),                   # f'(c_lo) <= 0
-            SymmetricQuadratic(dims, 4.0, z + 0.5, z + 0.1),       # bisection
+            SymmetricQuadratic(dims, 4.0, z + 0.5, z + 0.1),       # root inside (c_lo, c_hi)
             # A_1 = 0 with denominator (n-1)A_11 + c/n = 0 at c = c_lo
             SymmetricQuadratic(dims, n * (n - 1) + 3.0, a_zero, aa_neg),
             # the same denominator with A_1 ≠ 0: f' has its pole at c_lo
@@ -276,7 +276,10 @@ def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
         return w, "hard"
 
     lo, hi = lam_lo, lam_lo + gnorm
-    for _ in range(200 if bisect else 0):
+    if not bisect:
+        lam = _newton_root(g, h, lo, hi)
+        return [-g[i] / (h[i] + lam) for i in range(k)], "secular"
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval is down to one ulp
@@ -286,8 +289,7 @@ def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
             hi = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
-    lam = hi if bisect else _newton_root(g, h, lo, hi)
-    return [-g[i] / (h[i] + lam) for i in range(k)], "secular"
+    return [-g[i] / (h[i] + hi) for i in range(k)], "secular"
 
 
 def _reference_ellipsoid(q: SymmetricQuadratic, bisect: bool = False
