@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -84,54 +85,20 @@ class InputError(Exception):
     pass
 
 
-#: verdict records per block of streamed JSON output: bounds the leaf-text
-#: arrays of a block, while a block still has enough records that the few
-#: numpy calls of each record layout cost little per record
+#: rows per record tree of streamed JSON output.  The rows of a tree are one
+#: (d-group, record shape) stream, because a block of input rows split by
+#: d-group and shape leaves trees too small to amortize their numpy calls (a
+#: few per leaf); the bound keeps a tree's leaf-text arrays small
 JSON_BLOCK = 128
 
 #: compact separators and no indent select the stdlib's C encoder
 _compact_json = json.JSONEncoder(separators=(",", ": "), sort_keys=True).encode
-_JSON_MARKS = np.zeros(256, dtype=bool)
-_JSON_MARKS[list(b'",[]{}')] = True
-_JSON_STEP = np.zeros(256, dtype=np.intp)  # nesting step of each mark
-_JSON_STEP[list(b"[{")] = 1
-_JSON_STEP[list(b"]}")] = -1
 
 
 def _indented_json(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` with every line after
-    the first indented ``depth`` levels further.
-
-    The C encoder writes the compact text; then, outside strings (told by
-    quote parity), a newline and two spaces per level go after each
-    non-empty ``[``/``{`` and each ``,``, and before each non-empty
-    ``]``/``}``.  Text with a backslash, the only way a quote can sit inside
-    a string, takes the stdlib's indenting encoder instead.
-    """
-    text = _compact_json(obj)
-    if "\\" in text:
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    pos = np.flatnonzero(_JSON_MARKS[b])
-    quote = b[pos] == ord('"')
-    pos = pos[~quote & (np.cumsum(quote) % 2 == 0)]
-    step = _JSON_STEP[b[pos]]
-    level = depth + np.cumsum(step)
-    empty = (step[:-1] > 0) & (step[1:] < 0) & (np.diff(pos) == 1)
-    after = step >= 0  # an open or a comma
-    after[:-1] &= ~empty
-    before = step < 0
-    before[1:] &= ~empty
-    gap = after | before
-    at = (pos + after)[gap]  # byte index each newline goes in front of
-    width = 1 + 2 * level[gap]
-    shift = np.zeros(b.size, dtype=np.intp)
-    shift[at] = width
-    np.cumsum(shift, out=shift)
-    out = np.full(b.size + int(shift[-1]), ord(" "), dtype=np.uint8)
-    out[np.arange(b.size) + shift] = b
-    out[at + shift[at] - width] = ord("\n")
-    return out.tobytes().decode("ascii")
+    the first indented ``depth`` levels further."""
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def _json_out(payload: dict) -> str:
@@ -360,14 +327,25 @@ def _witness_jsonable(obj):
 # text _indented_json writes for the record whose leaves are slot markers.
 
 
+#: the texts of 0.0, 1.0, -0.0 and -1.0, at 2 * signbit + (v != 0)
+_CONSTANT_TEXTS = np.array(["0.0", "1.0", "-0.0", "-1.0"], dtype=object)
+
+
 def _floats(v, witness: bool = False) -> np.ndarray:
     """The JSON texts of the floats ``v``, as the encoder writes Python
-    floats: ``float.__repr__``, and NaN, Infinity or -Infinity; a witness
-    value that is not finite is written, as ``_witness_jsonable`` gives it,
-    as its quoted repr."""
+    floats: ``float.__repr__`` (taken from a table for ±0.0 and ±1.0), and
+    NaN, Infinity or -Infinity; a witness value that is not finite is
+    written, as ``_witness_jsonable`` gives it, as its quoted repr."""
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
-    out = np.fromiter(map(float.__repr__, flat.tolist()), dtype=object, count=flat.size)
+    size = np.abs(flat)
+    rest = np.flatnonzero((size != 0) & (size != 1))
+    if rest.size == flat.size:
+        out = np.fromiter(map(float.__repr__, flat.tolist()), dtype=object, count=flat.size)
+    else:
+        out = _CONSTANT_TEXTS[2 * np.signbit(flat) + (size != 0)]
+        out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
+                                count=rest.size)
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         out[i] = _compact_json(out[i] if witness else float(flat[i]))
     return out.reshape(v.shape)
@@ -429,16 +407,6 @@ def _record_texts(tree: dict) -> np.ndarray:
     return np.fromiter(map("".join, out.tolist()), dtype=object, count=rows)
 
 
-def _texts_by_shape(shape: np.ndarray, tree, s: int) -> np.ndarray:
-    """The record texts of a d-group's rows s..s+len(shape)-1 in order;
-    ``tree(ks)`` is the record tree of group rows ks, all of one shape."""
-    out = np.empty(shape.size, dtype=object)
-    for key in set(shape.tolist()):
-        sel = np.flatnonzero(shape == key)
-        out[sel] = _record_texts(tree(s + sel))
-    return out
-
-
 def _input_tree(b: RowBatch, names, ks: np.ndarray) -> dict:
     """Rows ks of ``b`` as ``to_json_dict`` writes them, with the three field names."""
     return {"n": _ints(b.n[ks]), "d": b.d, names[0]: _floats(b.x0[ks]),
@@ -471,16 +439,34 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConf
 
 def _block_texts(parts: list):
     """``texts(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per d-group,
-    the input positions of its rows and ``build(s, e)``, the texts of its
-    rows s..e-1; a d-group keeps input order, so its rows among lo..hi-1
-    are one slice of it."""
+    the input positions of its rows (ascending), their record shapes, and
+    ``tree(ks)``, the record tree of group rows ks, all of one shape.  The
+    rows of one d-group and shape are a stream in input order, which builds
+    the texts of its next JSON_BLOCK rows when the writer first needs one
+    of them; built texts wait in ``pending`` until they are written."""
+    pending = np.empty(sum(index.size for index, _, _ in parts), dtype=object)
+    # per unfinished stream: the input position of its next row (no two
+    # streams share one, so the heap orders by it alone), that row, the
+    # stream's input positions and group rows, and its tree
+    heap = []
+    for index, shape, tree in parts:
+        order = np.argsort(shape, kind="stable")
+        for ks in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+            heap.append((int(index[ks[0]]), 0, index[ks], ks, tree))
+    heapq.heapify(heap)
+
     def texts(lo: int, hi: int) -> list:
-        out = np.empty(hi - lo, dtype=object)
-        for index, build in parts:
-            s, e = np.searchsorted(index, (lo, hi)).tolist()
-            if s < e:
-                out[index[s:e] - lo] = build(s, e)
-        return out.tolist()
+        while heap and heap[0][0] < hi:
+            _, s, pos, ks, tree = heap[0]
+            e = s + JSON_BLOCK
+            pending[pos[s:e]] = _record_texts(tree(ks[s:e]))
+            if e < ks.size:
+                heapq.heapreplace(heap, (int(pos[e]), e, pos, ks, tree))
+            else:
+                heapq.heappop(heap)
+        out = pending[lo:hi].tolist()
+        pending[lo:hi] = None
+        return out
 
     return texts
 
@@ -509,9 +495,10 @@ def _report_tree(rows, side: str, ks: np.ndarray) -> dict:
             "worst_pattern": _ints(rows.pattern[ks]), "z0_ok": _bools(rows.z0_ok[ks])}
 
 
-def _moment_texts(b: RowBatch, v, w, s: int, e: int) -> np.ndarray:
-    """The record texts of rows s..e-1 of ``b`` from its verdict columns ``v``
-    and witness columns ``w``, one layout per verdict."""
+def _moment_texts(b: RowBatch, v, w) -> tuple:
+    """The record shapes of the rows of ``b`` (their verdicts) and
+    ``tree(ks)``, the record tree of rows ks of one verdict, from the
+    verdict columns ``v`` and witness columns ``w``."""
     def tree(ks: np.ndarray) -> dict:
         kind = int(v.status[ks[0]])
         if kind == MEMBER:
@@ -532,7 +519,7 @@ def _moment_texts(b: RowBatch, v, w, s: int, e: int) -> np.ndarray:
         return {"status": STATUS_VALUES[kind], "boundary": _bools(v.boundary[ks]),
                 "input": _input_tree(b, MOMENT_FIELDS, ks), "witness": witness}
 
-    return _texts_by_shape(v.status[s:e], tree, s)
+    return v.status, tree
 
 
 def cmd_check_moments(args, cfg: RunConfig) -> int:
@@ -545,7 +532,7 @@ def cmd_check_moments(args, cfg: RunConfig) -> int:
         status[b.index], boundary[b.index] = verdicts.status, verdicts.boundary
         if cfg.output == "json":
             witnesses = witness_rows(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
-            parts.append((b.index, partial(_moment_texts, b, verdicts, witnesses)))
+            parts.append((b.index, *_moment_texts(b, verdicts, witnesses)))
     _emit_verdicts(status, boundary, _block_texts(parts), cfg)
     return _exit_code(status)
 
@@ -612,8 +599,9 @@ ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
                "exact-d1": _exact_d1_route, "halfdeg": _halfdeg_route}
 
 
-def _poly_texts(b: RowBatch, columns: dict, primary: str, s: int, e: int) -> np.ndarray:
-    """The record texts of rows s..e-1 of ``b`` from each route's columns."""
+def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
+    """The record shapes of the rows of ``b`` and ``tree(ks)``, the record
+    tree of rows ks of one shape, from each route's columns."""
     def tree(ks: np.ndarray) -> dict:
         routes = {r: {"status": _STATUS_TEXTS[np.where(member[ks], MEMBER, NON_MEMBER)],
                       "boundary": _bools(edge[ks]), **fields(ks)}
@@ -630,13 +618,13 @@ def _poly_texts(b: RowBatch, columns: dict, primary: str, s: int, e: int) -> np.
 
     # a row's shape, 2n + its exact-d1 verdict: n counts where a witness
     # lists n points (a halfdeg argmin, an exact-d1 NonMember's point)
-    shape = np.zeros(e - s, dtype=np.int64)
-    points = np.full(e - s, "halfdeg" in columns)
+    shape = np.zeros(b.index.size, dtype=np.int64)
+    points = np.full(b.index.size, "halfdeg" in columns)
     if "exact-d1" in columns:
-        shape += columns["exact-d1"][0][s:e]
+        shape += columns["exact-d1"][0]
         points |= shape == 0
-    shape += 2 * np.where(points, b.n[s:e], 0).astype(np.int64)
-    return _texts_by_shape(shape, tree, s)
+    shape += 2 * np.where(points, b.n, 0).astype(np.int64)
+    return shape, tree
 
 
 def cmd_check_poly(args, cfg: RunConfig) -> int:
@@ -657,7 +645,7 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
         member, edge, _ = columns[primary]
         status[b.index] = np.where(member, MEMBER, NON_MEMBER)
         boundary[b.index] = edge
-        parts.append((b.index, partial(_poly_texts, b, columns, primary)))
+        parts.append((b.index, *_poly_texts(b, columns, primary)))
     _emit_verdicts(status, boundary, _block_texts(parts), cfg)
     return _exit_code(status)
 

@@ -442,6 +442,11 @@ def test_check_poly_text_and_csv_show_the_primary_route_boundary(capsys, route):
         code, "index,status,boundary\r\n0,Member,True\r\n", "")
 
 
+#: JSON_BLOCK in the block-edge tests: small, so that a few dozen rows span
+#: several blocks
+JSON_BLOCK = 3
+
+
 def _with_boundary_rows(moments, polys, every: int = 29):
     """Every ``every``-th row replaced by a boundary row of its (n, d): the
     moment vector z0 = 1, z = 0, sum zz = (n-1)^2, whose sufficient residual
@@ -458,12 +463,13 @@ def _with_boundary_rows(moments, polys, every: int = 29):
 
 @pytest.mark.parametrize("case", ["moments-csv", "moments-json", "lmi", "ellipsoid",
                                   "exact-d1", "halfdeg", "all"])
-def test_text_and_csv_agree_with_json_on_a_mixed_corpus(tmp_path, capsys, case):
+def test_text_and_csv_agree_with_json_on_a_mixed_corpus(tmp_path, capsys, monkeypatch, case):
     """Over more than one JSON block of mixed (n, d) rows, the text lines and
     CSV rows carry the status and boundary that JSON gives (for check-poly
     those of the primary route), and all three formats exit alike."""
     import momentcert.cli as cli
-    count = cli.JSON_BLOCK + 9
+    monkeypatch.setattr(cli, "JSON_BLOCK", JSON_BLOCK)
+    count = 8 * JSON_BLOCK + 1 if case in ("halfdeg", "all") else 45 * JSON_BLOCK + 2
     small = {"exact-d1": {"d_max": 1}, "halfdeg": {"n_max": 4, "d_max": 2},
              "all": {"n_max": 4, "d_max": 2}}.get(case, {})  # halfdeg searches row by row
     moments, polys = _with_boundary_rows(*_mixed_rows(16, count, **small))
@@ -801,6 +807,7 @@ def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
             sizes.append(len(text))
             return super().write(text)
 
+    monkeypatch.setattr(cli, "JSON_BLOCK", JSON_BLOCK)
     moments, _ = _mixed_rows(14, 2 * cli.JSON_BLOCK + 3)
     f = tmp_path / "m.json"
     f.write_text(json.dumps([m.to_json_dict() for m in moments]))
