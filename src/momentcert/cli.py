@@ -339,13 +339,10 @@ def _floats(v, witness: bool = False) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     size = np.abs(flat)
+    out = _CONSTANT_TEXTS[2 * np.signbit(flat) + (size != 0)]
     rest = np.flatnonzero((size != 0) & (size != 1))
-    if rest.size == flat.size:
-        out = np.fromiter(map(float.__repr__, flat.tolist()), dtype=object, count=flat.size)
-    else:
-        out = _CONSTANT_TEXTS[2 * np.signbit(flat) + (size != 0)]
-        out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
-                                count=rest.size)
+    out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
+                            count=rest.size)
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
         out[i] = _compact_json(out[i] if witness else float(flat[i]))
     return out.reshape(v.shape)
