@@ -63,7 +63,7 @@ from .spin import (
     spin_tolerance,
 )
 
-SCHEMA = "1"
+SCHEMA = "2"
 EXIT_OK = 0
 EXIT_NONMEMBER = 1
 EXIT_INDETERMINATE = 2
@@ -404,17 +404,14 @@ def _record_texts(tree: dict) -> np.ndarray:
     return np.fromiter(map("".join, out.tolist()), dtype=object, count=rows)
 
 
-def _input_tree(b: RowBatch, names, ks: np.ndarray) -> dict:
-    """Rows ks of ``b`` as ``to_json_dict`` writes them, with the three field names."""
-    return {"n": _ints(b.n[ks]), "d": b.d, names[0]: _floats(b.x0[ks]),
-            names[1]: _floats(b.x[ks]), names[2]: _floats(b.xx[ks])}
-
-
 def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConfig):
     """Write the verdicts of the input rows in input order.  Text lines and
     CSV rows come straight from the status codes (indices into
     STATUS_VALUES) and boundary flags; JSON from ``texts(lo, hi)``, the
-    record texts of rows lo..hi-1, made and written one JSON_BLOCK at a time."""
+    record texts of rows lo..hi-1, made and written one JSON_BLOCK at a time.
+    A record holds a row's verdict and witnesses, not the row itself: record
+    i of "results" is input row i, as line "[i]" of text output and index i
+    of CSV output are."""
     count = status.size
     if cfg.output == "json":
         # _json_out's layout, written a block of records at a time: sorted
@@ -514,7 +511,7 @@ def _moment_texts(b: RowBatch, v, w) -> tuple:
             witness = {"necessary_residual": _floats(v.nec.residual[ks], witness=True),
                        "sufficient_residual": _floats(v.suf.residual[ks], witness=True)}
         return {"status": STATUS_VALUES[kind], "boundary": _bools(v.boundary[ks]),
-                "input": _input_tree(b, MOMENT_FIELDS, ks), "witness": witness}
+                "witness": witness}
 
     return v.status, tree
 
@@ -610,8 +607,7 @@ def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
                or [np.zeros(ks.size, dtype=bool)])
         return {"status": routes[primary]["status"], "routes": routes,
                 "disagreement": _bools(sos[0] != sos[-1]),
-                "all_statuses": _ALL_STATUSES[2 * members.any(axis=0) + ~members.all(axis=0) - 1],
-                "input": _input_tree(b, POLY_FIELDS, ks)}
+                "all_statuses": _ALL_STATUSES[2 * members.any(axis=0) + ~members.all(axis=0) - 1]}
 
     # a row's shape, 2n + its exact-d1 verdict: n counts where a witness
     # lists n points (a halfdeg argmin, an exact-d1 NonMember's point)
@@ -642,7 +638,8 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
         member, edge, _ = columns[primary]
         status[b.index] = np.where(member, MEMBER, NON_MEMBER)
         boundary[b.index] = edge
-        parts.append((b.index, *_poly_texts(b, columns, primary)))
+        if cfg.output == "json":
+            parts.append((b.index, *_poly_texts(b, columns, primary)))
     _emit_verdicts(status, boundary, _block_texts(parts), cfg)
     return _exit_code(status)
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from momentcert import cli
 from momentcert.cli import main
 from momentcert.core import MOMENT_FIELDS, POLY_FIELDS, magnitude_bound
 from momentcert.spin import ghz_state
@@ -19,6 +20,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def parsed_rows(batches) -> list[dict]:
+    """The moment rows of parsed RowBatches in input order (their columns
+    scattered by ``index``), each as the dict ``to_json_dict`` gives, n as a
+    float."""
+    rows = [None] * sum(b.index.size for b in batches)
+    for b in batches:
+        for i, n, z0, z, zz in zip(b.index.tolist(), b.n.tolist(), b.x0.tolist(),
+                                   b.x.tolist(), b.xx.tolist()):
+            rows[i] = {"n": n, "d": b.d, "z0": z0, "z": z, "zz": zz}
+    return rows
 
 
 def test_check_moments_inline_member(capsys):
@@ -34,7 +47,7 @@ def test_check_moments_inline_nonmember(capsys):
                        "--z", "8", "--zz", "0")
     assert code == 1
     obj = json.loads(out)
-    assert obj["schema"] == "1"
+    assert obj["schema"] == "2"
     assert obj["results"][0]["status"] == "NonMember"
     # the separating polynomial rides along in the witness
     assert "separating_polynomial" in obj["results"][0]["witness"]
@@ -290,13 +303,16 @@ def test_empty_json_record_list_rejected(tmp_path, capsys):
 
 
 def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch):
-    """Text and CSV come from the verdict columns: no witness column and no
-    record text is made for them.  JSON is written from the columns, with
-    no witness object converted."""
+    """Text and CSV come from the verdict columns: no witness column, record
+    part and record text is made for them.  JSON is written from the
+    columns, with no witness object converted."""
     import momentcert.cli as cli
     calls = []
     convert, witness, texts, emit = (cli._witness_jsonable, cli.witness_rows, cli._record_texts,
                                      cli._emit_verdicts)
+    for name in ("_moment_texts", "_poly_texts"):
+        monkeypatch.setattr(cli, name, lambda *a, parts=getattr(cli, name):
+                            calls.append("parts") or parts(*a))
     monkeypatch.setattr(cli, "_witness_jsonable",
                         lambda obj: calls.append(obj) or convert(obj))
     monkeypatch.setattr(cli, "witness_rows",
@@ -317,15 +333,18 @@ def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch)
             run(capsys, "--output", output, *argv)
     assert calls == []
     code, out, _ = run(capsys, "--output", "json", *argvs[0])
-    assert calls.count("witness_rows") == 1 and {"record", "records"} < set(map(str, calls))
+    assert calls.count("witness_rows") == 1
+    assert {"parts", "record", "records"} < set(map(str, calls))
     assert "separating_polynomial" in out
     calls.clear()
     code, out, _ = run(capsys, "--output", "json", *argvs[1])
-    assert {"record", "records"} == set(map(str, calls))
+    assert {"parts", "record", "records"} == set(map(str, calls))
     assert json.loads(out)["results"][1]["routes"]["exact-d1"]["witness"]["k"] == 0
 
 
-def test_input_records_built_for_json_output_only(tmp_path, capsys, monkeypatch):
+def test_input_records_are_never_built(tmp_path, capsys, monkeypatch):
+    """No output format converts an input row back to a record: a JSON
+    record holds no copy of its row, which the parser alone reads."""
     from momentcert.core import MomentVector, SymmetricQuadratic
     calls = []
     for cls in (MomentVector, SymmetricQuadratic):
@@ -337,15 +356,14 @@ def test_input_records_built_for_json_output_only(tmp_path, capsys, monkeypatch)
     poly = tmp_path / "q.json"
     poly.write_text(json.dumps([{"n": 4, "d": 1, "a0": 4.0, "a": [0.0], "aa": [1.0]},
                                 {"n": 3, "d": 1, "a0": 3.0, "a": [0.0], "aa": [-1.0]}]))
-    for output in ("text", "csv"):
+    for output in ("text", "csv", "json"):
         for argv in (("check-moments", "--file", str(moments)),
                      ("check-poly", "--file", str(poly)),
                      ("check-poly", "--route", "all", "--file", str(poly))):
             run(capsys, "--output", output, *argv)
     assert calls == []
-    code, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(moments))
-    assert json.loads(out)["results"][1]["input"] == {"n": 4, "d": 1, "z0": 1.0,
-                                                       "z": [8.0], "zz": [0.0]}
+    assert parsed_rows(cli._load_moment_rows(str(moments)))[1] == {
+        "n": 4, "d": 1, "z0": 1.0, "z": [8.0], "zz": [0.0]}
 
 
 def _mixed_rows(seed: int, count: int, n_max: int = 20, d_max: int = 4):
@@ -392,8 +410,8 @@ def test_mixed_file_rows_keep_their_order(tmp_path, capsys):
         _, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(path))
         results = json.loads(out)["results"]
         assert [r["status"] for r in results] == [v.status.value for v in expect]
-        assert [r["input"] for r in results] == [json.loads(json.dumps(m.to_json_dict()))
-                                                 for m in moments]
+        assert parsed_rows(cli._load_moment_rows(str(path))) == [
+            json.loads(json.dumps(m.to_json_dict())) for m in moments]
     assert {v.status.value for v in expect} == {"Member", "NonMember", "Indeterminate"}
     lmi = [sigma_membership_lmi(q) for q in polys]
     code, out, _ = run(capsys, "--output", "json", "check-poly", "--file", str(poly_file))
@@ -748,7 +766,8 @@ def test_json_moment_record_integer_fields(tmp_path, capsys):
         assert (code, out) == (64, "") and err == f"error: {f}: bad moment record: {message}\n"
     f.write_text(json.dumps({"n": 4.0, "d": 1.0, "z0": 1.0, "z": [0.0], "zz": [0.0]}))
     code, out, _ = run(capsys, "--output", "json", "check-moments", "--file", str(f))
-    assert code == 0 and json.loads(out)["results"][0]["input"]["n"] == 4
+    assert code == 0 and len(json.loads(out)["results"]) == 1
+    assert parsed_rows(cli._load_moment_rows(str(f)))[0]["n"] == 4
 
 
 def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):
@@ -816,7 +835,7 @@ def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
     assert main(["--output", "json", "check-moments", "--file", str(f)]) in (1, 2)
     text = out.getvalue()
     results = json.loads(text)["results"]
-    assert text == json.dumps({"results": results, "schema": "1"}, indent=2,
+    assert text == json.dumps({"results": results, "schema": "2"}, indent=2,
                               sort_keys=True) + "\n"
     blocks = [results[s:s + cli.JSON_BLOCK] for s in range(0, len(results), cli.JSON_BLOCK)]
     block_text = max(len(json.dumps(b, indent=2, sort_keys=True).replace("\n", "\n  "))

@@ -12,7 +12,9 @@ table ``output_digests.json``.
 The halfdeg argmins, and the last bits of other witnesses, depend on the
 numpy/LAPACK build, so the table records the build it was written on.  On
 another build only the exit codes are compared, and the digest half of the
-test is skipped.  A change that moves output on purpose rewrites the table:
+test is skipped.  A change that moves output on purpose rewrites the table,
+and the command prints each call whose digest or exit code moved (or that
+is new or gone) before it writes:
 
     PYTHONPATH=src python tests/test_output_digests.py --write
 """
@@ -137,6 +139,12 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         calls = _digests(Path(tmp))
+    old = json.loads(TABLE.read_text())["calls"] if TABLE.exists() else {}
+    for key in sorted(calls.keys() | old.keys()):
+        was, now = old.get(key), calls.get(key)
+        if was != now:
+            moved = [f for f in ("sha256", "exit") if (was or {}).get(f) != (now or {}).get(f)]
+            print(f"moved ({', '.join(moved)}): {key}")
     TABLE.write_text(json.dumps({"build": build(), "seed": SEED, "calls": calls},
                                 indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(calls)} digests to {TABLE}")
