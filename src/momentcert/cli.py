@@ -48,10 +48,9 @@ from .moment_cone import (
     witness_rows,
 )
 from .sos_cone import (
-    arrow_lmi_rows,
     ellipsoid_quadratic_min,  # noqa: F401  (bench/tracing.py wraps this binding)
-    ellipsoid_rows,
     sigma_membership_lmi,  # noqa: F401  (bench/tracing.py wraps this binding)
+    sigma_rows,
 )
 from .spin import (
     SymmetricState,
@@ -541,7 +540,7 @@ def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[np.ndarray, np.ndar
 
 
 def _lmi_route(b: RowBatch, cfg: RunConfig):
-    r = arrow_lmi_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
+    r = sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
     return r.member, r.boundary, lambda ks: {"c": _floats(r.c[ks]), "slack": _floats(r.slack[ks])}
 
 
@@ -568,10 +567,10 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig):
 
 
 def _ellipsoid_route(b: RowBatch, cfg: RunConfig):
-    val, x, y = ellipsoid_rows(b.x0, b.x, b.xx, b.n)
-    return (*_min_verdicts(b, cfg, val),
-            lambda ks: {"min_value": _floats(val[ks]), "x": _floats(x[ks]),
-                        "y": _floats(y[ks])})
+    r = sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
+    return (*_min_verdicts(b, cfg, r.min_value),
+            lambda ks: {"min_value": _floats(r.min_value[ks]), "x": _floats(r.x[ks]),
+                        "y": _floats(r.y[ks])})
 
 
 def _halfdeg_route(b: RowBatch, cfg: RunConfig):
@@ -720,8 +719,8 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
                          else "the limit-cone slice is defined at d=1")
     kernels = {
         "P": lambda a0, a, aa: p_n1_rows(a0, a[:, 0], aa[:, 0], n, tol)[3],
-        "Sigma": lambda a0, a, aa: arrow_lmi_rows(a0, a, aa, n, tol).member,
-        "SigmaPrime": lambda a0, a, aa: arrow_lmi_rows(a0 * n / (n - 1), a, aa, n, tol).member,
+        "Sigma": lambda a0, a, aa: sigma_rows(a0, a, aa, n, tol).member,
+        "SigmaPrime": lambda a0, a, aa: sigma_rows(a0 * n / (n - 1), a, aa, n, tol).member,
         "C-nec": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).nec.ok,
         "C-suf": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).suf.ok,
         "limit": lambda b0, b1, b11: limit_cone_rows(b0, b1[:, 0], b11[:, 0], tol)[2],

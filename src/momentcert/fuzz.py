@@ -23,7 +23,7 @@ from .moment_cone import (
     necessary_condition,
     witness_rows,
 )
-from .sos_cone import arrow_lmi_rows, ellipsoid_rows
+from .sos_cone import sigma_rows
 from .spin import (
     coherent_state,
     entanglement_witness,
@@ -108,16 +108,16 @@ def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
 
 
 def equivalence_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
-    """The arrow-LMI and ellipsoid-minimum routes agree on SOS membership.
-
-    The instances are drawn one by one, then each route runs once per d."""
+    """The arrow LMI's dual slack and the ellipsoid's primal minimum at one
+    secular root per row agree on SOS membership.  The instances are drawn
+    one by one, then :func:`sigma_rows` runs once per d."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("equivalence", iters)
     qs = [random_quadratic(rng, int(rng.integers(2, 11)), int(rng.integers(1, 5)))
           for _ in range(iters)]
     for b in row_batches(qs) if qs else ():
-        member = arrow_lmi_rows(b.x0, b.x, b.xx, b.n).member
-        val = ellipsoid_rows(b.x0, b.x, b.xx, b.n)[0]
+        r = sigma_rows(b.x0, b.x, b.xx, b.n)
+        member, val = r.member, r.min_value
         t = scaled_tolerance(EQUIVALENCE_TOL, abs_scale(b.x0, b.x, b.xx), b.n)
         bad = np.flatnonzero((member & (val < -t)) | (~member & (val > t)))
         result.violations += [

@@ -28,8 +28,8 @@ from .core import (
     moment_tolerance,
     row_values,
 )
-from .sos_cone import arrow_lmi_rows
 from .sos_cone import sigma_membership_lmi  # noqa: F401  (bench/tracing.py wraps this binding)
+from .sos_cone import sigma_rows
 
 NECESSARY = "necessary"
 SUFFICIENT = "sufficient"
@@ -351,7 +351,7 @@ def witness_rows(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> Mo
         if bad.size:  # raises the constructor's error for the first such row
             j = bad[0]
             SymmetricQuadratic(ProblemDims(int(n[j]), d), a0[j], a[j], aa[j])
-        in_sigma[k] = arrow_lmi_rows(a0[k], a[k], aa[k], n[k], tol).member
+        in_sigma[k] = sigma_rows(a0[k], a[k], aa[k], n[k], tol).member
         pairing[k] = a0[k] * z0[k] + _row_dot(a[k], z[k]) + _row_dot(aa[k], zz[k])
     return MomentWitnessRows(matrix, xdiag, x0, a0, a, aa, pairing, in_sigma)
 

@@ -1,18 +1,16 @@
-"""Membership in the SOS cone by two independent routes, plus explicit witnesses.
+"""Membership in the SOS cone Sigma from one secular root per row, plus
+explicit witnesses.
 
-Route 1 (LMI): the arrow-structured matrix pencil is positive semidefinite for
-some feasibility parameter c >= 0; the arrow shape reduces this to diagonal
-sign checks plus one concave scalar Schur slack, maximized where its strictly
-decreasing derivative vanishes.
-
-Route 2 (ellipsoid): the reduced quadratic P_Q(X, Y) is nonnegative on the
-ellipsoid ||Y||^2 + ||X||^2/n <= 1.  After X = sqrt(n) w this is a
-diagonal-Hessian trust-region subproblem on the unit ball, solved exactly
-over rows with explicit zero-gradient and hard cases.  Its secular
-equation Σ g_i²/(h_i + λ)² = 1 is Route 1's f'(c) = 0 with λ = 2c (Moré &
-Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983), so both routes solve it
-with the same safeguarded Newton iteration, :func:`secular_rows`, in a
-handful of steps per row.
+The arrow-shaped LMI decides Sigma: the pencil is positive semidefinite for
+some parameter c, which the arrow shape reduces to diagonal sign checks plus
+one concave scalar Schur slack f(c).  Its dual is the minimum of the reduced
+quadratic P_Q(X, Y) on the ellipsoid ||Y||^2 + ||X||^2/n <= 1, after
+X = sqrt(n) w a diagonal-Hessian trust-region subproblem on the unit ball.
+Both are the secular equation Σ g_i²/(h_i + λ)² = 1 with λ = 2c (Moré &
+Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983).  :func:`sigma_rows` solves
+it once per row with a safeguarded Newton iteration, :func:`secular_rows`,
+and reads both routes from that root: the minimum and its point (the
+ellipsoid route) and c with its slack f(c) (the lmi route).
 """
 
 from __future__ import annotations
@@ -117,21 +115,20 @@ PSI_BAND = (2.0 * EPS, 10.0 * EPS)
 NEWTON_STEPS = 100
 
 
-def secular_rows(g, h, lo, hi, k=1.0):
+def secular_rows(g, h, lo, hi):
     """Per row, the root of the secular equation Σ_i t_i² = 1 with
-    t_i = g_i / (h_i + λ/k) in the bracket (lo, hi] (B,), by a safeguarded
+    t_i = g_i / (h_i + λ) in the bracket (lo, hi] (B,), by a safeguarded
     Newton iteration on psi(λ) = 1/sqrt(Σ t_i²) - 1 (Moré & Sorensen, 1983).
 
-    g, h are (B, m), k a scalar or (B,); a term with g_i = 0 is 0, wherever
-    its own pole is.  Where every other h_i + λ/k is positive, psi is
-    increasing, concave and nearly linear (linear for one term), so a Newton
-    step from below never passes the point it aims at.  The root must lie
-    above every such pole.
+    g, h are (B, m); a term with g_i = 0 is 0, wherever its own pole is.
+    Where every other h_i + λ is positive, psi is increasing, concave and
+    nearly linear (linear for one term), so a Newton step from below never
+    passes the point it aims at.  The root must lie above every such pole.
 
-    Each row starts at the lower bound max_i k(|g_i| - h_i) of the root (no
+    Each row starts at the lower bound max_i (|g_i| - h_i) of the root (no
     term may exceed 1), kept in (lo, hi], and retires on its own.  At a point
     λ it moves the lower end L of its bracket to λ when psi(λ) is below
-    ``PSI_BAND`` or λ is at or below a pole (some h_i + λ/k <= 0 with
+    ``PSI_BAND`` or λ is at or below a pole (some h_i + λ <= 0 with
     g_i ≠ 0; rounding can put lo there), and the upper end H to λ otherwise.
     The row retires at H when psi(λ) is in the band.  Else Newton aims at the
     middle of the band, and a step from below goes at least to the next
@@ -149,16 +146,15 @@ def secular_rows(g, h, lo, hi, k=1.0):
     band_lo, band_hi = PSI_BAND
     aim = 0.5 * (band_lo + band_hi)
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    kb = np.broadcast_to(np.asarray(k, dtype=float), lo.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = np.minimum(_py_max(np.nextafter(lo, np.inf), kb * (np.abs(g) - h).max(axis=-1)), hi)
+        lam = np.minimum(_py_max(np.nextafter(lo, np.inf), (np.abs(g) - h).max(axis=-1)), hi)
         live = np.arange(lo.size)
         for _ in range(NEWTON_STEPS):
             if not live.size:
                 break
             x, gl = lam[live], g[live]
-            xk = (x / kb[live])[:, None]
-            den = h[live] + xk
+            xc = x[:, None]
+            den = h[live] + xc
             pole = ((den <= 0.0) & (gl != 0.0)).any(axis=-1)
             den[gl == 0.0] = 1.0  # the term is 0 wherever its own pole is
             t = gl / den
@@ -170,9 +166,9 @@ def secular_rows(g, h, lo, hi, k=1.0):
             lo_l = np.where(below, x, lo[live])
             hi_l = np.where(below, hi[live], x)
             lo[live], hi[live] = lo_l, hi_l
-            # psi' = Σ t_i² / (k (h_i + λ/k)) / phi³; the step (aim - psi) / psi'
+            # psi' = Σ t_i² / (h_i + λ) / phi³; the step (aim - psi) / psi'
             # is formed with λ psi', a sum of O(1) terms however small λ is
-            nxt = x + (aim - psi) * (norm2 * phi) * x / _column_sum(0.0, t2 * (xk / den))
+            nxt = x + (aim - psi) * (norm2 * phi) * x / _column_sum(0.0, t2 * (xc / den))
             nxt = np.where(below, _py_max(nxt, np.nextafter(x, np.inf)), nxt)
             nxt = np.where(pole | ~(nxt > lo_l), 0.5 * (lo_l + hi_l), nxt)
             done = (~below & (psi <= band_hi)) | ~((lo_l < nxt) & (nxt < hi_l))
@@ -181,67 +177,20 @@ def secular_rows(g, h, lo, hi, k=1.0):
     return hi
 
 
-def ellipsoid_rows(a0, a, aa, n):
-    """Global minimum of P_Q over the ellipsoid ||Y||^2 + ||X||^2/n <= 1 for
-    rows a0 (B,), a and aa (B, d), n a scalar or (B,): the minimum (B,) and
-    an attaining point X, Y, each (B, d).
+def _ceil_product(x, y):
+    """The smallest float at or above the exact x·y (no overflow or
+    underflow): the rounded product, or the next float up where its error,
+    Dekker's two-product on Veltkamp halves, is positive."""
 
-    With X = √n w[:d] and Y = w[d:] this is min g·w + ½ Σ h_i w_i² over
-    ||w|| <= 1 with g = (n A_α, 0) and h = (2n(n-1) A_αα, -2n A_αα).  Let
-    lam_lo = max(0, -min h) and w(λ) = -g/(h + λ).  Per row, w is:
-    g = 0: zero, or the unit vector on the first minimal h when lam_lo > 0;
-    the hard case ||w(lam_lo)|| < 1, or [lam_lo, lam_lo + ||g||] empty in floats:
-    w(lam_lo) (zero where h + lam_lo <= 0) filled up to the sphere along the
-    first minimal h, against the sign of g there;
-    else w(λ) at the root of the secular equation ||w(λ)||² = 1 in
-    (lam_lo, lam_lo + ||g||], by :func:`secular_rows`: λ is a few eps above
-    the root, so ||w|| < 1, unless the root is the upper end to working
-    precision (as when g is nonzero only on the first minimal h).
-    An interior Newton point needs lam_lo = 0, so every A_αα = 0 and h has no
-    positive entry: it never occurs for g ≠ 0.
-    """
-    a0 = np.asarray(a0, dtype=float)
-    a, aa = np.asarray(a, dtype=float), np.asarray(aa, dtype=float)
-    n = np.asarray(n, dtype=float)
-    nc = n[..., None]
-    d = a.shape[-1]
-    g = np.concatenate([nc * a, np.zeros(a.shape)], axis=-1)
-    h = np.concatenate([2.0 * nc * (nc - 1) * aa, -2.0 * nc * aa], axis=-1)
-    first = np.argmin(h, axis=-1)
-    lam_lo = _py_max(0.0, -h.min(axis=-1))
-    gnorm = np.sqrt(_column_sum(0.0, g * g))
+    def halves(v):
+        big = 134217729.0 * v  # 2^27 + 1
+        top = big - (big - v)
+        return top, v - top
 
-    w = np.zeros(g.shape)
-    zero = gnorm == 0.0
-    unit = np.flatnonzero(zero & (lam_lo > 0.0))
-    w[unit, first[unit]] = 1.0
-    rest = np.flatnonzero(~zero)
-    gr, hr = g[rest], h[rest]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # w(lam_lo), zero where h + lam_lo <= 0: the hard case when shorter
-        # than 1 (and so g = 0 wherever h + lam_lo <= 0)
-        den = hr + lam_lo[rest, None]
-        skip = den <= 0.0
-        w_lo = np.where(skip, 0.0, -gr / den)
-        norm2 = _column_sum(0.0, w_lo * w_lo)
-        hard = ((~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0))
-                | ~(lam_lo[rest] + gnorm[rest] > lam_lo[rest]))
-        fill, sec = rest[hard], rest[~hard]
-        w[fill] = w_lo[hard]
-        w[fill, first[fill]] += (np.where(g[fill, first[fill]] > 0.0, -1.0, 1.0)
-                                 * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
-        # the secular equation; h + λ > 0 at every λ > lam_lo
-        gs, hs = gr[~hard], hr[~hard]
-        lam = secular_rows(gs, hs, lam_lo[sec], lam_lo[sec] + gnorm[sec])
-        w[sec] = -gs / (hs + lam[:, None])
-    return a0 + _column_sum(0.0, g * w + 0.5 * h * w * w), np.sqrt(nc) * w[:, :d], w[:, d:]
-
-
-def ellipsoid_quadratic_min(q: SymmetricQuadratic) -> tuple[float, EllipsoidPoint]:
-    """Global minimum of P_Q over the ellipsoid, with an attaining point:
-    :func:`ellipsoid_rows` on one row."""
-    val, x, y = ellipsoid_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n)
-    return float(val[0]), EllipsoidPoint(x[0], y[0])
+    p = x * y
+    (xt, xb), (yt, yb) = halves(x), halves(y)
+    err = ((xt * yt - p) + xt * yb + xb * yt) + xb * yb
+    return np.where(err > 0.0, np.nextafter(p, np.inf), p)
 
 
 def _schur_slack(a0, a, aa, n, c):
@@ -263,31 +212,22 @@ def _schur_slack(a0, a, aa, n, c):
     return np.where((skip & (num != 0.0)).any(axis=-1), -np.inf, s)
 
 
-def _schur_slack_derivative(a, aa, n):
-    """f'(c) = -1 + Σ_{A_α≠0} (A_α²/4)/((n-1)A_αα + c/n)² as a function of c
-    for fixed rows (shapes as in :func:`_schur_slack`); +inf on a
-    non-positive denominator with A_α ≠ 0.  The terms are added in index
-    order by :func:`_column_sum`, a skipped one as +0.0 (exact: the sum starts
-    at -1 and never reaches -0.0)."""
-    n1aa = (np.asarray(n)[..., None] - 1) * aa
-    half2 = a * a / 4.0
-    live = a != 0.0
-
-    def fprime(c):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = n1aa + (c / n)[..., None]
-            bad = live & (den <= 0.0)
-            term = np.where(live & ~bad, half2 / (den * den), 0.0)
-        return np.where(bad.any(axis=-1), np.inf, _column_sum(-1.0, term))
-
-    return fprime
+#: next-float steps that move c off a pole of f in :func:`sigma_rows`: as
+#: c >= n(n-1)|A_αα| exactly, c is on a pole only where fl(c/n) equals
+#: fl((n-1)|A_αα|), and each step raises c/n by over a quarter of the float
+#: spacing there, so 4 pass it wherever c/n is normal
+POLE_STEPS = 4
 
 
-class ArrowRows(NamedTuple):
-    """Per-row result of :func:`arrow_lmi_rows`, each of shape (B,)."""
+class SigmaRows(NamedTuple):
+    """Per-row result of :func:`sigma_rows`: the ellipsoid minimum (B,) and an
+    attaining point X, Y (B, d), then the arrow LMI's fields, each (B,)."""
 
-    c: np.ndarray         # maximizer c* of the Schur slack, c_lo on an empty interval
-    slack: np.ndarray     # f(c*), -inf on an empty interval
+    min_value: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    c: np.ndarray         # λ/2 clipped to [c_lo, max(c_lo, c_hi)], then raised
+    slack: np.ndarray     # f(c), -inf on an empty interval
     c_lo: np.ndarray
     c_hi: np.ndarray
     empty: np.ndarray     # c_lo > c_hi + t: no feasible c
@@ -295,49 +235,106 @@ class ArrowRows(NamedTuple):
     boundary: np.ndarray  # member and slack < t
 
 
-def arrow_lmi_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> ArrowRows:
-    """Arrow-matrix LMI test for the SOS cone over rows a0 (B,), a and aa
-    (B, d), n a scalar or (B,).
+def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
+    """Both Sigma routes over rows a0 (B,), a and aa (B, d), n a scalar or
+    (B,), from one root λ of the secular equation per row.
 
-    The feasible c form [c_lo, c_hi] with c_lo = max(0, n max A_αα,
-    -n(n-1) min A_αα) and c_hi = A0; empty (beyond t) means NonMember.
-    Otherwise c* is c_hi if f' >= 0 there, c_lo if f' <= 0 there, else the
-    root of f'(c) = 0, the secular equation Σ (A_α/2)²/((n-1)A_αα + c/n)² = 1,
-    by :func:`secular_rows` (a few eps of psi above it); the row is a member
-    when f(c*) >= -t, with t = ``scaled_tolerance(tol, coeff_scale, n)``.
+    Ellipsoid: with X = √n w[:d] and Y = w[d:], min P_Q is A0 plus the
+    minimum of g·w + ½ Σ h_i w_i² over ||w|| <= 1, g = (n A_α, 0) and
+    h = (2n(n-1) A_αα, -2n A_αα).  With lam_lo = max(0, -min h) and
+    w(λ) = -g/(h + λ), per row:
+    g = 0: λ = lam_lo, and w zero, or the unit vector on the first minimal h
+    when lam_lo > 0;
+    the hard case ||w(lam_lo)|| < 1, or [lam_lo, lam_lo + ||g||] empty in
+    floats: λ = lam_lo, and w(lam_lo) (zero where h + lam_lo <= 0) filled up
+    to the sphere along the first minimal h, against the sign of g there;
+    else λ a few eps above the root of ||w(λ)||² = 1 in
+    (lam_lo, lam_lo + ||g||] by :func:`secular_rows` on the X columns (a Y
+    column has g = 0), so that ||w(λ)|| < 1 unless the root is the upper end
+    to working precision; the Y entries of w(λ) are -0.0.
+    An interior Newton point needs every A_αα = 0: it never occurs for g ≠ 0.
+
+    LMI: the pencil is feasible for c in [c_lo, c_hi], c_hi = A0 and
+    c_lo = lam_lo/2 = max(0, n max A_αα, -n(n-1) min A_αα) rounded.  The
+    concave Schur slack f has f'(c) = 0 at c = λ/2, so c is λ/2 clipped to
+    [c_lo, max(c_lo, c_hi)], raised at c_lo to the float ceiling of the exact
+    lower end, and on a pole of f up to ``POLE_STEPS`` floats off it.  An
+    empty interval (beyond t) gives slack -inf; else the row is a member when
+    f(c) >= -t, t = ``scaled_tolerance(tol, coeff_scale, n)``.
     """
     a0 = np.asarray(a0, dtype=float)
     a, aa = np.asarray(a, dtype=float), np.asarray(aa, dtype=float)
-    n = np.asarray(n, dtype=float)
+    n = np.broadcast_to(np.asarray(n, dtype=float), a0.shape)
+    nc = n[:, None]
+    d = a.shape[-1]
+    g = np.concatenate([nc * a, np.zeros(a.shape)], axis=-1)
+    h = np.concatenate([2.0 * nc * (nc - 1) * aa, -2.0 * nc * aa], axis=-1)
+    first = np.argmin(h, axis=-1)
+    lam_lo = _py_max(0.0, -h.min(axis=-1))
+    gnorm = np.sqrt(_column_sum(0.0, g * g))
+
+    w, lam = np.zeros(g.shape), lam_lo.copy()
+    zero = gnorm == 0.0
+    unit = np.flatnonzero(zero & (lam_lo > 0.0))
+    w[unit, first[unit]] = 1.0
+    rest = np.flatnonzero(~zero)
+    gr, hr = g[rest], h[rest]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # w(lam_lo), zero where h + lam_lo <= 0: the hard case when shorter
+        # than 1 (and so g = 0 wherever h + lam_lo <= 0)
+        den = hr + lam_lo[rest, None]
+        skip = den <= 0.0
+        w_lo = np.where(skip, 0.0, -gr / den)
+        norm2 = _column_sum(0.0, w_lo * w_lo)
+        hard = ((~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0))
+                | ~(lam_lo[rest] + gnorm[rest] > lam_lo[rest]))
+        fill, sec = rest[hard], rest[~hard]
+        w[fill] = w_lo[hard]
+        w[fill, first[fill]] += (np.where(g[fill, first[fill]] > 0.0, -1.0, 1.0)
+                                 * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
+        # the secular equation; h + λ > 0 at every λ > lam_lo
+        gs, hs = gr[~hard], hr[~hard]
+        lam[sec] = secular_rows(gs[:, :d], hs[:, :d], lam_lo[sec], lam_lo[sec] + gnorm[sec])
+        w[sec] = -gs / (hs + lam[sec, None])
+    min_value = a0 + _column_sum(0.0, g * w + 0.5 * h * w * w)
+
     t = scaled_tolerance(tol, abs_scale(a0, a, aa), n)
-    c_lo = _py_max(_py_max(0.0, n * aa.max(axis=-1)), -n * (n - 1) * aa.min(axis=-1))
-    c_hi = a0
-    empty = c_lo > c_hi + t
-    c = c_lo.copy()
-    slack = np.full(c.shape, -np.inf)
-    run = np.flatnonzero(~empty)
-    if run.size:
-        ar, aar, nr = a[run], aa[run], n[run] if n.ndim else n
-        lo, hi = c_lo[run], _py_max(c_hi[run], c_lo[run])
-        fprime = _schur_slack_derivative(ar, aar, nr)
-        at_hi = fprime(hi) >= 0.0
-        at_lo = ~at_hi & (fprime(lo) <= 0.0)
-        cr = np.where(at_hi, hi, lo)
-        mid = np.flatnonzero(~at_hi & ~at_lo)
-        if mid.size:
-            nm = nr[mid] if n.ndim else n
-            cr[mid] = secular_rows(0.5 * ar[mid], (nm[..., None] - 1) * aar[mid],
-                                   lo[mid], hi[mid], nm)
-        c[run] = cr
-        slack[run] = _schur_slack(a0[run], ar, aar, nr, cr)
-    return ArrowRows(c, slack, c_lo, c_hi, empty, *margin_verdict(slack, t))
+    c_lo = 0.5 * lam_lo
+    empty = c_lo > a0 + t
+    c = np.minimum(0.5 * lam, _py_max(a0, c_lo))
+    # c_lo rounds the exact lower end, from which h >= 0 and the diagonal of
+    # G >= 0 hold: a c at c_lo is raised to that end's float ceiling
+    low = np.flatnonzero(~empty & (c <= c_lo))
+    nl, aal = n[low], aa[low]
+    k = nl * (nl - 1)  # exact below 2^53; above, its next float bounds it
+    ends = _ceil_product(np.stack([nl, np.where(k < 2.0**53, k, np.nextafter(k, np.inf))]),
+                         np.stack([aal.max(axis=-1), -aal.min(axis=-1)]))
+    c[low] = _py_max(_py_max(c_lo[low], ends[0]), ends[1])
+    slack = np.where(empty, -np.inf, _schur_slack(a0, a, aa, n, c))
+    # rounding, or an empty bracket, can put c on a pole of f (a zero
+    # denominator with A_α ≠ 0)
+    for _ in range(POLE_STEPS):
+        on = np.flatnonzero(~empty & (slack == -np.inf))
+        if not on.size:
+            break
+        c[on] = np.nextafter(c[on], np.inf)
+        slack[on] = _schur_slack(a0[on], a[on], aa[on], n[on], c[on])
+    return SigmaRows(min_value, np.sqrt(nc) * w[:, :d], w[:, d:], c, slack, c_lo, a0,
+                     empty, *margin_verdict(slack, t))
+
+
+def ellipsoid_quadratic_min(q: SymmetricQuadratic) -> tuple[float, EllipsoidPoint]:
+    """Global minimum of P_Q over the ellipsoid, with an attaining point:
+    :func:`sigma_rows` on one row."""
+    r = sigma_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n)
+    return float(r.min_value[0]), EllipsoidPoint(r.x[0], r.y[0])
 
 
 def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
                          ) -> tuple[ConeVerdict, ArrowFeasibility]:
     """Arrow-matrix LMI feasibility test for the SOS cone:
-    :func:`arrow_lmi_rows` on one row."""
-    r = arrow_lmi_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n, tol)
+    :func:`sigma_rows` on one row."""
+    r = sigma_rows(np.array([q.a0]), q.a[None], q.aa[None], q.dims.n, tol)
     c, slack = float(r.c[0]), float(r.slack[0])
     c_range = (float(r.c_lo[0]), float(r.c_hi[0]))
     feas = ArrowFeasibility(c, slack, c_range)

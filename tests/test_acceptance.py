@@ -44,9 +44,8 @@ from momentcert.moment_cone import (
     sufficient_condition,
 )
 from momentcert.sos_cone import (
-    arrow_lmi_rows,
-    ellipsoid_rows,
     sigma_membership_lmi,
+    sigma_rows,
     sos_witness,
     verify_sos_witness,
 )
@@ -97,7 +96,8 @@ def test_criterion_1_d1_sandwich():
 
 def test_criterion_2_route_equivalence():
     """LMI route and ellipsoid-minimum route agree (tol 1e-8) on 10^3 random
-    instances per (n,d) in {2..10}x{1..4}, each route run once per cell."""
+    instances per (n,d) in {2..10}x{1..4}, both read from one
+    :func:`sigma_rows` call per cell."""
     t0 = time.time()
     rng = np.random.default_rng(102)
     disagreements, total = 0, 0
@@ -106,8 +106,8 @@ def test_criterion_2_route_equivalence():
             qs = [random_quadratic(rng, n, d) for _ in range(1000)]
             a0 = np.array([q.a0 for q in qs])
             a, aa = np.array([q.a for q in qs]), np.array([q.aa for q in qs])
-            member = arrow_lmi_rows(a0, a, aa, n).member
-            val = ellipsoid_rows(a0, a, aa, n)[0]
+            r = sigma_rows(a0, a, aa, n)
+            member, val = r.member, r.min_value
             t = 1e-8 * np.maximum(1.0, abs_scale(a0, a, aa) * n * n)
             disagreements += int(((member & (val < -t)) | (~member & (val > t))).sum())
             total += len(qs)

@@ -1,18 +1,29 @@
 """Each batch kernel equals its one-row view (the scalar API) row by row,
-and the arrow LMI and the ellipsoid minimum equal scalar loops of the same
-rule to the last bit.  The bisections that the secular Newton iteration
-replaced stay here as a second reference, matched within stated bounds.
+and both Sigma routes of :func:`sigma_rows` equal scalar loops of the same
+rule to the last bit.  The rules they replaced stay here as second
+references, matched within stated bounds: the bisection of the secular
+equation, and the arrow LMI that decided c by end tests on f' with, between
+them, a root of its own or the bisection of f'.
 
 Rows come from the fuzz generators, with n mixed inside each d-group as the
 CLI batches them, plus hand-made rows for every branch of each kernel.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic, abs_scale
+from momentcert.core import (
+    DEFAULT_TOL,
+    MomentVector,
+    ProblemDims,
+    SymmetricQuadratic,
+    abs_scale,
+    margin_verdict,
+    scaled_tolerance,
+)
 from momentcert.exact_d1 import p_n1_membership, p_n1_rows
 from momentcert.fuzz import random_moment_probe, random_quadratic
 from momentcert.moment_cone import (
@@ -24,13 +35,14 @@ from momentcert.moment_cone import (
 )
 from momentcert.sos_cone import (
     NEWTON_STEPS,
+    POLE_STEPS,
     PSI_BAND,
     _column_sum,
-    arrow_lmi_rows,
+    _schur_slack,
     ellipsoid_quadratic_min,
-    ellipsoid_rows,
     secular_rows,
     sigma_membership_lmi,
+    sigma_rows,
 )
 
 
@@ -109,25 +121,27 @@ def _poly_rows(d: int) -> list[SymmetricQuadratic]:
             SymmetricQuadratic(dims, n * (n - 1) + 3.0, a_zero, aa_neg),
             # the same denominator with A_1 ≠ 0: f' has its pole at c_lo
             SymmetricQuadratic(dims, n * (n - 1) + 3.0, a_zero + 1e-3, aa_neg),
-            # tiny c* = n sqrt(d) |A_α| / 2, far below the bisection's 1e-15
+            # and with A_1 so small that the root is c_lo in floats: c steps
+            # off the pole
+            SymmetricQuadratic(dims, n * (n - 1) + 3.0, np.r_[1e-17, z[1:]], aa_neg),
+            # tiny c* = n sqrt(d) |A_α| / 2
             SymmetricQuadratic(dims, 1.0, z + 1e-300, z),
             SymmetricQuadratic(dims, 1.0, np.r_[3e-310, z[1:] - 1e-310], z),
         ]
     return rows
 
 
-def _newton_root(g, h, lo, hi, k=1.0) -> float:
-    """The root of Σ t_i² = 1, t_i = g_i / (h_i + λ/k), in (lo, hi] by the
+def _newton_root(g, h, lo, hi) -> float:
+    """The root of Σ t_i² = 1, t_i = g_i / (h_i + λ), in (lo, hi] by the
     rule of :func:`secular_rows`, for one row in Python floats."""
     band_lo, band_hi = PSI_BAND
     aim = 0.5 * (band_lo + band_hi)
-    x = min(max(math.nextafter(lo, math.inf), k * max(abs(gi) - hi_ for gi, hi_ in zip(g, h))), hi)
+    x = min(max(math.nextafter(lo, math.inf), max(abs(gi) - hi_ for gi, hi_ in zip(g, h))), hi)
     for _ in range(NEWTON_STEPS):
         norm2 = s = 0.0
         pole = False
-        xk = x / k
         for gi, hi_ in zip(g, h):
-            den = hi_ + xk
+            den = hi_ + x
             if gi == 0.0:
                 continue
             if den <= 0.0:
@@ -135,7 +149,7 @@ def _newton_root(g, h, lo, hi, k=1.0) -> float:
                 break
             t = gi / den
             norm2 += t * t
-            s += t * t * (xk / den)
+            s += t * t * (x / den)
         if not pole:
             phi = math.sqrt(norm2)
             psi = 1.0 / phi - 1.0
@@ -158,22 +172,52 @@ def _newton_root(g, h, lo, hi, k=1.0) -> float:
     return hi
 
 
-def _reference_lmi(q: SymmetricQuadratic, bisect: bool = False) -> tuple[float, float]:
-    """(c*, f(c*)) of the arrow LMI by scalar loops, for a quadratic whose
-    c-interval is not empty: between the end tests, the Newton rule of the
-    kernel, or with ``bisect`` the bisection of f' it replaced."""
-    n, a0, a, aa = q.dims.n, q.a0, [float(v) for v in q.a], [float(v) for v in q.aa]
+def _slack(q: SymmetricQuadratic, c: float) -> float:
+    """f(c) of the arrow LMI by a scalar loop: -inf on a zero denominator
+    with A_α ≠ 0."""
+    n, s = q.dims.n, q.a0 - c
+    for ai, aai in zip(q.a.tolist(), q.aa.tolist()):
+        den, num = (n - 1) * aai + c / n, n * ai * ai / 4.0
+        if den <= 0.0:
+            if num != 0.0:
+                return -math.inf
+            continue
+        s -= num / den
+    return s
 
-    def slack(c):
-        s = a0 - c
-        for ai, aai in zip(a, aa):
-            den, num = (n - 1) * aai + c / n, n * ai * ai / 4.0
-            if den <= 0.0:
-                if num != 0.0:
-                    return -math.inf
-                continue
-            s -= num / den
-        return s
+
+def _reference_lmi(q: SymmetricQuadratic) -> tuple[float, float, bool, str]:
+    """(c, f(c), empty) of the arrow LMI by scalar loops, by the rule of
+    :func:`sigma_rows`, and the exit taken: c is λ/2 of the TRS reference
+    clipped to [c_lo, max(c_lo, A0)], raised at c_lo to the float ceiling of
+    its exact value (in fractions), then stepped up off a pole of f, at most
+    ``POLE_STEPS`` floats."""
+    n, a0, aa = q.dims.n, q.a0, q.aa.tolist()
+    c_lo = max(0.0, n * max(aa), -n * (n - 1) * min(aa))
+    if c_lo > a0 + scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), n):
+        return c_lo, -math.inf, True, "empty"
+    c = min(0.5 * _reference_ellipsoid(q)[4], max(a0, c_lo))
+    how = "hi" if c == a0 else "root"
+    if c <= c_lo:
+        exact = max(Fraction(0), n * Fraction(max(aa)), -n * (n - 1) * Fraction(min(aa)))
+        c, how = float(exact), "lo"
+        if Fraction(c) < exact:
+            c = math.nextafter(c, math.inf)
+    s = _slack(q, c)
+    for _ in range(POLE_STEPS):
+        if s > -math.inf:
+            break
+        c = math.nextafter(c, math.inf)
+        s, how = _slack(q, c), "pole"
+    return c, s, False, how
+
+
+def _bisect_lmi(q: SymmetricQuadratic) -> tuple[float, float]:
+    """(c, f(c)) of the arrow LMI by scalar loops, for a quadratic whose
+    c-interval is not empty, by the rule before the secular Newton iteration:
+    c = max(c_lo, A0) if f' >= 0 there, c_lo if f'(c_lo) <= 0, else the
+    bisection of f' between them."""
+    n, a, aa = q.dims.n, q.a.tolist(), q.aa.tolist()
 
     def fprime(c):
         s = -1.0
@@ -187,13 +231,11 @@ def _reference_lmi(q: SymmetricQuadratic, bisect: bool = False) -> tuple[float, 
         return s
 
     lo = max(0.0, n * max(aa), -n * (n - 1) * min(aa))
-    hi = max(a0, lo)
+    hi = max(q.a0, lo)
     if fprime(hi) >= 0.0:
         c = hi
     elif fprime(lo) <= 0.0:
         c = lo
-    elif not bisect:
-        c = _newton_root([0.5 * v for v in a], [(n - 1) * v for v in aa], lo, hi, float(n))
     else:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -204,56 +246,101 @@ def _reference_lmi(q: SymmetricQuadratic, bisect: bool = False) -> tuple[float, 
             if hi - lo <= 1e-15 * max(1.0, abs(hi)):
                 break
         c = 0.5 * (lo + hi)
-    return c, slack(c)
+    return c, _slack(q, c)
+
+
+def _endpoint_lmi_rows(a0, a, aa, n):
+    """(c, f(c), empty) of the arrow LMI by the rule :func:`sigma_rows`
+    replaced: c_lo the rounded max(0, n max A_αα, -n(n-1) min A_αα); where
+    the interval is not empty, c = max(c_lo, A0) if f' >= 0 there, c_lo if
+    f'(c_lo) <= 0, else the root of f'(c) = 0, Σ (n A_α/2)²/(n(n-1)A_αα + c)²
+    = 1, by :func:`secular_rows`."""
+    nc = n[:, None]
+    c_lo = np.maximum(np.maximum(0.0, n * aa.max(axis=1)), -n * (n - 1) * aa.min(axis=1))
+    hi = np.maximum(a0, c_lo)
+
+    def fprime(c):
+        """f'(c) = -1 + Σ (A_α/2)²/((n-1)A_αα + c/n)²; +inf at a pole."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = (nc - 1) * aa + (c / n)[:, None]
+            bad = (a != 0.0) & (den <= 0.0)
+            term = np.where((a != 0.0) & ~bad, (a / 2.0) ** 2 / (den * den), 0.0)
+        return np.where(bad.any(axis=1), np.inf, term.sum(axis=1) - 1.0)
+
+    c = np.where(fprime(hi) >= 0.0, hi, c_lo)
+    mid = np.flatnonzero((fprime(hi) < 0.0) & (fprime(c_lo) > 0.0))
+    c[mid] = secular_rows(0.5 * nc[mid] * a[mid], nc[mid] * (nc[mid] - 1) * aa[mid],
+                          c_lo[mid], hi[mid])
+    empty = c_lo > a0 + scaled_tolerance(DEFAULT_TOL, abs_scale(a0, a, aa), n)
+    return c, np.where(empty, -np.inf, _schur_slack(a0, a, aa, n, c)), empty
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_arrow_lmi_rows_equal_one_row_views(d):
+    """The LMI fields of :func:`sigma_rows` equal its one-row view and the
+    scalar rule to the last bit, and the rule they replaced within bounds."""
     rows = _poly_rows(d)
     n, a0, a, aa = _arrays(rows, ("a0", "a", "aa"))
-    batch = arrow_lmi_rows(a0, a, aa, n)
+    batch = sigma_rows(a0, a, aa, n)
     views = [sigma_membership_lmi(q) for q in rows]
     assert np.array_equal([f.c for _, f in views], batch.c)
     assert np.array_equal([f.marginal for _, f in views], batch.slack)
     assert np.array_equal([v.is_member for v, _ in views], batch.member)
     assert np.array_equal([v.boundary for v, _ in views], batch.boundary)
     # and scalar loops of the same rule, to the last bit
+    ref = [_reference_lmi(q) for q in rows]
+    assert np.array_equal([r[:3] for r in ref],
+                          np.stack([batch.c, batch.slack, batch.empty], axis=1))
+    # every exit occurs, and c lies where h and G's diagonal are
+    # nonnegative in exact arithmetic
+    assert {r[3] for r in ref} == {"empty", "lo", "hi", "root", "pole"}
+    assert all(Fraction(c) >= max(0, q.dims.n * Fraction(max(q.aa.tolist())),
+                                  -q.dims.n * (q.dims.n - 1) * Fraction(min(q.aa.tolist())))
+               for q, c, e in zip(rows, batch.c.tolist(), batch.empty) if not e)
+    assert batch.member.any() and (~batch.empty & ~batch.member).any()
+    # the endpoint-test LMI: no verdict, boundary, empty or pole flag moves;
+    # c within 1e-15 and f(c) within 1e-16 of max(1, scale n²) (largest seen:
+    # 3.4e-17 in c at d = 4 and 1.1e-17 in f at d = 1)
+    c, slack, empty = _endpoint_lmi_rows(a0, a, aa, n)
+    t = scaled_tolerance(DEFAULT_TOL, abs_scale(a0, a, aa), n)
+    assert np.array_equal(empty, batch.empty)
+    assert np.array_equal(np.stack(margin_verdict(slack, t)),
+                          np.stack([batch.member, batch.boundary]))
+    assert np.array_equal(np.isfinite(slack), np.isfinite(batch.slack))
+    scale = np.maximum(1.0, abs_scale(a0, a, aa) * n * n)
+    fin = np.isfinite(slack)
+    assert (np.abs(batch.c - c) / scale)[~empty].max() <= 1e-15
+    assert (np.abs(batch.slack[fin] - slack[fin]) / scale[fin]).max() <= 1e-16
+    # the bisection of f', which no secular root enters: c within 1e-14 of
+    # max(1, |c|) and f(c) within 1e-15 of max(1, scale n²) (largest seen:
+    # 3.4e-15 in c at d = 4 and 1.1e-16 in f)
     run = ~batch.empty
-    ref = [_reference_lmi(q) for q, empty in zip(rows, batch.empty) if not empty]
-    assert np.array_equal(ref, np.stack([batch.c, batch.slack], axis=1)[run])
-    # the bisection of f' that the Newton rule replaced
-    old = np.array([_reference_lmi(q, bisect=True) for q, e in zip(rows, batch.empty) if not e])
+    old = np.array([_bisect_lmi(q) for q, e in zip(rows, batch.empty) if not e])
     dc = np.abs(batch.c[run] - old[:, 0]) / np.maximum(1.0, np.abs(old[:, 0]))
-    ds = np.abs(batch.slack[run] - old[:, 1]) / np.maximum(1.0, abs_scale(a0, a, aa)[run] * n[run] ** 2)
-    # largest seen: 1.1e-15 in c (d = 4) and 1.1e-16 in the slack
+    ds = np.abs(batch.slack[run] - old[:, 1]) / scale[run]
     assert dc.max() <= 1e-14 and ds.max() <= 1e-15
-    # every exit of the search occurs: empty interval, c_hi, c_lo, Newton
-    at_hi = run & (batch.c == np.maximum(batch.c_hi, batch.c_lo))
-    at_lo = run & ~at_hi & (batch.c == batch.c_lo)
-    assert batch.empty.any() and at_hi.any() and at_lo.any() and (run & ~at_hi & ~at_lo).any()
-    assert batch.member.any() and (run & ~batch.member).any()
 
 
 def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
-                   ) -> tuple[list[float], str]:
+                   ) -> tuple[list[float], str, float]:
     """Exact minimizer of g·w + 0.5 Σ h_i w_i² over ||w|| <= 1 (diagonal
-    TRS) by a scalar loop, and the branch that returned it.  The secular
-    equation is solved by the kernel's Newton rule, or with ``bisect`` by the
-    bisection it replaced."""
+    TRS) by a scalar loop, the branch that returned it and its multiplier λ.
+    The secular equation is solved by the kernel's Newton rule, or with
+    ``bisect`` by the bisection it replaced."""
     k = len(g)
     hmin = min(h)
     lam_lo = max(0.0, -hmin)
     gnorm = math.sqrt(sum(x * x for x in g))
     if gnorm == 0.0:
         if lam_lo == 0.0:
-            return [0.0] * k, "zero"
+            return [0.0] * k, "zero", lam_lo
         w = [0.0] * k
         w[h.index(hmin)] = 1.0
-        return w, "unit"
+        return w, "unit", lam_lo
     if lam_lo == 0.0 and all(h[i] > 0.0 or g[i] == 0.0 for i in range(k)):
         w = [-g[i] / h[i] if h[i] > 0.0 else 0.0 for i in range(k)]
         if sum(x * x for x in w) <= 1.0:
-            return w, "interior"
+            return w, "interior", 0.0
 
     def norm2(lam: float) -> float:
         s = 0.0
@@ -267,18 +354,19 @@ def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
             s += t * t
         return s
 
-    if norm2(lam_lo) < 1.0:
-        # hard case: zero linear term on every minimal-eigenvalue coordinate;
-        # fill up to the boundary along the smallest-index such coordinate
+    if norm2(lam_lo) < 1.0 or not lam_lo + gnorm > lam_lo:
+        # hard case: zero linear term on every minimal-eigenvalue coordinate,
+        # or a bracket empty in floats; fill up to the boundary along the
+        # smallest-index such coordinate, against the sign of g there
         w = [-g[i] / (h[i] + lam_lo) if h[i] + lam_lo > 0.0 else 0.0 for i in range(k)]
         j = min(i for i in range(k) if h[i] == hmin)
-        w[j] += math.sqrt(max(0.0, 1.0 - sum(x * x for x in w)))
-        return w, "hard"
+        w[j] += (-1.0 if g[j] > 0.0 else 1.0) * math.sqrt(max(0.0, 1.0 - sum(x * x for x in w)))
+        return w, "hard", lam_lo
 
     lo, hi = lam_lo, lam_lo + gnorm
     if not bisect:
         lam = _newton_root(g, h, lo, hi)
-        return [-g[i] / (h[i] + lam) for i in range(k)], "secular"
+        return [-g[i] / (h[i] + lam) for i in range(k)], "secular", lam
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -289,21 +377,21 @@ def _trs_unit_ball(g: list[float], h: list[float], bisect: bool = False
             hi = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
             break
-    return [-g[i] / (h[i] + hi) for i in range(k)], "secular"
+    return [-g[i] / (h[i] + hi) for i in range(k)], "secular", hi
 
 
 def _reference_ellipsoid(q: SymmetricQuadratic, bisect: bool = False
-                         ) -> tuple[float, list, list, str]:
+                         ) -> tuple[float, list, list, str, float]:
     """(min, X, Y) of P_Q over the ellipsoid by scalar loops, and the TRS
-    branch taken (``bisect`` as in :func:`_trs_unit_ball`)."""
+    branch and λ taken (``bisect`` as in :func:`_trs_unit_ball`)."""
     n, d = q.dims.n, q.dims.d
     aa = [float(v) for v in q.aa]
     g = [n * float(v) for v in q.a] + [0.0] * d
     h = [2.0 * n * (n - 1) * v for v in aa] + [-2.0 * n * v for v in aa]
-    w, branch = _trs_unit_ball(g, h, bisect)
+    w, branch, lam = _trs_unit_ball(g, h, bisect)
     val = q.a0 + sum(g[i] * w[i] + 0.5 * h[i] * w[i] * w[i] for i in range(2 * d))
     rt = math.sqrt(n)
-    return val, [rt * w[i] for i in range(d)], w[d:], branch
+    return val, [rt * w[i] for i in range(d)], w[d:], branch, lam
 
 
 def _ellipsoid_corpus(d: int) -> list[SymmetricQuadratic]:
@@ -329,6 +417,8 @@ def _ellipsoid_corpus(d: int) -> list[SymmetricQuadratic]:
             SymmetricQuadratic(dims, 1.0, z + 1e-300, z),        # tiny root, at hi
             # the root 1e-9 n above the pole at lam_lo (at hi when d = 1)
             SymmetricQuadratic(dims, 1.0, np.r_[1e-9, z[1:] + 1.0], np.r_[-1.0, z[1:] + 0.5]),
+            # [lam_lo, lam_lo + ||g||] empty in floats, g ≠ 0 on the pole: filled
+            SymmetricQuadratic(dims, 1.0, np.r_[1e-17, z[1:]], np.r_[-1.0, z[1:] + 0.5]),
         ]
     if d > 1:  # h ties across the blocks: 2n(n-1) A_11 = -2n A_22 at n = 2
         rows += [SymmetricQuadratic(ProblemDims(2, d), 1.0, np.r_[0.0, 0.5, z[2:]],
@@ -340,7 +430,7 @@ def _ellipsoid_corpus(d: int) -> list[SymmetricQuadratic]:
 def test_ellipsoid_rows_equal_scalar_reference_and_one_row_views(d):
     rows = _ellipsoid_corpus(d)
     n, a0, a, aa = _arrays(rows, ("a0", "a", "aa"))
-    val, x, y = ellipsoid_rows(a0, a, aa, n)
+    val, x, y = sigma_rows(a0, a, aa, n)[:3]
     ref = [_reference_ellipsoid(q) for q in rows]
     columns = list(zip(val.tolist(), x.tolist(), y.tolist()))
     # the same bits, signed zeros included (repr tells -0.0 from 0.0)
@@ -389,17 +479,16 @@ def test_secular_rows_at_the_bracket_end_the_pole_and_tiny_roots():
     # at 1 of the last row, where the start 1e-20 + 1 rounds onto it
     lo[4:], hi[4:] = 0.0, 2.0
     lo[5] = 0.5
-    for k in (1.0, 16.0):
-        lam = secular_rows(g, h, lo * k, hi * k, k)
-        ref = [_newton_root(gi.tolist(), hi_.tolist(), float(l), float(u), k)
-               for gi, hi_, l, u in zip(g, h, lo * k, hi * k)]
-        assert lam.tolist() == ref
-        assert (lam > lo * k).all() and (lam <= hi * k).all()
-        assert lam[0] == 5.0 * k and lam[2] == hi[2] * k
-        t = g / (h + lam[:, None] / k)
-        assert (_column_sum(0.0, t * t)[[1, 3, 4, 5]] < 1.0).all()
-        assert abs(lam[1] / k - 1.0 - 1.3416e-9) < 1e-12
-        assert 0.0 < lam[4] / k - 1.0 < 1e-14 and 0.0 < lam[5] / k - 1.0 < 1e-13
+    lam = secular_rows(g, h, lo, hi)
+    ref = [_newton_root(gi.tolist(), hi_.tolist(), float(l), float(u))
+           for gi, hi_, l, u in zip(g, h, lo, hi)]
+    assert lam.tolist() == ref
+    assert (lam > lo).all() and (lam <= hi).all()
+    assert lam[0] == 5.0 and lam[2] == hi[2]
+    t = g / (h + lam[:, None])
+    assert (_column_sum(0.0, t * t)[[1, 3, 4, 5]] < 1.0).all()
+    assert abs(lam[1] - 1.0 - 1.3416e-9) < 1e-12
+    assert 0.0 < lam[4] - 1.0 < 1e-14 and 0.0 < lam[5] - 1.0 < 1e-13
 
 
 def test_p_n1_rows_equal_one_row_views():

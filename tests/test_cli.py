@@ -792,6 +792,21 @@ def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):
     assert abs(pq_evaluate(q, pt) - r["min_value"]) <= scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), 2)
 
 
+@pytest.mark.parametrize("route", [
+    "lmi",
+    pytest.param("ellipsoid", marks=pytest.mark.xfail(
+        strict=True, reason="the secular root lies 5e-10 above the pole at lam_lo = 40, "
+        "where the float grid of λ resolves ||w|| only to about 1e-5")),
+])
+def test_ellipsoid_minimum_just_above_the_pole(capsys, route):
+    """min P_Q is -1.0e-4 (at λ = 40 + 5e-10, w_1 = -1), far below -t = -5e-7,
+    and the lmi route says NonMember; the ellipsoid route prints a minimum of
+    4.5e-5 and Member.  Solving for λ - lam_lo would resolve it."""
+    code, out, _ = run(capsys, "check-poly", "--route", route, "--n", "5", "--d", "2",
+                       "--a0", "19.9999", "--a=1e-10,0", "--aa=-1,0.5")
+    assert (code, out) == (1, "[0] NonMember\n")
+
+
 def test_json_output_is_the_indented_layout(tmp_path, capsys):
     """Every JSON-emitting command prints json.dumps(..., indent=2,
     sort_keys=True) of what it prints, plus a newline."""

@@ -17,7 +17,7 @@ from momentcert.core import (MomentVector, ProblemDims, SymmetricQuadratic, marg
 from momentcert.exact_d1 import p_n1_membership
 from momentcert.halfdeg import reduced_global_min
 from momentcert.moment_cone import classify
-from momentcert.sos_cone import arrow_lmi_rows, ellipsoid_rows
+from momentcert.sos_cone import sigma_rows
 
 #: characters that are JSON structure outside a string, escapes, and
 #: non-ASCII text, so that a record's layout is cut at its slot markers only
@@ -106,14 +106,14 @@ def _route_record(route: str, q: SymmetricQuadratic, tol: float) -> dict:
     n = q.dims.n
     one = (np.array([q.a0]), q.a[None], q.aa[None], n)
     t = scaled_tolerance(tol, q.coeff_scale(), n)
+    r = sigma_rows(*one, tol)
     if route == "lmi":
-        r = arrow_lmi_rows(*one, tol)
         member, edge = r.member[0], r.boundary[0]
         extra = {"c": r.c.tolist()[0], "slack": r.slack.tolist()[0]}
     elif route == "ellipsoid":
-        val, x, y = ellipsoid_rows(*one)
-        member, edge = margin_verdict(val[0], t)
-        extra = {"min_value": val.tolist()[0], "x": x[0].tolist(), "y": y[0].tolist()}
+        member, edge = margin_verdict(r.min_value[0], t)
+        extra = {"min_value": r.min_value.tolist()[0], "x": r.x[0].tolist(),
+                 "y": r.y[0].tolist()}
     elif route == "exact-d1":
         v, _ = p_n1_membership(q, tol)
         member, edge = v.is_member, v.boundary

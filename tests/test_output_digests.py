@@ -12,7 +12,10 @@ table ``output_digests.json``.
 The halfdeg argmins, and the last bits of other witnesses, depend on the
 numpy/LAPACK build, so the table records the build it was written on.  On
 another build only the exit codes are compared, and the digest half of the
-test is skipped.  A change that moves output on purpose rewrites the table,
+test is skipped.  A second test re-checks, in exact arithmetic, the Sigma
+certificate of every lmi Member that the corpus's JSON calls print.
+
+A change that moves output on purpose rewrites the table,
 and the command prints each call whose digest or exit code moved (or that
 is new or gone) before it writes:
 
@@ -26,10 +29,13 @@ import hashlib
 import io
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from momentcert.core import DEFAULT_TOL, scaled_tolerance
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "output_digests.json"
@@ -106,23 +112,34 @@ def _corpus(directory: Path) -> dict[str, list[str]]:
     return calls
 
 
-def _run(argv: list[str]) -> dict:
+def _call(argv: list[str]) -> tuple[str, int]:
+    """stdout and exit code of one CLI call."""
     from momentcert import cli
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(argv)
-    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": rc}
+    return out.getvalue(), rc
 
 
-def _digests(directory: Path) -> dict[str, dict]:
+def _outputs(directory: Path) -> dict[str, tuple[list[str], str, int]]:
+    """Call key -> (argv, stdout, exit code), each call run once."""
     (directory / "mixed").mkdir(parents=True)
-    return {key: _run(argv) for key, argv in _corpus(directory).items()}
+    return {key: (argv, *_call(argv)) for key, argv in _corpus(directory).items()}
 
 
-def test_cli_output_matches_the_digest_table(tmp_path):
+def _digest(out: str, rc: int) -> dict:
+    return {"sha256": hashlib.sha256(out.encode()).hexdigest(), "exit": rc}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory) -> dict[str, tuple[list[str], str, int]]:
+    return _outputs(tmp_path_factory.mktemp("corpus"))
+
+
+def test_cli_output_matches_the_digest_table(outputs):
     table = json.loads(TABLE.read_text())
-    got = _digests(tmp_path)
+    got = {key: _digest(out, rc) for key, (_, out, rc) in outputs.items()}
     assert sorted(got) == sorted(table["calls"])
     exits = {k: v["exit"] for k, v in got.items() if v["exit"] != table["calls"][k]["exit"]}
     assert not exits, f"exit codes moved: {exits}"
@@ -132,13 +149,56 @@ def test_cli_output_matches_the_digest_table(tmp_path):
     assert not moved, f"{len(moved)} outputs moved, the first: {moved[:5]}"
 
 
+def _sigma_certificate_fault(row: dict, c: float) -> str | None:
+    """Why the arrow-LMI certificate of ``row`` at the printed c fails in
+    exact arithmetic, or None.  It needs c >= 0, h_α = (c - n A_αα)/n² >= 0,
+    n G_αα = (n-1) A_αα + c/n >= 0 (zero only where A_α = 0) and the Schur
+    complement A0 - c - Σ (n A_α²/4)/((n-1) A_αα + c/n) >= -t."""
+    n, cf = row["n"], Fraction(c)
+    a, aa = [Fraction(v) for v in row["a"]], [Fraction(v) for v in row["aa"]]
+    scale = max(1.0, abs(row["a0"]), *map(abs, row["a"]), *map(abs, row["aa"]))
+    diag = [(n - 1) * v + cf / n for v in aa]
+    if cf < 0:
+        return "c < 0"
+    if any(cf < n * v for v in aa):
+        return "h < 0"
+    if any(g < 0 or (g == 0 and ai != 0) for g, ai in zip(diag, a)):
+        return "G not PSD on its diagonal"
+    schur = Fraction(row["a0"]) - cf - sum(n * ai * ai / 4 / g for g, ai in zip(diag, a) if g)
+    if schur < -Fraction(scaled_tolerance(DEFAULT_TOL, scale, n)):
+        return f"Schur complement {float(schur):.3g} below -t"
+    return None
+
+
+def test_every_printed_sigma_certificate_passes_an_exact_check(outputs):
+    """Every lmi Member of the corpus's JSON check-poly calls (each poly file,
+    and --route all) prints a c at which the arrow certificate holds in
+    fractions: exactly on c, h and G's diagonal, within t on the Schur
+    complement."""
+    checked, faults = 0, []
+    for key, (argv, out, _) in outputs.items():
+        if "--output json check-poly" not in key or not {"lmi", "all"} & set(argv):
+            continue
+        rows = json.loads(Path(argv[argv.index("--file") + 1]).read_text())
+        results = json.loads(out)["results"]
+        for i, (row, res) in enumerate(zip(rows, results, strict=True)):
+            lmi = res["routes"]["lmi"]
+            if lmi["status"] == "Member":
+                checked += 1
+                fault = _sigma_certificate_fault(row, lmi["c"])
+                if fault:
+                    faults.append(f"{key} [{i}]: {fault}")
+    assert checked > 4000
+    assert not faults, f"{len(faults)} of {checked} fail, the first: {faults[:3]}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
-        calls = _digests(Path(tmp))
+        calls = {key: _digest(out, rc) for key, (_, out, rc) in _outputs(Path(tmp)).items()}
     old = json.loads(TABLE.read_text())["calls"] if TABLE.exists() else {}
     for key in sorted(calls.keys() | old.keys()):
         was, now = old.get(key), calls.get(key)

@@ -17,10 +17,10 @@ from momentcert.sos_cone import (
     SosWitness,
     config_to_ellipsoid,
     ellipsoid_quadratic_min,
-    ellipsoid_rows,
     pq_evaluate,
     sigma_membership_lmi,
     sigma_prime_membership,
+    sigma_rows,
     sos_witness,
     verify_sos_witness,
 )
@@ -207,6 +207,18 @@ def test_verify_sos_witness_returns_the_coefficient_mismatch():
     assert verify_sos_witness(replace(w, g=g12), q) == 0.25
 
 
+@pytest.mark.parametrize("a1", [1e-17, 1e-30])
+def test_lmi_c_is_never_on_a_pole_of_the_schur_slack(a1):
+    """||g|| = 5 A_1 is below one ulp of lam_lo = 40, so the secular root is
+    c_lo = 20 to working precision, where (n-1) A_11 + c/n = 0 with A_1 ≠ 0:
+    a pole of f.  c is the next float up, where f is about A0 - c = 10."""
+    q = SymmetricQuadratic(ProblemDims(5, 2), 30.0, [a1, 0.0], [-1.0, 0.5])
+    v, feas = sigma_membership_lmi(q)
+    assert v.is_member and not v.boundary
+    assert feas.c == math.nextafter(20.0, math.inf) and abs(feas.marginal - 10.0) < 1e-12
+    assert verify_sos_witness(sos_witness(q, feas.c), q) < 1e-12
+
+
 def test_sos_witness_refuses_infeasible_c():
     q = SymmetricQuadratic(ProblemDims(4, 1), 0.1, [0.0], [1.0])
     with pytest.raises(ValueError):
@@ -239,7 +251,7 @@ def test_ellipsoid_points_lie_in_the_ellipsoid():
     n = 16
     outside = []
     for a0, a, aa in rows:
-        _, x, y = ellipsoid_rows(np.array([a0]), np.array([a]), np.array([aa]), n)
+        _, x, y = sigma_rows(np.array([a0]), np.array([a]), np.array([aa]), n)[:3]
         if float((y * y).sum() + (x * x).sum() / n) > 1.0:
             outside.append(a0)
     assert not outside
