@@ -15,6 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -182,32 +184,48 @@ def _integral(col: list) -> np.ndarray | None:
     return v if ((np.abs(v) < 2.0 ** 53) & (v == np.floor(v))).all() else None
 
 
+def _take(rows: list, idx: np.ndarray) -> list:
+    """The rows at the ascending positions ``idx``: ``rows`` itself when
+    that is all of them."""
+    return rows if idx.size == len(rows) else list(map(rows.__getitem__, idx.tolist()))
+
+
+def _vectors(vals: list, key: str, d: int) -> np.ndarray:
+    """The vectors ``vals`` of field ``key`` of a d-group as a (B, d) array,
+    each converted as ``from_json_dict`` converts it.  Lists of d ints and
+    floats are converted in one pass over their chained items; any other
+    spelling (a bare number, a nested list, a bool, a string) is converted
+    as a whole or, failing that, vector by vector, which also raises the
+    one-row error."""
+    if set(map(type, vals)) == {list} and set(map(len, vals)) == {d}:
+        flat = list(chain.from_iterable(vals))
+        if set(map(type, flat)) <= {float, int}:
+            return np.array(flat, dtype=float).reshape(-1, d)
+    try:
+        v = np.array(vals, dtype=float)
+    except ValueError:  # scalar, nested and flat spellings side by side
+        v = np.array([np.array(x, dtype=float).ravel() for x in vals])
+    v = v.reshape(len(vals), -1)
+    if v.shape[1] != d:
+        raise ValueError(f"{key} must have length {d}, got {v.shape[1:]}")
+    return v
+
+
 def _record_batches(rows: list, names) -> list[RowBatch]:
     """JSON-like records with n, d and the three named fields, grouped by d:
     each field converted for all records of a group at once, as
     ``from_json_dict`` converts it for one."""
     k0, k1, k2 = names
 
-    def block(idx: list, key: str, d: int) -> np.ndarray:
-        vals = [rows[i][key] for i in idx]
-        try:
-            v = np.array(vals, dtype=float)
-        except ValueError:  # scalar, nested and flat spellings side by side
-            v = np.array([np.array(x, dtype=float).ravel() for x in vals])
-        v = v.reshape(len(idx), -1)
-        if v.shape[1] != d:
-            raise ValueError(f"{key} must have length {d}, got {v.shape[1:]}")
-        return v
+    def values(idx: np.ndarray, d: int):
+        group = _take(rows, idx)
+        x0 = np.fromiter(map(float, map(itemgetter(k0), group)), dtype=float, count=idx.size)
+        return (x0, *(_vectors(list(map(itemgetter(k), group)), k, d) for k in (k1, k2)))
 
-    def values(idx: np.ndarray, d: int) -> np.ndarray:
-        idx = idx.tolist()
-        return np.column_stack([[float(rows[i][k0]) for i in idx],
-                                block(idx, k1, d), block(idx, k2, d)])
-
-    n = _integral([r["n"] for r in rows])
+    n = _integral(list(map(itemgetter("n"), rows)))
     if n is None:
         n = np.array([json_int(r, "n") for r in rows], dtype=float)
-    d = _integral([r["d"] for r in rows])
+    d = _integral(list(map(itemgetter("d"), rows)))
     d = np.array([json_int(r, "d") for r in rows]) if d is None else d.astype(np.int64)
     return _checked(n, d, values, names)
 
@@ -246,16 +264,18 @@ def _int_cells(col: list[str]) -> np.ndarray | list[int]:
 def _csv_batches(rows: list[list[str]]) -> list[RowBatch]:
     """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d, every cell
     converted with ``int``/``float``, the n and d columns by
-    :func:`_int_cells`."""
-    n = np.array(_int_cells([r[0] for r in rows]), dtype=float)
-    d = np.array(_int_cells([r[1] for r in rows]))
-    width = np.array([len(r) for r in rows])
+    :func:`_int_cells`, the value cells of a d-group in one pass."""
+    n = np.array(_int_cells(list(map(itemgetter(0), rows))), dtype=float)
+    d = np.array(_int_cells(list(map(itemgetter(1), rows))))
+    width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
 
-    def values(idx: np.ndarray, d: int) -> np.ndarray:
+    def values(idx: np.ndarray, d: int):
         if (width[idx] != 3 + 2 * d).any():
             raise ValueError(f"expected {1 + 2 * d} values after n,d")
-        return np.array([float(c) for i in idx.tolist() for c in rows[i][2:]]
-                        ).reshape(idx.size, 1 + 2 * d)
+        cells = chain.from_iterable(map(itemgetter(slice(2, None)), _take(rows, idx)))
+        v = np.fromiter(map(float, cells), dtype=float, count=idx.size * (1 + 2 * d))
+        v = v.reshape(idx.size, 1 + 2 * d)
+        return v[:, 0].copy(), v[:, 1:1 + d].copy(), v[:, 1 + d:].copy()
 
     return _checked(n, d, values, MOMENT_FIELDS)
 
@@ -271,11 +291,15 @@ def _parse_moment_csv(raw: str, path: str) -> list[RowBatch]:
     header = [h.strip() for h in header]
     if header[:3] != ["n", "d", "z0"]:
         raise InputError(f"{path}: line 1: header must start with n,d,z0")
-    rows, lines = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if row and any(map(str.strip, row)):
-            rows.append(row)
-            lines.append(lineno)
+    rows = list(reader)
+    lines = range(2, 2 + len(rows))
+    try:  # a row whose first cell is not blank is not blank
+        blank_free = all(map(str.strip, map(itemgetter(0), rows)))
+    except IndexError:  # an empty line
+        blank_free = False
+    if not blank_free:
+        lines = [i for i, row in zip(lines, rows) if row and any(map(str.strip, row))]
+        rows = [rows[i - 2] for i in lines]
     if not rows:
         raise InputError(f"{path}: no data rows")
     return _parsed(_csv_batches, rows, lambda i: f"{path}: line {lines[i]}: ")
@@ -533,18 +557,12 @@ def cmd_check_moments(args, cfg: RunConfig) -> int:
 ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
 
 
-def _min_verdicts(b: RowBatch, cfg: RunConfig, val) -> tuple[np.ndarray, np.ndarray]:
-    """Member and boundary of each row's minimum of Q (P/Sigma tolerance)."""
-    t = scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)
-    return margin_verdict(val, t)
+def _lmi_route(b: RowBatch, cfg: RunConfig, sigma):
+    return (sigma.member, sigma.boundary,
+            lambda ks: {"c": _floats(sigma.c[ks]), "slack": _floats(sigma.slack[ks])})
 
 
-def _lmi_route(b: RowBatch, cfg: RunConfig):
-    r = sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
-    return r.member, r.boundary, lambda ks: {"c": _floats(r.c[ks]), "slack": _floats(r.slack[ks])}
-
-
-def _exact_d1_route(b: RowBatch, cfg: RunConfig):
+def _exact_d1_route(b: RowBatch, cfg: RunConfig, sigma):
     """The d=1 facet test, one kernel call per n."""
     kmin, rmin = np.empty(b.index.size, dtype=np.intp), np.empty(b.index.size)
     member, edge = np.empty(b.index.size, dtype=bool), np.empty(b.index.size, dtype=bool)
@@ -566,30 +584,35 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig):
     return member, edge, fields
 
 
-def _ellipsoid_route(b: RowBatch, cfg: RunConfig):
-    r = sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
-    return (*_min_verdicts(b, cfg, r.min_value),
-            lambda ks: {"min_value": _floats(r.min_value[ks]), "x": _floats(r.x[ks]),
-                        "y": _floats(r.y[ks])})
+def _ellipsoid_route(b: RowBatch, cfg: RunConfig, sigma):
+    """Member and boundary of each row's minimum of P_Q (at the Sigma
+    tolerance, which ``sigma_rows`` has formed)."""
+    return (*margin_verdict(sigma.min_value, sigma.t),
+            lambda ks: {"min_value": _floats(sigma.min_value[ks]), "x": _floats(sigma.x[ks]),
+                        "y": _floats(sigma.y[ks])})
 
 
-def _halfdeg_route(b: RowBatch, cfg: RunConfig):
-    """The half-degree search, one polynomial at a time."""
+def _halfdeg_route(b: RowBatch, cfg: RunConfig, sigma):
+    """The half-degree search, one polynomial at a time; its minimum is
+    decided at the P tolerance."""
     val, found = zip(*(reduced_global_min(SymmetricQuadratic(ProblemDims(n, b.d), *v),
                                           seed=cfg.seed)
                        for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
     val = np.array(val, dtype=float)
-    return (*_min_verdicts(b, cfg, val),
+    return (*margin_verdict(val, scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)),
             lambda ks: {"min_value": _floats(val[ks]),
                         "argmin": _floats([found[k].points for k in ks.tolist()])})
 
 
-#: each route runs once per d-group, over the rows of that group, and gives
-#: member and boundary (B,) and ``fields(ks)``: the tree of its JSON fields
-#: besides status and boundary for group rows ks, which share one shape: one
-#: exact-d1 verdict, and one n where a witness lists n points
+#: each route runs once per d-group, over the rows of that group, given the
+#: group's ``sigma_rows`` (None unless a route of SIGMA_ROUTES runs), and
+#: gives member and boundary (B,) and ``fields(ks)``: the tree of its JSON
+#: fields besides status and boundary for group rows ks, which share one
+#: shape: one exact-d1 verdict, and one n where a witness lists n points
 ROUTE_TABLE = {"lmi": _lmi_route, "ellipsoid": _ellipsoid_route,
                "exact-d1": _exact_d1_route, "halfdeg": _halfdeg_route}
+#: the routes read from one ``sigma_rows`` call per d-group
+SIGMA_ROUTES = {"lmi", "ellipsoid"}
 
 
 def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
@@ -633,7 +656,10 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
     status, boundary = _columns(batches)
     parts = []
     for b in batches:
-        columns = {r: ROUTE_TABLE[r](b, cfg) for r in routes if r != "exact-d1" or b.d == 1}
+        sigma = (sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol) if SIGMA_ROUTES.intersection(routes)
+                 else None)
+        columns = {r: ROUTE_TABLE[r](b, cfg, sigma) for r in routes
+                   if r != "exact-d1" or b.d == 1}
         member, edge, _ = columns[primary]
         status[b.index] = np.where(member, MEMBER, NON_MEMBER)
         boundary[b.index] = edge

@@ -223,40 +223,61 @@ class RowBatch(NamedTuple):
 
 def group_rows(n: np.ndarray, d: np.ndarray, values) -> list[RowBatch]:
     """Rows grouped by d, in input order within a group; ``values(idx, d)``
-    returns the (len(idx), 1 + 2d) block (x0, x, xx) of rows ``idx``."""
+    returns the blocks x0 (B,), x and xx (B, d) of rows ``idx``, each
+    C-contiguous."""
     out = []
     for dd in sorted(set(d.tolist())):  # np.unique would import numpy.ma (20 ms)
         idx = np.flatnonzero(d == dd)
-        v = values(idx, dd)
-        out.append(RowBatch(idx, n[idx], np.ascontiguousarray(v[:, 0]),
-                            np.ascontiguousarray(v[:, 1:1 + dd]),
-                            np.ascontiguousarray(v[:, 1 + dd:])))
+        out.append(RowBatch(idx, n[idx], *values(idx, dd)))
     return out
 
 
 def row_batches(rows: list) -> list[RowBatch]:
     """A list of MomentVector or SymmetricQuadratic grouped by d."""
     k0, k1, k2 = (f.name for f in fields(rows[0])[1:])
-    return group_rows(
-        np.array([r.dims.n for r in rows], dtype=float),
-        np.array([r.dims.d for r in rows]),
-        lambda idx, d: np.array([[getattr(rows[i], k0), *getattr(rows[i], k1),
-                                  *getattr(rows[i], k2)] for i in idx], dtype=float))
+
+    def values(idx: np.ndarray, d: int):
+        group = [rows[i] for i in idx.tolist()]
+        return (np.array([getattr(r, k0) for r in group], dtype=float),
+                *(np.array([getattr(r, k) for r in group], dtype=float).reshape(-1, d)
+                  for k in (k1, k2)))
+
+    return group_rows(np.array([r.dims.n for r in rows], dtype=float),
+                      np.array([r.dims.d for r in rows]), values)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
+def fold_columns(ufunc, start, *blocks):
+    """``start`` combined by the binary ``ufunc`` with each column of
+    ``blocks`` ((..., k) arrays) in turn, left to right: one call per column,
+    where ``ufunc.reduce`` over a short last axis loops once per row.
+
+    With np.add it adds the columns in index order (np.sum would add 8 or
+    more columns pairwise); with np.maximum, np.minimum and np.logical_or it
+    is max, min and any over the columns.  A tie between 0.0 and -0.0 goes
+    to the later column, as np.maximum and np.minimum break it; numpy's own
+    reductions break it in an order that depends on the width and memory
+    layout of the array, and no caller reads the sign of a zero max or min.
+    """
+    for block in blocks:
+        for i in range(block.shape[-1]):
+            start = ufunc(start, block[..., i])
+    return start
+
+
+def abs_max(x0, x, xx):
+    """max(|x0|, max |x|, max |xx|) over the last axis: of one row, or of
+    (B,) / (B, d) arrays."""
+    return fold_columns(np.maximum, np.abs(x0), np.maximum(np.abs(x), np.abs(xx)))
+
+
 def abs_scale(x0, x, xx):
     """max(1, |x0|, max |x|, max |xx|) over the last axis: ``moment_scale`` and
     ``coeff_scale`` of one row, or of (B,) / (B, d) arrays."""
-    return np.abs(row_values(x0, x, xx)).max(axis=-1, initial=1.0)
-
-
-def row_values(x0, x, xx) -> np.ndarray:
-    """(x0, x, xx) side by side: shape (B, 1+2d), or (1+2d,) for one row."""
-    return np.concatenate([np.asarray(x0, dtype=float)[..., None], x, xx], axis=-1)
+    return np.maximum(1.0, abs_max(x0, x, xx))
 
 
 def magnitude_bound(n, d: int, names) -> np.ndarray:
@@ -275,7 +296,7 @@ def check_magnitude(b: RowBatch, names):
     """Raise ValueError, naming the bound, at the first row of ``b`` that
     holds a value past :func:`magnitude_bound`."""
     bound = magnitude_bound(b.n, b.d, names)
-    big = np.flatnonzero(np.abs(row_values(b.x0, b.x, b.xx)).max(axis=-1) > bound)
+    big = np.flatnonzero(abs_max(b.x0, b.x, b.xx) > bound)
     if big.size:
         raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
                          f"magnitude at n={int(b.n[big[0]])}, d={b.d}")

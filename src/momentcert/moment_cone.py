@@ -22,11 +22,11 @@ from .core import (
     RescaledMomentVector,
     Status,
     SymmetricQuadratic,
+    abs_max,
     abs_scale,
     bisect_rows,
     margin_verdict,
     moment_tolerance,
-    row_values,
 )
 from .sos_cone import sigma_membership_lmi  # noqa: F401  (bench/tracing.py wraps this binding)
 from .sos_cone import sigma_rows
@@ -105,7 +105,8 @@ class ConditionRows(NamedTuple):
 
 def _scale_and_zero(z0, z, zz):
     """Per row, ``moment_scale`` and whether the vector is zero."""
-    return abs_scale(z0, z, zz), ~row_values(z0, z, zz).any(axis=-1)
+    size = abs_max(z0, z, zz)
+    return np.maximum(1.0, size), size == 0.0
 
 
 def condition_rows(z0, z, zz, n, side: str, tol: float, scale, zero) -> ConditionRows:
@@ -347,7 +348,7 @@ def witness_rows(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> Mo
     if k.size:
         a0[k], a[k], aa[k] = separating_rows(z0[k], z[k], zz[k], n[k], rows.scale[k],
                                              rows.nec.pattern[k], tol)
-        bad = k[~np.isfinite(row_values(a0[k], a[k], aa[k])).all(axis=-1)]
+        bad = k[~np.isfinite(abs_max(a0[k], a[k], aa[k]))]
         if bad.size:  # raises the constructor's error for the first such row
             j = bad[0]
             SymmetricQuadratic(ProblemDims(int(n[j]), d), a0[j], a[j], aa[j])

@@ -29,6 +29,7 @@ from .core import (
     Status,
     SymmetricQuadratic,
     abs_scale,
+    fold_columns,
     margin_verdict,
     scaled_tolerance,
 )
@@ -90,14 +91,6 @@ def config_to_ellipsoid(config: Configuration) -> EllipsoidPoint:
     return EllipsoidPoint(x, np.sqrt(np.maximum(y2, 0.0)))
 
 
-def _column_sum(start, terms):
-    """start + terms[..., 0] + terms[..., 1] + ..., added in index order as a
-    Python loop adds them (np.sum would add 8 or more columns pairwise)."""
-    for i in range(terms.shape[-1]):
-        start = start + terms[..., i]
-    return start
-
-
 def _py_max(x, y):
     """Elementwise max(x, y) with Python's tie rule (x on ties, so 0.0 vs
     -0.0 keeps x); np.maximum returns y on ties."""
@@ -138,43 +131,50 @@ def secular_rows(g, h, lo, hi):
     the root), the next point is the midpoint of [L, H], and the row retires
     at H when that is not strictly inside: L and H are then adjacent floats,
     as where psi moves by more than the band's width from one float to the
-    next.  Terms are added in index order (:func:`_column_sum`).
+    next.  Terms are added in index order (``core.fold_columns``).
 
     Returns H (B,).  There psi >= 2 eps, so Σ t_i² < 1, except where H is
     still hi, and the root is hi to working precision.
     """
     band_lo, band_hi = PSI_BAND
     aim = 0.5 * (band_lo + band_hi)
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, out = np.array(lo, dtype=float), np.array(hi, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam = np.minimum(_py_max(np.nextafter(lo, np.inf), (np.abs(g) - h).max(axis=-1)), hi)
-        live = np.arange(lo.size)
+        start = np.abs(g) - h
+        lam = np.minimum(_py_max(np.nextafter(lo, np.inf),
+                                 fold_columns(np.maximum, start[:, 0], start[:, 1:])), out)
+        # the live rows: their places in the output and their g, h, nonzero
+        # g, bracket [lo, hi] and point lam, compacted as rows retire
+        rows, hi, nz = np.arange(lo.size), out.copy(), g != 0.0
         for _ in range(NEWTON_STEPS):
-            if not live.size:
+            if not rows.size:
                 break
-            x, gl = lam[live], g[live]
-            xc = x[:, None]
-            den = h[live] + xc
-            pole = ((den <= 0.0) & (gl != 0.0)).any(axis=-1)
-            den[gl == 0.0] = 1.0  # the term is 0 wherever its own pole is
-            t = gl / den
+            xc = lam[:, None]
+            den = h + xc
+            pole = (den <= 0.0) & nz
+            pole = fold_columns(np.logical_or, pole[:, 0], pole[:, 1:])
+            np.copyto(den, 1.0, where=~nz)  # the term is 0 wherever its own pole is
+            t = g / den
             t2 = t * t
-            norm2 = _column_sum(0.0, t2)
+            norm2 = fold_columns(np.add, 0.0, t2)
             phi = np.sqrt(norm2)
             psi = 1.0 / phi - 1.0
             below = pole | (psi < band_lo)
-            lo_l = np.where(below, x, lo[live])
-            hi_l = np.where(below, hi[live], x)
-            lo[live], hi[live] = lo_l, hi_l
+            lo = np.where(below, lam, lo)
+            hi = np.where(below, hi, lam)
             # psi' = Σ t_i² / (h_i + λ) / phi³; the step (aim - psi) / psi'
             # is formed with λ psi', a sum of O(1) terms however small λ is
-            nxt = x + (aim - psi) * (norm2 * phi) * x / _column_sum(0.0, t2 * (xc / den))
-            nxt = np.where(below, _py_max(nxt, np.nextafter(x, np.inf)), nxt)
-            nxt = np.where(pole | ~(nxt > lo_l), 0.5 * (lo_l + hi_l), nxt)
-            done = (~below & (psi <= band_hi)) | ~((lo_l < nxt) & (nxt < hi_l))
-            lam[live] = nxt
-            live = live[~done]
-    return hi
+            lam_slope = fold_columns(np.add, 0.0, t2 * (xc / den))
+            nxt = lam + (aim - psi) * (norm2 * phi) * lam / lam_slope
+            nxt = np.where(below, _py_max(nxt, np.nextafter(lam, np.inf)), nxt)
+            lam = np.where(pole | ~(nxt > lo), 0.5 * (lo + hi), nxt)
+            done = (~below & (psi <= band_hi)) | ~((lo < lam) & (lam < hi))
+            if done.any():
+                out[rows[done]] = hi[done]
+                keep = ~done
+                rows, lam, lo, hi, g, h, nz = (v[keep] for v in (rows, lam, lo, hi, g, h, nz))
+        out[rows] = hi
+    return out
 
 
 def _ceil_product(x, y):
@@ -198,7 +198,7 @@ def _schur_slack(a0, a, aa, n, c):
     denominator with a nonzero numerator.
 
     a0, n and c are scalars or (B,), a and aa are (d,) or (B, d).  The terms
-    are subtracted in index order by :func:`_column_sum`; a skipped term adds
+    are subtracted in index order by ``core.fold_columns``; a skipped term adds
     -0.0, which leaves every value, -0.0 included, unchanged.
     """
     a, aa, c = np.asarray(a, dtype=float), np.asarray(aa, dtype=float), np.asarray(c)
@@ -208,8 +208,9 @@ def _schur_slack(a0, a, aa, n, c):
         num = nc * a * a / 4.0
         skip = den <= 0.0
         term = np.where(skip, 0.0, num / den)
-    s = _column_sum(np.asarray(a0, dtype=float) - c, -term)
-    return np.where((skip & (num != 0.0)).any(axis=-1), -np.inf, s)
+    s = fold_columns(np.add, np.asarray(a0, dtype=float) - c, -term)
+    pole = skip & (num != 0.0)
+    return np.where(fold_columns(np.logical_or, pole[..., 0], pole[..., 1:]), -np.inf, s)
 
 
 #: next-float steps that move c off a pole of f in :func:`sigma_rows`: as
@@ -221,7 +222,8 @@ POLE_STEPS = 4
 
 class SigmaRows(NamedTuple):
     """Per-row result of :func:`sigma_rows`: the ellipsoid minimum (B,) and an
-    attaining point X, Y (B, d), then the arrow LMI's fields, each (B,)."""
+    attaining point X, Y (B, d), then the arrow LMI's fields and the
+    tolerance of both routes' margins, each (B,)."""
 
     min_value: np.ndarray
     x: np.ndarray
@@ -233,6 +235,7 @@ class SigmaRows(NamedTuple):
     empty: np.ndarray     # c_lo > c_hi + t: no feasible c
     member: np.ndarray    # slack >= -t
     boundary: np.ndarray  # member and slack < t
+    t: np.ndarray         # scaled_tolerance(tol, coeff_scale, n)
 
 
 def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
@@ -267,16 +270,19 @@ def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
     n = np.broadcast_to(np.asarray(n, dtype=float), a0.shape)
     nc = n[:, None]
     d = a.shape[-1]
-    g = np.concatenate([nc * a, np.zeros(a.shape)], axis=-1)
+    gx = nc * a
+    g = np.concatenate([gx, np.zeros(a.shape)], axis=-1)
     h = np.concatenate([2.0 * nc * (nc - 1) * aa, -2.0 * nc * aa], axis=-1)
-    first = np.argmin(h, axis=-1)
-    lam_lo = _py_max(0.0, -h.min(axis=-1))
-    gnorm = np.sqrt(_column_sum(0.0, g * g))
+    # min h and the sums of squares below over X columns only: a Y column
+    # adds +0.0 to a sum >= +0.0, and _py_max(0.0, .) drops a zero's sign
+    hmin = np.minimum(h[:, :d], h[:, d:])
+    lam_lo = _py_max(0.0, -fold_columns(np.minimum, hmin[:, 0], hmin[:, 1:]))
+    gnorm = np.sqrt(fold_columns(np.add, 0.0, gx * gx))
 
     w, lam = np.zeros(g.shape), lam_lo.copy()
     zero = gnorm == 0.0
     unit = np.flatnonzero(zero & (lam_lo > 0.0))
-    w[unit, first[unit]] = 1.0
+    w[unit, np.argmin(h[unit], axis=-1)] = 1.0
     rest = np.flatnonzero(~zero)
     gr, hr = g[rest], h[rest]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -285,18 +291,20 @@ def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
         den = hr + lam_lo[rest, None]
         skip = den <= 0.0
         w_lo = np.where(skip, 0.0, -gr / den)
-        norm2 = _column_sum(0.0, w_lo * w_lo)
-        hard = ((~(skip & (gr != 0.0)).any(axis=-1) & (norm2 < 1.0))
+        norm2 = fold_columns(np.add, 0.0, w_lo[:, :d] * w_lo[:, :d])
+        pole = skip[:, :d] & (gr[:, :d] != 0.0)
+        hard = ((~fold_columns(np.logical_or, pole[:, 0], pole[:, 1:]) & (norm2 < 1.0))
                 | ~(lam_lo[rest] + gnorm[rest] > lam_lo[rest]))
         fill, sec = rest[hard], rest[~hard]
+        first = np.argmin(h[fill], axis=-1)
         w[fill] = w_lo[hard]
-        w[fill, first[fill]] += (np.where(g[fill, first[fill]] > 0.0, -1.0, 1.0)
-                                 * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
+        w[fill, first] += (np.where(g[fill, first] > 0.0, -1.0, 1.0)
+                           * np.sqrt(_py_max(0.0, 1.0 - norm2[hard])))
         # the secular equation; h + λ > 0 at every λ > lam_lo
         gs, hs = gr[~hard], hr[~hard]
         lam[sec] = secular_rows(gs[:, :d], hs[:, :d], lam_lo[sec], lam_lo[sec] + gnorm[sec])
         w[sec] = -gs / (hs + lam[sec, None])
-    min_value = a0 + _column_sum(0.0, g * w + 0.5 * h * w * w)
+    min_value = a0 + fold_columns(np.add, 0.0, g * w + 0.5 * h * w * w)
 
     t = scaled_tolerance(tol, abs_scale(a0, a, aa), n)
     c_lo = 0.5 * lam_lo
@@ -308,7 +316,8 @@ def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
     nl, aal = n[low], aa[low]
     k = nl * (nl - 1)  # exact below 2^53; above, its next float bounds it
     ends = _ceil_product(np.stack([nl, np.where(k < 2.0**53, k, np.nextafter(k, np.inf))]),
-                         np.stack([aal.max(axis=-1), -aal.min(axis=-1)]))
+                         np.stack([fold_columns(np.maximum, aal[:, 0], aal[:, 1:]),
+                                   -fold_columns(np.minimum, aal[:, 0], aal[:, 1:])]))
     c[low] = _py_max(_py_max(c_lo[low], ends[0]), ends[1])
     slack = np.where(empty, -np.inf, _schur_slack(a0, a, aa, n, c))
     # rounding, or an empty bracket, can put c on a pole of f (a zero
@@ -320,7 +329,7 @@ def sigma_rows(a0, a, aa, n, tol: float = DEFAULT_TOL) -> SigmaRows:
         c[on] = np.nextafter(c[on], np.inf)
         slack[on] = _schur_slack(a0[on], a[on], aa[on], n[on], c[on])
     return SigmaRows(min_value, np.sqrt(nc) * w[:, :d], w[:, d:], c, slack, c_lo, a0,
-                     empty, *margin_verdict(slack, t))
+                     empty, *margin_verdict(slack, t), t)
 
 
 def ellipsoid_quadratic_min(q: SymmetricQuadratic) -> tuple[float, EllipsoidPoint]:

@@ -21,6 +21,7 @@ from momentcert.core import (
     ProblemDims,
     SymmetricQuadratic,
     abs_scale,
+    fold_columns,
     margin_verdict,
     scaled_tolerance,
 )
@@ -37,7 +38,6 @@ from momentcert.sos_cone import (
     NEWTON_STEPS,
     POLE_STEPS,
     PSI_BAND,
-    _column_sum,
     _schur_slack,
     ellipsoid_quadratic_min,
     secular_rows,
@@ -474,7 +474,7 @@ def test_secular_rows_at_the_bracket_end_the_pole_and_tiny_roots():
     h = np.array([[-2.0, 5.0], [-1.0, 0.5], [0.0, 0.0], [-1.0, -0.5],
                   [-1.0, 0.0], [-1.0, 0.0]])
     lo = np.maximum(0.0, -h.min(axis=1))
-    hi = lo + np.sqrt(_column_sum(0.0, g * g))
+    hi = lo + np.sqrt(fold_columns(np.add, 0.0, g * g))
     # a bracket past the zero term's pole at 1 = the root; lo below the pole
     # at 1 of the last row, where the start 1e-20 + 1 rounds onto it
     lo[4:], hi[4:] = 0.0, 2.0
@@ -486,7 +486,7 @@ def test_secular_rows_at_the_bracket_end_the_pole_and_tiny_roots():
     assert (lam > lo).all() and (lam <= hi).all()
     assert lam[0] == 5.0 and lam[2] == hi[2]
     t = g / (h + lam[:, None])
-    assert (_column_sum(0.0, t * t)[[1, 3, 4, 5]] < 1.0).all()
+    assert (fold_columns(np.add, 0.0, t * t)[[1, 3, 4, 5]] < 1.0).all()
     assert abs(lam[1] - 1.0 - 1.3416e-9) < 1e-12
     assert 0.0 < lam[4] - 1.0 < 1e-14 and 0.0 < lam[5] - 1.0 < 1e-13
 

@@ -448,6 +448,36 @@ def test_route_all_on_mixed_d_file(tmp_path, capsys):
     assert code == (1 if any(r["status"] == "NonMember" for r in results) else 0)
 
 
+def test_sigma_routes_share_one_sigma_rows_call_per_d_group(tmp_path, capsys, monkeypatch):
+    """On a mixed-d file, lmi and ellipsoid (alone or within --route all)
+    read one ``sigma_rows`` call per d-group, on that group's rows; exact-d1
+    and halfdeg make none.  The ellipsoid verdicts equal the minimum decided
+    at the tolerance ``scaled_tolerance(tol, abs_scale, n)``."""
+    from momentcert.core import DEFAULT_TOL, abs_scale, scaled_tolerance
+    from momentcert.sos_cone import sigma_rows
+
+    _, polys = _mixed_rows(15, 9, n_max=6, d_max=3)
+    f = tmp_path / "q.json"
+    f.write_text(json.dumps([q.to_json_dict() for q in polys]))
+    groups = [sum(q.dims.d == d for q in polys) for d in sorted({q.dims.d for q in polys})]
+    assert len(groups) == 3
+    calls = []
+    monkeypatch.setattr(cli, "sigma_rows", lambda a0, *rest: calls.append(a0.size)
+                        or sigma_rows(a0, *rest))
+    for route, want in (("all", groups), ("lmi", groups), ("ellipsoid", groups),
+                        ("halfdeg", [])):
+        calls.clear()
+        code, out, _ = run(capsys, "--output", "json", "check-poly", "--route", route,
+                           "--file", str(f))
+        assert code in (0, 1) and calls == want, route
+    _, out, _ = run(capsys, "--output", "json", "check-poly", "--route", "all", "--file", str(f))
+    for q, r in zip(polys, json.loads(out)["results"], strict=True):
+        t = scaled_tolerance(DEFAULT_TOL, abs_scale(q.a0, q.a, q.aa), q.dims.n)
+        ellipsoid = r["routes"]["ellipsoid"]
+        assert ellipsoid["status"] == ("Member" if ellipsoid["min_value"] >= -t else "NonMember")
+        assert ellipsoid["boundary"] == (-t <= ellipsoid["min_value"] < t)
+
+
 @pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "all"])
 def test_check_poly_text_and_csv_show_the_primary_route_boundary(capsys, route):
     argv = ("check-poly", "--route", route, "--n", "4", "--d", "1",

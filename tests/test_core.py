@@ -13,8 +13,10 @@ from momentcert.core import (
     RescaledMomentVector,
     Status,
     SymmetricQuadratic,
+    abs_scale,
     coeffs_from_rescaled,
     evaluate,
+    fold_columns,
     margin_verdict,
     moments_of_configuration,
     pair,
@@ -188,3 +190,64 @@ def test_margin_verdict_scalars_and_arrays():
     # t per row
     member, edge = margin_verdict(np.array([0.5, 0.5]), np.array([0.1, 1.0]))
     assert member.tolist() == [True, True] and edge.tolist() == [False, True]
+
+
+#: entries of the fold tests: signed zeros, infinities, extremes and ties
+FOLD_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf, 5e-324, -1e308]
+
+
+def _signed_zero_ties(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows whose result is a zero while the row holds both 0.0 and -0.0."""
+    return (out == 0.0) & (x == 0.0).any(axis=-1) & np.signbit(x).any(axis=-1) & (
+        (x == 0.0) & ~np.signbit(x)).any(axis=-1)
+
+
+@pytest.mark.parametrize("width", range(3, 10))
+def test_fold_columns_equals_numpy_reductions(width):
+    """max, min and any over the last axis, and the index-order sum, of
+    (B, width) arrays (B = 0, 1 and more) and of one row: the bits of
+    numpy's reductions.  The one exception is the sign of a zero max or min
+    of a row holding both 0.0 and -0.0: the fold gives the later column's
+    zero, as np.maximum and np.minimum do, while numpy's axis reduction
+    picks one by the array's width and memory layout (a C-contiguous
+    (B, 9) array and a strided view of the same values differ), so those
+    rows are compared by value."""
+    rng = np.random.default_rng(width)
+    for b in (0, 1, 2, 300):
+        x = rng.choice(FOLD_VALUES, size=(b, width))
+        for ufunc, reduce in ((np.maximum, np.max), (np.minimum, np.min)):
+            for rows in (x, x[0]) if b else (x,):
+                got = fold_columns(ufunc, rows[..., 0], rows[..., 1:])
+                want = reduce(rows, axis=-1)
+                assert got.shape == want.shape and (got == want).all()
+                exact = ~_signed_zero_ties(rows, np.asarray(want))
+                assert (np.signbit(got) == np.signbit(want))[exact].all()
+                # the fold itself: each row's columns in order
+                ref = []
+                for r in rows.reshape(-1, width):
+                    ref.append(r[0])
+                    for v in r[1:]:
+                        ref[-1] = ufunc(ref[-1], v)
+                assert np.asarray(got).reshape(-1).tobytes() == np.array(ref).tobytes()
+        mask = x != 0.0
+        got = fold_columns(np.logical_or, mask[:, 0], mask[:, 1:])
+        assert got.dtype == bool and (got == mask.any(axis=-1)).all()
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = fold_columns(np.add, 0.0, x)
+        ref = []
+        for r in x.tolist():
+            ref.append(0.0)
+            for v in r:
+                ref[-1] += v
+        assert repr(np.asarray(total, dtype=float).tolist()) == repr(ref)
+
+
+def test_abs_scale_of_rows_and_one_row():
+    """max(1, |x0|, max |x|, max |xx|) per row, one row alike; NaN passes."""
+    rng = np.random.default_rng(3)
+    x0 = rng.choice(FOLD_VALUES, size=50)
+    x, xx = rng.choice(FOLD_VALUES, size=(2, 50, 3))
+    want = np.abs(np.column_stack([x0, x, xx])).max(axis=-1, initial=1.0)
+    assert abs_scale(x0, x, xx).tobytes() == want.tobytes()
+    assert [float(abs_scale(float(a), b, c)) for a, b, c in zip(x0, x, xx)] == want.tolist()
+    assert math.isnan(abs_scale(1.0, np.array([math.nan]), np.array([0.0])))
