@@ -5,8 +5,8 @@ The corpus is the benchmark's seed-1 inputs, written by
 (text and JSON), every spin call, and a fixed subset of the halfdeg calls
 (cycle 0, one call per (n, d) cell, plus the warm-up, set-up and judged
 calls).  A few hand-written calls cover what those files lack: boundary rows,
-signed zeros, ``--route all``, CSV output, and the ``slice`` and ``fuzz``
-payloads.  Each call's stdout sha256 and exit code must equal the committed
+signed zeros, ``--route all``, CSV output, exact ties between d=1 facets, and
+the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256 and exit code must equal the committed
 table ``output_digests.json``.
 
 The halfdeg argmins, and the last bits of other witnesses, depend on the
@@ -58,6 +58,30 @@ MOMENTS_CSV = """n,d,z0,z,zz
 6,2,1.0,6.0,0.0,30.0,0.0
 3,1,-1.0,1.0,1.0
 """
+#: d=1 rows whose minimal facets tie, at n = 4, 5 and 9 in one file: the
+#: vertex of the facet parabola on a grid midpoint (two facets tie) and on a
+#: grid point, A11 = 0, A1 = 0, A11 < 0 (both ends tie at A1 = 0), signed
+#: zeros, and vertices past either end of the grid
+D1_TIE_ROWS = [
+    {"n": 4, "d": 1, "a0": 4.0, "a": [-2.0], "aa": [1.0]},
+    {"n": 4, "d": 1, "a0": 3.0, "a": [-2.0], "aa": [1.0]},
+    {"n": 5, "d": 1, "a0": 1.0, "a": [0.0], "aa": [1.0]},
+    {"n": 9, "d": 1, "a0": 2.0, "a": [-6.0], "aa": [1.0]},
+    {"n": 9, "d": 1, "a0": 2.0, "a": [-8.0], "aa": [2.0]},
+    {"n": 4, "d": 1, "a0": 0.0, "a": [0.0], "aa": [0.0]},
+    {"n": 5, "d": 1, "a0": -1.0, "a": [0.0], "aa": [0.0]},
+    {"n": 5, "d": 1, "a0": 1.0, "a": [0.5], "aa": [0.0]},
+    {"n": 9, "d": 1, "a0": 1.0, "a": [-0.5], "aa": [0.0]},
+    {"n": 4, "d": 1, "a0": 1.0, "a": [0.0], "aa": [-1.0]},
+    {"n": 9, "d": 1, "a0": 50.0, "a": [0.0], "aa": [-0.5]},
+    {"n": 5, "d": 1, "a0": 1.0, "a": [0.25], "aa": [-1.0]},
+    {"n": 4, "d": 1, "a0": -0.0, "a": [-0.0], "aa": [-0.0]},
+    {"n": 9, "d": 1, "a0": -0.0, "a": [0.0], "aa": [-0.0]},
+    {"n": 5, "d": 1, "a0": 0.0, "a": [-0.0], "aa": [0.0]},
+    {"n": 9, "d": 1, "a0": 1.0, "a": [40.0], "aa": [1.0]},
+    {"n": 9, "d": 1, "a0": 1.0, "a": [-40.0], "aa": [1.0]},
+    {"n": 5, "d": 1, "a0": 6.0, "a": [-1.0], "aa": [0.125]},
+]
 PLANE = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                     "lo": [-2.0, -2.0], "hi": [2.0, 2.0]})
 
@@ -107,7 +131,13 @@ def _corpus(directory: Path) -> dict[str, list[str]]:
     for cone, output in (("Sigma", "json"), ("SigmaPrime", "csv"), ("C-suf", "json")):
         add("mixed", ["--output", output, "slice", "--cone", cone, "--plane", PLANE,
                       "--grid", "9", "--n", "4", "--d", "1"])
+    ties = directory / "mixed" / "d1_ties.json"
+    ties.write_text(json.dumps(D1_TIE_ROWS))
+    add("mixed", ["--output", "json", "check-poly", "--route", "exact-d1", "--file", str(ties)])
+    add("mixed", ["--output", "json", "slice", "--cone", "P", "--plane", PLANE,
+                  "--grid", "9", "--n", "7", "--d", "1"])
     add("mixed", ["--output", "json", "fuzz", "--suite", "witness", "--iters", "4"])
+    add("mixed", ["fuzz", "--suite", "lemma"])
     add("mixed", ["fuzz", "--suite", "equivalence", "--iters", "20"])
     return calls
 
