@@ -563,16 +563,11 @@ def _lmi_route(b: RowBatch, cfg: RunConfig, sigma):
 
 
 def _exact_d1_route(b: RowBatch, cfg: RunConfig, sigma):
-    """The d=1 facet test, one kernel call per n."""
-    kmin, rmin = np.empty(b.index.size, dtype=np.intp), np.empty(b.index.size)
-    member, edge = np.empty(b.index.size, dtype=bool), np.empty(b.index.size, dtype=bool)
-    for n in sorted(set(b.n.tolist())):
-        sel = np.flatnonzero(b.n == n)
-        _, kmin[sel], rmin[sel], member[sel], edge[sel] = p_n1_rows(
-            b.x0[sel], b.x[sel, 0], b.xx[sel, 0], int(n), cfg.tol)
+    """The d=1 facet test, one kernel call per d-group."""
+    kmin, rmin, member, edge = p_n1_rows(b.x0, b.x[:, 0], b.xx[:, 0], b.n, cfg.tol)
 
     def fields(ks: np.ndarray) -> dict:
-        """``p_n1_witness`` of rows ks, all Member, or all NonMember at one n."""
+        """``p_n1_membership`` witnesses of rows ks, all Member, or all NonMember at one n."""
         if member[ks[0]]:
             return {"witness": {"min_k": _ints(kmin[ks]),
                                 "min_residual": _floats(rmin[ks], witness=True)}}
@@ -744,7 +739,7 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
         raise InputError("cone P is exactly decidable only at d=1" if cone == "P"
                          else "the limit-cone slice is defined at d=1")
     kernels = {
-        "P": lambda a0, a, aa: p_n1_rows(a0, a[:, 0], aa[:, 0], n, tol)[3],
+        "P": lambda a0, a, aa: p_n1_rows(a0, a[:, 0], aa[:, 0], n, tol)[2],
         "Sigma": lambda a0, a, aa: sigma_rows(a0, a, aa, n, tol).member,
         "SigmaPrime": lambda a0, a, aa: sigma_rows(a0 * n / (n - 1), a, aa, n, tol).member,
         "C-nec": lambda z0, z, zz: classify_rows(z0, z, zz, n, tol).nec.ok,

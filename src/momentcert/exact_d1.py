@@ -1,8 +1,8 @@
 """Exact polyhedral membership tests for the d=1 cones.
 
-These are the ground-truth oracles at d=1: the n+1 hypercube facets of the
-nonnegativity cone, the dual facets of the moment cone, the closed-form
-interval minimum behind the sum-of-squares cone, and the 2x2 PSD limit cone.
+These are the ground-truth oracles at d=1: the facets of the nonnegativity
+and moment cones (at most four decide a row), the closed-form interval
+minimum behind the sum-of-squares cone, and the 2x2 PSD limit cone.
 """
 
 from __future__ import annotations
@@ -41,64 +41,73 @@ def hypercube_point(n: int, k: int) -> Configuration:
     return Configuration(ProblemDims(n, 1), hypercube_points(n, k))
 
 
-def facet_residuals(a0, a1, a11, n: int) -> np.ndarray:
-    """Residuals A0 + A1(n-2k) + A11((n-2k)^2 - n) for k = 0..n.
+def _first_min(residual, k_vertex, top):
+    """The first k in 0..top minimizing ``residual(k)``, a quadratic in k
+    with its real minimum at ``k_vertex`` (0 where it is concave or linear),
+    and that minimum; scalars or (B,) arrays.  Only k = 0, floor(k_vertex),
+    floor(k_vertex)+1 and top, clipped, are evaluated: the k and bits of
+    ``argmin`` over all of them, except where rounding flattens the minimum
+    across more facets (it is then within rounding of the full minimum)."""
+    lo = np.clip(np.floor(k_vertex), 0, top)
+    ks = np.stack(np.broadcast_arrays(0, lo, np.minimum(lo + 1, top), top)).astype(np.intp)
+    r = residual(ks)
+    i = np.argmin(r, axis=0)[None]
+    return np.take_along_axis(ks, i, 0)[0], np.take_along_axis(r, i, 0)[0]
 
-    Accepts scalars or batch arrays for the coefficients; with arrays of shape
-    (B,) the result has shape (n+1, B).
-    """
-    u = (n - 2 * np.arange(n + 1, dtype=float))
-    return a0 + np.multiply.outer(u, a1) + np.multiply.outer(u * u - n, a11)
 
-
-def p_n1_rows(a0, a1, a11, n: int, tol: float = DEFAULT_TOL):
-    """Facet test for the d=1 nonnegativity cone over rows (B,) of one n: the
-    (n+1, B) facet residuals, the first minimizing facet k (B,), its residual,
-    and per row member (residual >= -t) and boundary (member and residual < t)
-    with t = ``scaled_tolerance(tol, coeff_scale, n)``."""
+def p_n1_rows(a0, a1, a11, n, tol: float = DEFAULT_TOL):
+    """Facet test for the d=1 nonnegativity cone over rows (B,), n an int or
+    (B,): facet k's residual A0 + A1 u + A11 (u² - n), u = n-2k, is Q at the
+    hypercube point with k entries -1.  Returns the first minimizing facet k,
+    its residual, member (residual >= -t) and boundary (member and residual
+    < t) per row, t = ``scaled_tolerance(tol, coeff_scale, n)``."""
     a0, a1, a11 = (np.asarray(v, dtype=float) for v in (a0, a1, a11))
-    r = facet_residuals(a0, a1, a11, n)
-    kmin = np.argmin(r, axis=0)
-    rmin = r[kmin, np.arange(r.shape[1])]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a11 <= 0 rows take 0
+        k_vertex = np.where(a11 > 0.0, 0.5 * (n + a1 / (2.0 * a11)), 0.0)
+
+    def residual(k):
+        u = n - 2.0 * k
+        return a0 + u * a1 + (u * u - n) * a11
+
+    kmin, rmin = _first_min(residual, k_vertex, n)
     t = scaled_tolerance(tol, abs_scale(a0, a1[:, None], a11[:, None]), n)
-    return (r, kmin, rmin, *margin_verdict(rmin, t))
+    return (kmin, rmin, *margin_verdict(rmin, t))
 
 
-def p_n1_witness(n: int, kmin: int, rmin: float, member: bool) -> dict:
-    """The witness of one facet-test row: the minimizing facet, and for a
-    NonMember the hypercube point where Q is negative."""
-    if member:
-        return {"min_k": kmin, "min_residual": rmin}
-    return {"k": kmin, "residual": rmin, "point": hypercube_point(n, kmin)}
-
-
-def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
-                    ) -> tuple[ConeVerdict, np.ndarray]:
-    """Facet test for the d=1 nonnegativity cone (:func:`p_n1_rows` on one
-    row); also returns the (n+1,) facet residuals."""
+def p_n1_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Facet test for the d=1 nonnegativity cone: :func:`p_n1_rows` on one
+    row; a NonMember carries the hypercube point where Q is negative."""
     _require_d1(q.dims)
     n = q.dims.n
-    r, kmin, rmin, member, boundary = p_n1_rows(np.array([q.a0]), q.a, q.aa, n, tol)
-    m = bool(member[0])
-    verdict = ConeVerdict(Status.MEMBER if m else Status.NON_MEMBER,
-                          witness=p_n1_witness(n, int(kmin[0]), float(rmin[0]), m),
-                          boundary=bool(boundary[0]))
-    return verdict, r[:, 0]
+    k, r, member, boundary = (v[0].item() for v in p_n1_rows([q.a0], q.a, q.aa, n, tol))
+    witness = ({"min_k": k, "min_residual": r} if member
+               else {"k": k, "residual": r, "point": hypercube_point(n, k)})
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER, witness, boundary)
 
 
-def c_n1_residuals(m0, m1, m11, n: int) -> np.ndarray:
-    """Facet residuals of the d=1 moment cone, k = 0..n.
+def c_n1_rows(m0, m1, m11, n, tol: float = DEFAULT_TOL):
+    """Facet test for the d=1 moment cone over rows (B,), n an int or (B,).
 
     Facet k < n pairs m with the extreme quadratic of the nonnegativity cone
     vanishing at the adjacent hypercube values n-2k and n-2k-2:
     m0(n-1+(n-1-2k)^2) - 2 m1 (n-1-2k) + m11.  Facet k = n pairs with the
-    concave extreme quadratic vanishing at both endpoints: (n^2-n) m0 - m11.
-    Scalar moments give shape (n+1,); arrays of shape (B,) give (n+1, B).
+    concave extreme quadratic vanishing at both endpoints: (n^2-n) m0 - m11,
+    minimizing only when strictly lower.  Returns as :func:`p_n1_rows` does.
     """
-    v = (n - 1 - 2 * np.arange(n, dtype=float))
-    m0, m1, m11 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float), np.asarray(m11, dtype=float)
-    quad = np.multiply.outer(n - 1 + v * v, m0) - 2.0 * np.multiply.outer(v, m1) + m11
-    return np.concatenate([quad, ((n * n - n) * m0 - m11)[None]])
+    m0, m1, m11 = (np.asarray(v, dtype=float) for v in (m0, m1, m11))
+    with np.errstate(divide="ignore", invalid="ignore"):  # m0 <= 0 rows take 0
+        k_vertex = np.where(m0 > 0.0, 0.5 * (n - 1 - m1 / m0), 0.0)
+
+    def residual(k):
+        v = n - 1 - 2.0 * k
+        return (n - 1 + v * v) * m0 - 2.0 * (v * m1) + m11
+
+    kmin, rmin = _first_min(residual, k_vertex, n - 1)
+    last = (n * n - n) * m0 - m11
+    win = last < rmin
+    kmin, rmin = np.where(win, n, kmin).astype(np.intp), np.where(win, last, rmin)
+    t = scaled_tolerance(tol, abs_scale(m0, m1[:, None], m11[:, None]), n)
+    return (kmin, rmin, *margin_verdict(rmin, t))
 
 
 def facet_polynomial(n: int, k: int) -> SymmetricQuadratic:
@@ -110,19 +119,14 @@ def facet_polynomial(n: int, k: int) -> SymmetricQuadratic:
 
 
 def c_n1_membership(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Facet test for the d=1 moment cone."""
+    """Facet test for the d=1 moment cone: :func:`c_n1_rows` on one row; a
+    NonMember carries the facet's separating polynomial."""
     _require_d1(m.dims)
     n = m.dims.n
-    r = c_n1_residuals(m.z0, float(m.z[0]), float(m.zz[0]), n)
-    kmin = int(np.argmin(r))
-    rmin = float(r[kmin])
-    member, boundary = margin_verdict(rmin, scaled_tolerance(tol, m.moment_scale(), n))
-    if member:
-        return ConeVerdict(Status.MEMBER, witness={"min_k": kmin, "min_residual": rmin},
-                           boundary=boundary)
-    return ConeVerdict(Status.NON_MEMBER,
-                       witness={"k": kmin, "residual": rmin,
-                                "separating_polynomial": facet_polynomial(n, kmin)})
+    k, r, member, boundary = (v[0].item() for v in c_n1_rows([m.z0], m.z, m.zz, n, tol))
+    witness = ({"min_k": k, "min_residual": r} if member
+               else {"k": k, "residual": r, "separating_polynomial": facet_polynomial(n, k)})
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER, witness, boundary)
 
 
 def sigma_n1_min(a0, a1, a11, n: int, expanded: bool = False):

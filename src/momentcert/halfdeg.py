@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude, row_batches
-from .exact_d1 import facet_residuals, hypercube_point
+from .exact_d1 import hypercube_point, p_n1_rows
 
 JITTER = 1e-10
 CLUSTER_TOL = 1e-5
@@ -286,9 +286,8 @@ def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 
     _check_magnitude(q)
     n, d = q.dims.n, q.dims.d
     if d == 1:
-        r = facet_residuals(q.a0, q.a[0], q.aa[0], n)
-        k = int(np.argmin(r))
-        return float(r[k]), hypercube_point(n, k)
+        k, r, _, _ = (v[0].item() for v in p_n1_rows([q.a0], q.a, q.aa, n))
+        return r, hypercube_point(n, k)
     rng = np.random.default_rng(seed)
     counts = np.ones(n)
     pts = _normalize_rows(rng.normal(size=(samples, n, d)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Configuration, MomentVector, ProblemDims, moments_of_configuration
+from .exact_d1 import _first_min
 
 BALL = "ball"
 SPHERE = "sphere"
@@ -108,11 +109,8 @@ def lemma_approx_construct(x_target, n: int) -> Configuration:
     b = math.sqrt(max(0.0, 1.0 - float(head @ head)))
     target = math.sqrt(n) * x[d - 1]
     # sum over the first n-1 points is (2k - (n-1)) b; pick the closest k
-    best_k, best_gap = 0, math.inf
-    for k in range(n):
-        gap = abs(target - (2 * k - (n - 1)) * b)
-        if gap < best_gap:
-            best_k, best_gap = k, gap
+    k_vertex = 0.5 * (target / b + n - 1) if b > 0.0 else 0.0
+    best_k = int(_first_min(lambda k: np.abs(target - (2 * k - (n - 1)) * b), k_vertex, n - 1)[0])
     z = target - (2 * best_k - (n - 1)) * b
     pts = np.empty((n, d))
     pts[:, :d - 1] = head

@@ -502,11 +502,10 @@ def test_p_n1_rows_equal_one_row_views():
     for nn in np.unique(n).tolist():
         sel = [q for q in rows if q.dims.n == nn]
         _, a0, a, aa = _arrays(sel, ("a0", "a", "aa"))
-        r, kmin, rmin, member, boundary = p_n1_rows(a0, a[:, 0], aa[:, 0], nn)
+        kmin, rmin, member, boundary = p_n1_rows(a0, a[:, 0], aa[:, 0], nn)
         views = [p_n1_membership(q) for q in sel]
-        assert np.array_equal(np.stack([res for _, res in views], axis=1), r)
-        assert np.array_equal([v.witness.get("min_k", v.witness.get("k")) for v, _ in views], kmin)
+        assert np.array_equal([v.witness.get("min_k", v.witness.get("k")) for v in views], kmin)
         assert np.array_equal([v.witness.get("min_residual", v.witness.get("residual"))
-                               for v, _ in views], rmin)
-        assert np.array_equal([v.is_member for v, _ in views], member)
-        assert np.array_equal([v.boundary for v, _ in views], boundary)
+                               for v in views], rmin)
+        assert np.array_equal([v.is_member for v in views], member)
+        assert np.array_equal([v.boundary for v in views], boundary)

@@ -242,7 +242,7 @@ def test_slice_grid_matches_scalar_api(capsys):
     from momentcert.sos_cone import sigma_membership_lmi, sigma_prime_membership
     dims = ProblemDims(5, 1)
     scalar = {
-        "P": lambda v: p_n1_membership(SymmetricQuadratic(dims, *v))[0].is_member,
+        "P": lambda v: p_n1_membership(SymmetricQuadratic(dims, *v)).is_member,
         "Sigma": lambda v: sigma_membership_lmi(SymmetricQuadratic(dims, *v))[0].is_member,
         "SigmaPrime": lambda v: sigma_prime_membership(SymmetricQuadratic(dims, *v)).is_member,
         "C-nec": lambda v: necessary_condition(MomentVector(dims, *v))[0],
@@ -476,6 +476,28 @@ def test_sigma_routes_share_one_sigma_rows_call_per_d_group(tmp_path, capsys, mo
         ellipsoid = r["routes"]["ellipsoid"]
         assert ellipsoid["status"] == ("Member" if ellipsoid["min_value"] >= -t else "NonMember")
         assert ellipsoid["boundary"] == (-t <= ellipsoid["min_value"] < t)
+
+
+def test_exact_d1_route_makes_one_p_n1_rows_call_per_d_group(tmp_path, capsys, monkeypatch):
+    """The exact-d1 route reads one ``p_n1_rows`` call per d-group, on all of
+    the group's rows whatever their n: alone on a d=1 file of mixed n, and
+    within --route all on a mixed-d file, where it runs on the d=1 group
+    only."""
+    from momentcert.exact_d1 import p_n1_rows
+
+    _, polys = _mixed_rows(25, 40, n_max=9, d_max=2)
+    d1 = [q for q in polys if q.dims.d == 1]
+    assert len({q.dims.n for q in d1}) > 3
+    calls = []
+    monkeypatch.setattr(cli, "p_n1_rows", lambda a0, *rest: calls.append(a0.size)
+                        or p_n1_rows(a0, *rest))
+    for route, rows in (("exact-d1", d1), ("all", polys)):
+        f = tmp_path / f"{route}.json"
+        f.write_text(json.dumps([q.to_json_dict() for q in rows]))
+        calls.clear()
+        code, _, _ = run(capsys, "--output", "json", "check-poly", "--route", route,
+                         "--file", str(f))
+        assert code in (0, 1) and calls == [len(d1)], route
 
 
 @pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "all"])

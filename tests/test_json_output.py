@@ -115,7 +115,7 @@ def _route_record(route: str, q: SymmetricQuadratic, tol: float) -> dict:
         extra = {"min_value": r.min_value.tolist()[0], "x": r.x[0].tolist(),
                  "y": r.y[0].tolist()}
     elif route == "exact-d1":
-        v, _ = p_n1_membership(q, tol)
+        v = p_n1_membership(q, tol)
         member, edge = v.is_member, v.boundary
         extra = {"witness": cli._witness_jsonable(v.witness)}
     else:
@@ -265,10 +265,10 @@ def test_output_is_the_same_at_every_block_size(tmp_path, monkeypatch):
     def p_n1_rows(*args):
         """The kernel's columns, the residual NaN, inf or -inf where its k is
         0, 1 or 2 mod 4."""
-        values, k, residual, member, edge = kernel(*args)
+        k, residual, member, edge = kernel(*args)
         residual = np.where(k % 4 < 3, np.array([math.nan, math.inf, -math.inf])[k % 4 % 3],
                             residual)
-        return values, k, residual, member, edge
+        return k, residual, member, edge
 
     monkeypatch.setattr(cli, "p_n1_rows", p_n1_rows)
     moments, polys = _corpus(8, 60, 4, n_max=6)

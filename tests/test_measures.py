@@ -131,3 +131,37 @@ def test_lemma_construct_boundary_target():
     c = lemma_approx_construct(x, n)
     assert np.allclose(c.points, c.points[0])
     assert abs(float(np.linalg.norm(c.points[0])) - 1.0) < 1e-12
+
+
+def _closest_k_loop(x, n: int) -> int:
+    """The sign count of the construction as a loop over every k: the first
+    k with the smallest gap |target - (2k - (n-1)) b|."""
+    x = np.asarray(x, dtype=float)
+    head = x[:-1] / math.sqrt(n)
+    b = math.sqrt(max(0.0, 1.0 - float(head @ head)))
+    target = math.sqrt(n) * x[-1]
+    best_k, best_gap = 0, math.inf
+    for k in range(n):
+        gap = abs(target - (2 * k - (n - 1)) * b)
+        if gap < best_gap:
+            best_k, best_gap = k, gap
+    return best_k
+
+
+def test_lemma_construct_picks_the_loops_sign_count():
+    """The construction's k (its first k points at +b, the next n-1-k at -b,
+    told apart by the sign bit even at b = 0) is the loop's on random
+    targets, on exact midpoints between two sign counts (n a power of 4,
+    so √n is exact), at both ends, and at b = 0."""
+    from momentcert.fuzz import random_lemma_target
+
+    rng = np.random.default_rng(27)
+    targets = [random_lemma_target(rng)[::2] for _ in range(3000)]
+    targets += [(n, np.array([t / math.sqrt(n)])) for n in (4, 16, 64)
+                for t in range(-n, n + 1)]
+    targets += [(n, np.array([1.0, 0.0]) * math.sqrt(n) + [0.0, e])
+                for n in (4, 16, 64) for e in (0.0, 1e-7, -1e-7)]
+    for n, x in targets:
+        pts = lemma_approx_construct(x, n).points
+        k = int(np.sum(~np.signbit(pts[:n - 1, -1])))
+        assert k == _closest_k_loop(x, n), (n, x)

@@ -6,8 +6,8 @@ The corpus is the benchmark's seed-1 inputs, written by
 (cycle 0, one call per (n, d) cell, plus the warm-up, set-up and judged
 calls).  A few hand-written calls cover what those files lack: boundary rows,
 signed zeros, ``--route all``, CSV output, exact ties between d=1 facets, and
-the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256 and exit code must equal the committed
-table ``output_digests.json``.
+the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256 and exit code
+must equal the committed table ``output_digests.json``.
 
 The halfdeg argmins, and the last bits of other witnesses, depend on the
 numpy/LAPACK build, so the table records the build it was written on.  On

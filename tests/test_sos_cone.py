@@ -118,7 +118,7 @@ def test_sigma_prime_contains_sigma_and_p():
                                rng.normal(size=1), rng.normal(size=1))
         if sigma_membership_lmi(q)[0].is_member:
             assert sigma_prime_membership(q).is_member
-        if p_n1_membership(q)[0].is_member:
+        if p_n1_membership(q).is_member:
             assert sigma_prime_membership(q).is_member
     assert sigma_prime_membership(
         SymmetricQuadratic(ProblemDims(4, 1), 0.0, [0.0], [1.0])).status is Status.NON_MEMBER
