@@ -6,18 +6,22 @@ The corpus is the benchmark's seed-1 inputs, written by
 (cycle 0, one call per (n, d) cell, plus the warm-up, set-up and judged
 calls).  A few hand-written calls cover what those files lack: boundary rows,
 signed zeros, ``--route all``, CSV output, exact ties between d=1 facets, and
-the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256 and exit code
-must equal the committed table ``output_digests.json``.
+the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256, verdict
+fingerprint and exit code must equal the committed table
+``output_digests.json``.  The fingerprint is the sha256 of the stdout with
+every float literal replaced by one placeholder: it keeps the verdicts,
+boundary flags, indices and layout and drops the printed values.
 
 The halfdeg argmins, and the last bits of other witnesses, depend on the
 numpy/LAPACK build, so the table records the build it was written on.  On
-another build only the exit codes are compared, and the digest half of the
-test is skipped.  A second test re-checks, in exact arithmetic, the Sigma
-certificate of every lmi Member that the corpus's JSON calls print.
+another build the exit codes and fingerprints are compared, and the sha256
+half of the test is skipped.  A second test re-checks, in exact arithmetic,
+the Sigma certificate of every lmi Member that the corpus's JSON calls print.
 
-A change that moves output on purpose rewrites the table,
-and the command prints each call whose digest or exit code moved (or that
-is new or gone) before it writes:
+A change that moves output on purpose rewrites the table, and the command
+prints each call that moved before it writes: "bytes moved, verdicts
+unchanged" when only the sha256 moved, "verdicts moved" when the
+fingerprint or exit code did, and "new" or "gone":
 
     PYTHONPATH=src python tests/test_output_digests.py --write
 """
@@ -28,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -82,6 +87,10 @@ D1_TIE_ROWS = [
     {"n": 9, "d": 1, "a0": 1.0, "a": [-40.0], "aa": [1.0]},
     {"n": 5, "d": 1, "a0": 6.0, "a": [-1.0], "aa": [0.125]},
 ]
+#: a float literal as the CLI prints one (JSON repr, .6g text, inf/nan), not
+#: part of a longer token such as a file name or a row index
+FLOAT = re.compile(r"(?<![\w.])-?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+"
+                   r"|Infinity|NaN|inf|nan)(?!\w|\.\w)")
 PLANE = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
                     "lo": [-2.0, -2.0], "hi": [2.0, 2.0]})
 
@@ -159,7 +168,9 @@ def _outputs(directory: Path) -> dict[str, tuple[list[str], str, int]]:
 
 
 def _digest(out: str, rc: int) -> dict:
-    return {"sha256": hashlib.sha256(out.encode()).hexdigest(), "exit": rc}
+    return {"sha256": hashlib.sha256(out.encode()).hexdigest(),
+            "fingerprint": hashlib.sha256(FLOAT.sub("#", out).encode()).hexdigest(),
+            "exit": rc}
 
 
 @pytest.fixture(scope="module")
@@ -173,10 +184,24 @@ def test_cli_output_matches_the_digest_table(outputs):
     assert sorted(got) == sorted(table["calls"])
     exits = {k: v["exit"] for k, v in got.items() if v["exit"] != table["calls"][k]["exit"]}
     assert not exits, f"exit codes moved: {exits}"
+    verdicts = sorted(k for k, v in got.items()
+                      if v["fingerprint"] != table["calls"][k]["fingerprint"])
+    assert not verdicts, f"{len(verdicts)} verdict fingerprints moved, the first: {verdicts[:5]}"
     if table["build"] != build():
         pytest.skip(f"digests recorded on {table['build']}, this is {build()}")
     moved = sorted(k for k, v in got.items() if v != table["calls"][k])
     assert not moved, f"{len(moved)} outputs moved, the first: {moved[:5]}"
+
+
+def test_the_fingerprint_drops_printed_values_and_keeps_verdicts():
+    json_a = '{"status": "Member", "min_value": 1.0062348303863846, "argmin": [[-0.0, 1e-05]]}'
+    json_b = '{"status": "Member", "min_value": 1.0062348303863873, "argmin": [[0.0, 2e-05]]}'
+    text = "[3] NonMember residual=-1.77636e-15 n=4 file=poly-00-n3-d1.json\n"
+    assert _digest(json_a, 0)["fingerprint"] == _digest(json_b, 0)["fingerprint"]
+    assert (_digest(json_a, 0)["fingerprint"]
+            != _digest(json_a.replace("Member", "NonMember"), 0)["fingerprint"])
+    assert FLOAT.sub("#", text) == "[3] NonMember residual=# n=4 file=poly-00-n3-d1.json\n"
+    assert FLOAT.sub("#", "[-inf, Infinity, NaN, .5, 3., 7]") == "[#, #, #, #, #, 7]"
 
 
 def _sigma_certificate_fault(row: dict, c: float) -> str | None:
@@ -232,9 +257,12 @@ if __name__ == "__main__":
     old = json.loads(TABLE.read_text())["calls"] if TABLE.exists() else {}
     for key in sorted(calls.keys() | old.keys()):
         was, now = old.get(key), calls.get(key)
-        if was != now:
-            moved = [f for f in ("sha256", "exit") if (was or {}).get(f) != (now or {}).get(f)]
-            print(f"moved ({', '.join(moved)}): {key}")
+        if was is None or now is None:
+            print(f"{'gone' if now is None else 'new'}: {key}")
+        elif any(was.get(f) != now[f] for f in ("fingerprint", "exit")):
+            print(f"verdicts moved: {key}")
+        elif was != now:
+            print(f"bytes moved, verdicts unchanged: {key}")
     TABLE.write_text(json.dumps({"build": build(), "seed": SEED, "calls": calls},
                                 indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(calls)} digests to {TABLE}")
