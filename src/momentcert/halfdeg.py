@@ -6,11 +6,13 @@ The reduction is realized numerically: enumerate multiplicity patterns
 d=1 that is an exact sign enumeration; at d >= 2 it is a multistart
 saddle-free Riemannian Newton descent, batched over the restarts, whose step
 is solved in a Householder basis of each point's tangent space
-(`_newton_descent`).  A brute-force random-search oracle runs the same descent
-on unreduced configurations.  A search over more than MAX_PATTERNS patterns is
-refused before it starts.  Critical-point diagnostics (the degree-2d polynomial
-P(t) and the coordinate-recovery quotient) come straight from the Lagrange
-stationarity conditions.
+(`_newton_descent`).  A restart retires once its tangent gradient is at most
+GTOL = sqrt(eps) times the problem's scale, the finest gradient that its
+strict-decrease line search can resolve.  A brute-force random-search oracle
+runs the same descent on unreduced configurations.  A search over more than
+MAX_PATTERNS patterns is refused before it starts.  Critical-point
+diagnostics (the degree-2d polynomial P(t) and the coordinate-recovery
+quotient) come straight from the Lagrange stationarity conditions.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ CLUSTER_TOL = 1e-5
 #: largest pattern count reduced_global_min will search; partition_count(n, 2d)
 #: grows like n^(2d-1) (n=20, d=3: 282; n=200, d=3: 4,775,383) and each
 #: d >= 2 pattern costs a batched Newton run of milliseconds (median about
-#: 4 ms at d=2 and 6.5 ms at d=3 over the n=3..8 Gaussian grid of the bench,
-#: 2-core x86-64), more as n and d grow
+#: 2.1 ms at d=2 and 3.4 ms at d=3, p90 3.3 and 6.6 ms, over the n=3..8
+#: Gaussian grid of the bench, 32 restarts, 2-core x86-64), more as n and d grow
 MAX_PATTERNS = 1000
+#: a restart retires at |t| <= GTOL scale: sqrt(eps), the resolution of a
+#: strict-decrease test of Q (see `_newton_descent`)
+GTOL = 2.0 ** -26
 #: the backtracking steps tried after the full one: 1/2, 1/4, ..., 2^-29
 _HALVINGS = 0.5 ** np.arange(1, 30)
 
@@ -158,9 +163,15 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
     row alike in any batch, so these are the steps that trying all 30 sizes
     for every restart takes, bit for bit, and a restart's descent does not
     depend on the other restarts.  Only strict decreases are accepted, so no
-    restart ends above its normalized start.  A restart retires once
-    |t| <= 1e-11 * scale or when no step size decreases it; all stop after
-    100 iterations.
+    restart ends above its normalized start.
+
+    A restart retires once |t| <= GTOL * scale (scale = coefficient scale
+    times n^2) or when no step size decreases it; all stop after 100
+    iterations.  GTOL = sqrt(eps) is the resolution of the value test: a
+    Newton step lowers Q by about |t|^2 / scale, which falls under the
+    rounding of Q, about eps * scale, once |t| < sqrt(eps) * scale.  A
+    tighter gtol cannot be reached by strict decreases, and the restarts
+    below it would only spend line searches that stall.
     """
     y = _normalize_rows(np.array(y0, dtype=float))
     f = _objective(q, counts, y)
@@ -172,7 +183,7 @@ def _newton_descent(q: SymmetricQuadratic, counts: np.ndarray, y0: np.ndarray
         g = _gradient(q, counts, ya)
         lam = np.add.reduce(g * ya, axis=-1)
         t = g - lam[..., None] * ya
-        moving = np.einsum("bjd,bjd->b", t, t) > (1e-11 * scale) ** 2
+        moving = np.einsum("bjd,bjd->b", t, t) > (GTOL * scale) ** 2
         if not moving.all():
             idx, ya, fa, t, lam = idx[moving], ya[moving], fa[moving], t[moving], lam[moving]
         if idx.size == 0:
@@ -210,8 +221,11 @@ def _d1_exact_pattern_min(q: SymmetricQuadratic, counts: np.ndarray
 
 
 def _check_magnitude(q: SymmetricQuadratic):
-    """The CLI's magnitude rule on q (its B=1 view).  Below the bound the
-    descent's squared tolerance (1e-11 scale)^2 is a finite float."""
+    """The CLI's magnitude rule on q (its B=1 view).  Below the bound,
+    scale = coefficient scale times n^2 is at most sqrt(max float / (2d+1)) n,
+    so the descent's squared tolerance (GTOL scale)^2 is a finite float for
+    every n below sqrt(2d+1) / GTOL (over 10^8), far past the n < 2
+    MAX_PATTERNS that ``reduced_global_min`` accepts."""
     check_magnitude(row_batches([q])[0], POLY_FIELDS)
 
 

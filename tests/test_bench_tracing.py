@@ -56,3 +56,24 @@ def test_bench_tracer_times_the_text_writer(capsys):
     assert spans["cli.serialize"]["count"] == 1
     assert spans.get(_tracing().WITNESS, {"count": 0})["count"] == 0
     assert capsys.readouterr().out == "[0] NonMember\n"
+
+
+def test_traced_halfdeg_search_spans_one_pattern_each(capsys):
+    """The benchmark's traced run (``pattern_mismatches`` in bench/run.py)
+    wants one ``halfdeg.pattern`` span per multiplicity pattern, so a
+    half-degree search that stacks its patterns must fail here first."""
+    pkg = {name: importlib.import_module(f"momentcert.{name}") for name in MODULES}
+    partition_count = pkg["halfdeg"].partition_count
+    rows = ((5, 2, "1,-0.5", "-0.25,0.5"), (4, 3, "0.5,-1,0.25", "0.5,-0.25,-1"))
+    tracer = _tracing().Tracer()
+    try:
+        tracer.install(pkg)
+        for k, (n, d, a, aa) in enumerate(rows):
+            tracer.call_id = k
+            pkg["cli"].main(["check-poly", "--route", "halfdeg", "--n", str(n), "--d", str(d),
+                             "--a0", "1", f"--a={a}", f"--aa={aa}"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    want = {str(k): partition_count(n, 2 * d) for k, (n, d, _, _) in enumerate(rows)}
+    assert tracer.summary()["patterns_per_call"] == want == {"0": 6, "1": 5}
