@@ -141,7 +141,7 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite" if v.ndim == 1
                                  else f"{name} contains non-finite entries")
-        check_magnitude(b, names)
+        check_magnitude(b.n, b.d, b.x0, b.x, b.xx, names)
     return batches
 
 
@@ -674,9 +674,9 @@ def _count(args, name: str, least: int):
 
 
 def _preset_state(args, cfg: RunConfig) -> SymmetricState:
-    if args.n is None:
+    n = _count(args, "n", 2)
+    if n is None:
         raise InputError("--preset needs --n")
-    n = args.n
     if args.preset == "coherent":
         return coherent_state(n, args.theta, args.phi)
     if args.preset == "dicke":
@@ -765,6 +765,8 @@ def cmd_slice(args, cfg: RunConfig) -> int:
         hi = np.asarray(plane.get("hi", [1.0, 1.0]), dtype=float)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid plane spec: {exc}")
+    if lo.shape != (2,) or hi.shape != (2,):
+        raise InputError("invalid plane spec: lo and hi must be two numbers each")
     n, d, g = args.n, args.d, _count(args, "grid", 1)
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "

@@ -292,14 +292,15 @@ def magnitude_bound(n, d: int, names) -> np.ndarray:
     return bound / n if names == POLY_FIELDS else np.full(np.shape(n), bound)
 
 
-def check_magnitude(b: RowBatch, names):
-    """Raise ValueError, naming the bound, at the first row of ``b`` that
-    holds a value past :func:`magnitude_bound`."""
-    bound = magnitude_bound(b.n, b.d, names)
-    big = np.flatnonzero(abs_max(b.x0, b.x, b.xx) > bound)
+def check_magnitude(n, d: int, x0, x, xx, names):
+    """Raise ValueError, naming the bound, at the first row that holds a value
+    past :func:`magnitude_bound`: of n and x0 (B,), x and xx (B, d), or of
+    one row with n an int."""
+    bound = np.atleast_1d(magnitude_bound(n, d, names))
+    big = np.flatnonzero(abs_max(x0, x, xx) > bound)
     if big.size:
         raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
-                         f"magnitude at n={int(b.n[big[0]])}, d={b.d}")
+                         f"magnitude at n={int(np.ravel(n)[big[0]])}, d={d}")
 
 
 def scaled_tolerance(tol: float, scale, n):

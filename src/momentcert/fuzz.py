@@ -12,17 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, MomentVector, ProblemDims, SymmetricQuadratic, abs_scale,
-                   moment_tolerance, row_batches, scaled_tolerance)
+from .core import (MomentVector, ProblemDims, SymmetricQuadratic, abs_scale,
+                   row_batches, scaled_tolerance)
 from .halfdeg import count_distinct_points, full_bruteforce_min, reduced_global_min
 from .measures import lemma_approx_construct
-from .moment_cone import (
-    NECESSARY,
-    classify_rows,
-    max_form_residual_batch,
-    necessary_condition,
-    witness_rows,
-)
+from .moment_cone import classify_rows, necessary_condition, witness_rows
 from .sos_cone import sigma_rows
 from .spin import (
     coherent_state,
@@ -33,6 +27,9 @@ from .spin import (
 )
 
 EQUIVALENCE_TOL = 1e-8
+HALFDEG_TOL = 1e-6
+LEMMA_X_TOL = 1e-9
+LEMMA_TOL = 1e-12
 
 
 @dataclass
@@ -81,71 +78,72 @@ def random_atomic_moments(rng, block: int):
 
 
 def soundness_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
-    """Moments of random atomic measures always pass the necessary condition.
-
-    Instances are drawn in vectorized blocks sharing (n, d); each block
-    re-derives the worst offender through the scalar API before reporting.
-    """
+    """Moments of random atomic measures always pass the necessary condition:
+    the package's batched verdict (``classify_rows(...).nec``) on blocks of
+    up to 2048 measures sharing (n, d)."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("soundness", iters)
-    done = 0
-    block_idx = 0
-    while done < iters:
-        block = min(iters - done, 2048)
-        n, d, z0, z, zz = random_atomic_moments(rng, block)
-        res = max_form_residual_batch(z0, z, zz, n, NECESSARY)
-        bad = np.where(res < -moment_tolerance(DEFAULT_TOL, abs_scale(z0, z, zz)))[0]
-        for b in bad:
-            m = MomentVector(ProblemDims(n, d), float(z0[b]), z[b], zz[b])
-            ok, report = necessary_condition(m)
-            if not ok:
-                result.violations.append(
-                    {"seed": seed, "block": block_idx, "index": int(b),
-                     "n": n, "d": d, "residual": report.max_form_residual})
-        done += block
-        block_idx += 1
+    for block_idx, done in enumerate(range(0, iters, 2048)):
+        n, d, z0, z, zz = random_atomic_moments(rng, min(iters - done, 2048))
+        nec = classify_rows(z0, z, zz, n).nec
+        result.violations += [
+            {"seed": seed, "block": block_idx, "index": k, "n": n, "d": d,
+             "residual": float(nec.residual[k])}
+            for k in np.flatnonzero(~nec.ok).tolist()]
     return result
 
 
+def route_disagreements(a0, a, aa, n):
+    """The rows on which the arrow LMI's dual slack and the ellipsoid's primal
+    minimum, read from one :func:`sigma_rows` call, disagree on SOS membership
+    by more than EQUIVALENCE_TOL max(1, scale n²); and that call's result."""
+    r = sigma_rows(a0, a, aa, n)
+    t = scaled_tolerance(EQUIVALENCE_TOL, abs_scale(a0, a, aa), n)
+    return np.flatnonzero((r.member & (r.min_value < -t)) | (~r.member & (r.min_value > t))), r
+
+
 def equivalence_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
-    """The arrow LMI's dual slack and the ellipsoid's primal minimum at one
-    secular root per row agree on SOS membership.  The instances are drawn
-    one by one, then :func:`sigma_rows` runs once per d."""
+    """:func:`route_disagreements` on instances drawn one by one, then run
+    once per d."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("equivalence", iters)
     qs = [random_quadratic(rng, int(rng.integers(2, 11)), int(rng.integers(1, 5)))
           for _ in range(iters)]
     for b in row_batches(qs) if qs else ():
-        r = sigma_rows(b.x0, b.x, b.xx, b.n)
-        member, val = r.member, r.min_value
-        t = scaled_tolerance(EQUIVALENCE_TOL, abs_scale(b.x0, b.x, b.xx), b.n)
-        bad = np.flatnonzero((member & (val < -t)) | (~member & (val > t)))
+        bad, r = route_disagreements(b.x0, b.x, b.xx, b.n)
         result.violations += [
             {"seed": seed, "index": int(b.index[k]), "n": int(b.n[k]), "d": b.d,
-             "lmi": "Member" if member[k] else "NonMember", "min": float(val[k])}
+             "lmi": "Member" if r.member[k] else "NonMember", "min": float(r.min_value[k])}
             for k in bad.tolist()]
     result.violations.sort(key=lambda v: v["index"])
     return result
 
 
+def halfdeg_faults(q: SymmetricQuadratic, reduced, brute) -> dict:
+    """The faults of a half-degree search's (value, configuration) ``reduced``
+    against brute force's ``brute``: both values when they differ by more than
+    HALFDEG_TOL scale n², the count of distinct points when it is over 2d."""
+    (rv, rcfg), (bv, _), n = reduced, brute, q.dims.n
+    gap = abs(rv - bv) > HALFDEG_TOL * q.coeff_scale() * n * n
+    faults = {"reduced": rv, "bruteforce": bv} if gap else {}
+    if count_distinct_points(rcfg) > 2 * q.dims.d:
+        faults["distinct"] = count_distinct_points(rcfg)
+    return faults
+
+
 def halfdeg_suite(iters: int = 20, seed: int = 0) -> FuzzResult:
-    """Pattern-reduced minimization matches brute force (to 1e-6·scale·n²)
-    and lands on configurations with at most 2d distinct points."""
+    """Pattern-reduced minimization matches brute force and lands on
+    configurations with at most 2d distinct points (:func:`halfdeg_faults`)."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("halfdeg", iters)
     for i in range(iters):
         n = int(rng.integers(3, 7))
         d = int(rng.integers(2, 4))
         q = random_quadratic(rng, n, d)
-        scale = q.coeff_scale() * n * n
-        rv, rcfg = reduced_global_min(q, seed=seed + 7919 * i)
-        bv, _ = full_bruteforce_min(q, samples=3000, seed=seed + 7919 * i + 1)
-        if abs(rv - bv) > 1e-6 * scale:
-            result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
-                                      "reduced": rv, "bruteforce": bv})
-        elif count_distinct_points(rcfg) > 2 * d:
-            result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
-                                      "distinct": count_distinct_points(rcfg)})
+        faults = halfdeg_faults(q, reduced_global_min(q, seed=seed + 7919 * i),
+                                full_bruteforce_min(q, samples=3000, seed=seed + 7919 * i + 1))
+        if faults:
+            result.violations.append({"seed": seed, "index": i, "n": n, "d": d, **faults})
     return result
 
 
@@ -160,24 +158,24 @@ def random_lemma_target(rng):
 
 def lemma_suite(iters: int = 1000, seed: int = 0) -> FuzzResult:
     """The explicit ellipsoid-target construction meets its guarantees:
-    exact X match, Y zero off the last coordinate, last-coordinate defect
-    at most 1/n, all points in the ball."""
+    exact X match (to LEMMA_X_TOL max(1, √n)), Y zero off the last
+    coordinate, last-coordinate defect at most 1/n, all points in the ball
+    (each to LEMMA_TOL)."""
     rng = np.random.default_rng(seed)
     result = FuzzResult("lemma", iters)
     for i in range(iters):
         n, d, x = random_lemma_target(rng)
-        cfg = lemma_approx_construct(x, n)
-        pts = cfg.points
+        pts = lemma_approx_construct(x, n).points
         s = pts.sum(axis=0) / math.sqrt(n)
         y2 = np.sum(pts * pts, axis=0) / n - s * s / n
+        x_err = float(np.max(np.abs(s - x)))
         defect = abs(y2[d - 1] - (1.0 - float(x @ x) / n))
-        bad = (float(np.max(np.abs(s - x))) > 1e-9 * max(1.0, math.sqrt(n))
-               or (d > 1 and float(np.max(np.abs(y2[:d - 1]))) > 1e-12)
-               or defect > 1.0 / n + 1e-12)
-        if bad:
+        if (x_err > LEMMA_X_TOL * max(1.0, math.sqrt(n))
+                or (d > 1 and float(np.max(np.abs(y2[:d - 1]))) > LEMMA_TOL)
+                or defect > 1.0 / n + LEMMA_TOL
+                or float(np.max(np.linalg.norm(pts, axis=1))) > 1.0 + LEMMA_TOL):
             result.violations.append({"seed": seed, "index": i, "n": n, "d": d,
-                                      "x_err": float(np.max(np.abs(s - x))),
-                                      "defect": defect})
+                                      "x_err": x_err, "defect": defect})
     return result
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude, row_batches
+from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude
 from .exact_d1 import hypercube_point, p_n1_rows
 
 JITTER = 1e-10
@@ -221,12 +221,12 @@ def _d1_exact_pattern_min(q: SymmetricQuadratic, counts: np.ndarray
 
 
 def _check_magnitude(q: SymmetricQuadratic):
-    """The CLI's magnitude rule on q (its B=1 view).  Below the bound,
+    """The CLI's magnitude rule on q's one row.  Below the bound,
     scale = coefficient scale times n^2 is at most sqrt(max float / (2d+1)) n,
     so the descent's squared tolerance (GTOL scale)^2 is a finite float for
     every n below sqrt(2d+1) / GTOL (over 10^8), far past the n < 2
     MAX_PATTERNS that ``reduced_global_min`` accepts."""
-    check_magnitude(row_batches([q])[0], POLY_FIELDS)
+    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
 
 
 def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,

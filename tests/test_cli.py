@@ -233,6 +233,10 @@ def test_slice_bad_plane(capsys):
         code, out, err = run(capsys, "slice", "--cone", cone, "--plane", plane,
                              "--n", "4", "--d", "1")
         assert (code, out, err) == (64, "", "error: plane point is not finite\n")
+    for bound in ({"lo": [0]}, {"hi": 7}, {"lo": [[0, 1]]}):
+        plane = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0, 1, 0], [0, 0, 1]], **bound})
+        assert run(capsys, "slice", "--cone", "Sigma", "--plane", plane, "--n", "4", "--d", "1"
+                   ) == (64, "", "error: invalid plane spec: lo and hi must be two numbers each\n")
 
 
 def test_slice_grid_matches_scalar_api(capsys):
@@ -263,12 +267,19 @@ def test_slice_grid_matches_scalar_api(capsys):
         assert 0 < np.sum(expect) < 81 and obj["contour"], cone
 
 
-def test_fuzz_suite_runs(capsys):
-    code, out, _ = run(capsys, "--output", "json", "fuzz",
-                       "--suite", "soundness", "--iters", "200")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["passed"] and obj["iterations"] == 200
+def test_fuzz_suite_runs(capsys, monkeypatch):
+    """The JSON report is the suite's at --seed; with LEMMA_TOL < 0 every
+    lemma target is a violation, and each record shows the seed."""
+    from momentcert import fuzz
+    for suite, iters, seed, tol in (("soundness", 200, 0, fuzz.LEMMA_TOL),
+                                    ("lemma", 50, 106, fuzz.LEMMA_TOL), ("lemma", 50, 106, -1.0)):
+        monkeypatch.setattr(fuzz, "LEMMA_TOL", tol)
+        code, out, _ = run(capsys, "--seed", str(seed), "--output", "json", "fuzz",
+                           "--suite", suite, "--iters", str(iters))
+        want, obj = fuzz.SUITES[suite](iters, seed=seed), json.loads(out)
+        assert (code, obj["iterations"], obj["passed"], obj["violations"]) == (
+            int(tol < 0), iters, tol >= 0, want.violations)
+    assert len(want.violations) == 50 and want.violations[0]["seed"] == 106
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -783,6 +794,13 @@ def test_spin_components_below_two_refused(capsys):
         assert (code, out, err) == (64, "", f"error: --components must be >= 2, got {k}\n")
     code, out, _ = run(capsys, "spin", "--preset", "mixed", "--n", "4", "--components", "2")
     assert code == 0 and out.startswith("verdict: ")
+
+
+def test_spin_n_below_two_refused(capsys):
+    for preset in ("coherent", "dicke", "ghz", "mixed"):
+        for n in ("-1", "0", "1"):
+            code, out, err = run(capsys, "spin", "--preset", preset, "--n", n, "--m", "0")
+            assert (code, out, err) == (64, "", f"error: --n must be >= 2, got {n}\n")
 
 
 def test_slice_grid_below_one_refused(capsys):
