@@ -25,7 +25,7 @@ from .exact_d1 import (
     sigma_n1_membership,
 )
 from .halfdeg import full_bruteforce_min, reduced_global_min
-from .measures import AtomicMeasure, lemma_approx_construct, measure_moments, sample_measure
+from .measures import AtomicMeasure, lemma_approx_construct, measure_moments
 from .moment_cone import (
     classify,
     limit_cone_membership,
@@ -81,7 +81,6 @@ __all__ = [
     "power_sums",
     "reduced_global_min",
     "rescale_moments",
-    "sample_measure",
     "separating_polynomial",
     "sigma_membership_lmi",
     "sigma_n1_membership",

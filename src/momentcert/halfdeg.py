@@ -281,7 +281,6 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     coefficient exceeds ``core.magnitude_bound``.
     """
     check_pattern_budget(q.dims.n, q.dims.d)
-    _check_magnitude(q)
     best_val, best_cfg = math.inf, None
     for idx, pattern in enumerate(enumerate_patterns(q.dims.n, q.dims.d)):
         val, cfg = min_over_pattern(q, pattern, restarts=restarts, seed=seed + idx)

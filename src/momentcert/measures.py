@@ -1,8 +1,7 @@
-"""Generators of certified-inside points of the moment cone.
-
-Random atomic symmetric measures give soundness fuzz targets; the explicit
-ellipsoid-target constructor realizes a prescribed X with Y supported on the
-last coordinate only, up to the proof's 1/n defect.
+"""Atomic symmetric measures, their moments, and the explicit target
+construction, which realizes a prescribed X with Y supported on the last
+coordinate only, up to the proof's 1/n defect.  The soundness fuzz suite
+draws its random measures in ``fuzz``.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ import numpy as np
 
 from .core import Configuration, MomentVector, ProblemDims, moments_of_configuration
 from .exact_d1 import _first_min
-
-BALL = "ball"
-SPHERE = "sphere"
-HYPERCUBE = "hypercube"
 
 
 @dataclass(frozen=True)
@@ -44,38 +39,6 @@ class AtomicMeasure:
     def to_json_dict(self) -> dict:
         return {"atoms": [{"w": w, "points": [list(p) for p in c.points]}
                           for w, c in self.atoms]}
-
-
-def sample_configuration(n: int, d: int, seed: int, support: str = BALL) -> Configuration:
-    """n i.i.d. points: uniform in the ball, on the sphere, or on {±e_α}."""
-    dims = ProblemDims(n, d)
-    rng = np.random.default_rng(seed)
-    if support == HYPERCUBE:
-        axes = rng.integers(0, d, size=n)
-        signs = rng.choice([-1.0, 1.0], size=n)
-        pts = np.zeros((n, d))
-        pts[np.arange(n), axes] = signs
-        return Configuration(dims, pts)
-    pts = rng.normal(size=(n, d))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    if support == BALL:
-        pts *= rng.uniform(size=(n, 1)) ** (1.0 / d)
-    elif support != SPHERE:
-        raise ValueError(f"unknown support {support!r}")
-    return Configuration(dims, pts)
-
-
-def sample_measure(n: int, d: int, seed: int, max_atoms: int = 4,
-                   support: str = BALL) -> AtomicMeasure:
-    """Random atomic symmetric measure with conic (not probability) weights."""
-    rng = np.random.default_rng(seed)
-    n_atoms = int(rng.integers(1, max_atoms + 1))
-    atoms = []
-    for i in range(n_atoms):
-        w = float(rng.exponential())
-        atoms.append((w, sample_configuration(n, d, seed=seed * 1000003 + i + 1,
-                                              support=support)))
-    return AtomicMeasure(tuple(atoms))
 
 
 def measure_moments(mu: AtomicMeasure) -> MomentVector:

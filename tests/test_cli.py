@@ -803,6 +803,35 @@ def test_spin_n_below_two_refused(capsys):
             assert (code, out, err) == (64, "", f"error: --n must be >= 2, got {n}\n")
 
 
+def test_spin_invalid_dicke_m_refused(capsys):
+    code, out, err = run(capsys, "spin", "--preset", "dicke", "--n", "4", "--m", "0.5")
+    assert (code, out, err) == (64, "", "error: invalid magnetic number m=0.5 for n=4\n")
+
+
+def test_spin_preset_n_above_bound_refused(capsys):
+    """Every preset builds a dense (n+1)^2 rho, so --n past MAX_PRESET_N is
+    refused before anything is built."""
+    n = cli.MAX_PRESET_N + 1
+    for preset in ("coherent", "dicke", "ghz", "mixed"):
+        code, out, err = run(capsys, "spin", "--preset", preset, "--n", str(n), "--m", "0")
+        assert (code, out, err) == (
+            64, "", f"error: --n must be <= MAX_PRESET_N={n - 1} for a preset, got {n}\n")
+
+
+def test_spin_coherent_non_finite_angle_refused(capsys):
+    """A non-finite --theta or --phi is refused with one line and no numpy
+    warning; the mixed preset ignores both options."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, value in itertools.product(("theta", "phi"), ("nan", "inf", "-inf")):
+            code, out, err = run(capsys, "spin", "--preset", "coherent", "--n", "4",
+                                 f"--{name}={value}")
+            assert (code, out, err) == (64, "", f"error: --{name} must be finite, got {value}\n")
+        code, out, _ = run(capsys, "spin", "--preset", "mixed", "--n", "4",
+                           "--theta", "nan", "--phi", "inf")
+    assert code == 0 and out.startswith("verdict: ")
+
+
 def test_slice_grid_below_one_refused(capsys):
     plane = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0, 1, 0], [0, 0, 1]]})
     for g in ("-1", "0"):

@@ -3,58 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from momentcert.core import moments_of_configuration, power_sums
-from momentcert.measures import (
-    BALL,
-    HYPERCUBE,
-    SPHERE,
-    AtomicMeasure,
-    lemma_approx_construct,
-    measure_moments,
-    sample_configuration,
-    sample_measure,
-)
-from momentcert.moment_cone import necessary_condition
+from momentcert.core import Configuration, ProblemDims, moments_of_configuration, power_sums
+from momentcert.measures import AtomicMeasure, lemma_approx_construct, measure_moments
 
 
 def test_atomic_measure_validation():
-    c = sample_configuration(3, 2, seed=0)
+    c = Configuration(ProblemDims(3, 2), [[1.0, 0.0], [0.0, -0.5], [0.3, 0.4]])
     AtomicMeasure(((1.0, c),))
     with pytest.raises(ValueError):
         AtomicMeasure(())
     with pytest.raises(ValueError):
         AtomicMeasure(((-0.5, c),))
-    other = sample_configuration(4, 2, seed=0)
+    other = Configuration(ProblemDims(4, 2), np.zeros((4, 2)))
     with pytest.raises(ValueError):
         AtomicMeasure(((1.0, c), (1.0, other)))
 
 
-def test_sample_configuration_supports():
-    for support in (BALL, SPHERE, HYPERCUBE):
-        c = sample_configuration(6, 3, seed=5, support=support)
-        norms = np.linalg.norm(c.points, axis=1)
-        assert np.all(norms <= 1.0 + 1e-12)
-        if support in (SPHERE, HYPERCUBE):
-            assert np.allclose(norms, 1.0)
-        if support == HYPERCUBE:
-            # each point is a signed coordinate vector
-            assert np.all(np.sum(c.points != 0.0, axis=1) == 1)
-    with pytest.raises(ValueError):
-        sample_configuration(3, 2, seed=0, support="torus")
-
-
-def test_sample_configuration_deterministic():
-    a = sample_configuration(5, 2, seed=11)
-    b = sample_configuration(5, 2, seed=11)
-    assert np.array_equal(a.points, b.points)
-    c = sample_configuration(5, 2, seed=12)
-    assert not np.array_equal(a.points, c.points)
-
-
 def test_measure_moments_linearity():
-    rng = np.random.default_rng(1)
-    c1 = sample_configuration(4, 2, seed=100)
-    c2 = sample_configuration(4, 2, seed=200)
+    dims = ProblemDims(4, 2)
+    c1 = Configuration(dims, [[0.6, 0.8], [-1.0, 0.0], [0.1, 0.2], [0.0, -0.9]])
+    c2 = Configuration(dims, [[0.0, 1.0], [0.5, 0.5], [-0.7, 0.1], [0.3, -0.3]])
     w1, w2 = 0.7, 2.3
     mu = AtomicMeasure(((w1, c1), (w2, c2)))
     m = measure_moments(mu)
@@ -64,25 +32,9 @@ def test_measure_moments_linearity():
     assert np.allclose(m.zz, w1 * m1.zz + w2 * m2.zz)
 
 
-def test_sampled_measures_satisfy_necessary_condition():
-    """Soundness on a small scale: real measures never violate the
-    necessary-side inequalities."""
-    for seed in range(200):
-        n, d = 2 + seed % 7, 1 + seed % 4
-        mu = sample_measure(n, d, seed=seed)
-        ok, report = necessary_condition(measure_moments(mu))
-        assert ok, (seed, report)
-
-
-def test_sample_measure_atom_budget():
-    for seed in range(30):
-        mu = sample_measure(5, 2, seed=seed, max_atoms=3)
-        assert 1 <= len(mu.atoms) <= 3
-        assert all(w >= 0 for w, _ in mu.atoms)
-
-
 def test_measure_json():
-    mu = sample_measure(3, 2, seed=7, max_atoms=2)
+    c = Configuration(ProblemDims(3, 2), [[1.0, 0.0], [0.0, -0.5], [0.3, 0.4]])
+    mu = AtomicMeasure(((0.5, c), (2.0, c)))
     obj = mu.to_json_dict()
     assert set(obj) == {"atoms"}
     assert all(set(a) == {"w", "points"} for a in obj["atoms"])
