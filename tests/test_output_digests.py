@@ -5,8 +5,8 @@ The corpus is the benchmark's seed-1 inputs, written by
 (text and JSON), every spin call, and a fixed subset of the halfdeg calls
 (cycle 0, one call per (n, d) cell, plus the warm-up, set-up and judged
 calls).  A few hand-written calls cover what those files lack: boundary rows,
-signed zeros, ``--route all``, CSV output, exact ties between d=1 facets, and
-the ``slice`` and ``fuzz`` payloads.  Each call's stdout sha256, verdict
+signed zeros, ``--route all``, CSV output, exact ties between d=1 facets, the
+``slice`` and ``fuzz`` payloads, and each ``spin --preset``.  Each call's stdout sha256, verdict
 fingerprint and exit code must equal the committed table
 ``output_digests.json``.  The fingerprint is the sha256 of the stdout with
 every float literal replaced by one placeholder: it keeps the verdicts,
@@ -148,6 +148,9 @@ def _corpus(directory: Path) -> dict[str, list[str]]:
     add("mixed", ["--output", "json", "fuzz", "--suite", "witness", "--iters", "4"])
     add("mixed", ["fuzz", "--suite", "lemma"])
     add("mixed", ["fuzz", "--suite", "equivalence", "--iters", "20"])
+    for preset in (["coherent", "--theta", "1.1", "--phi", "0.4"], ["dicke", "--m", "1"],
+                   ["ghz"], ["mixed", "--components", "5"]):
+        add("presets", ["--seed", "5", "--output", "json", "spin", "--n", "6", "--preset"] + preset)
     return calls
 
 
