@@ -686,23 +686,23 @@ def _preset_state(args, cfg: RunConfig) -> SymmetricState:
         raise InputError("--preset needs --n")
     if n > MAX_PRESET_N:
         raise InputError(f"--n must be <= MAX_PRESET_N={MAX_PRESET_N} for a preset, got {n}")
+    if args.preset == "dicke" and args.m is None:
+        raise InputError("--preset dicke needs --m")
+    for name in {"coherent": ("theta", "phi"), "dicke": ("m",)}.get(args.preset, ()):
+        if not math.isfinite(getattr(args, name)):
+            raise InputError(f"--{name} must be finite, got {getattr(args, name)}")
     if args.preset == "coherent":
-        for name in ("theta", "phi"):
-            if not math.isfinite(getattr(args, name)):
-                raise InputError(f"--{name} must be finite, got {getattr(args, name)}")
         return coherent_state(n, args.theta, args.phi)
     if args.preset == "dicke":
-        if args.m is None:
-            raise InputError("--preset dicke needs --m")
         return dicke_state(n, args.m)
     if args.preset == "ghz":
         return ghz_state(n)
     if args.preset == "mixed":
         rng = np.random.default_rng(cfg.seed)
-        comps = [coherent_state(n, math.acos(2 * rng.uniform() - 1),
-                                2 * math.pi * rng.uniform())
-                 for _ in range(_count(args, "components", 2))]
-        return mixed(comps, np.ones(len(comps)))
+        k = _count(args, "components", 2)
+        return mixed((coherent_state(n, math.acos(2 * rng.uniform() - 1),
+                                     2 * math.pi * rng.uniform()) for _ in range(k)),
+                     np.ones(k))
     raise InputError(f"unknown preset {args.preset!r}")
 
 

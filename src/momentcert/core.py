@@ -322,24 +322,6 @@ def margin_verdict(margin, t):
     return member, member & (margin < t)
 
 
-def bisect_rows(above, lo, hi, rtol: float):
-    """Per-row bisection of [lo, hi] (B,) in place: lo moves up to the
-    midpoint where ``above(mid)`` holds, hi moves down elsewhere.  A row stops
-    once its midpoint is not strictly inside or hi - lo <= rtol max(1, |hi|);
-    the others go on (at most 200 steps).  Returns (lo, hi)."""
-    live = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        live &= (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        up = above(mid)
-        np.copyto(lo, mid, where=live & up)
-        np.copyto(hi, mid, where=live & ~up)
-        live &= ~(hi - lo <= rtol * np.maximum(1.0, np.abs(hi)))
-    return lo, hi
-
-
 def power_sums(config: Configuration) -> tuple[np.ndarray, np.ndarray]:
     """Power sums s_α = Σ_i ξ_iα and ss_α = Σ_{i≠j} ξ_iα ξ_jα (ordered pairs)."""
     pts = config.points
@@ -377,18 +359,3 @@ def rescale_moments(m: MomentVector) -> RescaledMomentVector:
 def unrescale_moments(rm: RescaledMomentVector, dims: ProblemDims) -> MomentVector:
     n = dims.n
     return MomentVector(dims, rm.z0, rm.zt * math.sqrt(n), rm.zzt * n)
-
-
-def rescale_coeffs(q: SymmetricQuadratic) -> tuple[float, float, float]:
-    """d=1 coefficient rescaling (B0, B1, B11) = (A0, √n A1, n A11)."""
-    if q.dims.d != 1:
-        raise ValueError("coefficient rescaling is defined for d=1 only")
-    n = q.dims.n
-    return q.a0, math.sqrt(n) * float(q.a[0]), n * float(q.aa[0])
-
-
-def coeffs_from_rescaled(b: tuple[float, float, float], n: int) -> SymmetricQuadratic:
-    """Inverse of :func:`rescale_coeffs`."""
-    b0, b1, b11 = b
-    return SymmetricQuadratic(ProblemDims(n, 1), b0,
-                              [b1 / math.sqrt(n)], [b11 / n])

@@ -10,9 +10,7 @@ is solved in a Householder basis of each point's tangent space
 GTOL = sqrt(eps) times the problem's scale, the finest gradient that its
 strict-decrease line search can resolve.  A brute-force random-search oracle
 runs the same descent on unreduced configurations.  A search over more than
-MAX_PATTERNS patterns is refused before it starts.  Critical-point
-diagnostics (the degree-2d polynomial P(t) and the coordinate-recovery
-quotient) come straight from the Lagrange stationarity conditions.
+MAX_PATTERNS patterns is refused before it starts.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude
 from .exact_d1 import hypercube_point, p_n1_rows
 
-JITTER = 1e-10
 CLUSTER_TOL = 1e-5
 #: largest pattern count reduced_global_min will search; partition_count(n, 2d)
 #: grows like n^(2d-1) (n=20, d=3: 282; n=200, d=3: 4,775,383) and each
@@ -55,12 +52,6 @@ class MultiplicityPattern:
     @property
     def n(self) -> int:
         return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class CriticalData:
-    r: np.ndarray
-    poly_coeffs: np.ndarray  # ascending powers, length 2d+1
 
 
 def enumerate_patterns(n: int, d: int):
@@ -318,94 +309,3 @@ def count_distinct_points(config: Configuration, tol: float = CLUSTER_TOL) -> in
         if not any(np.linalg.norm(p - r) <= tol for r in reps):
             reps.append(p)
     return len(reps)
-
-
-def lagrange_residual(q: SymmetricQuadratic, config: Configuration) -> float:
-    """Stationarity residual with per-point multipliers solved by least squares."""
-    pts = config.points
-    s = pts.sum(axis=0)
-    r = q.a + 2.0 * q.aa * s
-    worst = 0.0
-    for xi in pts:
-        rhs = r - 2.0 * q.aa * xi
-        lam = float(xi @ rhs) / float(xi @ xi)
-        worst = max(worst, float(np.max(np.abs(rhs - lam * xi))))
-    return worst
-
-
-def critical_r(q: SymmetricQuadratic, config: Configuration) -> np.ndarray:
-    """R_α = A_α + 2 A_αα s_α at the configuration."""
-    s = config.points.sum(axis=0)
-    return np.asarray(q.a + 2.0 * q.aa * s, dtype=float)
-
-
-def _distinct_aa(q: SymmetricQuadratic, seed: int = 0) -> np.ndarray:
-    aa = np.array(q.aa, dtype=float)
-    gaps = np.abs(aa[:, None] - aa[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    scale = max(1.0, float(np.max(np.abs(aa))))
-    if float(gaps.min()) > JITTER * scale:
-        return aa
-    rng = np.random.default_rng(seed)
-    return aa + JITTER * scale * rng.standard_normal(aa.size)
-
-
-def critical_polynomial(q: SymmetricQuadratic, r: np.ndarray, seed: int = 0
-                        ) -> CriticalData:
-    """Coefficients (ascending) of the degree-2d polynomial whose roots contain
-    every first coordinate of a critical configuration."""
-    r = np.asarray(r, dtype=float)
-    d = q.dims.d
-    if r.shape != (d,):
-        raise ValueError("R must have length d")
-    aa = _distinct_aa(q, seed=seed)
-    r1 = float(r[0])
-    rscale = float(np.max(np.abs(r)))
-    if rscale == 0.0 or abs(r1) <= 1e-12 * rscale:
-        raise ValueError("R_1 vanishes: minima lie on coordinate axes "
-                         "(degenerate branch, no critical polynomial)")
-    # linear factors f_α(t) = R_1 + 2(A_αα - A_11) t, ascending coefficients
-    factors = [np.array([r1, 2.0 * (aa[alpha] - aa[0])]) for alpha in range(d)]
-    sq = [np.polynomial.polynomial.polymul(f, f) for f in factors]
-    total = np.array([1.0])
-    for f2 in sq:
-        total = np.polynomial.polynomial.polymul(total, f2)
-    poly = -total
-    for beta in range(d):
-        term = np.array([0.0, 0.0, r[beta] * r[beta]])  # (R_β t)^2
-        for alpha in range(d):
-            if alpha != beta:
-                term = np.polynomial.polynomial.polymul(term, sq[alpha])
-        poly = np.polynomial.polynomial.polyadd(poly, term)
-    out = np.zeros(2 * d + 1)
-    out[:poly.size] = poly
-    return CriticalData(r, out)
-
-
-def recover_point(q: SymmetricQuadratic, r: np.ndarray, t: float,
-                  seed: int = 0) -> list[np.ndarray]:
-    """Candidate points with first coordinate t, from the quotient formula.
-
-    A near-zero denominator at one coordinate (there can be at most one) is
-    resolved by the unit-norm constraint with both signs.
-    """
-    r = np.asarray(r, dtype=float)
-    d = q.dims.d
-    aa = _distinct_aa(q, seed=seed)
-    r1 = float(r[0])
-    dens = r1 + 2.0 * (aa - aa[0]) * t
-    den_scale = max(abs(r1), float(np.max(np.abs(2.0 * (aa - aa[0]) * t))), 1e-300)
-    degenerate = np.abs(dens) <= 1e-9 * den_scale
-    xi = np.zeros(d)
-    xi[0] = t
-    for alpha in range(1, d):
-        if not degenerate[alpha]:
-            xi[alpha] = r[alpha] * t / dens[alpha]
-    if not degenerate[1:].any():
-        return [xi]
-    alpha0 = 1 + int(np.argmax(degenerate[1:]))
-    rest = float(np.sum(xi ** 2)) - xi[alpha0] ** 2
-    fill = math.sqrt(max(0.0, 1.0 - rest))
-    plus, minus = xi.copy(), xi.copy()
-    plus[alpha0], minus[alpha0] = fill, -fill
-    return [plus, minus]

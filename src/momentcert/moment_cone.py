@@ -8,7 +8,6 @@ re-validates its witness with a dense eigenvalue check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +23,6 @@ from .core import (
     SymmetricQuadratic,
     abs_max,
     abs_scale,
-    bisect_rows,
     margin_verdict,
     moment_tolerance,
 )
@@ -396,26 +394,3 @@ def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) ->
     member, boundary = margin_verdict(residual, moment_tolerance(tol, scale))
     return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
                        witness={"residual": residual}, boundary=boundary)
-
-
-def ray_crossing(direction: RescaledMomentVector, n: int, side: str) -> float:
-    """Largest t >= 0 with (1, t z̃, t z̃z̃) passing the chosen side's test.
-
-    Both condition sets are convex and contain the ray base point strictly, so
-    membership along the ray is an interval: it is bracketed by the first
-    t = 2^k (k < 80) that fails and bisected to rtol 1e-12.
-    """
-    ProblemDims(n, direction.zt.size)  # rejects n < 2 before any division
-    rt = math.sqrt(n)
-
-    def residual(t: np.ndarray) -> np.ndarray:
-        return max_form_terms(np.ones(t.shape), t[:, None] * direction.zt * rt,
-                              t[:, None] * direction.zzt * n, n, side).residual()
-
-    with np.errstate(over="ignore", invalid="ignore"):  # t up to 2^79
-        out = residual(2.0 ** np.arange(80)) < 0.0
-    if not out.any():
-        raise ValueError("direction never leaves the cone")
-    lo, hi = bisect_rows(lambda t: residual(t) >= 0.0, np.zeros(1),
-                         np.array([2.0 ** int(np.argmax(out))]), 1e-12)
-    return float(0.5 * (lo[0] + hi[0]))

@@ -25,7 +25,6 @@ from .core import (
     BALL_TOL,
     DEFAULT_TOL,
     ConeVerdict,
-    Configuration,
     Status,
     SymmetricQuadratic,
     abs_scale,
@@ -70,25 +69,6 @@ class SosWitness:
     g: np.ndarray
     h: np.ndarray
     c: float
-
-
-def pq_evaluate(q: SymmetricQuadratic, pt: EllipsoidPoint) -> float:
-    """P_Q(X,Y) = A0 + Σ √n A_α X_α + (n-1) Σ A_αα X_α² - n Σ A_αα Y_α²."""
-    n, d = q.dims.n, q.dims.d
-    if pt.x.shape != (d,):
-        raise ValueError("point dimension mismatch")
-    return (q.a0 + math.sqrt(n) * float(q.a @ pt.x)
-            + (n - 1) * float(q.aa @ (pt.x * pt.x))
-            - n * float(q.aa @ (pt.y * pt.y)))
-
-
-def config_to_ellipsoid(config: Configuration) -> EllipsoidPoint:
-    """The (X, Y) coordinates induced by a configuration."""
-    n = config.dims.n
-    pts = config.points
-    x = pts.sum(axis=0) / math.sqrt(n)
-    y2 = np.sum(pts * pts, axis=0) / n - x * x / n
-    return EllipsoidPoint(x, np.sqrt(np.maximum(y2, 0.0)))
 
 
 def _py_max(x, y):

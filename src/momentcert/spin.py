@@ -9,6 +9,7 @@ inequalities on it, the three spin-squeezing rows decide detection.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +126,19 @@ def ghz_state(n: int) -> SymmetricState:
     return SymmetricState(n, np.outer(vec, vec.conj()))
 
 
-def mixed(states: list[SymmetricState], weights) -> SymmetricState:
+def mixed(states: Iterable[SymmetricState], weights) -> SymmetricState:
+    """Σ w_i rho_i / Σ w_i, summed one state at a time: ``states`` may be a
+    generator, and then only one component is held at once."""
     w = np.asarray(weights, dtype=float)
-    if w.size != len(states) or np.any(w < 0):
+    if np.any(w < 0):
         raise ValueError("weights must be nonnegative, one per state")
-    w = w / w.sum()
-    n = states[0].n
-    rho = sum(wi * st.rho for wi, st in zip(w, states))
+    w, rho, k = w / w.sum(), 0, 0
+    for k, st in enumerate(states, 1):
+        if k > w.size:
+            break
+        rho, n = rho + w[k - 1] * st.rho, st.n
+    if k == 0 or k != w.size:
+        raise ValueError("weights must be nonnegative, one per state")
     return SymmetricState(n, rho)
 
 
@@ -169,25 +176,6 @@ def moments_from_spin(sm: SpinMoments, n: int) -> MomentVector:
     return MomentVector(ProblemDims(n, 3), 1.0,
                         [2.0 * sm.jx, 2.0 * sm.jy, 2.0 * sm.jz],
                         [4.0 * sm.jx2 - n, 4.0 * sm.jy2 - n, 4.0 * sm.jz2 - n])
-
-
-def spin_form_residuals(sm: SpinMoments, n: int) -> dict[tuple[int, ...], float]:
-    """The eight necessary inequalities written directly in spin language,
-    as (LHS - RHS) residuals of the 'separable implies >=' forms."""
-    vx = sm.jx2 - sm.jx ** 2
-    vy = sm.jy2 - sm.jy ** 2
-    vz = sm.jz2 - sm.jz ** 2
-    s2 = sm.jx2 + sm.jy2 + sm.jz2
-    return {
-        (0, 0, 0): 2.0 * (vx + vy + vz) - n,
-        (1, 0, 0): 4.0 * (n - 1) * (vy + vz) - n * (n - 2) - 4.0 * sm.jx2,
-        (0, 1, 0): 4.0 * (n - 1) * (vx + vz) - n * (n - 2) - 4.0 * sm.jy2,
-        (0, 0, 1): 4.0 * (n - 1) * (vy + vx) - n * (n - 2) - 4.0 * sm.jz2,
-        (0, 1, 1): 4.0 * (n - 1) * vx - 4.0 * (sm.jy2 + sm.jz2) + 2.0 * n,
-        (1, 0, 1): 4.0 * (n - 1) * vy - 4.0 * (sm.jx2 + sm.jz2) + 2.0 * n,
-        (1, 1, 0): 4.0 * (n - 1) * vz - 4.0 * (sm.jy2 + sm.jx2) + 2.0 * n,
-        (1, 1, 1): n * (n + 2) - 4.0 * s2,
-    }
 
 
 def spin_form_scale(pattern: tuple[int, ...], n: int) -> float:

@@ -11,7 +11,13 @@ import math
 import time
 
 import numpy as np
-from d1_facets import facet_residuals
+from reference_forms import (
+    critical_polynomial,
+    critical_r,
+    facet_residuals,
+    ray_crossing,
+    spin_form_residuals,
+)
 
 from momentcert.core import (
     DEFAULT_TOL,
@@ -36,19 +42,13 @@ from momentcert.fuzz import (
     route_disagreements,
     soundness_suite,
 )
-from momentcert.halfdeg import (
-    critical_polynomial,
-    critical_r,
-    full_bruteforce_min,
-    reduced_global_min,
-)
+from momentcert.halfdeg import full_bruteforce_min, reduced_global_min
 from momentcert.moment_cone import (
     NECESSARY,
     SUFFICIENT,
     classify,
     lmi_dual_feasibility,
     necessary_condition,
-    ray_crossing,
     sufficient_condition,
 )
 from momentcert.sos_cone import (
@@ -63,7 +63,6 @@ from momentcert.spin import (
     entanglement_witness,
     moments_from_spin,
     random_state,
-    spin_form_residuals,
     spin_form_scale,
     spin_moments,
 )
@@ -179,12 +178,12 @@ def test_criterion_5_half_degree():
                 r = critical_r(q, cfg)
                 rscale = float(np.max(np.abs(r)))
                 if rscale > 0.0 and abs(r[0]) > 1e-6 * rscale:
-                    data = critical_polynomial(q, r, seed=seed)
-                    pscale = float(np.max(np.abs(data.poly_coeffs)))
+                    coeffs = critical_polynomial(q, r, seed=seed)
+                    pscale = float(np.max(np.abs(coeffs)))
                     poly_checked += 1
                     for xi in cfg.points:
                         pv = float(np.polynomial.polynomial.polyval(
-                            float(xi[0]), data.poly_coeffs))
+                            float(xi[0]), coeffs))
                         if abs(pv) > 1e-6 * pscale:
                             poly_fail += 1
                             break

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -796,6 +797,20 @@ def test_spin_components_below_two_refused(capsys):
     assert code == 0 and out.startswith("verdict: ")
 
 
+def test_spin_mixed_preset_peak_memory_is_flat_in_components(capsys):
+    """The mixed preset sums its components one at a time, so 24 of them peak
+    no higher than 3 (holding all 24 dense rho would take 8 times more)."""
+    peaks = []
+    for k in ("2", "3", "24"):  # the first call keeps imports and caches out of the others
+        tracemalloc.start()
+        try:
+            assert run(capsys, "spin", "--preset", "mixed", "--n", "128", "--components", k)[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.5 * peaks[1], peaks
+
+
 def test_spin_n_below_two_refused(capsys):
     for preset in ("coherent", "dicke", "ghz", "mixed"):
         for n in ("-1", "0", "1"):
@@ -806,6 +821,9 @@ def test_spin_n_below_two_refused(capsys):
 def test_spin_invalid_dicke_m_refused(capsys):
     code, out, err = run(capsys, "spin", "--preset", "dicke", "--n", "4", "--m", "0.5")
     assert (code, out, err) == (64, "", "error: invalid magnetic number m=0.5 for n=4\n")
+    for m in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "spin", "--preset", "dicke", "--n", "4", f"--m={m}")
+        assert (code, out, err) == (64, "", f"error: --m must be finite, got {m}\n")
 
 
 def test_spin_preset_n_above_bound_refused(capsys):
@@ -875,7 +893,9 @@ def test_ellipsoid_minimum_on_an_empty_bisection_interval(capsys):
     import math
 
     from momentcert.core import DEFAULT_TOL, ProblemDims, SymmetricQuadratic, scaled_tolerance
-    from momentcert.sos_cone import EllipsoidPoint, pq_evaluate
+    from reference_forms import pq_evaluate
+
+    from momentcert.sos_cone import EllipsoidPoint
 
     def strict(name):
         raise ValueError(f"non-finite number {name} in the output")

@@ -6,7 +6,7 @@ import math
 import tracemalloc
 
 import numpy as np
-from d1_facets import c_n1_residuals, facet_residuals
+from reference_forms import c_n1_residuals, coeffs_from_rescaled, facet_residuals
 
 from momentcert.core import (
     MomentVector,
@@ -232,7 +232,6 @@ def test_limit_cone_is_large_n_limit_of_sigma():
     """A strictly PSD rescaled point is accepted by sigma for large n."""
     b = (1.0, 0.5, 0.4)  # [[0.6, .25], [.25, .4]]: det = 0.1775 > 0
     assert limit_cone_d1(b).is_member
-    from momentcert.core import coeffs_from_rescaled
     for n in (64, 256, 1024):
         assert sigma_n1_membership(coeffs_from_rescaled(b, n)).is_member
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference_forms import ray_crossing
 
 from momentcert.core import (
     DEFAULT_TOL,
@@ -24,7 +25,6 @@ from momentcert.moment_cone import (
     max_form_residual_batch,
     necessary_condition,
     pattern_of_index,
-    ray_crossing,
     separating_polynomial,
     sufficient_condition,
 )

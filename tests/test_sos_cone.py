@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference_forms import config_to_ellipsoid, pq_evaluate
 
 from momentcert.core import (
     Configuration,
@@ -15,9 +16,7 @@ from momentcert.exact_d1 import p_n1_membership, sigma_n1_membership
 from momentcert.sos_cone import (
     EllipsoidPoint,
     SosWitness,
-    config_to_ellipsoid,
     ellipsoid_quadratic_min,
-    pq_evaluate,
     sigma_membership_lmi,
     sigma_prime_membership,
     sigma_rows,

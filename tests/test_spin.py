@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from reference_forms import spin_form_residuals
 
 from momentcert.core import DEFAULT_TOL, margin_verdict
 from momentcert.moment_cone import NECESSARY, expand_inequalities
@@ -20,7 +21,6 @@ from momentcert.spin import (
     mixed,
     moments_from_spin,
     random_state,
-    spin_form_residuals,
     spin_form_scale,
     spin_moments,
 )
@@ -351,3 +351,8 @@ def test_mixed_validation():
         mixed([a, b], [1.0])
     with pytest.raises(ValueError):
         mixed([a, b], [1.0, -1.0])
+    with pytest.raises(ValueError, match="one per state"):
+        mixed(iter([a, b, a]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="one per state"):
+        mixed(iter([]), [])
+    assert np.array_equal(mixed(iter([a, b]), [1.0, 3.0]).rho, mixed([a, b], [1.0, 3.0]).rho)
