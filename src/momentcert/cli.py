@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import heapq
 import io
 import json
 import math
@@ -465,29 +464,25 @@ def _block_texts(parts: list):
     """``texts(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per d-group,
     the input positions of its rows (ascending), their record shapes, and
     ``tree(ks)``, the record tree of group rows ks, all of one shape.  The
-    rows of one d-group and shape are a stream in input order, which builds
-    the texts of its next JSON_BLOCK rows when the writer first needs one
-    of them; built texts wait in ``pending`` until they are written."""
+    rows of one d-group and shape are a stream in input order, cut into
+    blocks of JSON_BLOCK rows; a block's texts are built when the writer
+    first needs one of its rows, and wait in ``pending`` until written."""
     pending = np.empty(sum(index.size for index, _, _ in parts), dtype=object)
-    # per unfinished stream: the input position of its next row (no two
-    # streams share one, so the heap orders by it alone), that row, the
-    # stream's input positions and group rows, and its tree
-    heap = []
+    # per block: the input position of its first row (no two blocks share
+    # one), its input positions and group rows, and its tree; sorted so that
+    # the next block to build is the last
+    blocks = []
     for index, shape, tree in parts:
         order = np.argsort(shape, kind="stable")
         for ks in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
-            heap.append((int(index[ks[0]]), 0, index[ks], ks, tree))
-    heapq.heapify(heap)
+            blocks += [(int(index[ks[s]]), index[ks[s:s + JSON_BLOCK]], ks[s:s + JSON_BLOCK], tree)
+                       for s in range(0, ks.size, JSON_BLOCK)]
+    blocks.sort(key=itemgetter(0), reverse=True)
 
     def texts(lo: int, hi: int) -> list:
-        while heap and heap[0][0] < hi:
-            _, s, pos, ks, tree = heap[0]
-            e = s + JSON_BLOCK
-            pending[pos[s:e]] = _record_texts(tree(ks[s:e]))
-            if e < ks.size:
-                heapq.heapreplace(heap, (int(pos[e]), e, pos, ks, tree))
-            else:
-                heapq.heappop(heap)
+        while blocks and blocks[-1][0] < hi:
+            _, pos, ks, tree = blocks.pop()
+            pending[pos] = _record_texts(tree(ks))
         out = pending[lo:hi].tolist()
         pending[lo:hi] = None
         return out

@@ -92,13 +92,15 @@ def max_form_residual_batch(z0, z, zz, n, side: str = NECESSARY) -> np.ndarray:
 
 class ConditionRows(NamedTuple):
     """One side's test per row: verdict, max-form residual, its sign pattern
-    (B, d), z0 > tol·scale (true for the zero vector) and the side's z0."""
+    (B, d), z0 > tol·scale (true for the zero vector), the side's z0, and
+    boundary: a nonzero passing row with residual < tol·scale²."""
 
     ok: np.ndarray
     residual: np.ndarray
     pattern: np.ndarray
     z0_ok: np.ndarray
     z0e: np.ndarray
+    boundary: np.ndarray
 
 
 def _scale_and_zero(z0, z, zz):
@@ -113,8 +115,9 @@ def condition_rows(z0, z, zz, n, side: str, tol: float, scale, zero) -> Conditio
     terms = max_form_terms(z0, z, zz, n, side)
     residual = terms.residual()
     z0_ok = zero | (z0 > tol * scale)
-    ok = z0_ok & (zero | margin_verdict(residual, moment_tolerance(tol, scale))[0])
-    return ConditionRows(ok, residual, terms.pattern(), z0_ok, terms.z0e)
+    member, edge = margin_verdict(residual, moment_tolerance(tol, scale))
+    ok = z0_ok & (zero | member)
+    return ConditionRows(ok, residual, terms.pattern(), z0_ok, terms.z0e, ok & ~zero & edge)
 
 
 def _report(side: str, rows: ConditionRows, k: int) -> InequalityReport:
@@ -303,8 +306,7 @@ def classify_rows(z0, z, zz, n, tol: float = DEFAULT_TOL) -> MomentRows:
     suf = condition_rows(z0, z, zz, n, SUFFICIENT, tol, scale, zero)
     nec = condition_rows(z0, z, zz, n, NECESSARY, tol, scale, zero)
     status = ~suf.ok * (1 + nec.ok)  # 0 Member, 1 NonMember, 2 Indeterminate
-    boundary = suf.ok & ~zero & margin_verdict(suf.residual, moment_tolerance(tol, scale))[1]
-    return MomentRows(status, boundary, scale, zero, suf, nec)
+    return MomentRows(status, suf.boundary, scale, zero, suf, nec)
 
 
 def _row_dot(x, y):

@@ -331,7 +331,7 @@ def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
         return ConeVerdict(Status.NON_MEMBER,
                            witness={"empty_c_interval": c_range}), feas
     if r.member[0]:
-        witness = sos_witness(q, c, validate=False)
+        witness = sos_witness(q, c)
         return ConeVerdict(Status.MEMBER,
                            witness={"c": c, "slack": slack, "sos": witness},
                            boundary=bool(r.boundary[0])), feas
@@ -347,12 +347,10 @@ def sigma_prime_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> C
     return verdict
 
 
-def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True) -> SosWitness:
-    """Reconstruct (G, H, c) from a feasible LMI parameter.
-
-    ``c_lmi`` is the pencil parameter; the proof-scale parameter stored in the
-    witness is c = c_lmi / n.
-    """
+def sos_witness(q: SymmetricQuadratic, c_lmi: float) -> SosWitness:
+    """Build (G, H, c) from the LMI parameter ``c_lmi`` for any c_lmi,
+    feasible or not: the proof-scale parameter stored in the witness is
+    c = c_lmi / n.  :func:`verify_sos_witness` is the one test of it."""
     n, d = q.dims.n, q.dims.d
     c = c_lmi / n
     g0 = q.a0 - c_lmi
@@ -363,12 +361,6 @@ def sos_witness(q: SymmetricQuadratic, c_lmi: float, validate: bool = True) -> S
     g[0, 1:] = q.a / 2.0
     g[1:, 0] = q.a / 2.0
     g[np.arange(1, d + 1), np.arange(1, d + 1)] = g_diag
-    if validate:
-        t = scaled_tolerance(DEFAULT_TOL, q.coeff_scale(), n)
-        eig_min = float(np.linalg.eigvalsh(g)[0])
-        if eig_min < -t or float(np.min(h)) < -t:
-            raise ValueError(f"infeasible parameter c_lmi={c_lmi}: "
-                             f"eig_min(G)={eig_min}, min h={float(np.min(h))}")
     return SosWitness(g, h, c)
 
 

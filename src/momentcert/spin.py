@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -209,12 +209,8 @@ class WitnessReport:
     necessary: list[InequalityResult]  # the three squeezing rows
 
     def to_json_dict(self) -> dict:
-        return {"verdict": self.verdict,
-                "moments": self.moments.to_json_dict(),
-                "necessary": [{"pattern": list(r.pattern), "label": r.label,
-                               "lhs": r.lhs, "rhs": r.rhs, "residual": r.residual,
-                               "spin_residual": r.spin_residual, "violated": r.violated}
-                              for r in self.necessary]}
+        return {"verdict": self.verdict, "moments": self.moments.to_json_dict(),
+                "necessary": list(map(asdict, self.necessary))}
 
 
 def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> WitnessReport:
@@ -233,21 +229,15 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
         raise ValueError("witness needs n >= 2")
     sm = spin_moments(state)
     m = moments_from_spin(sm, n)
-    t = spin_tolerance(tol, n)
     res, lhs, rhs = expand_inequalities(m, NECESSARY)
-    rows, trivial_ok = [], True
-    for idx in range(res.size):
-        pattern = pattern_of_index(idx, 3)
-        spin_res = spin_form_scale(pattern, n) * float(res[idx])
-        ok = margin_verdict(spin_res, t)[0]
-        if pattern in TRIVIAL:
-            trivial_ok &= ok
-        elif pattern in PATTERN_LABELS:
-            rows.append(InequalityResult(pattern, PATTERN_LABELS[pattern],
-                                         float(lhs[idx]), float(rhs[idx]),
-                                         float(res[idx]), spin_res, not ok))
-    if not trivial_ok:
+    patterns = [pattern_of_index(k, 3) for k in range(res.size)]
+    spin_res = np.array([spin_form_scale(p, n) for p in patterns]) * res
+    ok = margin_verdict(spin_res, spin_tolerance(tol, n))[0]
+    if not all(ok[patterns.index(p)] for p in TRIVIAL):
         raise ValueError("state moments violate a universal quantum constraint; "
                          "the input is not a valid density matrix")
+    rows = [InequalityResult(p, PATTERN_LABELS[p], float(lhs[k]), float(rhs[k]),
+                             float(res[k]), float(spin_res[k]), not ok[k])
+            for k, p in enumerate(patterns) if p in PATTERN_LABELS]
     verdict = DETECTED if any(r.violated for r in rows) else INCONCLUSIVE
     return WitnessReport(verdict, m, rows)

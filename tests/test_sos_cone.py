@@ -180,7 +180,7 @@ def test_verify_sos_witness_rejects_non_certificates():
     # Q(0) = -1, yet the polynomial identity holds for c = 0: G has the
     # eigenvalue -1.5 and h the entry -0.25, so the witness must be rejected
     q = SymmetricQuadratic(ProblemDims(4, 2), -1.0, [0.5, 0.0], [1.0, -2.0])
-    assert verify_sos_witness(sos_witness(q, 0.0, validate=False), q) == math.inf
+    assert verify_sos_witness(sos_witness(q, 0.0), q) == math.inf
     # a valid witness with one part corrupted at a time
     q = SymmetricQuadratic(ProblemDims(5, 2), 4.0, [0.2, -0.1], [0.3, 0.1])
     v, feas = sigma_membership_lmi(q)
@@ -218,10 +218,10 @@ def test_lmi_c_is_never_on_a_pole_of_the_schur_slack(a1):
     assert verify_sos_witness(sos_witness(q, feas.c), q) < 1e-12
 
 
-def test_sos_witness_refuses_infeasible_c():
+def test_verify_sos_witness_rejects_infeasible_c():
+    """sos_witness builds a witness for any c; the verifier rejects it."""
     q = SymmetricQuadratic(ProblemDims(4, 1), 0.1, [0.0], [1.0])
-    with pytest.raises(ValueError):
-        sos_witness(q, 4.0)  # g0 = 0.1 - 4 < 0
+    assert verify_sos_witness(sos_witness(q, 4.0), q) == math.inf  # g0 = 0.1 - 4 < 0
 
 
 def test_member_nonnegative_on_configurations():
