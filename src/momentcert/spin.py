@@ -90,8 +90,8 @@ class SpinMoments:
     jz2: float
 
 
-def coherent_state(n: int, theta: float, phi: float) -> SymmetricState:
-    """Product state of n identical qubits pointing along (theta, phi).
+def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
+    """Dicke-basis amplitudes of n identical qubits pointing along (theta, phi).
 
     The amplitudes sqrt(C(n,k)) cos(θ/2)^(n-k) (sin(θ/2) e^{iφ})^k are built
     in log space and then normalised, so neither C(n,k) nor the powers
@@ -106,6 +106,12 @@ def coherent_state(n: int, theta: float, phi: float) -> SymmetricState:
     amps = (np.exp(log_mag - log_mag.max()) * np.sign(c) ** (n - k)
             * np.sign(s) ** k * np.exp(1j * phi * k))
     amps /= np.linalg.norm(amps)
+    return amps
+
+
+def coherent_state(n: int, theta: float, phi: float) -> SymmetricState:
+    """Product state of n identical qubits pointing along (theta, phi)."""
+    amps = coherent_amplitudes(n, theta, phi)
     return SymmetricState(n, np.outer(amps, amps.conj()))
 
 
@@ -126,20 +132,26 @@ def ghz_state(n: int) -> SymmetricState:
     return SymmetricState(n, np.outer(vec, vec.conj()))
 
 
-def mixed(states: Iterable[SymmetricState], weights) -> SymmetricState:
-    """Σ w_i rho_i / Σ w_i, summed one state at a time: ``states`` may be a
-    generator, and then only one component is held at once."""
+def mixture(rhos: Iterable[np.ndarray], weights) -> np.ndarray:
+    """Σ w_i rho_i / Σ w_i of density-matrix arrays, summed one at a time:
+    ``rhos`` may be a generator, and then only one component is held at once."""
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative, one per state")
     w, rho, k = w / w.sum(), 0, 0
-    for k, st in enumerate(states, 1):
+    for k, r in enumerate(rhos, 1):
         if k > w.size:
             break
-        rho, n = rho + w[k - 1] * st.rho, st.n
+        rho = rho + w[k - 1] * r
     if k == 0 or k != w.size:
         raise ValueError("weights must be nonnegative, one per state")
-    return SymmetricState(n, rho)
+    return rho
+
+
+def mixed(states: Iterable[SymmetricState], weights) -> SymmetricState:
+    """The :func:`mixture` of the states' rho, validated once as a state."""
+    rho = mixture((st.rho for st in states), weights)
+    return SymmetricState(rho.shape[0] - 1, rho)
 
 
 def random_state(n: int, seed: int) -> SymmetricState:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -269,18 +271,24 @@ def test_slice_grid_matches_scalar_api(capsys):
 
 
 def test_fuzz_suite_runs(capsys, monkeypatch):
-    """The JSON report is the suite's at --seed; with LEMMA_TOL < 0 every
-    lemma target is a violation, and each record shows the seed."""
+    """The JSON report of every suite is the suite's at --seed; with LEMMA_TOL
+    or HALFDEG_TOL < 0 every lemma target or halfdeg instance is a
+    violation, and each record shows the seed."""
     from momentcert import fuzz
-    for suite, iters, seed, tol in (("soundness", 200, 0, fuzz.LEMMA_TOL),
-                                    ("lemma", 50, 106, fuzz.LEMMA_TOL), ("lemma", 50, 106, -1.0)):
-        monkeypatch.setattr(fuzz, "LEMMA_TOL", tol)
-        code, out, _ = run(capsys, "--seed", str(seed), "--output", "json", "fuzz",
-                           "--suite", suite, "--iters", str(iters))
-        want, obj = fuzz.SUITES[suite](iters, seed=seed), json.loads(out)
+    iters = {"halfdeg": 2, "lemma": 50}  # a halfdeg instance runs a brute-force search
+    cases = [(suite, iters.get(suite, 200), None) for suite in fuzz.SUITES]
+    cases += [("lemma", 50, "LEMMA_TOL"), ("halfdeg", 2, "HALFDEG_TOL")]
+    for suite, count, negative in cases:
+        with monkeypatch.context() as mp:
+            if negative:
+                mp.setattr(fuzz, negative, -1.0)
+            code, out, _ = run(capsys, "--seed", "106", "--output", "json", "fuzz",
+                               "--suite", suite, "--iters", str(count))
+            want, obj = fuzz.SUITES[suite](count, seed=106), json.loads(out)
         assert (code, obj["iterations"], obj["passed"], obj["violations"]) == (
-            int(tol < 0), iters, tol >= 0, want.violations)
-    assert len(want.violations) == 50 and want.violations[0]["seed"] == 106
+            int(bool(negative)), want.iterations, not negative, want.violations), suite
+        if negative:
+            assert [v["seed"] for v in want.violations] == [106] * count, suite
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
@@ -811,6 +819,16 @@ def test_spin_mixed_preset_peak_memory_is_flat_in_components(capsys):
     assert peaks[2] < 1.5 * peaks[1], peaks
 
 
+def test_spin_mixed_preset_validates_only_the_mixture(capsys, monkeypatch):
+    """The mixed preset adds its components' outer products and validates the
+    sum as one state: one Cholesky factor, not one more per component."""
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    assert run(capsys, "spin", "--preset", "mixed", "--n", "8", "--components", "5")[0] == 0
+    assert calls == [(9, 9)]
+
+
 def test_spin_n_below_two_refused(capsys):
     for preset in ("coherent", "dicke", "ghz", "mixed"):
         for n in ("-1", "0", "1"):
@@ -859,6 +877,30 @@ def test_slice_grid_below_one_refused(capsys):
     code, out, _ = run(capsys, "slice", "--cone", "Sigma", "--plane", plane,
                        "--n", "5", "--d", "1", "--grid", "1")
     assert code == 0 and out.splitlines()[1:] == ["grid,-1,-1,0"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["check-moments"], "{bad", "{path}: invalid JSON at line 1"),
+    (["check-poly"], "{bad", "{path}: invalid JSON at line 1"),
+    (["check-moments"], "", "{path}: empty file"),
+    (["check-moments"], "a,b,c\n4,1,1\n", "{path}: line 1: header must start with n,d,z0"),
+    (["check-moments"], "n,d,z0,z1,z11\n\n  \n", "{path}: no data rows"),
+    (["check-moments", "--n", "4"], None, "inline mode needs --n, --d, --z0, --z, --zz"),
+    (["check-poly", "--n", "4"], None, "inline mode needs --n, --d, --a0, --a, --aa"),
+    (["slice", "--cone", "Sigma", "--n", "4", "--d", "1", "--plane",
+      json.dumps({"base": [1, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})], None,
+     "plane needs base of length 3 and two direction vectors of the same length"),
+    (["spin", "--preset", "ghz"], None, "--preset needs --n"),
+    (["spin", "--preset", "dicke", "--n", "4"], None, "--preset dicke needs --m"),
+])
+def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
+    """Each refusal exits 64 with empty stdout and its one stderr line;
+    ``text`` is the content of the --file, when one is given."""
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+        argv = [*argv, "--file", str(path)]
+    assert run(capsys, *argv) == (64, "", f"error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("route", ("lmi", "ellipsoid", "exact-d1"))
@@ -1056,6 +1098,27 @@ def test_one_parser_serves_every_call_of_a_process(capsys):
                             capture_output=True) for argv in argvs]
     assert together == [(p.returncode, p.stdout.decode()) for p in apart]
     assert [code for code, _ in together] == [1, 0, 2, 0, 0, 1]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_with_empty_stderr(unbuffered):
+    """When the reader closes stdout before the run writes, the run exits 141
+    (128 + SIGPIPE) with nothing on stderr, whether a write or the final
+    flush meets the closed pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (("--output", "json", "spin", "--n", "6", "--preset", "dicke", "--m", "1"),
+                 ("check-moments", "--n", "4", "--d", "1", "--z0", "1", "--z", "0", "--zz", "0")):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            p = subprocess.run([sys.executable, "-m", "momentcert.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write)
+        assert (p.returncode, p.stderr) == (141, b""), argv
 
 
 def _scaled(argv: list, values: dict, s: float) -> list:
