@@ -8,27 +8,18 @@ from .core import (
     Configuration,
     MomentVector,
     ProblemDims,
-    RescaledMomentVector,
     Status,
     SymmetricQuadratic,
     evaluate,
     moments_of_configuration,
     pair,
     power_sums,
-    rescale_moments,
-    unrescale_moments,
 )
-from .exact_d1 import (
-    c_n1_membership,
-    limit_cone_d1,
-    p_n1_membership,
-    sigma_n1_membership,
-)
+from .exact_d1 import c_n1_membership, p_n1_membership
 from .halfdeg import full_bruteforce_min, reduced_global_min
 from .measures import AtomicMeasure, lemma_approx_construct, measure_moments
 from .moment_cone import (
     classify,
-    limit_cone_membership,
     necessary_condition,
     separating_polynomial,
     sufficient_condition,
@@ -36,7 +27,6 @@ from .moment_cone import (
 from .sos_cone import (
     ellipsoid_quadratic_min,
     sigma_membership_lmi,
-    sigma_prime_membership,
     sos_witness,
     verify_sos_witness,
 )
@@ -57,7 +47,6 @@ __all__ = [
     "Configuration",
     "MomentVector",
     "ProblemDims",
-    "RescaledMomentVector",
     "Status",
     "SymmetricQuadratic",
     "SymmetricState",
@@ -71,8 +60,6 @@ __all__ = [
     "full_bruteforce_min",
     "ghz_state",
     "lemma_approx_construct",
-    "limit_cone_d1",
-    "limit_cone_membership",
     "measure_moments",
     "moments_of_configuration",
     "necessary_condition",
@@ -80,14 +67,10 @@ __all__ = [
     "pair",
     "power_sums",
     "reduced_global_min",
-    "rescale_moments",
     "separating_polynomial",
     "sigma_membership_lmi",
-    "sigma_n1_membership",
-    "sigma_prime_membership",
     "sos_witness",
     "spin_moments",
     "sufficient_condition",
-    "unrescale_moments",
     "verify_sos_witness",
 ]

@@ -79,6 +79,10 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before all was written
 #: 358 MB peak at n = 2048 (mixed, 3 components: 2.1 s, 364 MB), and coherent
 #: 3.0 s and 1.32 GB at n = 4096.  --state files are not bounded
 MAX_PRESET_N = 4096
+#: the largest slice --grid.  A slice holds its g^2 points and their verdicts,
+#: about 0.35 KB a cell at d = 1: at the bound, --cone Sigma --n 4 took 2.9 s
+#: and 340 MB peak at d = 1 and 3.4 s and 705 MB at d = 3 (2-core Xeon)
+MAX_SLICE_GRID = 1000
 
 
 @dataclass
@@ -90,6 +94,8 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
 
 class InputError(Exception):
@@ -737,8 +743,7 @@ CONES = ("P", "Sigma", "SigmaPrime", "C-nec", "C-suf", "limit")
 
 def _cone_tester(cone: str, n: int, d: int, tol: float):
     """Membership predicate over points (K, 1+2d) in the cone's coordinates
-    (a0, a, aa) or (z0, z, zz): one kernel call per batch of points.  A
-    non-finite point is an input error."""
+    (a0, a, aa) or (z0, z, zz): one kernel call per batch of points."""
     ProblemDims(n, d)  # rejects n < 2 and d < 1
     if cone in ("P", "limit") and d != 1:
         raise InputError("cone P is exactly decidable only at d=1" if cone == "P"
@@ -752,13 +757,7 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
         "limit": lambda b0, b1, b11: limit_cone_rows(b0, b1[:, 0], b11[:, 0], tol)[2],
     }
     kernel = kernels[cone]  # --cone is one of CONES
-
-    def member(v):
-        if not np.isfinite(v).all():
-            raise InputError("plane point is not finite")
-        return kernel(v[:, 0], v[:, 1:1 + d], v[:, 1 + d:])
-
-    return member
+    return lambda v: kernel(v[:, 0], v[:, 1:1 + d], v[:, 1 + d:])
 
 
 def cmd_slice(args, cfg: RunConfig) -> int:
@@ -773,16 +772,29 @@ def cmd_slice(args, cfg: RunConfig) -> int:
     if lo.shape != (2,) or hi.shape != (2,):
         raise InputError("invalid plane spec: lo and hi must be two numbers each")
     n, d, g = args.n, args.d, _count(args, "grid", 1)
+    if g > MAX_SLICE_GRID:
+        raise InputError(f"--grid must be <= MAX_SLICE_GRID={MAX_SLICE_GRID}, got {g}")
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "
                          f"direction vectors of the same length")
     member = _cone_tester(args.cone, n, d, cfg.tol)
-    xs = np.linspace(lo[0], hi[0], g)
-    ys = np.linspace(lo[1], hi[1], g)
 
     def points(x, y):
         return base + x[..., None] * dirs[0] + y[..., None] * dirs[1]
 
+    # A point's coordinates, as rounded here, are monotone in x and in y, so
+    # on the box [lo, hi] they lie between their values at its corners: the
+    # finiteness rule and the certify row rules (``_checked``) hold at every
+    # grid and bisection point when they hold at the corners.  An n past the
+    # float range is refused by the n < 2^53 rule, as 2^53 is.
+    corners = points(np.array([lo[0], lo[0], hi[0], hi[0]]), np.array([lo[1], hi[1]] * 2))
+    if not np.isfinite(corners).all():
+        raise InputError("plane point is not finite")
+    _checked(np.full(4, float(min(n, 2 ** 53))), np.full(4, d),
+             lambda idx, d: (corners[:, 0], corners[:, 1:1 + d], corners[:, 1 + d:]),
+             POLY_FIELDS if args.cone in ("P", "Sigma", "SigmaPrime") else MOMENT_FIELDS)
+    xs = np.linspace(lo[0], hi[0], g)
+    ys = np.linspace(lo[1], hi[1], g)
     grid = member(points(*np.meshgrid(xs, ys, indexing="ij")).reshape(-1, 1 + 2 * d)
                   ).reshape(g, g).astype(int)
     # each member cell against its four neighbours, in scan order

@@ -159,23 +159,6 @@ class Configuration:
         object.__setattr__(self, "points", pts)
 
 
-@dataclass(frozen=True)
-class RescaledMomentVector:
-    """Moments in the large-n coordinates z̃_α = z_α/√n, z̃_αα = z_αα/n."""
-
-    z0: float
-    zt: np.ndarray
-    zzt: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z0", float(self.z0))
-        if not math.isfinite(self.z0):
-            raise ValueError("z0 must be finite")
-        d = np.asarray(self.zt, dtype=float).size
-        _frozen_vector(self, "zt", self.zt, d)
-        _frozen_vector(self, "zzt", self.zzt, d)
-
-
 class Status(str, Enum):
     MEMBER = "Member"
     NON_MEMBER = "NonMember"
@@ -350,12 +333,3 @@ def pair(q: SymmetricQuadratic, m: MomentVector) -> float:
         raise ValueError(f"dimension mismatch: {q.dims} vs {m.dims}")
     return q.a0 * m.z0 + float(q.a @ m.z) + float(q.aa @ m.zz)
 
-
-def rescale_moments(m: MomentVector) -> RescaledMomentVector:
-    n = m.dims.n
-    return RescaledMomentVector(m.z0, m.z / math.sqrt(n), m.zz / n)
-
-
-def unrescale_moments(rm: RescaledMomentVector, dims: ProblemDims) -> MomentVector:
-    n = dims.n
-    return MomentVector(dims, rm.z0, rm.zt * math.sqrt(n), rm.zzt * n)

@@ -1,13 +1,10 @@
 """Exact polyhedral membership tests for the d=1 cones.
 
 These are the ground-truth oracles at d=1: the facets of the nonnegativity
-and moment cones (at most four decide a row), the closed-form interval
-minimum behind the sum-of-squares cone, and the 2x2 PSD limit cone.
+and moment cones (at most four decide a row) and the 2x2 PSD limit cone.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -129,44 +126,6 @@ def c_n1_membership(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
     return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER, witness, boundary)
 
 
-def sigma_n1_min(a0, a1, a11, n: int, expanded: bool = False):
-    """Minimum of P_Q(X) = A0 - n A11 + √n A1 X + n A11 X² over [-√n, √n] and
-    an attaining X (the lower endpoint on ties).
-
-    Scalars or arrays of shape (B,) in, the same shapes out.  With
-    expanded=True A0 is scaled by n/(n-1), which gives the outer companion
-    cone Sigma'.
-    """
-    a0 = np.asarray(a0, dtype=float) * (n / (n - 1) if expanded else 1.0)
-    a1 = np.asarray(a1, dtype=float)
-    a11 = np.asarray(a11, dtype=float)
-    rt = math.sqrt(n)
-    c0 = a0 - n * a11
-    c1 = rt * a1
-    c2 = n * a11
-    lo_val = c0 - c1 * rt + c2 * n
-    hi_val = c0 + c1 * rt + c2 * n
-    best = np.minimum(lo_val, hi_val)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xv = np.where(c2 > 0.0, -c1 / (2.0 * c2), 0.0)
-    vert = c0 + c1 * xv + c2 * xv * xv
-    use_vert = (c2 > 0.0) & (np.abs(xv) < rt) & (vert < best)
-    x = np.where(use_vert, xv, np.where(hi_val < lo_val, rt, -rt))
-    return np.where(use_vert, vert, best), x
-
-
-def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
-                        tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Closed-form d=1 test for the SOS cone (expanded=True gives its outer
-    companion with A0 scaled by n/(n-1)): :func:`sigma_n1_min` on one row."""
-    _require_d1(q.dims)
-    n = q.dims.n
-    val, x = (float(v) for v in sigma_n1_min(q.a0, q.a[0], q.aa[0], n, expanded))
-    member, boundary = margin_verdict(val, scaled_tolerance(tol, q.coeff_scale(), n))
-    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
-                       witness={"min_value": val, "argmin_x": x}, boundary=boundary)
-
-
 def limit_cone_rows(b0, b1, b11, tol: float = DEFAULT_TOL):
     """PSD test for [[B0-B11, B1/2], [B1/2, B11]], the large-n d=1 limit cone,
     over rows (B,): the corner B0-B11 and det per row, and member and boundary
@@ -179,11 +138,3 @@ def limit_cone_rows(b0, b1, b11, tol: float = DEFAULT_TOL):
     margin = np.minimum(np.minimum(m00, b11), det / scale)
     return (m00, det, *margin_verdict(margin, tol * scale))
 
-
-def limit_cone_d1(b: tuple[float, float, float], tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """PSD test for the large-n d=1 limit cone: :func:`limit_cone_rows` on one row."""
-    m00, det, member, boundary = (v[0].item()
-                                  for v in limit_cone_rows(*([x] for x in b), tol=tol))
-    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
-                       witness={"top_left": m00, "bottom_right": float(b[2]), "det": det},
-                       boundary=boundary)

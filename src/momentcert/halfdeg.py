@@ -10,7 +10,8 @@ is solved in a Householder basis of each point's tangent space
 GTOL = sqrt(eps) times the problem's scale, the finest gradient that its
 strict-decrease line search can resolve.  A brute-force random-search oracle
 runs the same descent on unreduced configurations.  A search over more than
-MAX_PATTERNS patterns is refused before it starts.
+MAX_PATTERNS patterns, or with a Newton Hessian of order over
+MAX_HESSIAN_ORDER, is refused before it starts.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ CLUSTER_TOL = 1e-5
 #: 2.1 ms at d=2 and 3.4 ms at d=3, p90 3.3 and 6.6 ms, over the n=3..8
 #: Gaussian grid of the bench, 32 restarts, 2-core x86-64), more as n and d grow
 MAX_PATTERNS = 1000
+#: largest order m(d-1) of the Newton Hessian of a d >= 2 pattern search, m =
+#: min(n, 2d) points: each step forms and runs eigh on restarts x order^2
+#: floats, about 4x the memory and 5x the time per doubling of d.  At the
+#: bound, check-poly --route halfdeg at n = 3, d = 86 (order 255) took 1.4-2.4 s
+#: and 82 MB peak (2-core Xeon); at d = 171 (order 510), 4.9 s and 212 MB
+MAX_HESSIAN_ORDER = 256
 #: a restart retires at |t| <= GTOL scale: sqrt(eps), the resolution of a
 #: strict-decrease test of Q (see `_newton_descent`)
 GTOL = 2.0 ** -26
@@ -248,12 +255,17 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
 
 
 def check_pattern_budget(n: int, d: int):
-    """Raise ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS.
+    """Raise ValueError when the Newton Hessian order min(n, 2d)(d-1)
+    exceeds MAX_HESSIAN_ORDER or partition_count(n, 2d) exceeds MAX_PATTERNS.
 
     With 2d >= 2 parts there are at least floor(n/2) + 1 patterns (the
     splits of n into two parts), so n >= 2 MAX_PATTERNS is refused without
     counting: at any n the guard costs at most O(MAX_PATTERNS d).
     """
+    order = min(n, 2 * d) * (d - 1)
+    if order > MAX_HESSIAN_ORDER:
+        raise ValueError(f"half-degree search at n={n}, d={d} needs a Newton Hessian of "
+                         f"order {order}, more than MAX_HESSIAN_ORDER={MAX_HESSIAN_ORDER}")
     if n >= 2 * MAX_PATTERNS:
         raise ValueError(f"half-degree search at n={n}, d={d} needs more than "
                          f"MAX_PATTERNS={MAX_PATTERNS} multiplicity patterns")
@@ -268,7 +280,7 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     """Minimum over all multiplicity patterns; equals the global minimum over
     the sphere product up to optimizer accuracy.
 
-    Raises ValueError when partition_count(n, 2d) exceeds MAX_PATTERNS or a
+    Raises ValueError when :func:`check_pattern_budget` refuses (n, d) or a
     coefficient exceeds ``core.magnitude_bound``.
     """
     check_pattern_budget(q.dims.n, q.dims.d)

@@ -18,7 +18,6 @@ from .core import (
     ConeVerdict,
     MomentVector,
     ProblemDims,
-    RescaledMomentVector,
     Status,
     SymmetricQuadratic,
     abs_max,
@@ -382,17 +381,3 @@ def classify(m: MomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
                    "sufficient_residual": float(rows.suf.residual[0])}
     return ConeVerdict(STATUSES[status], witness=witness, boundary=bool(rows.boundary[0]))
 
-
-def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Membership in the common large-n limit of both condition families."""
-    z0, zt, zzt = rm.z0, rm.zt, rm.zzt
-    scale = float(abs_scale(z0, zt, zzt))
-    if z0 == 0.0 and not zt.any() and not zzt.any():
-        return ConeVerdict(Status.MEMBER, witness={"residual": 0.0})
-    if z0 <= tol * scale:
-        return ConeVerdict(Status.NON_MEMBER, witness={"reason": "z0 not positive"})
-    residual = (z0 * z0 + z0 * float(zzt.sum())
-                - float(np.maximum(z0 * zzt, zt * zt).sum()))
-    member, boundary = margin_verdict(residual, moment_tolerance(tol, scale))
-    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
-                       witness={"residual": residual}, boundary=boundary)

@@ -339,14 +339,6 @@ def sigma_membership_lmi(q: SymmetricQuadratic, tol: float = DEFAULT_TOL
                        witness={"c": c, "slack": slack, "c_range": c_range}), feas
 
 
-def sigma_prime_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> ConeVerdict:
-    """Expanded-cone test: the LMI applied to (n/(n-1) A0, A_α, A_αα)."""
-    n = q.dims.n
-    scaled = SymmetricQuadratic(q.dims, q.a0 * n / (n - 1), q.a, q.aa)
-    verdict, _ = sigma_membership_lmi(scaled, tol=tol)
-    return verdict
-
-
 def sos_witness(q: SymmetricQuadratic, c_lmi: float) -> SosWitness:
     """Build (G, H, c) from the LMI parameter ``c_lmi`` for any c_lmi,
     feasible or not: the proof-scale parameter stored in the witness is

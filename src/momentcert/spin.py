@@ -148,12 +148,6 @@ def mixture(rhos: Iterable[np.ndarray], weights) -> np.ndarray:
     return rho
 
 
-def mixed(states: Iterable[SymmetricState], weights) -> SymmetricState:
-    """The :func:`mixture` of the states' rho, validated once as a state."""
-    rho = mixture((st.rho for st in states), weights)
-    return SymmetricState(rho.shape[0] - 1, rho)
-
-
 def random_state(n: int, seed: int) -> SymmetricState:
     """Full-rank random state: shifted Gaussian Hermitian, trace-normalized."""
     rng = np.random.default_rng(seed)

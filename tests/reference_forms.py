@@ -1,19 +1,36 @@
 """The paper's reference forms that the suite checks the package against:
 every d=1 facet of both cones as one array (the ``momentcert.exact_d1``
-kernels evaluate at most four per row), the Lagrange critical-point algebra
-of the half-degree principle, the ray crossings of the 1/n convergence
-claim, P_Q on the ellipsoid and the spin form of the moment inequalities.
+kernels evaluate at most four per row), the closed-form d=1 Sigma minimum,
+the Lagrange critical-point algebra of the half-degree principle, the
+large-n limit (rescaled moments, the limit cone and the ray crossings of the
+1/n convergence claim), the expanded cone Sigma', P_Q on the ellipsoid and
+the spin form of the moment inequalities.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from momentcert.core import Configuration, ProblemDims, RescaledMomentVector, SymmetricQuadratic
+from momentcert.core import (
+    DEFAULT_TOL,
+    ConeVerdict,
+    Configuration,
+    MomentVector,
+    ProblemDims,
+    Status,
+    SymmetricQuadratic,
+    _frozen_vector,
+    abs_scale,
+    margin_verdict,
+    moment_tolerance,
+    scaled_tolerance,
+)
+from momentcert.exact_d1 import _require_d1, limit_cone_rows
 from momentcert.moment_cone import max_form_terms
-from momentcert.sos_cone import EllipsoidPoint
+from momentcert.sos_cone import EllipsoidPoint, sigma_membership_lmi
 from momentcert.spin import SpinMoments
 
 JITTER = 1e-10
@@ -42,6 +59,52 @@ def c_n1_residuals(m0, m1, m11, n: int) -> np.ndarray:
     m0, m1, m11 = np.asarray(m0, dtype=float), np.asarray(m1, dtype=float), np.asarray(m11, dtype=float)
     quad = np.multiply.outer(n - 1 + v * v, m0) - 2.0 * np.multiply.outer(v, m1) + m11
     return np.concatenate([quad, ((n * n - n) * m0 - m11)[None]])
+
+
+def sigma_n1_min(a0, a1, a11, n: int, expanded: bool = False):
+    """Minimum of P_Q(X) = A0 - n A11 + √n A1 X + n A11 X² over [-√n, √n] and
+    an attaining X (the lower endpoint on ties).
+
+    Scalars or arrays of shape (B,) in, the same shapes out.  With
+    expanded=True A0 is scaled by n/(n-1), which gives the outer companion
+    cone Sigma'.
+    """
+    a0 = np.asarray(a0, dtype=float) * (n / (n - 1) if expanded else 1.0)
+    a1 = np.asarray(a1, dtype=float)
+    a11 = np.asarray(a11, dtype=float)
+    rt = math.sqrt(n)
+    c0 = a0 - n * a11
+    c1 = rt * a1
+    c2 = n * a11
+    lo_val = c0 - c1 * rt + c2 * n
+    hi_val = c0 + c1 * rt + c2 * n
+    best = np.minimum(lo_val, hi_val)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xv = np.where(c2 > 0.0, -c1 / (2.0 * c2), 0.0)
+    vert = c0 + c1 * xv + c2 * xv * xv
+    use_vert = (c2 > 0.0) & (np.abs(xv) < rt) & (vert < best)
+    x = np.where(use_vert, xv, np.where(hi_val < lo_val, rt, -rt))
+    return np.where(use_vert, vert, best), x
+
+
+def sigma_n1_membership(q: SymmetricQuadratic, expanded: bool = False,
+                        tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Closed-form d=1 test for the SOS cone (expanded=True gives its outer
+    companion with A0 scaled by n/(n-1)): :func:`sigma_n1_min` on one row."""
+    _require_d1(q.dims)
+    n = q.dims.n
+    val, x = (float(v) for v in sigma_n1_min(q.a0, q.a[0], q.aa[0], n, expanded))
+    member, boundary = margin_verdict(val, scaled_tolerance(tol, q.coeff_scale(), n))
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"min_value": val, "argmin_x": x}, boundary=boundary)
+
+
+def sigma_prime_membership(q: SymmetricQuadratic, tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Expanded-cone test: the LMI applied to (n/(n-1) A0, A_α, A_αα)."""
+    n = q.dims.n
+    scaled = SymmetricQuadratic(q.dims, q.a0 * n / (n - 1), q.a, q.aa)
+    verdict, _ = sigma_membership_lmi(scaled, tol=tol)
+    return verdict
 
 
 def lagrange_residual(q: SymmetricQuadratic, config: Configuration) -> float:
@@ -133,6 +196,57 @@ def recover_point(q: SymmetricQuadratic, r: np.ndarray, t: float,
     plus, minus = xi.copy(), xi.copy()
     plus[alpha0], minus[alpha0] = fill, -fill
     return [plus, minus]
+
+
+@dataclass(frozen=True)
+class RescaledMomentVector:
+    """Moments in the large-n coordinates z̃_α = z_α/√n, z̃_αα = z_αα/n."""
+
+    z0: float
+    zt: np.ndarray
+    zzt: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "z0", float(self.z0))
+        if not math.isfinite(self.z0):
+            raise ValueError("z0 must be finite")
+        d = np.asarray(self.zt, dtype=float).size
+        _frozen_vector(self, "zt", self.zt, d)
+        _frozen_vector(self, "zzt", self.zzt, d)
+
+
+def rescale_moments(m: MomentVector) -> RescaledMomentVector:
+    n = m.dims.n
+    return RescaledMomentVector(m.z0, m.z / math.sqrt(n), m.zz / n)
+
+
+def unrescale_moments(rm: RescaledMomentVector, dims: ProblemDims) -> MomentVector:
+    n = dims.n
+    return MomentVector(dims, rm.z0, rm.zt * math.sqrt(n), rm.zzt * n)
+
+
+def limit_cone_membership(rm: RescaledMomentVector, tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """Membership in the common large-n limit of both condition families."""
+    z0, zt, zzt = rm.z0, rm.zt, rm.zzt
+    scale = float(abs_scale(z0, zt, zzt))
+    if z0 == 0.0 and not zt.any() and not zzt.any():
+        return ConeVerdict(Status.MEMBER, witness={"residual": 0.0})
+    if z0 <= tol * scale:
+        return ConeVerdict(Status.NON_MEMBER, witness={"reason": "z0 not positive"})
+    residual = (z0 * z0 + z0 * float(zzt.sum())
+                - float(np.maximum(z0 * zzt, zt * zt).sum()))
+    member, boundary = margin_verdict(residual, moment_tolerance(tol, scale))
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"residual": residual}, boundary=boundary)
+
+
+def limit_cone_d1(b: tuple[float, float, float], tol: float = DEFAULT_TOL) -> ConeVerdict:
+    """PSD test for the large-n d=1 limit cone: ``exact_d1.limit_cone_rows`` on one row."""
+    m00, det, member, boundary = (v[0].item()
+                                  for v in limit_cone_rows(*([x] for x in b), tol=tol))
+    return ConeVerdict(Status.MEMBER if member else Status.NON_MEMBER,
+                       witness={"top_left": m00, "bottom_right": float(b[2]), "det": det},
+                       boundary=boundary)
 
 
 def ray_crossing(direction: RescaledMomentVector, n: int, side: str) -> float:

@@ -14,8 +14,10 @@ import numpy as np
 from reference_forms import (
     critical_polynomial,
     critical_r,
+    RescaledMomentVector,
     facet_residuals,
     ray_crossing,
+    sigma_n1_min,
     spin_form_residuals,
 )
 
@@ -23,13 +25,11 @@ from momentcert.core import (
     DEFAULT_TOL,
     MomentVector,
     ProblemDims,
-    RescaledMomentVector,
     Status,
     SymmetricQuadratic,
     pair,
     row_batches,
 )
-from momentcert.exact_d1 import sigma_n1_min
 from momentcert.fuzz import (
     EQUIVALENCE_TOL,
     HALFDEG_TOL,
@@ -53,6 +53,7 @@ from momentcert.moment_cone import (
 )
 from momentcert.sos_cone import (
     sigma_membership_lmi,
+    sigma_rows,
     sos_witness,
     verify_sos_witness,
 )
@@ -78,25 +79,35 @@ def _report(num: int, name: str, ok: bool, detail: str, budget: float,
     assert elapsed < budget, f"criterion {num}: {elapsed:.1f}s over budget"
 
 
+def _sandwich_violations(sig, p_min, sig_prime, t) -> int:
+    """Rows in Sigma but not in P, and rows in P but not in Sigma', each
+    decided by its minimum against t."""
+    return int(np.sum((sig > t) & (p_min < -t)) + np.sum((p_min > t) & (sig_prime < -t)))
+
+
 def test_criterion_1_d1_sandwich():
     """Sigma => P => Sigma' on 10^4 random quadratics for each n in 2..20,
-    against the exact hypercube facet oracle."""
+    against the exact hypercube facet oracle, with the Sigma and Sigma'
+    minima of the closed form and, on the same draws and t, of the kernel
+    that check-poly runs (``sigma_rows``; Sigma' on A0 n/(n-1), as
+    ``slice --cone SigmaPrime`` runs it)."""
     t0 = time.time()
     rng = np.random.default_rng(101)
-    violations, total = 0, 0
+    violations, kernel, total = 0, 0, 0
     for n in range(2, 21):
         a0, a1, a11 = rng.normal(size=(3, 10_000)) * 2.0
         scale = np.maximum(1.0, np.maximum(np.abs(a0), np.maximum(
             np.abs(a1), np.abs(a11))) * n * n)
         t = 1e-9 * scale
-        sig, _ = sigma_n1_min(a0, a1, a11, n)
         p_min = facet_residuals(a0, a1, a11, n).min(axis=0)
-        sig_prime, _ = sigma_n1_min(a0, a1, a11, n, expanded=True)
-        violations += int(np.sum((sig > t) & (p_min < -t)))
-        violations += int(np.sum((p_min > t) & (sig_prime < -t)))
+        violations += _sandwich_violations(sigma_n1_min(a0, a1, a11, n)[0], p_min,
+                                           sigma_n1_min(a0, a1, a11, n, expanded=True)[0], t)
+        kernel += _sandwich_violations(
+            sigma_rows(a0, a1[:, None], a11[:, None], n).min_value, p_min,
+            sigma_rows(a0 * n / (n - 1), a1[:, None], a11[:, None], n).min_value, t)
         total += 10_000
-    _report(1, "d=1 sandwich", violations == 0,
-            f"{violations} violations in {total} instances",
+    _report(1, "d=1 sandwich", violations == kernel == 0,
+            f"{violations} violations in {total} instances, {kernel} through sigma_rows",
             30.0, time.time() - t0)
 
 

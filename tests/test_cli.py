@@ -211,7 +211,7 @@ def test_slice_limit_cone_contour(capsys):
     # contour points sit on the membership boundary to 1e-6
     base = np.array([1.0, 0.0, 0.0])
     dirs = np.array([[0, 1, 0], [0, 0, 1]], dtype=float)
-    from momentcert.exact_d1 import limit_cone_d1
+    from reference_forms import limit_cone_d1
     for p in obj["contour"][:10]:
         v = base + p[0] * dirs[0] + p[1] * dirs[1]
         inner = limit_cone_d1(tuple(v), tol=1e-9)
@@ -243,10 +243,12 @@ def test_slice_bad_plane(capsys):
 
 
 def test_slice_grid_matches_scalar_api(capsys):
+    from reference_forms import limit_cone_d1, sigma_prime_membership
+
     from momentcert.core import MomentVector, ProblemDims, SymmetricQuadratic
-    from momentcert.exact_d1 import limit_cone_d1, p_n1_membership
+    from momentcert.exact_d1 import p_n1_membership
     from momentcert.moment_cone import necessary_condition, sufficient_condition
-    from momentcert.sos_cone import sigma_membership_lmi, sigma_prime_membership
+    from momentcert.sos_cone import sigma_membership_lmi
     dims = ProblemDims(5, 1)
     scalar = {
         "P": lambda v: p_n1_membership(SymmetricQuadratic(dims, *v)).is_member,
@@ -268,6 +270,39 @@ def test_slice_grid_matches_scalar_api(capsys):
                   for x in obj["x"]]
         assert code == 0 and obj["membership"] == expect, cone
         assert 0 < np.sum(expect) < 81 and obj["contour"], cone
+
+
+def test_slice_refuses_what_certify_refuses(capsys):
+    """The C-nec cone is scale-invariant, so the plane with base (S, S, S)
+    and directions S e_1, S e_2 has one grid at every S below the magnitude
+    bound.  Past it (the corner at (3, 3) holds 4S) and at n >= 2^53, slice
+    refuses as check-moments and check-poly refuse that corner's row."""
+    def plane(s):
+        return json.dumps({"base": [s] * 3, "dirs": [[0, s, 0], [0, 0, s]],
+                           "lo": [-3, -3], "hi": [3, 3]})
+
+    def corner(command, n, s):
+        fields = ("--z0", "--z", "--zz") if command == "check-moments" else ("--a0", "--a", "--aa")
+        return run(capsys, command, "--n", str(n), "--d", "1",
+                   *itertools.chain(*zip(fields, (repr(s), repr(4 * s), repr(4 * s)))))
+
+    grids = set()
+    for s in (1.0, 1e150):
+        code, out, _ = run(capsys, "--output", "json", "slice", "--cone", "C-nec", "--n", "4",
+                           "--d", "1", "--grid", "11", "--plane", plane(s))
+        grids.add((code, json.dumps(json.loads(out)["membership"])))
+    assert len(grids) == 1 and np.sum(json.loads(grids.pop()[1])) == 79
+    for cone, command, n, s in (("C-nec", "check-moments", 4, 1e155),
+                                ("C-nec", "check-moments", 4, 1e160),
+                                ("Sigma", "check-poly", 4, 1e153),
+                                ("C-suf", "check-moments", 2**60, 1.0),
+                                ("P", "check-poly", 2**53, 1.0)):
+        want = corner(command, n, s)
+        assert want[:2] == (64, "")
+        assert run(capsys, "slice", "--cone", cone, "--n", str(n), "--d", "1", "--grid", "11",
+                   "--plane", plane(s)) == want, (cone, n, s)
+    assert run(capsys, "slice", "--cone", "Sigma", "--n", str(BIG), "--d", "1",
+               "--plane", plane(1.0)) == (64, "", "error: n must be an integer < 2^53\n")
 
 
 def test_fuzz_suite_runs(capsys, monkeypatch):
@@ -892,6 +927,16 @@ def test_slice_grid_below_one_refused(capsys):
      "plane needs base of length 3 and two direction vectors of the same length"),
     (["spin", "--preset", "ghz"], None, "--preset needs --n"),
     (["spin", "--preset", "dicke", "--n", "4"], None, "--preset dicke needs --m"),
+    (["slice", "--cone", "Sigma", "--n", "4", "--d", "1", "--grid", "1001", "--plane",
+      json.dumps({"base": [1, 0, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})], None,
+     "--grid must be <= MAX_SLICE_GRID=1000, got 1001"),
+    (["--seed", "-1", "fuzz", "--suite", "soundness", "--iters", "1"], None,
+     "--seed must be >= 0, got -1"),
+    (["--seed", "-1", "spin", "--preset", "mixed", "--n", "4"], None, "--seed must be >= 0, got -1"),
+    (["--seed", "-1", "check-poly", "--route", "halfdeg", "--n", "3", "--d", "2", "--a0", "1"],
+     None, "--seed must be >= 0, got -1"),
+    (["--seed", "-1", "check-moments", "--n", "4", "--d", "1", "--z0", "1"], None,
+     "--seed must be >= 0, got -1"),
 ])
 def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     """Each refusal exits 64 with empty stdout and its one stderr line;

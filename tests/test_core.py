@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_forms import coeffs_from_rescaled
+from reference_forms import (
+    RescaledMomentVector,
+    coeffs_from_rescaled,
+    rescale_moments,
+    unrescale_moments,
+)
 
 from momentcert.core import (
     Configuration,
     ConeVerdict,
     MomentVector,
     ProblemDims,
-    RescaledMomentVector,
     Status,
     SymmetricQuadratic,
     abs_scale,
@@ -21,8 +25,6 @@ from momentcert.core import (
     moments_of_configuration,
     pair,
     power_sums,
-    rescale_moments,
-    unrescale_moments,
 )
 
 

@@ -6,7 +6,14 @@ import math
 import tracemalloc
 
 import numpy as np
-from reference_forms import c_n1_residuals, coeffs_from_rescaled, facet_residuals
+from reference_forms import (
+    c_n1_residuals,
+    coeffs_from_rescaled,
+    facet_residuals,
+    limit_cone_d1,
+    sigma_n1_membership,
+    sigma_n1_min,
+)
 
 from momentcert.core import (
     MomentVector,
@@ -21,11 +28,8 @@ from momentcert.exact_d1 import (
     c_n1_rows,
     facet_polynomial,
     hypercube_point,
-    limit_cone_d1,
     p_n1_membership,
     p_n1_rows,
-    sigma_n1_membership,
-    sigma_n1_min,
 )
 from momentcert.sos_cone import ellipsoid_quadratic_min
 

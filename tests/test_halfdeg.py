@@ -17,6 +17,7 @@ from momentcert.core import (
     magnitude_bound,
 )
 from momentcert.halfdeg import (
+    MAX_HESSIAN_ORDER,
     MAX_PATTERNS,
     MultiplicityPattern,
     _gradient,
@@ -283,6 +284,31 @@ def test_pattern_count_guard_refuses_large_n_without_counting():
     assert partition_count(2 * MAX_PATTERNS - 1, 2) == MAX_PATTERNS
     assert partition_count(2 * MAX_PATTERNS, 2) == MAX_PATTERNS + 1
     check_pattern_budget(2 * MAX_PATTERNS - 1, 1)
+
+
+
+def test_hessian_order_guard(capsys, monkeypatch):
+    """A search whose Newton Hessian, of order min(n, 2d)(d-1), is over
+    MAX_HESSIAN_ORDER is refused before any pattern is searched; the bench
+    grid (n <= 8, d <= 3: order at most 12) is not."""
+    assert MAX_HESSIAN_ORDER == 256
+    check_pattern_budget(3, 86)  # order 255
+    check_pattern_budget(2, 129)  # order 256
+    for n in range(3, 9):
+        for d in (1, 2, 3):
+            check_pattern_budget(n, d)
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the Hessian check")
+
+    monkeypatch.setattr(halfdeg, "min_over_pattern", search)
+    message = "needs a Newton Hessian of order 258, more than MAX_HESSIAN_ORDER=256"
+    with pytest.raises(ValueError, match=message):
+        check_pattern_budget(3, 87)
+    with pytest.raises(ValueError, match=message):
+        reduced_global_min(SymmetricQuadratic(ProblemDims(3, 87), 1.0, np.zeros(87), np.zeros(87)))
+    assert main(["check-poly", "--route", "halfdeg", "--n", "3", "--d", "87", "--a0", "1"]) == 64
+    assert capsys.readouterr().err == f"error: half-degree search at n=3, d=87 {message}\n"
 
 
 def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatch):

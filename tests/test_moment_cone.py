@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
-from reference_forms import ray_crossing
+from reference_forms import (
+    RescaledMomentVector,
+    limit_cone_d1,
+    limit_cone_membership,
+    ray_crossing,
+    sigma_prime_membership,
+)
 
 from momentcert.core import (
     DEFAULT_TOL,
     MomentVector,
     ProblemDims,
-    RescaledMomentVector,
     Status,
     margin_verdict,
     moment_tolerance,
     pair,
 )
-from momentcert.exact_d1 import c_n1_membership, limit_cone_d1
+from momentcert.exact_d1 import c_n1_membership
 from momentcert.moment_cone import (
     NECESSARY,
     SUFFICIENT,
@@ -20,7 +25,6 @@ from momentcert.moment_cone import (
     classify,
     classify_rows,
     expand_inequalities,
-    limit_cone_membership,
     lmi_dual_feasibility,
     max_form_residual_batch,
     necessary_condition,
@@ -28,7 +32,7 @@ from momentcert.moment_cone import (
     separating_polynomial,
     sufficient_condition,
 )
-from momentcert.sos_cone import sigma_membership_lmi, sigma_prime_membership
+from momentcert.sos_cone import sigma_membership_lmi
 
 
 def mv(n, d, z0, z, zz):

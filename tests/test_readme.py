@@ -6,7 +6,6 @@ import ast
 import re
 from pathlib import Path
 
-import momentcert
 from momentcert import Status, pair
 
 ROOT = Path(__file__).parent.parent
@@ -28,19 +27,56 @@ def test_readme_library_sketch():
     assert pair(ns["sep"], ns["m"]) < 0.0
 
 
-def test_every_public_name_in_src_has_a_user_outside_the_tests():
-    """A public top-level function or class of the package is referenced
-    elsewhere in ``src`` (an AST name or attribute outside its definition), is
-    in ``__all__`` or is named in ``bench/*.py`` or the README: what only the
-    tests call belongs in ``tests/reference_forms.py``."""
-    defined, used = {}, set(momentcert.__all__)
-    for path in (ROOT / "src" / "momentcert").glob("*.py"):
+#: public names that nothing reaches yet, each kept for the ROADMAP item that
+#: gives it a user
+WAITING = {
+    "core.evaluate": "item 1: re-evaluates each P NonMember configuration",
+    "core.power_sums": "item 1: evaluate calls it",
+    "core.moments_of_configuration": "items 4 and 13: measure_moments calls it",
+    "measures.AtomicMeasure": "items 4 and 13: a C Member's representing measure",
+    "measures.measure_moments": "items 4 and 13: a C Member's representing measure",
+    "moment_cone.lmi_dual_feasibility": "item 17: bench/tracing.py patches it by name",
+    "moment_cone.sufficient_condition": "item 17: bench/tracing.py patches it by name",
+}
+
+
+def _names(tree: ast.AST) -> set:
+    """The names and attribute names that ``tree`` refers to."""
+    return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+
+
+def unreached_names(root: Path = ROOT) -> set:
+    """The public top-level functions and classes of the package under
+    ``root`` that no use reaches.  A use is a reference in the AST of code
+    that ``cli.main`` reaches (module-level statements count as reached), a
+    name in the AST of a ``bench/*.py`` file, or a word in a README code span
+    or code block; a definition that a use reaches passes its own references
+    on.  ``__all__`` entries (strings), imports and README prose are not
+    uses."""
+    defs, todo = {}, {"main"}
+    for path in (root / "src" / "momentcert").glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-                defined[own] = f"{path.stem}.{own}"
-            used |= {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(stmt)} - {own}
-    for path in [ROOT / "README.md", *(ROOT / "bench").glob("*.py")]:
-        used |= set(re.findall(r"\w+", path.read_text()))
-    unused = sorted(defined[name] for name in defined.keys() - used)
-    assert not unused, f"used only by the tests: {unused}"
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append((path.stem, stmt))
+            else:
+                todo |= _names(stmt)
+    for path in (root / "bench").glob("*.py"):
+        todo |= _names(ast.parse(path.read_text()))
+    for span in re.findall(r"```.*?```|`[^`\n]+`", (root / "README.md").read_text(), re.S):
+        todo |= set(re.findall(r"\w+", span))
+    reached = set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for _, stmt in defs.get(name, ()):
+            todo |= _names(stmt) - reached
+    return {f"{module}.{name}" for name in defs.keys() - reached if not name.startswith("_")
+            for module, _ in defs[name]}
+
+
+def test_every_public_name_in_src_has_a_user_outside_the_tests():
+    """What only the tests call belongs in ``tests/reference_forms.py``; a
+    name in WAITING must stay unreached, so the list cannot go stale."""
+    unreached = unreached_names()
+    assert not unreached - WAITING.keys(), f"used only by the tests: {unreached - WAITING.keys()}"
+    assert not WAITING.keys() - unreached, f"waiting, but reached: {WAITING.keys() - unreached}"

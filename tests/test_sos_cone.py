@@ -3,7 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from reference_forms import config_to_ellipsoid, pq_evaluate
+from reference_forms import (
+    config_to_ellipsoid,
+    pq_evaluate,
+    sigma_n1_membership,
+    sigma_prime_membership,
+)
 
 from momentcert.core import (
     Configuration,
@@ -12,13 +17,12 @@ from momentcert.core import (
     SymmetricQuadratic,
     evaluate,
 )
-from momentcert.exact_d1 import p_n1_membership, sigma_n1_membership
+from momentcert.exact_d1 import p_n1_membership
 from momentcert.sos_cone import (
     EllipsoidPoint,
     SosWitness,
     ellipsoid_quadratic_min,
     sigma_membership_lmi,
-    sigma_prime_membership,
     sigma_rows,
     sos_witness,
     verify_sos_witness,

@@ -18,7 +18,7 @@ from momentcert.spin import (
     dicke_state,
     entanglement_witness,
     ghz_state,
-    mixed,
+    mixture,
     moments_from_spin,
     random_state,
     spin_form_scale,
@@ -257,7 +257,8 @@ def test_coherent_mixtures_never_detected():
         n = int(rng.integers(2, 10))
         comps = [coherent_state(n, math.acos(2 * rng.uniform() - 1),
                                 2 * math.pi * rng.uniform()) for _ in range(3)]
-        rep = entanglement_witness(mixed(comps, rng.uniform(size=3) + 0.1))
+        rho = mixture([c.rho for c in comps], rng.uniform(size=3) + 0.1)
+        rep = entanglement_witness(SymmetricState(n, rho))
         assert rep.verdict != DETECTED
 
 
@@ -294,8 +295,8 @@ def _witness_states(n: int, seed: int):
 
     return {"random": random_state(n, seed), "coherent": coherent_state(n, *angles()),
             "dicke": dicke_state(n, 0.0 if n % 2 == 0 else 0.5), "ghz": ghz_state(n),
-            "mixture": mixed([coherent_state(n, *angles()) for _ in range(3)],
-                             rng.uniform(size=3) + 0.1)}
+            "mixture": SymmetricState(n, mixture([coherent_state(n, *angles()).rho
+                                                  for _ in range(3)], rng.uniform(size=3) + 0.1))}
 
 
 @pytest.mark.parametrize("n", [2, 16, 64, 128, 256, 512])
@@ -346,13 +347,17 @@ def test_state_json_round_trip():
 
 
 def test_mixed_validation():
-    a, b = coherent_state(2, 0.0, 0.0), coherent_state(2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        mixed([a, b], [1.0])
-    with pytest.raises(ValueError):
-        mixed([a, b], [1.0, -1.0])
+    """``mixture`` refuses weights that are negative or not one per state,
+    takes a generator alike, and its sum of states is a state."""
+    a, b = coherent_state(2, 0.0, 0.0).rho, coherent_state(2, 1.0, 0.0).rho
     with pytest.raises(ValueError, match="one per state"):
-        mixed(iter([a, b, a]), [1.0, 1.0])
+        mixture([a, b], [1.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        mixture([a, b], [1.0, -1.0])
     with pytest.raises(ValueError, match="one per state"):
-        mixed(iter([]), [])
-    assert np.array_equal(mixed(iter([a, b]), [1.0, 3.0]).rho, mixed([a, b], [1.0, 3.0]).rho)
+        mixture(iter([a, b, a]), [1.0, 1.0])
+    with pytest.raises(ValueError, match="one per state"):
+        mixture(iter([]), [])
+    rho = mixture(iter([a, b]), [1.0, 3.0])
+    assert np.array_equal(rho, mixture([a, b], [1.0, 3.0]))
+    assert np.array_equal(SymmetricState(2, rho).rho, 0.25 * a + 0.75 * b)
