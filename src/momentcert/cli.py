@@ -20,6 +20,7 @@ from itertools import chain
 from operator import itemgetter
 
 import numpy as np
+import orjson
 
 from . import fuzz as fuzz_mod
 from .core import (
@@ -81,8 +82,13 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before all was written
 MAX_PRESET_N = 4096
 #: the largest slice --grid.  A slice holds its g^2 points and their verdicts,
 #: about 0.35 KB a cell at d = 1: at the bound, --cone Sigma --n 4 took 2.9 s
-#: and 340 MB peak at d = 1 and 3.4 s and 705 MB at d = 3 (2-core Xeon)
+#: and 340 MB peak at d = 1 (2-core Xeon)
 MAX_SLICE_GRID = 1000
+#: the most plane coordinates g^2 (1 + 2d) a slice holds, MAX_SLICE_GRID's
+#: at d = 1: its memory grows with d too (--grid 1000 at d = 3 peaked at
+#: 705 MB).  At the bound, --cone Sigma --n 4 peaked at 341 MB at d = 1 (g =
+#: 1000), 329 MB at d = 2 (g = 774) and 325 MB at d = 3 (g = 654), 2-core Xeon
+MAX_SLICE_VALUES = 3 * MAX_SLICE_GRID ** 2
 
 
 @dataclass
@@ -126,6 +132,72 @@ def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
+#: the deepest nesting the JSON decoder hands to orjson.  orjson 3.8 recurses
+#: without a bound (10^6 levels overflowed an 8 MB C stack) where json refuses
+#: past about sys.getrecursionlimit() levels, so text that may nest deeper
+#: goes to json, which decides it
+ORJSON_DEPTH = 256
+#: every byte but JSON's structure characters []{}, quote and backslash
+_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'[]{}"\\')))
+#: the characters of JSON text that ``_shallow`` encodes at a time
+_ENCODE_CHARS = 1 << 16
+#: the depth step of each structure character: +1 opens, -1 closes
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")], _DEPTH_STEP[list(b"]}")] = 1, -1
+
+
+def _shallow(s: str) -> bool:
+    """Whether a parser that reads the JSON text ``s`` nests at most
+    ORJSON_DEPTH deep before it ends or meets an error.  Without a backslash
+    every quote opens or closes a string (or is the error), so the brackets
+    outside strings give the depth; text with a backslash is not judged
+    (False).  One C pass keeps the structure characters; dropping two
+    adjacent quotes there keeps every bracket inside or outside a string.
+    The text is encoded _ENCODE_CHARS characters at a time: encoded whole,
+    or a megabyte at a time, the copies raised the peak RSS of a process
+    that read the 35 seed-1 bench state files by 13 and 9 MB (64K: 0.5 MB)."""
+    try:
+        marks = b"".join(s[i:i + _ENCODE_CHARS].encode().translate(None, _NOT_STRUCTURAL)
+                         for i in range(0, len(s), _ENCODE_CHARS))
+    except UnicodeEncodeError:  # a lone surrogate, which orjson refuses
+        return False
+    if b"\\" in marks:
+        return False
+    marks = marks.replace(b'""', b"")
+    if marks.count(b"[") + marks.count(b"{") <= ORJSON_DEPTH:
+        return True
+    m = np.frombuffer(marks, dtype=np.uint8)
+    step = _DEPTH_STEP[m]
+    step[np.cumsum(m == ord('"')) % 2 == 1] = 0  # a bracket inside a string
+    return int(np.cumsum(step).max()) <= ORJSON_DEPTH
+
+
+class _JsonDecoder(json.JSONDecoder):
+    """json's decoder, parsing with orjson where orjson accepts the text.
+
+    orjson gives json's values, float bits included, except that it reads
+    an integer past 64 bits as its float where json keeps the int; every
+    use of such a number reads its float or refuses it with a message that
+    does not print it (``_capped``).  orjson refuses NaN, Infinity, a number
+    past the float range, a BOM, a trailing comma and a lone surrogate:
+    json decides each text that orjson refuses, or that may nest deeper
+    than ORJSON_DEPTH, so it keeps json's values, errors and messages.
+    Nesting past json's recursion limit is a JSONDecodeError.  Given to
+    ``json.load``/``json.loads`` as ``cls``, so the parse stays a call of
+    ``json``."""
+
+    def decode(self, s: str):
+        if _shallow(s):
+            try:
+                return orjson.loads(s)
+            except orjson.JSONDecodeError:
+                pass
+        try:
+            return super().decode(s)
+        except RecursionError:
+            raise json.JSONDecodeError("nesting too deep", s, 0) from None
+
+
 def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
@@ -140,9 +212,10 @@ PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
     """``group_rows(n, d, values)`` under the row rules: n >= 2, n < 2^53,
-    d >= 1, every value finite and at most ``core.magnitude_bound`` in size.  A
-    broken rule raises ValueError with the scalar constructors' message (or,
-    for the bound, the bound) for the first row that breaks it."""
+    d >= 1, d < 2^53, every value finite and at most
+    ``core.magnitude_bound`` in size.  A broken rule raises ValueError with
+    the scalar constructors' message (or, for the bound, the bound) for the
+    first row that breaks it."""
     low = np.flatnonzero(n < 2)
     if low.size:
         raise ValueError(f"n must be an integer >= 2, got {int(n[low[0]])}")
@@ -151,6 +224,8 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
     low = np.flatnonzero(d < 1)
     if low.size:
         raise ValueError(f"d must be an integer >= 1, got {int(d[low[0]])}")
+    if (d >= 2 ** 53).any():
+        raise ValueError("d must be an integer < 2^53")
     batches = group_rows(n, d, values)
     for b in batches:
         for name, v in zip(names, b[2:]):
@@ -200,6 +275,16 @@ def _integral(col: list) -> np.ndarray | None:
     return v if ((np.abs(v) < 2.0 ** 53) & (v == np.floor(v))).all() else None
 
 
+def _capped(ints):
+    """A column of integers n or d (an int64 array or a list of ints) with
+    each value past 2^53 taken as 2^53: the rules n < 2^53 and d < 2^53 of
+    ``_checked`` then refuse it by name, however it was spelled.  Uncapped,
+    an int past the float range overflowed its float conversion, and a
+    message printed a d past 64 bits as the parser read it (exact from
+    json, rounded from orjson)."""
+    return ints if isinstance(ints, np.ndarray) else [min(v, 2 ** 53) for v in ints]
+
+
 def _take(rows: list, idx: np.ndarray) -> list:
     """The rows at the ascending positions ``idx``: ``rows`` itself when
     that is all of them."""
@@ -240,16 +325,16 @@ def _record_batches(rows: list, names) -> list[RowBatch]:
 
     n = _integral(list(map(itemgetter("n"), rows)))
     if n is None:
-        n = np.array([json_int(r, "n") for r in rows], dtype=float)
+        n = np.array(_capped([json_int(r, "n") for r in rows]), dtype=float)
     d = _integral(list(map(itemgetter("d"), rows)))
-    d = np.array([json_int(r, "d") for r in rows]) if d is None else d.astype(np.int64)
+    d = np.array(_capped([json_int(r, "d") for r in rows])) if d is None else d.astype(np.int64)
     return _checked(n, d, values, names)
 
 
 def _json_records(raw: str, path: str, names, kind: str) -> list[RowBatch]:
     """The records of a JSON object or list, grouped by d."""
     try:
-        obj = json.loads(raw)
+        obj = json.loads(raw, cls=_JsonDecoder)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}")
     rows = obj if isinstance(obj, list) else [obj]
@@ -281,8 +366,8 @@ def _csv_batches(rows: list[list[str]]) -> list[RowBatch]:
     """CSV rows n,d,z0,z_1..z_d,z_11..z_dd grouped by d, every cell
     converted with ``int``/``float``, the n and d columns by
     :func:`_int_cells`, the value cells of a d-group in one pass."""
-    n = np.array(_int_cells(list(map(itemgetter(0), rows))), dtype=float)
-    d = np.array(_int_cells(list(map(itemgetter(1), rows))))
+    n = np.array(_capped(_int_cells(list(map(itemgetter(0), rows)))), dtype=float)
+    d = np.array(_capped(_int_cells(list(map(itemgetter(1), rows)))))
     width = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
 
     def values(idx: np.ndarray, d: int):
@@ -715,7 +800,7 @@ def cmd_spin(args, cfg: RunConfig) -> int:
     if args.state:
         try:
             with open(args.state) as fh:
-                obj = json.load(fh)
+                obj = json.load(fh, cls=_JsonDecoder)
             state = SymmetricState.from_json_dict(obj)
         except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"invalid state: {exc}")
@@ -762,7 +847,7 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
 
 def cmd_slice(args, cfg: RunConfig) -> int:
     try:
-        plane = json.loads(args.plane)
+        plane = json.loads(args.plane, cls=_JsonDecoder)
         base = np.asarray(plane["base"], dtype=float)
         dirs = np.asarray(plane["dirs"], dtype=float)
         lo = np.asarray(plane.get("lo", [-1.0, -1.0]), dtype=float)
@@ -774,6 +859,9 @@ def cmd_slice(args, cfg: RunConfig) -> int:
     n, d, g = args.n, args.d, _count(args, "grid", 1)
     if g > MAX_SLICE_GRID:
         raise InputError(f"--grid must be <= MAX_SLICE_GRID={MAX_SLICE_GRID}, got {g}")
+    if g * g * (1 + 2 * d) > MAX_SLICE_VALUES:
+        raise InputError(f"--grid {g} at --d {d} gives {g * g * (1 + 2 * d)} plane values, "
+                         f"more than MAX_SLICE_VALUES={MAX_SLICE_VALUES}")
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "
                          f"direction vectors of the same length")

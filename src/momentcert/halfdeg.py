@@ -10,8 +10,9 @@ is solved in a Householder basis of each point's tangent space
 GTOL = sqrt(eps) times the problem's scale, the finest gradient that its
 strict-decrease line search can resolve.  A brute-force random-search oracle
 runs the same descent on unreduced configurations.  A search over more than
-MAX_PATTERNS patterns, or with a Newton Hessian of order over
-MAX_HESSIAN_ORDER, is refused before it starts.
+MAX_PATTERNS patterns, with a Newton Hessian of order over
+MAX_HESSIAN_ORDER, or with Newton work over MAX_SEARCH_WORK, is refused
+before it starts.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ MAX_PATTERNS = 1000
 #: bound, check-poly --route halfdeg at n = 3, d = 86 (order 255) took 1.4-2.4 s
 #: and 82 MB peak (2-core Xeon); at d = 171 (order 510), 4.9 s and 212 MB
 MAX_HESSIAN_ORDER = 256
+#: largest Newton work of a search: restarts times the sum, over its
+#: patterns, of order^3 (order m(d-1) for a pattern of m parts; each Newton
+#: step runs eigh on one Hessian of that order per restart).  At 32 restarts
+#: it admits n = 3, d = 86 (7.1e8, the largest Hessian order: 2.4 s) and
+#: refuses n = 20, d = 10 (9.5e9; still running after 120 s).  order^3
+#: leaves out the per-pattern cost at small orders, which MAX_PATTERNS
+#: bounds: the slowest search measured within all three bounds, n = 22,
+#: d = 5 (807 patterns, 6.1e8), took 25 s (2-core Xeon, BLAS on one thread)
+MAX_SEARCH_WORK = 750_000_000
 #: a restart retires at |t| <= GTOL scale: sqrt(eps), the resolution of a
 #: strict-decrease test of Q (see `_newton_descent`)
 GTOL = 2.0 ** -26
@@ -254,9 +264,11 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
     return val, Configuration(q.dims, _normalize_rows(pts))
 
 
-def check_pattern_budget(n: int, d: int):
+def check_pattern_budget(n: int, d: int, restarts: int = 32):
     """Raise ValueError when the Newton Hessian order min(n, 2d)(d-1)
-    exceeds MAX_HESSIAN_ORDER or partition_count(n, 2d) exceeds MAX_PATTERNS.
+    exceeds MAX_HESSIAN_ORDER, partition_count(n, 2d) exceeds MAX_PATTERNS,
+    or the search's Newton work (restarts times the sum of order^3 over the
+    patterns) exceeds MAX_SEARCH_WORK.
 
     With 2d >= 2 parts there are at least floor(n/2) + 1 patterns (the
     splits of n into two parts), so n >= 2 MAX_PATTERNS is refused without
@@ -273,6 +285,14 @@ def check_pattern_budget(n: int, d: int):
     if count > MAX_PATTERNS:
         raise ValueError(f"half-degree search at n={n}, d={d} needs {count} "
                          f"multiplicity patterns, more than MAX_PATTERNS={MAX_PATTERNS}")
+    at_most = [partition_count(n, m) for m in range(min(n, 2 * d) + 1)]
+    # at_most[m] - at_most[m - 1] patterns have m parts: Hessian order m(d-1)
+    work = restarts * sum((hi - lo) * (m * (d - 1)) ** 3
+                          for m, (lo, hi) in enumerate(zip(at_most, at_most[1:]), 1))
+    if work > MAX_SEARCH_WORK:
+        raise ValueError(f"half-degree search at n={n}, d={d} needs Newton work {work} "
+                         f"({restarts} restarts x order^3 per pattern), more than "
+                         f"MAX_SEARCH_WORK={MAX_SEARCH_WORK}")
 
 
 def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
@@ -283,7 +303,7 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     Raises ValueError when :func:`check_pattern_budget` refuses (n, d) or a
     coefficient exceeds ``core.magnitude_bound``.
     """
-    check_pattern_budget(q.dims.n, q.dims.d)
+    check_pattern_budget(q.dims.n, q.dims.d, restarts)
     best_val, best_cfg = math.inf, None
     for idx, pattern in enumerate(enumerate_patterns(q.dims.n, q.dims.d)):
         val, cfg = min_over_pattern(q, pattern, restarts=restarts, seed=seed + idx)

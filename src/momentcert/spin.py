@@ -49,6 +49,8 @@ class SymmetricState:
         n = int(self.n)
         if n < 1:
             raise ValueError("n must be >= 1")
+        if n >= 2 ** 53:  # no rho has that order; as certify says it for every spelling
+            raise ValueError("n must be an integer < 2^53")
         if rho.shape != (n + 1, n + 1):
             raise ValueError(f"rho must be {(n + 1, n + 1)}, got {rho.shape}")
         # first: NaN passes every comparison below, and spin_moments reads

@@ -77,3 +77,31 @@ def test_traced_halfdeg_search_spans_one_pattern_each(capsys):
     capsys.readouterr()
     want = {str(k): partition_count(n, 2 * d) for k, (n, d, _, _) in enumerate(rows)}
     assert tracer.summary()["patterns_per_call"] == want == {"0": 6, "1": 5}
+
+
+def test_traced_state_file_decode_runs_in_the_parse_span(tmp_path, capsys, monkeypatch):
+    """``spin --state`` decodes with orjson behind ``json.load``'s decoder
+    hook, so the decode runs inside the cli.parse span that the tracer puts
+    on ``cli.json.load``."""
+    from momentcert.spin import ghz_state
+
+    pkg = {name: importlib.import_module(f"momentcert.{name}") for name in MODULES}
+    tracer = _tracing().Tracer()
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(ghz_state(2).to_json_dict()))
+    spans = []
+    loads = pkg["cli"].orjson.loads
+
+    def spy(s):
+        top = tracer.stack[-1]
+        spans.append(tracer.names[tracer.name[top]] if top >= 0 else None)
+        return loads(s)
+
+    monkeypatch.setattr(pkg["cli"].orjson, "loads", spy)
+    try:
+        tracer.install(pkg)
+        assert pkg["cli"].main(["spin", "--state", str(state)]) == 0
+    finally:
+        tracer.uninstall()
+    assert spans == ["cli.parse"]
+

@@ -639,7 +639,7 @@ def test_bad_row_in_mixed_csv_reports_its_line(tmp_path, capsys):
             ("5", "line 6: list index out of range"),
             (f"5,1,{BIG},0.0,0.0", "line 6: z0 must be finite"),
             (f"5,1,1.0,{BIG},0.0", "line 6: z contains non-finite entries"),
-            (f"{BIG},1,1.0,0.0,0.0", "line 6: int too large to convert to float"),
+            (f"{BIG},1,1.0,0.0,0.0", "line 6: n must be an integer < 2^53"),
             (f"{2**53},1,1.0,0.0,0.0", "line 6: n must be an integer < 2^53")):
         f = tmp_path / "rows.csv"
         f.write_text(good + bad + "\n4,1,1.0,0.0,0.0\n9,1,1.0,x,0.0\n")
@@ -661,7 +661,7 @@ def test_bad_json_record_reports_like_scalar_parser(tmp_path, capsys):
             ([1, 2], "bad polynomial record: list indices must be integers or slices, not str"),
             ({**good, "a0": BIG}, "bad polynomial record: int too large to convert to float"),
             ({**good, "a": [BIG, 0.1]}, "bad polynomial record: int too large to convert to float"),
-            ({**good, "n": BIG}, "bad polynomial record: int too large to convert to float"),
+            ({**good, "n": BIG}, "bad polynomial record: n must be an integer < 2^53"),
             ({**good, "n": 2**53}, "bad polynomial record: n must be an integer < 2^53")):
         f = tmp_path / "q.json"
         f.write_text(json.dumps([good, {**good, "d": 1, "a": [1.0], "aa": [0.0]}, bad, good]))
@@ -937,6 +937,28 @@ def test_slice_grid_below_one_refused(capsys):
      None, "--seed must be >= 0, got -1"),
     (["--seed", "-1", "check-moments", "--n", "4", "--d", "1", "--z0", "1"], None,
      "--seed must be >= 0, got -1"),
+    (["slice", "--cone", "Sigma", "--n", "4", "--d", "3", "--grid", "655", "--plane",
+      json.dumps({"base": [1] + [0] * 6, "dirs": [[0, 1] + [0] * 5, [0] * 4 + [1, 0, 0]]})],
+     None, "--grid 655 at --d 3 gives 3003175 plane values, more than MAX_SLICE_VALUES=3000000"),
+    pytest.param(["check-poly", "--n", str(10**400), "--d", "1", "--a0", "1", "--a", "0",
+                  "--aa", "0"], None, "n must be an integer < 2^53", id="poly-inline-n-400-digits"),
+    pytest.param(["check-moments", "--n", str(10**400), "--d", "1", "--z0", "1", "--z", "0",
+                  "--zz", "0"], None, "n must be an integer < 2^53", id="moments-inline-n-400-digits"),
+    pytest.param(["check-poly"], f'{{"n": {10**400}, "d": 1, "a0": 1, "a": [0], "aa": [0]}}',
+                 "{path}: bad polynomial record: n must be an integer < 2^53",
+                 id="poly-json-n-400-digits"),
+    pytest.param(["check-moments"], f'[{{"n": {10**400}, "d": 1, "z0": 1, "z": [0], "zz": [0]}}]',
+                 "{path}: bad moment record: n must be an integer < 2^53",
+                 id="moments-json-n-400-digits"),
+    pytest.param(["check-moments"], f"n,d,z0,z1,z11\n{10**400},1,1,0,0\n",
+                 "{path}: line 2: n must be an integer < 2^53", id="moments-csv-n-400-digits"),
+    pytest.param(["check-poly"], f'{{"n": 4, "d": {2**64 + 1}, "a0": 1, "a": [0], "aa": [0]}}',
+                 "{path}: bad polynomial record: d must be an integer < 2^53",
+                 id="poly-json-d-past-64-bits"),
+    pytest.param(["check-poly"], "[" * 3000 + "]" * 3000, "{path}: invalid JSON at line 1",
+                 id="poly-json-nested-3000-deep"),
+    pytest.param(["check-moments"], "[" * 3000 + "]" * 3000, "{path}: invalid JSON at line 1",
+                 id="moments-json-nested-3000-deep"),
 ])
 def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     """Each refusal exits 64 with empty stdout and its one stderr line;

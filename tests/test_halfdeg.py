@@ -19,6 +19,7 @@ from momentcert.core import (
 from momentcert.halfdeg import (
     MAX_HESSIAN_ORDER,
     MAX_PATTERNS,
+    MAX_SEARCH_WORK,
     MultiplicityPattern,
     _gradient,
     _newton_descent,
@@ -309,6 +310,39 @@ def test_hessian_order_guard(capsys, monkeypatch):
         reduced_global_min(SymmetricQuadratic(ProblemDims(3, 87), 1.0, np.zeros(87), np.zeros(87)))
     assert main(["check-poly", "--route", "halfdeg", "--n", "3", "--d", "87", "--a0", "1"]) == 64
     assert capsys.readouterr().err == f"error: half-degree search at n=3, d=87 {message}\n"
+
+
+def test_search_work_guard(capsys, monkeypatch):
+    """n = 20, d = 10 passes the pattern and Hessian-order bounds (627
+    patterns, order at most 180) but its Newton work, restarts x order^3
+    summed over the patterns, is 13x MAX_SEARCH_WORK: refused before any
+    pattern is searched.  The bench grid, the kernel rows (n = 10, d = 3),
+    acceptance criterion 5, the fuzz suites and the largest Hessian order
+    (n = 3, d = 86) are not."""
+    assert MAX_SEARCH_WORK == 750_000_000
+    assert partition_count(20, 20) <= MAX_PATTERNS
+    assert 20 * (10 - 1) <= MAX_HESSIAN_ORDER
+    for n in range(2, 11):
+        for d in (1, 2, 3):
+            check_pattern_budget(n, d)
+    check_pattern_budget(3, 86)
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the work check")
+
+    monkeypatch.setattr(halfdeg, "min_over_pattern", search)
+    message = ("half-degree search at n=20, d=10 needs Newton work 9489643776 (32 restarts "
+               "x order^3 per pattern), more than MAX_SEARCH_WORK=750000000")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reduced_global_min(SymmetricQuadratic(ProblemDims(20, 10), 1.0, np.zeros(10), np.zeros(10)))
+    t0 = time.perf_counter()
+    assert main(["check-poly", "--route", "halfdeg", "--n", "20", "--d", "10", "--a0", "1"]) == 64
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the work grows with the restarts: twice the CLI's at the largest order is refused
+    with pytest.raises(ValueError, match="MAX_SEARCH_WORK"):
+        reduced_global_min(SymmetricQuadratic(ProblemDims(3, 86), 1.0, np.zeros(86), np.zeros(86)),
+                           restarts=64)
 
 
 def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatch):
