@@ -457,14 +457,24 @@ _CONSTANT_TEXTS = np.array(["0.0", "1.0", "-0.0", "-1.0"], dtype=object)
 
 def _floats(v, witness: bool = False) -> np.ndarray:
     """The JSON texts of the floats ``v``, as the encoder writes Python
-    floats: ``float.__repr__`` (taken from a table for ±0.0 and ±1.0), and
-    NaN, Infinity or -Infinity; a witness value that is not finite is
-    written, as ``_witness_jsonable`` gives it, as its quoted repr."""
+    floats: ``float.__repr__``, and NaN, Infinity or -Infinity; a witness
+    value that is not finite is written, as ``_witness_jsonable`` gives it,
+    as its quoted repr.  ±0.0 and ±1.0 take their text from a table.  The
+    other values with 1e-4 <= |v| < 1e16 take theirs from one
+    ``orjson.dumps`` of the column, split at its commas: orjson writes the
+    shortest round-trip digits as repr does, and in that band spells them
+    alike (outside it orjson writes 1e-7 and 1e16 where repr writes 1e-07
+    and 1e+16).  The rest fall back to ``float.__repr__``."""
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     size = np.abs(flat)
     out = _CONSTANT_TEXTS[2 * np.signbit(flat) + (size != 0)]
-    rest = np.flatnonzero((size != 0) & (size != 1))
+    band = (size >= 1e-4) & (size < 1e16) & (size != 1)
+    fast = np.flatnonzero(band)
+    if fast.size:
+        text = orjson.dumps(flat[fast], option=orjson.OPT_SERIALIZE_NUMPY)
+        out[fast] = text[1:-1].decode().split(",")
+    rest = np.flatnonzero(~band & (size != 0) & (size != 1))
     out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
                             count=rest.size)
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
@@ -592,8 +602,10 @@ def _inline_rows(args, names) -> list[RowBatch]:
     if args.n is None or args.d is None or getattr(args, x0) is None:
         raise InputError(f"inline mode needs --n, --d, --{x0}, --{x}, --{xx}")
     record = {"n": args.n, "d": args.d, x0: getattr(args, x0)}
+    # no default vector for a d that the row rule d < 2^53 refuses
+    zeros = [0.0] * args.d if args.d < 2 ** 53 else []
     for k in (x, xx):
-        record[k] = _parse_floats(getattr(args, k)) if getattr(args, k) else [0.0] * args.d
+        record[k] = _parse_floats(getattr(args, k)) if getattr(args, k) else zeros
     return _parsed(lambda r: _record_batches(r, names), [record], lambda i: "")
 
 

@@ -59,7 +59,9 @@ def p_n1_rows(a0, a1, a11, n, tol: float = DEFAULT_TOL):
     its residual, member (residual >= -t) and boundary (member and residual
     < t) per row, t = ``scaled_tolerance(tol, coeff_scale, n)``."""
     a0, a1, a11 = (np.asarray(v, dtype=float) for v in (a0, a1, a11))
-    with np.errstate(divide="ignore", invalid="ignore"):  # a11 <= 0 rows take 0
+    # a11 <= 0 rows take 0; a11 so small that the quotient overflows gives
+    # an infinite vertex, which _first_min clips to n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k_vertex = np.where(a11 > 0.0, 0.5 * (n + a1 / (2.0 * a11)), 0.0)
 
     def residual(k):

@@ -137,6 +137,23 @@ def _tangent_basis(y: np.ndarray) -> np.ndarray:
     return np.eye(y.shape[-1])[1:] - (y[..., 1:] / (1.0 + np.abs(y1)))[..., None] * v[..., None, :]
 
 
+def _eigh_upper(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of each matrix of ``hess`` from its upper triangle, for a
+    batch whose default (lower-triangle) ``eigh`` did not converge: OpenBLAS
+    0.3.31 failed so on a finite 54 x 54 Hessian, symmetric to 7e-15, whose
+    upper triangle it solved.  A matrix that fails again gets NaN eigenpairs, so
+    its restart's step is NaN, which no step size accepts: the restart
+    retires where it is."""
+    w = np.full(hess.shape[:-1], np.nan)
+    v = np.full(hess.shape, np.nan)
+    for b, h in enumerate(hess):
+        try:
+            w[b], v[b] = np.linalg.eigh(h, UPLO="U")
+        except np.linalg.LinAlgError:
+            pass
+    return w, v
+
+
 def _newton_step(aa: np.ndarray, coupling: np.ndarray, y: np.ndarray, t: np.ndarray,
                  lam: np.ndarray, floor: float) -> np.ndarray:
     """x = T |T^T (H - lambda (x) I) T|^-1 T^T t at rows y (B, m, d), T the tangent
@@ -147,7 +164,10 @@ def _newton_step(aa: np.ndarray, coupling: np.ndarray, y: np.ndarray, t: np.ndar
     r = rows.shape[1]
     hess = (rows * aa) @ rows.transpose(0, 2, 1) * coupling
     hess.reshape(-1, r * r)[:, ::r + 1] -= np.repeat(lam, y.shape[-1] - 1, axis=-1)
-    w, v = np.linalg.eigh(hess)
+    try:
+        w, v = np.linalg.eigh(hess)
+    except np.linalg.LinAlgError:
+        w, v = _eigh_upper(hess)
     coef = np.einsum("bki,bk->bi", v, np.einsum("bjka,bja->bjk", bt, t).reshape(-1, r))
     coef /= np.maximum(np.abs(w), floor)
     z = np.einsum("bki,bi->bk", v, coef).reshape(bt.shape[:-1])

@@ -78,7 +78,8 @@ class SymmetricState:
     @staticmethod
     def from_json_dict(obj: dict) -> "SymmetricState":
         n = json_int(obj, "n")
-        rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+        with np.errstate(invalid="ignore"):  # 1j * inf: SymmetricState refuses it
+            rho = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
         return SymmetricState(n, rho)
 
 

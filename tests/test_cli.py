@@ -903,6 +903,26 @@ def test_spin_coherent_non_finite_angle_refused(capsys):
     assert code == 0 and out.startswith("verdict: ")
 
 
+def test_exact_d1_vertex_past_the_float_range_prints_no_warning(capsys):
+    """a1 / (2 a11) overflows at a11 = 5e-324: the infinite vertex clips to
+    facet n, and only the verdict is printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "check-poly", "--route", "exact-d1", "--n", "4", "--d", "1",
+                   "--a0", "1", "--a=-0.5", "--aa", "5e-324") == (1, "[0] NonMember\n", "")
+
+
+def test_spin_state_with_infinite_imaginary_part_prints_no_warning(tmp_path, capsys):
+    """1j * inf is NaN + inf j: the state is refused in one line, with no
+    numpy warning."""
+    path = tmp_path / "state.json"
+    path.write_text('{"n": 1, "re": [[1, 0], [0, 0]], "im": [[0, Infinity], [0, 0]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "spin", "--state", str(path)) == (
+            64, "", "error: invalid state: rho has a non-finite entry\n")
+
+
 def test_slice_grid_below_one_refused(capsys):
     plane = json.dumps({"base": [1.0, 0.0, 0.0], "dirs": [[0, 1, 0], [0, 0, 1]]})
     for g in ("-1", "0"):
@@ -959,6 +979,11 @@ def test_slice_grid_below_one_refused(capsys):
                  id="poly-json-nested-3000-deep"),
     pytest.param(["check-moments"], "[" * 3000 + "]" * 3000, "{path}: invalid JSON at line 1",
                  id="moments-json-nested-3000-deep"),
+    # refused before a default vector of d zeros is built for the omitted --a, --aa
+    pytest.param(["check-poly", "--n", "4", "--d", str(10**20), "--a0", "1"], None,
+                 "d must be an integer < 2^53", id="poly-inline-d-past-64-bits"),
+    pytest.param(["check-moments", "--n", "4", "--d", str(10**20), "--z0", "1"], None,
+                 "d must be an integer < 2^53", id="moments-inline-d-past-64-bits"),
 ])
 def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     """Each refusal exits 64 with empty stdout and its one stderr line;

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -609,3 +610,60 @@ def test_newton_descent_at_d1_returns_the_normalized_start():
         vals, ys = _newton_descent(q, counts, y0)
         assert np.array_equal(ys, np.sign(y0))
         assert np.array_equal(vals, _objective(q, counts, np.sign(y0)))
+
+
+def _eigh_failing(monkeypatch, fails):
+    """Patch ``np.linalg.eigh`` to raise LinAlgError on its calls numbered
+    (from 0) in ``fails(call, uplo)``, as LAPACK does when it does not
+    converge; the calls are recorded as (matrix shape, UPLO)."""
+    eigh, calls = np.linalg.eigh, []
+
+    def fake(a, UPLO="L"):
+        calls.append((a.shape, UPLO))
+        if fails(len(calls) - 1, UPLO):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, UPLO=UPLO)
+
+    monkeypatch.setattr(np.linalg, "eigh", fake)
+    return calls
+
+
+def test_failed_newton_eigh_is_solved_from_the_upper_triangle(capsys, monkeypatch):
+    """A batch whose eigh does not converge is solved matrix by matrix from
+    the upper triangle, and the search prints its verdict: the LinAlgError,
+    a ValueError, used to reach main as an input error (exit 64)."""
+    argv = ["--output", "json", "check-poly", "--route", "halfdeg", "--n", "5", "--d", "2",
+            "--a0", "1", "--a=0.5,-0.25", "--aa=-0.5,0.25"]
+    assert main(argv) == 1
+    expected = json.loads(capsys.readouterr().out)["results"][0]["routes"]["halfdeg"]
+    calls = _eigh_failing(monkeypatch, lambda call, uplo: call == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    got = json.loads(out)["results"][0]["routes"]["halfdeg"]
+    assert err == "" and got["status"] == expected["status"] == "NonMember"
+    assert abs(got["min_value"] - expected["min_value"]) <= 1e-9 * abs(expected["min_value"])
+    restarts = calls[0][0][0]
+    assert calls[1:restarts + 1] == [(calls[0][0][1:], "U")] * restarts
+
+
+def test_restart_whose_eigh_fails_both_ways_retires_at_its_start(monkeypatch):
+    """A matrix that fails from its upper triangle too gives its restart a
+    NaN step, which no step size accepts: that restart keeps its normalized
+    start, and the others descend as they do when every batch is solved
+    matrix by matrix."""
+    rng = np.random.default_rng(46)
+    q = rand_q(rng, 6, 3)
+    counts = np.array([3.0, 2.0, 1.0])
+    y0 = rng.normal(size=(8, 3, 3))
+    start = _objective(q, counts, _normalize_rows(y0))
+    _eigh_failing(monkeypatch, lambda call, uplo: uplo == "L")
+    vals, ys = _newton_descent(q, counts, y0)
+    _eigh_failing(monkeypatch, lambda call, uplo: uplo == "L" or call == 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, gys = _newton_descent(q, counts, y0)
+    assert got[0] == start[0] and np.array_equal(gys[0], _normalize_rows(y0[:1])[0])
+    assert np.array_equal(got[1:], vals[1:]) and np.array_equal(gys[1:], ys[1:])
+    assert np.all(vals < start)

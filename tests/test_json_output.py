@@ -321,3 +321,34 @@ def test_non_finite_values_are_written_as_the_encoder_writes_them():
                 json.dumps(cli._witness_jsonable(x) if witness else x) for x in flat]
             assert [t for t, x in zip(got.ravel().tolist(), flat) if math.isfinite(x)] == [
                 float.__repr__(x) for x in flat if math.isfinite(x)]
+
+
+def test_float_texts_are_the_repr_of_every_finite_double():
+    """``_floats`` writes every finite double as ``float.__repr__`` does,
+    including the values whose text it takes from orjson (1e-4 <= |v| <
+    1e16, except ±1): a guard against an orjson that spells them otherwise.
+    The corpus: random bit patterns, log-uniform values over that band, the
+    band's edges, each power of ten in it and their neighbours, integers up
+    to 2^53, subnormals, ±0 and ±1, mixed in one column."""
+    rng = np.random.default_rng(33)
+    edges = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    ints = rng.integers(0, 2 ** 53, size=100_000, endpoint=True).astype(float)
+    subnormal = rng.integers(1, 2 ** 52, size=10_000, dtype=np.uint64).view(float)
+    magnitudes = np.concatenate([
+        10.0 ** rng.uniform(-4, 16, size=10 ** 6),
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+        ints, np.arange(1001.0), [2.0 ** 53 - 1, 2.0 ** 53],
+        subnormal, [5e-324, np.nextafter(2.2250738585072014e-308, 0)], [0.0, 1.0]])
+    v = np.concatenate([np.frombuffer(rng.bytes(8 * 10 ** 6), dtype=float),
+                        magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size),
+                        -edges, -subnormal[:100], [-0.0, -1.0]])
+    v = rng.permutation(v[np.isfinite(v)])
+    expected = list(map(float.__repr__, v.tolist()))
+    for witness in (False, True):
+        assert cli._floats(v, witness=witness).tolist() == expected
+        got = cli._floats(v[:6000].reshape(100, 60), witness=witness)
+        assert got.shape == (100, 60) and got.ravel().tolist() == expected[:6000]
+        for x in (2.5, 1e-5, 1e16, 0.1, -1.0):
+            got = cli._floats(np.float64(x), witness=witness)
+            assert got.shape == () and got.item() == repr(x)
+        assert cli._floats([], witness=witness).shape == (0,)
