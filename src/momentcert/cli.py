@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -80,28 +79,14 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before all was written
 #: 358 MB peak at n = 2048 (mixed, 3 components: 2.1 s, 364 MB), and coherent
 #: 3.0 s and 1.32 GB at n = 4096.  --state files are not bounded
 MAX_PRESET_N = 4096
-#: the largest slice --grid.  A slice holds its g^2 points and their verdicts,
-#: about 0.35 KB a cell at d = 1: at the bound, --cone Sigma --n 4 took 2.9 s
-#: and 340 MB peak at d = 1 (2-core Xeon)
-MAX_SLICE_GRID = 1000
-#: the most plane coordinates g^2 (1 + 2d) a slice holds, MAX_SLICE_GRID's
-#: at d = 1: its memory grows with d too (--grid 1000 at d = 3 peaked at
-#: 705 MB).  At the bound, --cone Sigma --n 4 peaked at 341 MB at d = 1 (g =
-#: 1000), 329 MB at d = 2 (g = 774) and 325 MB at d = 3 (g = 654), 2-core Xeon
-MAX_SLICE_VALUES = 3 * MAX_SLICE_GRID ** 2
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    tol: float
-    output: str
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+#: the most plane coordinates g^2 (1 + 2d) a slice holds; for every d >= 1
+#: it bounds --grid by 1000.  A slice holds its g^2 points and their
+#: verdicts, about 0.35 KB a cell at d = 1: at --grid 1000, --cone Sigma
+#: --n 4 took 2.9 s and 340 MB peak at d = 1 (2-core Xeon).  Its memory grows
+#: with d too (--grid 1000 at d = 3 peaked at 705 MB).  At the bound,
+#: --cone Sigma --n 4 peaked at 341 MB at d = 1 (g = 1000), 329 MB at d = 2
+#: (g = 774) and 325 MB at d = 3 (g = 654), 2-core Xeon
+MAX_SLICE_VALUES = 3_000_000
 
 
 class InputError(Exception):
@@ -163,13 +148,10 @@ def _shallow(s: str) -> bool:
         return False
     if b"\\" in marks:
         return False
-    marks = marks.replace(b'""', b"")
-    if marks.count(b"[") + marks.count(b"{") <= ORJSON_DEPTH:
-        return True
-    m = np.frombuffer(marks, dtype=np.uint8)
+    m = np.frombuffer(marks.replace(b'""', b""), dtype=np.uint8)
     step = _DEPTH_STEP[m]
     step[np.cumsum(m == ord('"')) % 2 == 1] = 0  # a bracket inside a string
-    return int(np.cumsum(step).max()) <= ORJSON_DEPTH
+    return int(np.cumsum(step).max(initial=0)) <= ORJSON_DEPTH
 
 
 class _JsonDecoder(json.JSONDecoder):
@@ -538,7 +520,7 @@ def _record_texts(tree: dict) -> np.ndarray:
     return np.fromiter(map("".join, out.tolist()), dtype=object, count=rows)
 
 
-def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConfig):
+def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, output: str):
     """Write the verdicts of the input rows in input order.  Text lines and
     CSV rows come straight from the status codes (indices into
     STATUS_VALUES) and boundary flags; JSON from ``texts(lo, hi)``, the
@@ -547,7 +529,7 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConf
     i of "results" is input row i, as line "[i]" of text output and index i
     of CSV output are."""
     count = status.size
-    if cfg.output == "json":
+    if output == "json":
         # _json_out's layout, written a block of records at a time: sorted
         # keys put "results" before "schema"
         write = sys.stdout.write
@@ -555,7 +537,7 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, cfg: RunConf
         for start in range(0, count, JSON_BLOCK):
             write(("," if start else "") + ",".join(texts(start, min(start + JSON_BLOCK, count))))
         write(("\n  ]" if count else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
-    elif cfg.output == "csv":
+    elif output == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["index", "status", "boundary"])
         w.writerows(zip(range(count), [STATUS_VALUES[c] for c in status.tolist()],
@@ -648,32 +630,32 @@ def _moment_texts(b: RowBatch, v, w) -> tuple:
     return v.status, tree
 
 
-def cmd_check_moments(args, cfg: RunConfig) -> int:
+def cmd_check_moments(args) -> int:
     batches = (_load_moment_rows(args.file) if args.file
                else _inline_rows(args, MOMENT_FIELDS))
     status, boundary = _columns(batches)
     parts = []
     for b in batches:
-        verdicts = classify_rows(b.x0, b.x, b.xx, b.n, cfg.tol)
+        verdicts = classify_rows(b.x0, b.x, b.xx, b.n, args.tol)
         status[b.index], boundary[b.index] = verdicts.status, verdicts.boundary
-        if cfg.output == "json":
-            witnesses = witness_rows(verdicts, b.x0, b.x, b.xx, b.n, cfg.tol)
+        if args.output == "json":
+            witnesses = witness_rows(verdicts, b.x0, b.x, b.xx, b.n, args.tol)
             parts.append((b.index, *_moment_texts(b, verdicts, witnesses)))
-    _emit_verdicts(status, boundary, _block_texts(parts), cfg)
+    _emit_verdicts(status, boundary, _block_texts(parts), args.output)
     return _exit_code(status)
 
 
 ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
 
 
-def _lmi_route(b: RowBatch, cfg: RunConfig, sigma):
+def _lmi_route(b: RowBatch, args, sigma):
     return (sigma.member, sigma.boundary,
             lambda ks: {"c": _floats(sigma.c[ks]), "slack": _floats(sigma.slack[ks])})
 
 
-def _exact_d1_route(b: RowBatch, cfg: RunConfig, sigma):
+def _exact_d1_route(b: RowBatch, args, sigma):
     """The d=1 facet test, one kernel call per d-group."""
-    kmin, rmin, member, edge = p_n1_rows(b.x0, b.x[:, 0], b.xx[:, 0], b.n, cfg.tol)
+    kmin, rmin, member, edge = p_n1_rows(b.x0, b.x[:, 0], b.xx[:, 0], b.n, args.tol)
 
     def fields(ks: np.ndarray) -> dict:
         """``p_n1_membership`` witnesses of rows ks, all Member, or all NonMember at one n."""
@@ -688,7 +670,7 @@ def _exact_d1_route(b: RowBatch, cfg: RunConfig, sigma):
     return member, edge, fields
 
 
-def _ellipsoid_route(b: RowBatch, cfg: RunConfig, sigma):
+def _ellipsoid_route(b: RowBatch, args, sigma):
     """Member and boundary of each row's minimum of P_Q (at the Sigma
     tolerance, which ``sigma_rows`` has formed)."""
     return (*margin_verdict(sigma.min_value, sigma.t),
@@ -696,14 +678,14 @@ def _ellipsoid_route(b: RowBatch, cfg: RunConfig, sigma):
                         "y": _floats(sigma.y[ks])})
 
 
-def _halfdeg_route(b: RowBatch, cfg: RunConfig, sigma):
+def _halfdeg_route(b: RowBatch, args, sigma):
     """The half-degree search, one polynomial at a time; its minimum is
     decided at the P tolerance."""
     val, found = zip(*(reduced_global_min(SymmetricQuadratic(ProblemDims(n, b.d), *v),
-                                          seed=cfg.seed)
+                                          seed=args.seed)
                        for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
     val = np.array(val, dtype=float)
-    return (*margin_verdict(val, scaled_tolerance(cfg.tol, abs_scale(b.x0, b.x, b.xx), b.n)),
+    return (*margin_verdict(val, scaled_tolerance(args.tol, abs_scale(b.x0, b.x, b.xx), b.n)),
             lambda ks: {"min_value": _floats(val[ks]),
                         "argmin": _floats([found[k].points for k in ks.tolist()])})
 
@@ -746,7 +728,7 @@ def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
     return shape, tree
 
 
-def cmd_check_poly(args, cfg: RunConfig) -> int:
+def cmd_check_poly(args) -> int:
     batches = (_load_poly_rows(args.file) if args.file
                else _inline_rows(args, POLY_FIELDS))
     routes = ROUTES[:-1] if args.route == "all" else (args.route,)
@@ -760,16 +742,16 @@ def cmd_check_poly(args, cfg: RunConfig) -> int:
     status, boundary = _columns(batches)
     parts = []
     for b in batches:
-        sigma = (sigma_rows(b.x0, b.x, b.xx, b.n, cfg.tol) if SIGMA_ROUTES.intersection(routes)
+        sigma = (sigma_rows(b.x0, b.x, b.xx, b.n, args.tol) if SIGMA_ROUTES.intersection(routes)
                  else None)
-        columns = {r: ROUTE_TABLE[r](b, cfg, sigma) for r in routes
+        columns = {r: ROUTE_TABLE[r](b, args, sigma) for r in routes
                    if r != "exact-d1" or b.d == 1}
         member, edge, _ = columns[primary]
         status[b.index] = np.where(member, MEMBER, NON_MEMBER)
         boundary[b.index] = edge
-        if cfg.output == "json":
+        if args.output == "json":
             parts.append((b.index, *_poly_texts(b, columns, primary)))
-    _emit_verdicts(status, boundary, _block_texts(parts), cfg)
+    _emit_verdicts(status, boundary, _block_texts(parts), args.output)
     return _exit_code(status)
 
 
@@ -782,7 +764,7 @@ def _count(args, name: str, least: int):
     return value
 
 
-def _preset_state(args, cfg: RunConfig) -> SymmetricState:
+def _preset_state(args) -> SymmetricState:
     n = _count(args, "n", 2)
     if n is None:
         raise InputError("--preset needs --n")
@@ -800,7 +782,7 @@ def _preset_state(args, cfg: RunConfig) -> SymmetricState:
     if args.preset == "ghz":
         return ghz_state(n)
     if args.preset == "mixed":
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         k = _count(args, "components", 2)
         amps = (coherent_amplitudes(n, math.acos(2 * rng.uniform() - 1),
                                     2 * math.pi * rng.uniform()) for _ in range(k))
@@ -808,24 +790,24 @@ def _preset_state(args, cfg: RunConfig) -> SymmetricState:
     raise InputError(f"unknown preset {args.preset!r}")
 
 
-def cmd_spin(args, cfg: RunConfig) -> int:
+def cmd_spin(args) -> int:
     if args.state:
         try:
             with open(args.state) as fh:
                 obj = json.load(fh, cls=_JsonDecoder)
             state = SymmetricState.from_json_dict(obj)
-        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (OSError, *PARSE_ERRORS) as exc:
             raise InputError(f"invalid state: {exc}")
     elif args.preset:
-        state = _preset_state(args, cfg)
+        state = _preset_state(args)
     else:
         raise InputError("need --state or --preset")
-    report = entanglement_witness(state, tol=cfg.tol)
-    if cfg.output == "json":
+    report = entanglement_witness(state, tol=args.tol)
+    if args.output == "json":
         print(_json_out(report.to_json_dict()))
     else:
         print(f"verdict: {report.verdict}")
-        t = spin_tolerance(cfg.tol, state.n)
+        t = spin_tolerance(args.tol, state.n)
         for r in report.necessary:
             flag = " VIOLATED" if r.violated else ""
             # a residual within tolerance of 0 prints as 0, not as noise
@@ -857,7 +839,7 @@ def _cone_tester(cone: str, n: int, d: int, tol: float):
     return lambda v: kernel(v[:, 0], v[:, 1:1 + d], v[:, 1 + d:])
 
 
-def cmd_slice(args, cfg: RunConfig) -> int:
+def cmd_slice(args) -> int:
     try:
         plane = json.loads(args.plane, cls=_JsonDecoder)
         base = np.asarray(plane["base"], dtype=float)
@@ -869,15 +851,13 @@ def cmd_slice(args, cfg: RunConfig) -> int:
     if lo.shape != (2,) or hi.shape != (2,):
         raise InputError("invalid plane spec: lo and hi must be two numbers each")
     n, d, g = args.n, args.d, _count(args, "grid", 1)
-    if g > MAX_SLICE_GRID:
-        raise InputError(f"--grid must be <= MAX_SLICE_GRID={MAX_SLICE_GRID}, got {g}")
     if g * g * (1 + 2 * d) > MAX_SLICE_VALUES:
         raise InputError(f"--grid {g} at --d {d} gives {g * g * (1 + 2 * d)} plane values, "
                          f"more than MAX_SLICE_VALUES={MAX_SLICE_VALUES}")
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "
                          f"direction vectors of the same length")
-    member = _cone_tester(args.cone, n, d, cfg.tol)
+    member = _cone_tester(args.cone, n, d, args.tol)
 
     def points(x, y):
         return base + x[..., None] * dirs[0] + y[..., None] * dirs[1]
@@ -914,7 +894,7 @@ def cmd_slice(args, cfg: RunConfig) -> int:
         a[live[inside]] = mid[live[inside]]
         b[live[~inside]] = mid[live[~inside]]
     contour = (0.5 * (a + b)).tolist()
-    if cfg.output == "json":
+    if args.output == "json":
         print(_json_out({"cone": args.cone, "n": n, "d": d,
                          "x": xs.tolist(), "y": ys.tolist(),
                          "membership": grid.tolist(),
@@ -930,9 +910,9 @@ def cmd_slice(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fuzz(args, cfg: RunConfig) -> int:
-    result = fuzz_mod.run_suite(args.suite, iters=_count(args, "iters", 1), seed=cfg.seed)
-    if cfg.output == "json":
+def cmd_fuzz(args) -> int:
+    result = fuzz_mod.run_suite(args.suite, iters=_count(args, "iters", 1), seed=args.seed)
+    if args.output == "json":
         print(_json_out({"suite": result.suite, "iterations": result.iterations,
                          "passed": result.passed,
                          "violations": _witness_jsonable(result.violations)}))
@@ -1003,8 +983,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(seed=args.seed, tol=args.tol, output=args.output)
-        code = args.fn(args, cfg)
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise InputError("tol must be finite and positive")
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
+        code = args.fn(args)
         sys.stdout.flush()  # a closed reader raises here, not at exit
         return code
     except (InputError, ValueError) as exc:

@@ -289,8 +289,7 @@ def check_magnitude(n, d: int, x0, x, xx, names):
 def scaled_tolerance(tol: float, scale, n):
     """Absolute tolerance for residuals of order scale·n² (P, Sigma, d=1 facets);
     scale and n may be (B,) arrays."""
-    big = scale * n * n
-    return tol * (np.maximum(1.0, big) if isinstance(big, np.ndarray) else max(1.0, big))
+    return tol * np.maximum(1.0, scale * n * n)
 
 
 def moment_tolerance(tol: float, scale):

@@ -2,23 +2,22 @@
 only configurations with at most 2d distinct points.
 
 The reduction is realized numerically: enumerate multiplicity patterns
-(partitions of n into at most 2d parts) and minimize over each pattern.  At
-d=1 that is an exact sign enumeration; at d >= 2 it is a multistart
-saddle-free Riemannian Newton descent, batched over the restarts, whose step
-is solved in a Householder basis of each point's tangent space
-(`_newton_descent`).  A restart retires once its tangent gradient is at most
-GTOL = sqrt(eps) times the problem's scale, the finest gradient that its
-strict-decrease line search can resolve.  A brute-force random-search oracle
-runs the same descent on unreduced configurations.  A search over more than
-MAX_PATTERNS patterns, with a Newton Hessian of order over
-MAX_HESSIAN_ORDER, or with Newton work over MAX_SEARCH_WORK, is refused
-before it starts.
+(partitions of n into at most 2d parts, each a nonincreasing tuple of
+counts) and minimize over each pattern.  At d=1 that is an exact sign
+enumeration; at d >= 2 it is a multistart saddle-free Riemannian Newton
+descent, batched over the restarts, whose step is solved in a Householder
+basis of each point's tangent space (`_newton_descent`).  A restart retires
+once its tangent gradient is at most GTOL = sqrt(eps) times the problem's
+scale, the finest gradient that its strict-decrease line search can
+resolve.  A brute-force random-search oracle runs the same descent on
+unreduced configurations.  A search over more than MAX_PATTERNS patterns,
+with a Newton Hessian of order over MAX_HESSIAN_ORDER, or with Newton work
+over MAX_SEARCH_WORK, is refused before it starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,32 +53,16 @@ GTOL = 2.0 ** -26
 _HALVINGS = 0.5 ** np.arange(1, 30)
 
 
-@dataclass(frozen=True)
-class MultiplicityPattern:
-    """Partition of n into at most 2d parts, nonincreasing."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(int(v) for v in self.counts)
-        if any(v < 1 for v in c) or list(c) != sorted(c, reverse=True):
-            raise ValueError(f"counts must be nonincreasing positive ints, got {c}")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-
 def enumerate_patterns(n: int, d: int):
-    """All partitions of n with at most 2d parts, each exactly once."""
+    """All partitions of n with at most 2d parts, each exactly once, as
+    nonincreasing tuples of counts."""
     if n < 1:
         raise ValueError("n must be positive")
     max_parts = 2 * d
 
     def rec(remaining, max_part, parts_left, prefix):
         if remaining == 0:
-            yield MultiplicityPattern(tuple(prefix))
+            yield tuple(prefix)
             return
         if parts_left == 0:
             return
@@ -248,30 +231,29 @@ def _d1_exact_pattern_min(q: SymmetricQuadratic, counts: np.ndarray
     return float(vals[k]), ys[k]
 
 
-def _check_magnitude(q: SymmetricQuadratic):
-    """The CLI's magnitude rule on q's one row.  Below the bound,
-    scale = coefficient scale times n^2 is at most sqrt(max float / (2d+1)) n,
-    so the descent's squared tolerance (GTOL scale)^2 is a finite float for
-    every n below sqrt(2d+1) / GTOL (over 10^8), far past the n < 2
-    MAX_PATTERNS that ``reduced_global_min`` accepts."""
-    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
-
-
-def min_over_pattern(q: SymmetricQuadratic, pattern: MultiplicityPattern,
+def min_over_pattern(q: SymmetricQuadratic, pattern: tuple[int, ...],
                      restarts: int = 32, seed: int = 0
                      ) -> tuple[float, Configuration]:
-    """Best value found over configurations with the given multiplicities.
+    """Best value found over configurations whose points repeat with the
+    multiplicities ``pattern``, a nonincreasing tuple of positive ints that
+    sums to n (as :func:`enumerate_patterns` yields them).
 
     Exact at d=1 (sign enumeration).  At d >= 2 a heuristic upper bound on
     the true pattern minimum: the best of `restarts` saddle-free Newton
     descents from Gaussian starts drawn from `seed`.
 
-    Raises ValueError when a coefficient exceeds ``core.magnitude_bound``.
+    Raises ValueError when ``pattern`` is not such a tuple or a coefficient
+    exceeds ``core.magnitude_bound``.
     """
-    if pattern.n != q.dims.n:
-        raise ValueError(f"pattern sums to {pattern.n}, expected n={q.dims.n}")
-    _check_magnitude(q)
-    counts = np.array(pattern.counts, dtype=float)
+    if (not all(type(c) is int and c >= 1 for c in pattern)
+            or list(pattern) != sorted(pattern, reverse=True) or sum(pattern) != q.dims.n):
+        raise ValueError(f"pattern must be nonincreasing positive ints summing to "
+                         f"n={q.dims.n}, got {pattern!r}")
+    # below the bound, scale = coefficient scale n^2 <= sqrt(max float / (2d+1)) n,
+    # so (GTOL scale)^2 is finite for n < sqrt(2d+1) / GTOL (over 10^8), far
+    # past the n < 2 MAX_PATTERNS that reduced_global_min accepts
+    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
+    counts = np.array(pattern, dtype=float)
     d = q.dims.d
     if d == 1:
         val, y = _d1_exact_pattern_min(q, counts)
@@ -339,7 +321,7 @@ def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 
 
     Raises ValueError when a coefficient exceeds ``core.magnitude_bound``.
     """
-    _check_magnitude(q)
+    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
     n, d = q.dims.n, q.dims.d
     if d == 1:
         k, r, _, _ = (v[0].item() for v in p_n1_rows([q.a0], q.a, q.aa, n))

@@ -148,30 +148,6 @@ def sufficient_condition(m: MomentVector, tol: float = DEFAULT_TOL
     return _condition(m, SUFFICIENT, tol)
 
 
-def expand_inequalities(m: MomentVector, side: str = NECESSARY
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 2^d sign-pattern inequalities as (residual, lhs, rhs) arrays.
-
-    The residual is rhs - lhs; its minimum is the max-form residual.
-    Index is the pattern read as a binary number, bit α (LSB first) set when
-    the z0 z_αα/(n-1) term is chosen for coordinate α.
-    """
-    d = m.dims.d
-    if d > 20:
-        raise ValueError(f"2^d expansion refused for d={d} > 20")
-    terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
-    res = np.full(1, terms.base)
-    lhs = np.zeros(1)
-    for alpha in range(d):
-        res = np.concatenate([res - terms.term0[alpha], res - terms.term1[alpha]])
-        lhs = np.concatenate([lhs + terms.term0[alpha], lhs + terms.term1[alpha]])
-    return res, lhs, np.full(res.size, terms.base)
-
-
-def pattern_of_index(idx: int, d: int) -> tuple[int, ...]:
-    return tuple((idx >> alpha) & 1 for alpha in range(d))
-
-
 def _witness_diagonal(z0e, z, zz, n):
     """Per row, the inner diagonal x_αα = max(z_αα/(n-1), z_α²/(n z0e), 0) of
     the witness matrix and its corner x0 = z0e + Σ z_αα/n - Σ x_αα."""

@@ -2,8 +2,9 @@
 
 States live in the n+1 dimensional Dicke basis |j,m>, j = n/2, ordered
 m = j, j-1, ..., -j.  The moment dictionary maps first and second collective
-spin moments to a d=3 moment vector; of the eight necessary-for-separability
-inequalities on it, the three spin-squeezing rows decide detection.
+spin moments to a d=3 moment vector.  Of the eight necessary-for-separability
+inequalities on it, the two trivial rows and the three spin-squeezing rows
+are evaluated, and the squeezing rows decide detection.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MomentVector, ProblemDims, json_int, margin_verdict
-from .moment_cone import NECESSARY, expand_inequalities, pattern_of_index
+from .core import DEFAULT_TOL, MomentVector, ProblemDims, fold_columns, json_int, margin_verdict
+from .moment_cone import NECESSARY, max_form_terms
 from .moment_cone import sufficient_condition  # noqa: F401  (bench/tracing.py wraps this binding)
 
 HERMITIAN_TOL = 1e-12
@@ -32,9 +33,10 @@ PATTERN_LABELS = {
     (1, 0, 1): "squeezing-y",
     (1, 1, 0): "squeezing-z",
 }
-#: the variance-sum and second-moment-sum patterns, which every density
-#: matrix satisfies
-TRIVIAL = ((0, 0, 0), (1, 1, 1))
+#: the evaluated patterns in the order of the 2^3 expansion (index Σ p_α 2^α):
+#: the squeezing patterns between the variance-sum and second-moment-sum
+#: patterns, which every density matrix satisfies
+ROWS = ((0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -223,9 +225,13 @@ class WitnessReport:
 
 
 def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> WitnessReport:
-    """Evaluate the eight necessary-for-separability inequalities on the
-    state's projected moments and report the three squeezing rows.
+    """Evaluate the trivial and squeezing rows of the necessary-for-
+    separability inequalities on the state's projected moments and report
+    the three squeezing rows.
 
+    Row p is base >= Σ_α (term1[α] if p_α else term0[α]) of
+    ``max_form_terms``: lhs adds the picked terms in α order from 0.0, the
+    residual subtracts them from base in the same order, and rhs is base.
     A row is VIOLATED when ``margin_verdict(spin_residual, tol·n²)`` says it
     is not a member.  For a symmetric state each planar-a row is the sum of
     the squeezing rows of the other two axes and the second-moment-sum row
@@ -238,15 +244,17 @@ def entanglement_witness(state: SymmetricState, tol: float = DEFAULT_TOL) -> Wit
         raise ValueError("witness needs n >= 2")
     sm = spin_moments(state)
     m = moments_from_spin(sm, n)
-    res, lhs, rhs = expand_inequalities(m, NECESSARY)
-    patterns = [pattern_of_index(k, 3) for k in range(res.size)]
-    spin_res = np.array([spin_form_scale(p, n) for p in patterns]) * res
+    terms = max_form_terms(m.z0, m.z, m.zz, n, NECESSARY)
+    picked = np.where(np.array(ROWS, dtype=bool), terms.term1, terms.term0)
+    lhs = fold_columns(np.add, 0.0, picked)
+    res = fold_columns(np.subtract, terms.base, picked)
+    spin_res = np.array([spin_form_scale(p, n) for p in ROWS]) * res
     ok = margin_verdict(spin_res, spin_tolerance(tol, n))[0]
-    if not all(ok[patterns.index(p)] for p in TRIVIAL):
+    if not (ok[0] and ok[-1]):
         raise ValueError("state moments violate a universal quantum constraint; "
                          "the input is not a valid density matrix")
-    rows = [InequalityResult(p, PATTERN_LABELS[p], float(lhs[k]), float(rhs[k]),
+    rows = [InequalityResult(p, PATTERN_LABELS[p], float(lhs[k]), float(terms.base),
                              float(res[k]), float(spin_res[k]), not ok[k])
-            for k, p in enumerate(patterns) if p in PATTERN_LABELS]
+            for k, p in enumerate(ROWS) if p in PATTERN_LABELS]
     verdict = DETECTED if any(r.violated for r in rows) else INCONCLUSIVE
     return WitnessReport(verdict, m, rows)

@@ -3,8 +3,8 @@ every d=1 facet of both cones as one array (the ``momentcert.exact_d1``
 kernels evaluate at most four per row), the closed-form d=1 Sigma minimum,
 the Lagrange critical-point algebra of the half-degree principle, the
 large-n limit (rescaled moments, the limit cone and the ray crossings of the
-1/n convergence claim), the expanded cone Sigma', P_Q on the ellipsoid and
-the spin form of the moment inequalities.
+1/n convergence claim), the expanded cone Sigma', P_Q on the ellipsoid, the
+2^d expansion of the moment inequalities and their spin form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from momentcert.core import (
     scaled_tolerance,
 )
 from momentcert.exact_d1 import _require_d1, limit_cone_rows
-from momentcert.moment_cone import max_form_terms
+from momentcert.moment_cone import NECESSARY, max_form_terms
 from momentcert.sos_cone import EllipsoidPoint, sigma_membership_lmi
 from momentcert.spin import SpinMoments
 
@@ -298,6 +298,30 @@ def config_to_ellipsoid(config: Configuration) -> EllipsoidPoint:
     x = pts.sum(axis=0) / math.sqrt(n)
     y2 = np.sum(pts * pts, axis=0) / n - x * x / n
     return EllipsoidPoint(x, np.sqrt(np.maximum(y2, 0.0)))
+
+
+def expand_inequalities(m: MomentVector, side: str = NECESSARY
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2^d sign-pattern inequalities as (residual, lhs, rhs) arrays.
+
+    The residual is rhs - lhs; its minimum is the max-form residual.
+    Index is the pattern read as a binary number, bit α (LSB first) set when
+    the z0 z_αα/(n-1) term is chosen for coordinate α.
+    """
+    d = m.dims.d
+    if d > 20:
+        raise ValueError(f"2^d expansion refused for d={d} > 20")
+    terms = max_form_terms(m.z0, m.z, m.zz, m.dims.n, side)
+    res = np.full(1, terms.base)
+    lhs = np.zeros(1)
+    for alpha in range(d):
+        res = np.concatenate([res - terms.term0[alpha], res - terms.term1[alpha]])
+        lhs = np.concatenate([lhs + terms.term0[alpha], lhs + terms.term1[alpha]])
+    return res, lhs, np.full(res.size, terms.base)
+
+
+def pattern_of_index(idx: int, d: int) -> tuple[int, ...]:
+    return tuple((idx >> alpha) & 1 for alpha in range(d))
 
 
 def spin_form_residuals(sm: SpinMoments, n: int) -> dict[tuple[int, ...], float]:

@@ -15,6 +15,7 @@ from reference_forms import (
     critical_polynomial,
     critical_r,
     RescaledMomentVector,
+    expand_inequalities,
     facet_residuals,
     ray_crossing,
     sigma_n1_min,
@@ -67,7 +68,6 @@ from momentcert.spin import (
     spin_form_scale,
     spin_moments,
 )
-from momentcert.moment_cone import expand_inequalities
 
 
 def _report(num: int, name: str, ok: bool, detail: str, budget: float,

@@ -947,9 +947,12 @@ def test_slice_grid_below_one_refused(capsys):
      "plane needs base of length 3 and two direction vectors of the same length"),
     (["spin", "--preset", "ghz"], None, "--preset needs --n"),
     (["spin", "--preset", "dicke", "--n", "4"], None, "--preset dicke needs --m"),
-    (["slice", "--cone", "Sigma", "--n", "4", "--d", "1", "--grid", "1001", "--plane",
-      json.dumps({"base": [1, 0, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})], None,
-     "--grid must be <= MAX_SLICE_GRID=1000, got 1001"),
+    # one bound on slice size, MAX_SLICE_VALUES, refuses every --grid past 1000
+    pytest.param(["slice", "--cone", "Sigma", "--n", "4", "--d", "1", "--grid", "1001", "--plane",
+                  json.dumps({"base": [1, 0, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})], None,
+                 "--grid 1001 at --d 1 gives 3006003 plane values, more than "
+                 "MAX_SLICE_VALUES=3000000",
+                 id="argv10-None---grid must be <= MAX_SLICE_GRID=1000, got 1001"),
     (["--seed", "-1", "fuzz", "--suite", "soundness", "--iters", "1"], None,
      "--seed must be >= 0, got -1"),
     (["--seed", "-1", "spin", "--preset", "mixed", "--n", "4"], None, "--seed must be >= 0, got -1"),
@@ -984,6 +987,14 @@ def test_slice_grid_below_one_refused(capsys):
                  "d must be an integer < 2^53", id="poly-inline-d-past-64-bits"),
     pytest.param(["check-moments", "--n", "4", "--d", str(10**20), "--z0", "1"], None,
                  "d must be an integer < 2^53", id="moments-inline-d-past-64-bits"),
+    # a d below 1 is refused before the grid is built, whatever --grid is
+    pytest.param(["slice", "--cone", "Sigma", "--n", "4", "--d", "0", "--grid", "1500", "--plane",
+                  json.dumps({"base": [1], "dirs": [[0], [1]]})], None,
+                 "d must be an integer >= 1, got 0", id="slice-d-0-grid-1500"),
+    pytest.param(["slice", "--cone", "Sigma", "--n", "4", "--d", "-1", "--grid", "100000",
+                  "--plane", json.dumps({"base": [1, 0, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})],
+                 None, "plane needs base of length -1 and two direction vectors of the same "
+                 "length", id="slice-d-minus-1-grid-100000"),
 ])
 def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     """Each refusal exits 64 with empty stdout and its one stderr line;

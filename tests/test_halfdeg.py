@@ -21,7 +21,6 @@ from momentcert.halfdeg import (
     MAX_HESSIAN_ORDER,
     MAX_PATTERNS,
     MAX_SEARCH_WORK,
-    MultiplicityPattern,
     _gradient,
     _newton_descent,
     _newton_step,
@@ -45,17 +44,20 @@ def rand_q(rng, n, d, spread=1.0):
 
 
 def test_pattern_validation():
-    MultiplicityPattern((3, 2, 2))
-    with pytest.raises(ValueError):
-        MultiplicityPattern((2, 3))  # not nonincreasing
-    with pytest.raises(ValueError):
-        MultiplicityPattern((2, 0))
+    """min_over_pattern takes a nonincreasing tuple of positive ints summing
+    to n, and refuses any other pattern with one ValueError."""
+    q = SymmetricQuadratic(ProblemDims(7, 2), 1.0, np.zeros(2), np.zeros(2))
+    assert min_over_pattern(q, (3, 2, 2), restarts=2)[0] == 1.0
+    for pattern in ((5, 2, 0), (2, 3, 2), (3, 2), (3.0, 2, 2), (3, 2, 1, True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"pattern must be nonincreasing positive ints summing to n=7, got {pattern!r}")):
+            min_over_pattern(q, pattern)
 
 
 def test_enumerate_patterns_small():
-    pats = {p.counts for p in enumerate_patterns(4, 1)}
+    pats = set(enumerate_patterns(4, 1))
     assert pats == {(4,), (3, 1), (2, 2)}  # at most 2 parts
-    pats = {p.counts for p in enumerate_patterns(3, 2)}
+    pats = set(enumerate_patterns(3, 2))
     assert pats == {(3,), (2, 1), (1, 1, 1)}
 
 
@@ -64,21 +66,21 @@ def test_enumerate_matches_partition_count():
         for d in range(1, 4):
             listed = list(enumerate_patterns(n, d))
             assert len(listed) == partition_count(n, 2 * d)
-            assert len({p.counts for p in listed}) == len(listed)
-            assert all(p.n == n for p in listed)
+            assert len(set(listed)) == len(listed)
+            assert all(sum(p) == n for p in listed)
 
 
 def test_min_over_pattern_rejects_wrong_n():
     q = SymmetricQuadratic(ProblemDims(4, 2), 1.0, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        min_over_pattern(q, MultiplicityPattern((3,)))
+        min_over_pattern(q, (3,))
 
 
 def test_min_over_pattern_d1_exact():
     # q = (0, s1, 0) on the hypercube: all-minus pattern gives -n
     n = 5
     q = SymmetricQuadratic(ProblemDims(n, 1), 0.0, [1.0], [0.0])
-    val, cfg = min_over_pattern(q, MultiplicityPattern((n,)))
+    val, cfg = min_over_pattern(q, (n,))
     assert val == -float(n)
     assert np.all(cfg.points == -1.0)
 
@@ -218,7 +220,7 @@ def test_one_point_pattern_matches_angle_grid():
     for q in cases:
         n = q.dims.n
         grid = q.a0 + n * circle @ q.a + (n * n - n) * (circle * circle) @ q.aa
-        val, _ = min_over_pattern(q, MultiplicityPattern((n,)))
+        val, _ = min_over_pattern(q, (n,))
         assert abs(val - float(grid.min())) <= 1e-9 * _scale(q)
 
 
@@ -228,7 +230,7 @@ def test_newton_descent_never_rises_above_start():
         n, d = int(rng.integers(3, 9)), int(rng.integers(2, 4))
         q = rand_q(rng, n, d, spread=1.5)
         patterns = list(enumerate_patterns(n, d))
-        counts = np.array(patterns[trial % len(patterns)].counts, dtype=float)
+        counts = np.array(patterns[trial % len(patterns)], dtype=float)
         y0 = rng.normal(size=(16, counts.size, d))
         start = _objective(q, counts, _normalize_rows(y0))
         vals, ys = _newton_descent(q, counts, y0)
@@ -375,7 +377,7 @@ def test_coefficients_past_the_magnitude_bound_are_refused():
         return SymmetricQuadratic(base.dims, s * base.a0, s * base.a, s * base.aa)
 
     for fn in (reduced_global_min, full_bruteforce_min,
-               lambda q: min_over_pattern(q, MultiplicityPattern((2, 1)))):
+               lambda q: min_over_pattern(q, (2, 1))):
         with pytest.raises(ValueError, match=re.escape(f"must be at most {bound!r} in "
                                                        "magnitude at n=3, d=2")):
             fn(scaled(1e200))
@@ -393,7 +395,7 @@ def _random_case(rng, d=None):
     n = int(rng.integers(3, 8))
     q = rand_q(rng, n, d, spread=10.0 ** rng.uniform(-3.0, 3.0))
     patterns = list(enumerate_patterns(n, d))
-    counts = np.array(patterns[int(rng.integers(len(patterns)))].counts, dtype=float)
+    counts = np.array(patterns[int(rng.integers(len(patterns)))], dtype=float)
     return q, counts
 
 

@@ -139,6 +139,8 @@ def test_shallow_judges_depth_outside_strings():
     assert not cli._shallow('["' + "]" * depth + '", ' + "[" * (depth + 1) + "]" * (depth + 2))
     assert not cli._shallow('"\\n"')  # a backslash: not judged
     assert cli._shallow(json.dumps([[0.5] * 3] * (4 * depth)))
+    # text with no structure character at all, and text with few brackets
+    assert cli._shallow("") and cli._shallow("0.5") and cli._shallow('{"n": [[1]]}')
 
 
 def _decimal_neighbours(x: float) -> list[str]:

@@ -201,7 +201,7 @@ def test_streamed_verdicts_match_one_dump(tmp_path, small_blocks, count):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit_verdicts(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool),
-                               lambda lo, hi: [], cli.RunConfig(seed=0, tol=1e-9, output="json"))
+                               lambda lo, hi: [], "json")
         assert out.getvalue() == _reference({"results": [], "schema": cli.SCHEMA}) + "\n"
         return
     moments, _ = _corpus(6, count, 3)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from reference_forms import (
     RescaledMomentVector,
+    expand_inequalities,
     limit_cone_d1,
     limit_cone_membership,
+    pattern_of_index,
     ray_crossing,
     sigma_prime_membership,
 )
@@ -24,11 +26,9 @@ from momentcert.moment_cone import (
     _witness_diagonal,
     classify,
     classify_rows,
-    expand_inequalities,
     lmi_dual_feasibility,
     max_form_residual_batch,
     necessary_condition,
-    pattern_of_index,
     separating_polynomial,
     sufficient_condition,
 )

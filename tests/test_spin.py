@@ -4,10 +4,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference_forms import spin_form_residuals
+from reference_forms import expand_inequalities, pattern_of_index, spin_form_residuals
 
 from momentcert.core import DEFAULT_TOL, margin_verdict
-from momentcert.moment_cone import NECESSARY, expand_inequalities
+from momentcert.moment_cone import NECESSARY
 from momentcert.spin import (
     DETECTED,
     EIGENVALUE_TOL,
@@ -314,6 +314,23 @@ def test_verdict_is_read_from_the_printed_rows(n):
                 assert r.violated == (not margin_verdict(r.spin_residual, tol * n * n)[0])
             want = DETECTED if any(r.violated for r in rep.necessary) else INCONCLUSIVE
             assert rep.verdict == want, (n, kind, tol)
+
+
+def test_witness_rows_are_the_reference_expansion_bit_for_bit():
+    """Each reported row's lhs, rhs and residual are the bits of its row of
+    the reference 2^d expansion, and its spin residual that residual times
+    spin_form_scale: the witness evaluates its five rows from the same terms
+    in the expansion's order."""
+    patterns = [pattern_of_index(k, 3) for k in range(8)]
+    for n in [*range(2, 40), 64, 128, 256, 512]:
+        for kind, state in _witness_states(n, seed=n).items():
+            rep = entanglement_witness(state)
+            res, lhs, rhs = expand_inequalities(rep.moments, NECESSARY)
+            for r in rep.necessary:
+                k = patterns.index(r.pattern)
+                want = (lhs[k], rhs[k], res[k], spin_form_scale(r.pattern, n) * res[k])
+                assert [float(v).hex() for v in (r.lhs, r.rhs, r.residual, r.spin_residual)] == [
+                    float(v).hex() for v in want], (n, kind, r.label)
 
 
 def test_invalid_moments_raise_universal_violation():
