@@ -87,6 +87,13 @@ MAX_PRESET_N = 4096
 #: --cone Sigma --n 4 peaked at 341 MB at d = 1 (g = 1000), 329 MB at d = 2
 #: (g = 774) and 325 MB at d = 3 (g = 654), 2-core Xeon
 MAX_SLICE_VALUES = 3_000_000
+#: the most witness matrix entries, (2d + 2)^2 per Member row, that
+#: check-moments --output json holds and writes in one call; checked after
+#: classification, before any witness is built.  At the bound, 16 Member rows
+#: at d = 249 (z0 = 1, z and zz of size 1e-3) took 2.1-2.9 s and 411 MB peak
+#: RSS and wrote 95 MB; 64 rows at d = 124 took 1.9 s and 392 MB (2-core
+#: Xeon).  A bench call holds at most 4096 rows of d <= 4: 409,600 entries
+MAX_WITNESS_ENTRIES = 4_000_000
 
 
 class InputError(Exception):
@@ -607,12 +614,15 @@ def _moment_texts(b: RowBatch, v, w) -> tuple:
     """The record shapes of the rows of ``b`` (their verdicts) and
     ``tree(ks)``, the record tree of rows ks of one verdict, from the
     verdict columns ``v`` and witness columns ``w``."""
+    rank = np.cumsum(v.status == MEMBER) - 1  # a Member row's index in w.matrix
+
     def tree(ks: np.ndarray) -> dict:
         kind = int(v.status[ks[0]])
         if kind == MEMBER:
-            witness = {"matrix": {"matrix": _floats(w.matrix[ks]),
-                                  "x0": _floats(w.x0[ks], witness=True),
-                                  "xdiag": _floats(w.xdiag[ks])},
+            r = rank[ks]
+            witness = {"matrix": {"matrix": _floats(w.matrix[r]),
+                                  "x0": _floats(w.x0[r], witness=True),
+                                  "xdiag": _floats(w.xdiag[r])},
                        "report": _report_tree(v.suf, "sufficient", ks)}
         elif kind == NON_MEMBER:
             witness = {"pairing": _floats(w.pairing[ks], witness=True),
@@ -634,13 +644,18 @@ def cmd_check_moments(args) -> int:
     batches = (_load_moment_rows(args.file) if args.file
                else _inline_rows(args, MOMENT_FIELDS))
     status, boundary = _columns(batches)
+    verdicts = [classify_rows(b.x0, b.x, b.xx, b.n, args.tol) for b in batches]
+    for b, v in zip(batches, verdicts):
+        status[b.index], boundary[b.index] = v.status, v.boundary
     parts = []
-    for b in batches:
-        verdicts = classify_rows(b.x0, b.x, b.xx, b.n, args.tol)
-        status[b.index], boundary[b.index] = verdicts.status, verdicts.boundary
-        if args.output == "json":
-            witnesses = witness_rows(verdicts, b.x0, b.x, b.xx, b.n, args.tol)
-            parts.append((b.index, *_moment_texts(b, verdicts, witnesses)))
+    if args.output == "json":  # a witness matrix per Member row, bounded before any is built
+        entries = sum((2 * b.d + 2) ** 2 * int((v.status == MEMBER).sum())
+                      for b, v in zip(batches, verdicts))
+        if entries > MAX_WITNESS_ENTRIES:
+            raise InputError(f"--output json needs {entries} witness matrix entries, "
+                             f"more than MAX_WITNESS_ENTRIES={MAX_WITNESS_ENTRIES}")
+        parts = [(b.index, *_moment_texts(b, v, witness_rows(v, b.x0, b.x, b.xx, b.n, args.tol)))
+                 for b, v in zip(batches, verdicts)]
     _emit_verdicts(status, boundary, _block_texts(parts), args.output)
     return _exit_code(status)
 

@@ -290,11 +290,12 @@ def _row_dot(x, y):
 
 
 class MomentWitnessRows(NamedTuple):
-    """The witness columns of :func:`classify_rows`' verdicts, each set on
-    the rows of its verdict and zero elsewhere.  Member: the witness matrix
-    (B, 2d+2, 2d+2), its inner diagonal (B, d) and corner x0 (B,), all zero
-    for the zero vector.  NonMember: the separating polynomial a0 (B,), a and
-    aa (B, d), its pairing with the row and whether it lies in Sigma."""
+    """The witness columns of :func:`classify_rows`' verdicts.  Member: the
+    witness matrix (M, 2d+2, 2d+2), its inner diagonal (M, d) and corner x0
+    (M,), one per Member row in row order (its Member rank), all zero for
+    the zero vector.  NonMember: the separating polynomial a0 (B,), a and aa
+    (B, d), its pairing with the row and whether it lies in Sigma, set on
+    the NonMember rows and zero elsewhere."""
 
     matrix: np.ndarray
     xdiag: np.ndarray
@@ -312,11 +313,14 @@ def witness_rows(rows: MomentRows, z0, z, zz, n, tol: float = DEFAULT_TOL) -> Mo
     raises the ValueError of the SymmetricQuadratic it would make."""
     b, d = z.shape
     n = np.broadcast_to(np.asarray(n, dtype=float), (b,))
-    matrix, xdiag, x0 = np.zeros((b, 2 * d + 2, 2 * d + 2)), np.zeros((b, d)), np.zeros(b)
-    k = np.flatnonzero((rows.status == 0) & ~rows.zero)
+    member = np.flatnonzero(rows.status == 0)
+    m = member.size
+    matrix, xdiag, x0 = np.zeros((m, 2 * d + 2, 2 * d + 2)), np.zeros((m, d)), np.zeros(m)
+    r = np.flatnonzero(~rows.zero[member])  # the Member ranks of nonzero rows
+    k = member[r]
     z0e = rows.suf.z0e[k]
-    xdiag[k], x0[k] = _witness_diagonal(z0e, z[k], zz[k], n[k])
-    matrix[k] = _witness_matrices(z0e, z[k], zz[k], n[k], xdiag[k], x0[k])
+    xdiag[r], x0[r] = _witness_diagonal(z0e, z[k], zz[k], n[k])
+    matrix[r] = _witness_matrices(z0e, z[k], zz[k], n[k], xdiag[r], x0[r])
     a0, a, aa, pairing = np.zeros(b), np.zeros((b, d)), np.zeros((b, d)), np.zeros(b)
     in_sigma = np.zeros(b, dtype=bool)
     k = np.flatnonzero(rows.status == 1)

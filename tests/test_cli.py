@@ -1006,6 +1006,66 @@ def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     assert run(capsys, *argv) == (64, "", f"error: {message.format(path=path)}\n")
 
 
+def _capped_cli(*argv):
+    """The CLI in a child process whose address space is capped at 4 GB, so
+    that an allocation past that fails at once on any overcommit setting."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 32, 1 << 32)); "
+            "from momentcert.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env)
+
+
+def test_json_output_of_nonmember_rows_holds_no_witness_matrix(tmp_path):
+    """check-moments --output json builds a witness matrix for each Member
+    row only: holding a (2d+2)^2 matrix for every row asked for 17 GB on 64
+    NonMember rows at d = 3000, which print their verdicts."""
+    path = tmp_path / "nonmember.json"
+    path.write_text(json.dumps([{"n": 4, "d": 3000, "z0": -1.0, "z": [0.0] * 3000,
+                                 "zz": [0.0] * 3000}] * 64))
+    proc = _capped_cli("--output", "json", "check-moments", "--file", str(path))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    results = json.loads(proc.stdout)["results"]
+    assert [r["status"] for r in results] == ["NonMember"] * 64
+    assert results[63]["witness"]["separating_polynomial"]["a0"] == 1.0
+
+
+def test_json_witness_bound_refuses_a_huge_member_up_front():
+    """One zero-vector Member at d = 10^6 asked for a 29 TB witness matrix;
+    MAX_WITNESS_ENTRIES refuses it in one line before any witness is built,
+    and its text output, which needs no witness, is not bounded."""
+    inline = ("check-moments", "--n", "4", "--d", "1000000", "--z0", "0")
+    proc = _capped_cli("--output", "json", *inline)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        64, "", "error: --output json needs 4000008000004 witness matrix entries, more than "
+                "MAX_WITNESS_ENTRIES=4000000\n")
+    proc = _capped_cli(*inline)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0] Member\n", "")
+
+
+def test_witness_bound_counts_the_member_rows_of_the_call(tmp_path, capsys, monkeypatch):
+    """MAX_WITNESS_ENTRIES bounds the sum of (2d+2)^2 over the Member rows
+    of all d-groups: two d=1 Members (16 each) and one d=2 Member (36) make
+    68, and the NonMember and Indeterminate rows add nothing."""
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([
+        {"n": 4, "d": 1, "z0": 1.0, "z": [0.0], "zz": [0.0]},
+        {"n": 4, "d": 1, "z0": -1.0, "z": [0.0], "zz": [0.0]},
+        {"n": 4, "d": 2, "z0": 1.0, "z": [0.0, 0.0], "zz": [0.0, 0.0]},
+        {"n": 4, "d": 1, "z0": 0.0, "z": [0.0], "zz": [0.0]},
+        {"n": 4, "d": 1, "z0": 1.0, "z": [0.0], "zz": [12.0]}]))
+    argv = ("--output", "json", "check-moments", "--file", str(path))
+    monkeypatch.setattr(cli, "MAX_WITNESS_ENTRIES", 68)
+    code, out, err = run(capsys, *argv)
+    statuses = [r["status"] for r in json.loads(out)["results"]]
+    assert (code, err, statuses) == (
+        1, "", ["Member", "NonMember", "Member", "Member", "Indeterminate"])
+    monkeypatch.setattr(cli, "MAX_WITNESS_ENTRIES", 67)
+    assert run(capsys, *argv) == (64, "", "error: --output json needs 68 witness matrix "
+                                          "entries, more than MAX_WITNESS_ENTRIES=67\n")
+
+
 @pytest.mark.parametrize("route", ("lmi", "ellipsoid", "exact-d1"))
 @pytest.mark.parametrize("n", (30_000, pytest.param(40_000, marks=pytest.mark.xfail(
     strict=True, reason="the P/Sigma tolerance tol max(1, scale n^2) is 1.6 at "
