@@ -1,8 +1,9 @@
 """The README's library sketch runs on the package's exports and gives the
-results its comments state, and every public name of the package has a user
-outside the tests."""
+results its comments state, every module attribute the README names exists,
+and every public name of the package has a user outside the tests."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -25,6 +26,25 @@ def test_readme_library_sketch():
     assert ns["val"] >= 0.0
     assert ns["v"].status is Status.NON_MEMBER
     assert pair(ns["sep"], ns["m"]) < 0.0
+
+
+def _code_spans(root: Path = ROOT) -> list[str]:
+    """The code spans and code blocks of the README."""
+    return re.findall(r"```.*?```|`[^`\n]+`", (root / "README.md").read_text(), re.S)
+
+
+def test_every_module_attribute_named_in_the_readme_exists():
+    """A code span or block naming ``module.X`` (or ``momentcert.module.X``)
+    of a package module names an attribute of that module, so a deleted
+    constant or function cannot stay documented."""
+    modules = sorted(p.stem for p in (ROOT / "src" / "momentcert").glob("*.py")
+                     if p.stem != "__init__")
+    dotted = re.compile(rf"(?<![\w/.])(?:momentcert\.)?({'|'.join(modules)})\.(\w+)")
+    named = {m for span in _code_spans() for m in dotted.findall(span)}
+    assert len(named) >= 10  # the scan sees the README's names
+    missing = [f"{module}.{name}" for module, name in sorted(named)
+               if not hasattr(importlib.import_module(f"momentcert.{module}"), name)]
+    assert not missing, f"the README names attributes that do not exist: {missing}"
 
 
 #: public names that nothing reaches yet, each kept for the ROADMAP item that
@@ -62,7 +82,7 @@ def unreached_names(root: Path = ROOT) -> set:
                 todo |= _names(stmt)
     for path in (root / "bench").glob("*.py"):
         todo |= _names(ast.parse(path.read_text()))
-    for span in re.findall(r"```.*?```|`[^`\n]+`", (root / "README.md").read_text(), re.S):
+    for span in _code_spans(root):
         todo |= set(re.findall(r"\w+", span))
     reached = set()
     while todo:
