@@ -31,7 +31,7 @@ from .core import (
     Status,
     SymmetricQuadratic,
     abs_scale,
-    check_magnitude,
+    check_values,
     group_rows,
     json_int,
     margin_verdict,
@@ -201,9 +201,8 @@ PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
     """``group_rows(n, d, values)`` under the row rules: n >= 2, n < 2^53,
-    d >= 1, d < 2^53, every value finite and at most
-    ``core.magnitude_bound`` in size.  A broken rule raises ValueError with
-    the scalar constructors' message (or, for the bound, the bound) for the
+    d >= 1, d < 2^53, and ``core.check_values`` on each d-group.  A broken
+    rule raises ValueError with the scalar constructors' message for the
     first row that breaks it."""
     low = np.flatnonzero(n < 2)
     if low.size:
@@ -217,11 +216,7 @@ def _checked(n: np.ndarray, d: np.ndarray, values, names) -> list[RowBatch]:
         raise ValueError("d must be an integer < 2^53")
     batches = group_rows(n, d, values)
     for b in batches:
-        for name, v in zip(names, b[2:]):
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must be finite" if v.ndim == 1
-                                 else f"{name} contains non-finite entries")
-        check_magnitude(b.n, b.d, b.x0, b.x, b.xx, names)
+        check_values(b.n, b.d, b.x0, b.x, b.xx, names)
     return batches
 
 
@@ -285,20 +280,16 @@ def _vectors(vals: list, key: str, d: int) -> np.ndarray:
     each converted as ``from_json_dict`` converts it.  Lists of d ints and
     floats are converted in one pass over their chained items; any other
     spelling (a bare number, a nested list, a bool, a string) is converted
-    as a whole or, failing that, vector by vector, which also raises the
-    one-row error."""
+    vector by vector, which raises the one-row error."""
     if set(map(type, vals)) == {list} and set(map(len, vals)) == {d}:
         flat = list(chain.from_iterable(vals))
         if set(map(type, flat)) <= {float, int}:
             return np.array(flat, dtype=float).reshape(-1, d)
-    try:
-        v = np.array(vals, dtype=float)
-    except ValueError:  # scalar, nested and flat spellings side by side
-        v = np.array([np.array(x, dtype=float).ravel() for x in vals])
-    v = v.reshape(len(vals), -1)
-    if v.shape[1] != d:
-        raise ValueError(f"{key} must have length {d}, got {v.shape[1:]}")
-    return v
+    v = [np.array(x, dtype=float).ravel() for x in vals]
+    for x in v:
+        if x.shape != (d,):
+            raise ValueError(f"{key} must have length {d}, got {x.shape}")
+    return np.array(v)
 
 
 def _record_batches(rows: list, names) -> list[RowBatch]:
@@ -416,10 +407,8 @@ def _exit_code(status: np.ndarray) -> int:
 
 def _witness_jsonable(obj):
     """Best-effort conversion of witness payloads to JSON-safe values."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {str(k): _witness_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -444,12 +433,12 @@ def _witness_jsonable(obj):
 _CONSTANT_TEXTS = np.array(["0.0", "1.0", "-0.0", "-1.0"], dtype=object)
 
 
-def _floats(v, witness: bool = False) -> np.ndarray:
+def _floats(v) -> np.ndarray:
     """The JSON texts of the floats ``v``, as the encoder writes Python
-    floats: ``float.__repr__``, and NaN, Infinity or -Infinity; a witness
-    value that is not finite is written, as ``_witness_jsonable`` gives it,
-    as its quoted repr.  ±0.0 and ±1.0 take their text from a table.  The
-    other values with 1e-4 <= |v| < 1e16 take theirs from one
+    floats: ``float.__repr__``, and NaN, Infinity or -Infinity, the one
+    spelling of a non-finite value in every output.  ±0.0 and ±1.0 take
+    their text from a table.  The other values with 1e-4 <= |v| < 1e16 take
+    theirs from one
     ``orjson.dumps`` of the column, split at its commas: orjson writes the
     shortest round-trip digits as repr does, and in that band spells them
     alike (outside it orjson writes 1e-7 and 1e16 where repr writes 1e-07
@@ -467,7 +456,7 @@ def _floats(v, witness: bool = False) -> np.ndarray:
     out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
                             count=rest.size)
     for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        out[i] = _compact_json(out[i] if witness else float(flat[i]))
+        out[i] = _compact_json(float(flat[i]))
     return out.reshape(v.shape)
 
 
@@ -606,7 +595,7 @@ def _columns(batches: list[RowBatch]) -> tuple[np.ndarray, np.ndarray]:
 
 def _report_tree(rows, side: str, ks: np.ndarray) -> dict:
     """The ``InequalityReport`` of one side's ConditionRows at rows ks."""
-    return {"side": side, "max_form_residual": _floats(rows.residual[ks], witness=True),
+    return {"side": side, "max_form_residual": _floats(rows.residual[ks]),
             "worst_pattern": _ints(rows.pattern[ks]), "z0_ok": _bools(rows.z0_ok[ks])}
 
 
@@ -621,19 +610,19 @@ def _moment_texts(b: RowBatch, v, w) -> tuple:
         if kind == MEMBER:
             r = rank[ks]
             witness = {"matrix": {"matrix": _floats(w.matrix[r]),
-                                  "x0": _floats(w.x0[r], witness=True),
+                                  "x0": _floats(w.x0[r]),
                                   "xdiag": _floats(w.xdiag[r])},
                        "report": _report_tree(v.suf, "sufficient", ks)}
         elif kind == NON_MEMBER:
-            witness = {"pairing": _floats(w.pairing[ks], witness=True),
+            witness = {"pairing": _floats(w.pairing[ks]),
                        "report": _report_tree(v.nec, "necessary", ks),
                        "separating_polynomial": {"n": _ints(b.n[ks]), "d": b.d,
                                                  "a0": _floats(w.a0[ks]), "a": _floats(w.a[ks]),
                                                  "aa": _floats(w.aa[ks])},
                        "witness_in_sigma": _bools(w.in_sigma[ks])}
         else:
-            witness = {"necessary_residual": _floats(v.nec.residual[ks], witness=True),
-                       "sufficient_residual": _floats(v.suf.residual[ks], witness=True)}
+            witness = {"necessary_residual": _floats(v.nec.residual[ks]),
+                       "sufficient_residual": _floats(v.suf.residual[ks])}
         return {"status": STATUS_VALUES[kind], "boundary": _bools(v.boundary[ks]),
                 "witness": witness}
 
@@ -676,9 +665,9 @@ def _exact_d1_route(b: RowBatch, args, sigma):
         """``p_n1_membership`` witnesses of rows ks, all Member, or all NonMember at one n."""
         if member[ks[0]]:
             return {"witness": {"min_k": _ints(kmin[ks]),
-                                "min_residual": _floats(rmin[ks], witness=True)}}
+                                "min_residual": _floats(rmin[ks])}}
         n = int(b.n[ks[0]])
-        return {"witness": {"k": _ints(kmin[ks]), "residual": _floats(rmin[ks], witness=True),
+        return {"witness": {"k": _ints(kmin[ks]), "residual": _floats(rmin[ks]),
                             "point": {"dims": {"d": 1, "n": n},
                                       "points": _floats(hypercube_points(n, kmin[ks]))}}}
 
@@ -866,13 +855,13 @@ def cmd_slice(args) -> int:
     if lo.shape != (2,) or hi.shape != (2,):
         raise InputError("invalid plane spec: lo and hi must be two numbers each")
     n, d, g = args.n, args.d, _count(args, "grid", 1)
+    member = _cone_tester(args.cone, n, d, args.tol)
     if g * g * (1 + 2 * d) > MAX_SLICE_VALUES:
         raise InputError(f"--grid {g} at --d {d} gives {g * g * (1 + 2 * d)} plane values, "
                          f"more than MAX_SLICE_VALUES={MAX_SLICE_VALUES}")
     if base.shape != (1 + 2 * d,) or dirs.shape != (2, 1 + 2 * d):
         raise InputError(f"plane needs base of length {1 + 2 * d} and two "
                          f"direction vectors of the same length")
-    member = _cone_tester(args.cone, n, d, args.tol)
 
     def points(x, y):
         return base + x[..., None] * dirs[0] + y[..., None] * dirs[1]

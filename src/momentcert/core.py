@@ -18,8 +18,9 @@ Cones are closed, so :func:`margin_verdict` decides every test alike, on the
 margin the output reports: Member at margin >= -t, on the boundary if also
 margin < t.  Only the scales differ between families.
 
-Values larger than :func:`magnitude_bound` are refused
-(:func:`check_magnitude`), so no kernel or tolerance overflows.
+Every row holds finite values within :func:`magnitude_bound`, so no kernel
+or tolerance overflows: :func:`check_values`, which the CLI parser and the
+row constructors apply, is the one statement of that rule.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def _frozen_vector(obj, name, values, d):
     arr = np.array(values, dtype=float).reshape(-1)
     if arr.shape != (d,):
         raise ValueError(f"{name} must have length {d}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
 
@@ -86,10 +85,9 @@ class SymmetricQuadratic:
 
     def __post_init__(self):
         object.__setattr__(self, "a0", float(self.a0))
-        if not math.isfinite(self.a0):
-            raise ValueError("a0 must be finite")
         _frozen_vector(self, "a", self.a, self.dims.d)
         _frozen_vector(self, "aa", self.aa, self.dims.d)
+        check_values(self.dims.n, self.dims.d, self.a0, self.a, self.aa, POLY_FIELDS)
 
     def coeff_scale(self) -> float:
         """Magnitude used to normalize residual tolerances."""
@@ -116,10 +114,9 @@ class MomentVector:
 
     def __post_init__(self):
         object.__setattr__(self, "z0", float(self.z0))
-        if not math.isfinite(self.z0):
-            raise ValueError("z0 must be finite")
         _frozen_vector(self, "z", self.z, self.dims.d)
         _frozen_vector(self, "zz", self.zz, self.dims.d)
+        check_values(self.dims.n, self.dims.d, self.z0, self.z, self.zz, MOMENT_FIELDS)
 
     def moment_scale(self) -> float:
         return float(abs_scale(self.z0, self.z, self.zz))
@@ -275,15 +272,23 @@ def magnitude_bound(n, d: int, names) -> np.ndarray:
     return bound / n if names == POLY_FIELDS else np.full(np.shape(n), bound)
 
 
-def check_magnitude(n, d: int, x0, x, xx, names):
-    """Raise ValueError, naming the bound, at the first row that holds a value
-    past :func:`magnitude_bound`: of n and x0 (B,), x and xx (B, d), or of
-    one row with n an int."""
+def check_values(n, d: int, x0, x, xx, names):
+    """The value rule of rows n and x0 (B,), x and xx (B, d), or of one row
+    with n an int: raise ValueError for the first field, in the order
+    ``names``, that holds a non-finite value, else, naming the bound, for
+    the first row with a value past :func:`magnitude_bound`.  A NaN, as an
+    inf, fails the one comparison that passes the rows that keep the rule."""
     bound = np.atleast_1d(magnitude_bound(n, d, names))
-    big = np.flatnonzero(abs_max(x0, x, xx) > bound)
-    if big.size:
-        raise ValueError(f"{', '.join(names)} must be at most {float(bound[big[0]])!r} in "
-                         f"magnitude at n={int(np.ravel(n)[big[0]])}, d={d}")
+    within = abs_max(x0, x, xx) <= bound
+    if within.all():
+        return
+    for k, (name, v) in enumerate(zip(names, (x0, x, xx))):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} contains non-finite entries" if k
+                             else f"{name} must be finite")
+    big = np.flatnonzero(~within)[0]
+    raise ValueError(f"{', '.join(names)} must be at most {float(bound[big])!r} in "
+                     f"magnitude at n={int(np.ravel(n)[big])}, d={d}")
 
 
 def scaled_tolerance(tol: float, scale, n):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import POLY_FIELDS, Configuration, SymmetricQuadratic, check_magnitude
+from .core import Configuration, SymmetricQuadratic
 from .exact_d1 import hypercube_point, p_n1_rows
 
 CLUSTER_TOL = 1e-5
@@ -47,7 +47,10 @@ MAX_HESSIAN_ORDER = 256
 #: d = 5 (807 patterns, 6.1e8), took 25 s (2-core Xeon, BLAS on one thread)
 MAX_SEARCH_WORK = 750_000_000
 #: a restart retires at |t| <= GTOL scale: sqrt(eps), the resolution of a
-#: strict-decrease test of Q (see `_newton_descent`)
+#: strict-decrease test of Q (see `_newton_descent`).  A SymmetricQuadratic's
+#: coefficients are within ``core.magnitude_bound``, so scale <= sqrt(max
+#: float / (2d+1)) n and (GTOL scale)^2 is finite for n < sqrt(2d+1) / GTOL
+#: (over 10^8), far past the n < 2 MAX_PATTERNS that reduced_global_min accepts
 GTOL = 2.0 ** -26
 #: the backtracking steps tried after the full one: 1/2, 1/4, ..., 2^-29
 _HALVINGS = 0.5 ** np.arange(1, 30)
@@ -242,17 +245,12 @@ def min_over_pattern(q: SymmetricQuadratic, pattern: tuple[int, ...],
     the true pattern minimum: the best of `restarts` saddle-free Newton
     descents from Gaussian starts drawn from `seed`.
 
-    Raises ValueError when ``pattern`` is not such a tuple or a coefficient
-    exceeds ``core.magnitude_bound``.
+    Raises ValueError when ``pattern`` is not such a tuple.
     """
     if (not all(type(c) is int and c >= 1 for c in pattern)
             or list(pattern) != sorted(pattern, reverse=True) or sum(pattern) != q.dims.n):
         raise ValueError(f"pattern must be nonincreasing positive ints summing to "
                          f"n={q.dims.n}, got {pattern!r}")
-    # below the bound, scale = coefficient scale n^2 <= sqrt(max float / (2d+1)) n,
-    # so (GTOL scale)^2 is finite for n < sqrt(2d+1) / GTOL (over 10^8), far
-    # past the n < 2 MAX_PATTERNS that reduced_global_min accepts
-    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
     counts = np.array(pattern, dtype=float)
     d = q.dims.d
     if d == 1:
@@ -302,8 +300,7 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
     """Minimum over all multiplicity patterns; equals the global minimum over
     the sphere product up to optimizer accuracy.
 
-    Raises ValueError when :func:`check_pattern_budget` refuses (n, d) or a
-    coefficient exceeds ``core.magnitude_bound``.
+    Raises ValueError when :func:`check_pattern_budget` refuses (n, d).
     """
     check_pattern_budget(q.dims.n, q.dims.d, restarts)
     best_val, best_cfg = math.inf, None
@@ -317,11 +314,7 @@ def reduced_global_min(q: SymmetricQuadratic, restarts: int = 32, seed: int = 0
 def full_bruteforce_min(q: SymmetricQuadratic, samples: int = 2000, seed: int = 0
                         ) -> tuple[float, Configuration]:
     """Random-search oracle: Newton descent from the 16 best of `samples`
-    random configurations; exact over the n+1 facets at d=1.
-
-    Raises ValueError when a coefficient exceeds ``core.magnitude_bound``.
-    """
-    check_magnitude(q.dims.n, q.dims.d, q.a0, q.a, q.aa, POLY_FIELDS)
+    random configurations; exact over the n+1 facets at d=1."""
     n, d = q.dims.n, q.dims.d
     if d == 1:
         k, r, _, _ = (v[0].item() for v in p_n1_rows([q.a0], q.a, q.aa, n))

@@ -213,6 +213,8 @@ class RescaledMomentVector:
         d = np.asarray(self.zt, dtype=float).size
         _frozen_vector(self, "zt", self.zt, d)
         _frozen_vector(self, "zzt", self.zzt, d)
+        if not (np.isfinite(self.zt).all() and np.isfinite(self.zzt).all()):
+            raise ValueError("zt and zzt must be finite")
 
 
 def rescale_moments(m: MomentVector) -> RescaledMomentVector:

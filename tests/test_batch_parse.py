@@ -121,6 +121,9 @@ BAD_RECORDS = [
     {**GOOD, "aa": {"1": 0.5, "2": 0.5}},     # a dict of two keys
     {**GOOD, "a": "12"},                      # a string of d characters
     {**D1, "a": [[0.5, 0.5]]},
+    {**GOOD, "a0": 1e200},                    # values past core.magnitude_bound
+    {**GOOD, "aa": [0.125, -1e200]},
+    {**D1, "a": [1e300]},
 ]
 
 

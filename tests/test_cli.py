@@ -12,7 +12,15 @@ import pytest
 
 from momentcert import cli
 from momentcert.cli import main
-from momentcert.core import MOMENT_FIELDS, POLY_FIELDS, magnitude_bound
+from momentcert.core import (
+    MOMENT_FIELDS,
+    POLY_FIELDS,
+    MomentVector,
+    ProblemDims,
+    SymmetricQuadratic,
+    magnitude_bound,
+)
+from momentcert.moment_cone import classify
 from momentcert.spin import ghz_state
 
 #: a 400-digit integer literal: beyond every float
@@ -993,8 +1001,7 @@ def test_slice_grid_below_one_refused(capsys):
                  "d must be an integer >= 1, got 0", id="slice-d-0-grid-1500"),
     pytest.param(["slice", "--cone", "Sigma", "--n", "4", "--d", "-1", "--grid", "100000",
                   "--plane", json.dumps({"base": [1, 0, 0], "dirs": [[0, 1, 0], [0, 0, 1]]})],
-                 None, "plane needs base of length -1 and two direction vectors of the same "
-                 "length", id="slice-d-minus-1-grid-100000"),
+                 None, "d must be an integer >= 1, got -1", id="slice-d-minus-1-grid-100000"),
 ])
 def test_input_refusal_prints_one_line(tmp_path, capsys, argv, text, message):
     """Each refusal exits 64 with empty stdout and its one stderr line;
@@ -1307,6 +1314,24 @@ def test_moment_rows_past_the_magnitude_bound_are_refused(tmp_path, capsys):
     f.write_text("n,d,z0,z1,z11\n4,1,1,0,0\n4,1,1e155,1e155,1e155\n")
     code, out, err = run(capsys, "check-moments", "--file", str(f))
     assert (code, out) == (64, "") and err.startswith(f"error: {f}: line 3: z0, z, zz must be")
+
+
+def test_library_rows_past_the_magnitude_bound_are_refused_when_built(capsys):
+    """MomentVector and SymmetricQuadratic apply the CLI's row rule, with its
+    message, when they are built: ``classify`` of the ray (4, 1, S, S, S)
+    returned NonMember with overflow warnings at S = 1e155, although the
+    ray is Member at S = 1."""
+    assert classify(MomentVector(ProblemDims(4, 1), 1.0, [1.0], [1.0])).is_member
+    for argv, build in (
+            (["check-moments", "--z0", "1e155", "--z", "1e155", "--zz", "1e155"],
+             lambda: classify(MomentVector(ProblemDims(4, 1), 1e155, [1e155], [1e155]))),
+            (["check-poly", "--a0", "1e200", "--a", "0", "--aa", "0"],
+             lambda: SymmetricQuadratic(ProblemDims(4, 1), 1e200, [0.0], [0.0]))):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert run(capsys, argv[0], "--n", "4", "--d", "1", *argv[1:]) == (
+            64, "", f"error: {exc.value}\n")
+        assert "must be at most" in str(exc.value)
 
 
 @pytest.mark.parametrize("route", ["lmi", "ellipsoid", "exact-d1", "halfdeg"])

@@ -369,6 +369,7 @@ def test_over_budget_file_refused_before_any_search(tmp_path, capsys, monkeypatc
 def test_coefficients_past_the_magnitude_bound_are_refused():
     """The CLI's row rule holds for the library too: a (3, 2) quadratic
     scaled to 1e200 raised OverflowError from |t|^2 in the Newton descent.
+    SymmetricQuadratic refuses it when it is built, so no search starts.
     At the bound the search still answers, with the scaled minimum."""
     base = SymmetricQuadratic(ProblemDims(3, 2), 1.0, [0.5, -1.0], [0.3, 0.2])
     bound = float(magnitude_bound(np.array([3.0]), 2, POLY_FIELDS)[0])

@@ -292,35 +292,35 @@ def test_output_is_the_same_at_every_block_size(tmp_path, monkeypatch):
             assert all(v in text for v in cli.STATUS_VALUES)
             assert sum(m.dims.d == 5 for m in moments) == 1
         else:
-            assert all(f'"{v}"' in text for v in ("nan", "inf", "-inf")), argv
+            # the residuals' NaN, Infinity and -Infinity, spelled as the encoder spells them
+            assert "NaN" in text and text.count("Infinity") > text.count("-Infinity") > 0, argv
             records = json.loads(text)["results"]
             assert len({q.dims.n for q, r in zip(rows, records, strict=True)
                         if r["routes"].get("exact-d1", {}).get("status") == "NonMember"}) > 2
 
 
 def test_non_finite_values_are_written_as_the_encoder_writes_them():
-    """Route values are written as NaN/Infinity; witness values, converted
-    by ``_witness_jsonable``, as their quoted repr.  Finite values are their
-    ``float.__repr__``, ±0.0 and ±1.0 (taken from a table) and the floats
-    next to them too, in arrays of any shape and mix of the two."""
+    """Non-finite values are written as NaN/Infinity, as the encoder writes
+    them, in records and in witnesses converted by ``_witness_jsonable``
+    alike.  Finite values are their ``float.__repr__``, ±0.0 and ±1.0
+    (taken from a table) and the floats next to them too, in arrays of any
+    shape and mix of the two."""
     v = np.array([[1.5, -0.0, math.nan], [math.inf, -math.inf, 1e-310]])
     assert cli._floats(v).tolist() == [["1.5", "-0.0", "NaN"], ["Infinity", "-Infinity", "1e-310"]]
-    assert cli._floats(v, witness=True).tolist() == [
-        [json.dumps(cli._witness_jsonable(float(x))) for x in row] for row in v.tolist()]
+    assert [json.dumps(cli._witness_jsonable(x)) for x in v.ravel().tolist()] == [
+        "1.5", "-0.0", "NaN", "Infinity", "-Infinity", "1e-310"]
     values = [0.0, -0.0, 1.0, -1.0, 1.0000000000000002, -0.9999999999999999, 5e-324,
               math.nan, math.inf, -math.inf]
     arrays = [values, np.reshape(values, (2, 5)), [], np.zeros((0, 3)),
               [0.0, -1.0, -0.0, 1.0], [[1.0, -0.0], [0.0, -1.0]],
               [1.5, 5e-324, math.nan], [[-2.5, math.inf], [1e300, -1e-300]]]
-    for witness in (False, True):
-        for v in arrays:
-            got = cli._floats(v, witness=witness)
-            flat = np.ravel(v).tolist()
-            assert got.shape == np.shape(v) and got.dtype == object
-            assert got.ravel().tolist() == [
-                json.dumps(cli._witness_jsonable(x) if witness else x) for x in flat]
-            assert [t for t, x in zip(got.ravel().tolist(), flat) if math.isfinite(x)] == [
-                float.__repr__(x) for x in flat if math.isfinite(x)]
+    for v in arrays:
+        got = cli._floats(v)
+        flat = np.ravel(v).tolist()
+        assert got.shape == np.shape(v) and got.dtype == object
+        assert got.ravel().tolist() == list(map(json.dumps, flat))
+        assert [t for t, x in zip(got.ravel().tolist(), flat) if math.isfinite(x)] == [
+            float.__repr__(x) for x in flat if math.isfinite(x)]
 
 
 def test_float_texts_are_the_repr_of_every_finite_double():
@@ -344,11 +344,10 @@ def test_float_texts_are_the_repr_of_every_finite_double():
                         -edges, -subnormal[:100], [-0.0, -1.0]])
     v = rng.permutation(v[np.isfinite(v)])
     expected = list(map(float.__repr__, v.tolist()))
-    for witness in (False, True):
-        assert cli._floats(v, witness=witness).tolist() == expected
-        got = cli._floats(v[:6000].reshape(100, 60), witness=witness)
-        assert got.shape == (100, 60) and got.ravel().tolist() == expected[:6000]
-        for x in (2.5, 1e-5, 1e16, 0.1, -1.0):
-            got = cli._floats(np.float64(x), witness=witness)
-            assert got.shape == () and got.item() == repr(x)
-        assert cli._floats([], witness=witness).shape == (0,)
+    assert cli._floats(v).tolist() == expected
+    got = cli._floats(v[:6000].reshape(100, 60))
+    assert got.shape == (100, 60) and got.ravel().tolist() == expected[:6000]
+    for x in (2.5, 1e-5, 1e16, 0.1, -1.0):
+        got = cli._floats(np.float64(x))
+        assert got.shape == () and got.item() == repr(x)
+    assert cli._floats([]).shape == (0,)
