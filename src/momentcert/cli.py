@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import heapq
 import io
 import json
 import math
@@ -90,8 +91,8 @@ MAX_SLICE_VALUES = 3_000_000
 #: the most witness matrix entries, (2d + 2)^2 per Member row, that
 #: check-moments --output json holds and writes in one call; checked after
 #: classification, before any witness is built.  At the bound, 16 Member rows
-#: at d = 249 (z0 = 1, z and zz of size 1e-3) took 2.1-2.9 s and 411 MB peak
-#: RSS and wrote 95 MB; 64 rows at d = 124 took 1.9 s and 392 MB (2-core
+#: at d = 249 (z0 = 1, z and zz of size 1e-3) took 2.2-3.0 s and 166 MB peak
+#: RSS and wrote 94 MB; 64 rows at d = 124 took 1.6 s and 135 MB (2-core
 #: Xeon).  A bench call holds at most 4096 rows of d <= 4: 409,600 entries
 MAX_WITNESS_ENTRIES = 4_000_000
 
@@ -100,11 +101,12 @@ class InputError(Exception):
     pass
 
 
-#: rows per record tree of streamed JSON output.  The rows of a tree are one
-#: (d-group, record shape) stream, because a block of input rows split by
-#: d-group and shape leaves trees too small to amortize their numpy calls (a
-#: few per leaf); the bound keeps a tree's leaf-text arrays small
-JSON_BLOCK = 128
+#: the most leaf texts (rows x the leaf slots of one record) in a block of
+#: streamed JSON output, unless the block is one row.  A block is cut from
+#: one (d-group, record shape) stream, and its leaves are formatted in one
+#: call per leaf kind, whose fixed cost a block this large amortizes; the
+#: bound keeps a block's leaf-text arrays small
+JSON_BLOCK_LEAVES = 16_384
 
 #: compact separators and no indent select the stdlib's C encoder
 _compact_json = json.JSONEncoder(separators=(",", ": "), sort_keys=True).encode
@@ -424,25 +426,29 @@ def _witness_jsonable(obj):
 
 # Verdict records are written from their columns.  A record is given as a
 # tree: the dicts of its JSON object, whose leaves are either constants or
-# the leaf texts of every row at once, object arrays of shape (rows, ...)
-# with one JSON text per entry.  The rows of a tree share one layout, the
-# text _indented_json writes for the record whose leaves are slot markers.
+# the leaf values of every row at once, arrays of shape (rows, ...): float64,
+# int64 and bool columns, or object arrays of constant JSON texts.  The rows
+# of a tree share one layout, the text _indented_json writes for the record
+# whose leaves are slot markers.
 
 
 #: the texts of 0.0, 1.0, -0.0 and -1.0, at 2 * signbit + (v != 0)
 _CONSTANT_TEXTS = np.array(["0.0", "1.0", "-0.0", "-1.0"], dtype=object)
+#: the encoder's texts of -inf, inf and NaN, at (v > 0) or 2 for NaN
+_NON_FINITE_TEXTS = np.array([_compact_json(v) for v in (-math.inf, math.inf, math.nan)],
+                             dtype=object)
 
 
 def _floats(v) -> np.ndarray:
     """The JSON texts of the floats ``v``, as the encoder writes Python
     floats: ``float.__repr__``, and NaN, Infinity or -Infinity, the one
-    spelling of a non-finite value in every output.  ±0.0 and ±1.0 take
-    their text from a table.  The other values with 1e-4 <= |v| < 1e16 take
-    theirs from one
-    ``orjson.dumps`` of the column, split at its commas: orjson writes the
-    shortest round-trip digits as repr does, and in that band spells them
-    alike (outside it orjson writes 1e-7 and 1e16 where repr writes 1e-07
-    and 1e+16).  The rest fall back to ``float.__repr__``."""
+    spelling of a non-finite value in every output.  ±0.0, ±1.0 and the
+    non-finite values take their text from a table.  The other values with
+    1e-4 <= |v| < 1e16 take theirs from one ``orjson.dumps`` of those
+    values, split at its commas: orjson writes the shortest round-trip
+    digits as repr does, and in that band spells them alike (outside it
+    orjson writes 1e-7 and 1e16 where repr writes 1e-07 and 1e+16).  The
+    rest fall back to ``float.__repr__``."""
     v = np.asarray(v, dtype=float)
     flat = v.ravel()
     size = np.abs(flat)
@@ -452,19 +458,18 @@ def _floats(v) -> np.ndarray:
     if fast.size:
         text = orjson.dumps(flat[fast], option=orjson.OPT_SERIALIZE_NUMPY)
         out[fast] = text[1:-1].decode().split(",")
-    rest = np.flatnonzero(~band & (size != 0) & (size != 1))
+    finite = np.isfinite(flat)
+    rest = np.flatnonzero(~band & finite & (size != 0) & (size != 1))
     out[rest] = np.fromiter(map(float.__repr__, flat[rest].tolist()), dtype=object,
                             count=rest.size)
-    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
-        out[i] = _compact_json(float(flat[i]))
+    bad = flat[~finite]
+    out[~finite] = _NON_FINITE_TEXTS[np.where(np.isnan(bad), 2, bad > 0)]
     return out.reshape(v.shape)
 
 
-def _ints(v) -> np.ndarray:
-    """The JSON texts of the integers ``v`` (any numeric dtype)."""
-    flat = np.ravel(v).astype(np.int64)
-    return np.fromiter(map(str, flat.tolist()), dtype=object,
-                       count=flat.size).reshape(np.shape(v))
+def _ints(v: np.ndarray) -> np.ndarray:
+    """The JSON texts of the integers ``v``."""
+    return np.fromiter(map(str, v.ravel().tolist()), dtype=object, count=v.size).reshape(v.shape)
 
 
 _BOOL_TEXTS = np.array(["false", "true"], dtype=object)
@@ -478,6 +483,12 @@ _ALL_STATUSES = np.array([_indented_json(v, depth=3) for v in (
 
 def _bools(v) -> np.ndarray:
     return _BOOL_TEXTS[np.asarray(v, dtype=np.intp)]
+
+
+def _leaf_texts(v: np.ndarray) -> np.ndarray:
+    """The JSON texts of the leaf values ``v`` of one kind, by their dtype:
+    floats, ints and bools are formatted, object arrays are texts already."""
+    return {"f": _floats, "i": _ints, "b": _bools, "O": np.asarray}[v.dtype.kind](v)
 
 
 @lru_cache(maxsize=256)
@@ -499,9 +510,11 @@ def _layout(skeleton: str) -> np.ndarray:
     return pieces
 
 
-def _record_texts(tree: dict) -> np.ndarray:
-    """The JSON texts of the rows of one record tree: its layout's pieces
-    interleaved with the leaf texts, which the encoder meets in text order."""
+def _record_leaves(tree: dict) -> tuple:
+    """The layout pieces of the rows of one record tree, and its leaves by
+    kind: per leaf dtype kind, the columns its texts fill between the pieces
+    and its leaf values, one row per record, in the order the encoder meets
+    them, which is text order."""
     leaves = []
 
     def leaf(v: np.ndarray) -> str:
@@ -509,29 +522,41 @@ def _record_texts(tree: dict) -> np.ndarray:
         return "@" + ",".join(map(str, v.shape[1:]))
 
     pieces = _layout(json.JSONEncoder(sort_keys=True, default=leaf).encode(tree))
-    rows = leaves[0].shape[0]
-    out = np.empty((rows, 2 * pieces.size - 1), dtype=object)
+    kinds = np.repeat([v.dtype.kind for v in leaves], [v.shape[1] for v in leaves])
+    return pieces, [(1 + 2 * np.flatnonzero(kinds == k),
+                     np.concatenate([v for v in leaves if v.dtype.kind == k], axis=1))
+                    for k in dict.fromkeys(kinds)]
+
+
+def _record_texts(pieces: np.ndarray, leaves: list, rows: slice) -> np.ndarray:
+    """The JSON texts of one block, records ``rows`` of a record tree given
+    as ``_record_leaves`` gives it: the layout's pieces interleaved with the
+    leaf texts, those of each leaf kind made in one call."""
+    texts = [(cols, _leaf_texts(v[rows])) for cols, v in leaves]
+    count = texts[0][1].shape[0]
+    out = np.empty((count, 2 * pieces.size - 1), dtype=object)
     out[:, 0::2] = pieces
-    out[:, 1::2] = np.concatenate(leaves, axis=1)
-    return np.fromiter(map("".join, out.tolist()), dtype=object, count=rows)
+    for cols, t in texts:
+        out[:, cols] = t
+    return np.fromiter(map("".join, out.tolist()), dtype=object, count=count)
 
 
-def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, output: str):
+def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, runs, output: str):
     """Write the verdicts of the input rows in input order.  Text lines and
     CSV rows come straight from the status codes (indices into
-    STATUS_VALUES) and boundary flags; JSON from ``texts(lo, hi)``, the
-    record texts of rows lo..hi-1, made and written one JSON_BLOCK at a time.
-    A record holds a row's verdict and witnesses, not the row itself: record
-    i of "results" is input row i, as line "[i]" of text output and index i
-    of CSV output are."""
+    STATUS_VALUES) and boundary flags; JSON from ``runs``, the record texts
+    of the rows in input order as lists of successive records, each written
+    at once.  A record holds a row's verdict and witnesses, not the row
+    itself: record i of "results" is input row i, as line "[i]" of text
+    output and index i of CSV output are."""
     count = status.size
     if output == "json":
-        # _json_out's layout, written a block of records at a time: sorted
+        # _json_out's layout, written a run of records at a time: sorted
         # keys put "results" before "schema"
         write = sys.stdout.write
         write('{\n  "results": [')
-        for start in range(0, count, JSON_BLOCK):
-            write(("," if start else "") + ",".join(texts(start, min(start + JSON_BLOCK, count))))
+        for i, records in enumerate(runs):
+            write(("," if i else "") + ",".join(records))
         write(("\n  ]" if count else "]") + f',\n  "schema": "{SCHEMA}"\n}}\n')
     elif output == "csv":
         w = csv.writer(sys.stdout)
@@ -543,34 +568,49 @@ def _emit_verdicts(status: np.ndarray, boundary: np.ndarray, texts, output: str)
                                   for i, k in enumerate((2 * status + boundary).tolist())]))
 
 
+def _stream_texts(tree, ks: np.ndarray):
+    """The record texts of group rows ks, one stream, a block at a time.
+    The stream's one tree gives its layout; a block holds at most
+    JSON_BLOCK_LEAVES leaf texts, rows x the leaf slots of the layout, or
+    one row."""
+    pieces, leaves = _record_leaves(tree(ks))
+    step = max(1, JSON_BLOCK_LEAVES // (pieces.size - 1))
+    for s in range(0, ks.size, step):
+        yield _record_texts(pieces, leaves, slice(s, s + step))
+
+
 def _block_texts(parts: list):
-    """``texts(lo, hi)`` for _emit_verdicts.  ``parts`` holds, per d-group,
-    the input positions of its rows (ascending), their record shapes, and
+    """The record texts of the rows in input order, a run of records at a
+    time, for _emit_verdicts.  ``parts`` holds, per d-group, the input
+    positions of its rows (ascending), their record shapes, and
     ``tree(ks)``, the record tree of group rows ks, all of one shape.  The
     rows of one d-group and shape are a stream in input order, cut into
-    blocks of JSON_BLOCK rows; a block's texts are built when the writer
-    first needs one of its rows, and wait in ``pending`` until written."""
+    blocks by ``_stream_texts``.  Each run makes the block that starts at
+    the first row not yet given, and gives the rows from there up to the
+    first row of the next block to make; until they are given, a block's
+    texts wait in ``pending``."""
     pending = np.empty(sum(index.size for index, _, _ in parts), dtype=object)
-    # per block: the input position of its first row (no two blocks share
-    # one), its input positions and group rows, and its tree; sorted so that
-    # the next block to build is the last
-    blocks = []
+    # per stream: the input position of the first row of its next block (no
+    # two blocks share one), the input positions of its rows from there on,
+    # and its blocks; a heap, so that the next block to make is first
+    heap = []
     for index, shape, tree in parts:
         order = np.argsort(shape, kind="stable")
-        for ks in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
-            blocks += [(int(index[ks[s]]), index[ks[s:s + JSON_BLOCK]], ks[s:s + JSON_BLOCK], tree)
-                       for s in range(0, ks.size, JSON_BLOCK)]
-    blocks.sort(key=itemgetter(0), reverse=True)
-
-    def texts(lo: int, hi: int) -> list:
-        while blocks and blocks[-1][0] < hi:
-            _, pos, ks, tree = blocks.pop()
-            pending[pos] = _record_texts(tree(ks))
-        out = pending[lo:hi].tolist()
+        heap += [(int(index[ks[0]]), index[ks], _stream_texts(tree, ks))
+                 for ks in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1)]
+    heapq.heapify(heap)
+    lo = 0
+    while heap:
+        # the next block starts at lo: every row before lo has been given
+        _, pos, blocks = heapq.heappop(heap)
+        block = next(blocks)
+        pending[pos[:block.size]] = block
+        if block.size < pos.size:
+            heapq.heappush(heap, (int(pos[block.size]), pos[block.size:], blocks))
+        hi = heap[0][0] if heap else pending.size
+        yield pending[lo:hi].tolist()
         pending[lo:hi] = None
-        return out
-
-    return texts
+        lo = hi
 
 
 def _inline_rows(args, names) -> list[RowBatch]:
@@ -595,8 +635,8 @@ def _columns(batches: list[RowBatch]) -> tuple[np.ndarray, np.ndarray]:
 
 def _report_tree(rows, side: str, ks: np.ndarray) -> dict:
     """The ``InequalityReport`` of one side's ConditionRows at rows ks."""
-    return {"side": side, "max_form_residual": _floats(rows.residual[ks]),
-            "worst_pattern": _ints(rows.pattern[ks]), "z0_ok": _bools(rows.z0_ok[ks])}
+    return {"side": side, "max_form_residual": rows.residual[ks],
+            "worst_pattern": rows.pattern[ks].astype(np.int64), "z0_ok": rows.z0_ok[ks]}
 
 
 def _moment_texts(b: RowBatch, v, w) -> tuple:
@@ -609,22 +649,18 @@ def _moment_texts(b: RowBatch, v, w) -> tuple:
         kind = int(v.status[ks[0]])
         if kind == MEMBER:
             r = rank[ks]
-            witness = {"matrix": {"matrix": _floats(w.matrix[r]),
-                                  "x0": _floats(w.x0[r]),
-                                  "xdiag": _floats(w.xdiag[r])},
+            witness = {"matrix": {"matrix": w.matrix[r], "x0": w.x0[r], "xdiag": w.xdiag[r]},
                        "report": _report_tree(v.suf, "sufficient", ks)}
         elif kind == NON_MEMBER:
-            witness = {"pairing": _floats(w.pairing[ks]),
+            witness = {"pairing": w.pairing[ks],
                        "report": _report_tree(v.nec, "necessary", ks),
-                       "separating_polynomial": {"n": _ints(b.n[ks]), "d": b.d,
-                                                 "a0": _floats(w.a0[ks]), "a": _floats(w.a[ks]),
-                                                 "aa": _floats(w.aa[ks])},
-                       "witness_in_sigma": _bools(w.in_sigma[ks])}
+                       "separating_polynomial": {"n": b.n[ks].astype(np.int64), "d": b.d,
+                                                 "a0": w.a0[ks], "a": w.a[ks], "aa": w.aa[ks]},
+                       "witness_in_sigma": w.in_sigma[ks]}
         else:
-            witness = {"necessary_residual": _floats(v.nec.residual[ks]),
-                       "sufficient_residual": _floats(v.suf.residual[ks])}
-        return {"status": STATUS_VALUES[kind], "boundary": _bools(v.boundary[ks]),
-                "witness": witness}
+            witness = {"necessary_residual": v.nec.residual[ks],
+                       "sufficient_residual": v.suf.residual[ks]}
+        return {"status": STATUS_VALUES[kind], "boundary": v.boundary[ks], "witness": witness}
 
     return v.status, tree
 
@@ -654,7 +690,7 @@ ROUTES = ("lmi", "ellipsoid", "exact-d1", "halfdeg", "all")
 
 def _lmi_route(b: RowBatch, args, sigma):
     return (sigma.member, sigma.boundary,
-            lambda ks: {"c": _floats(sigma.c[ks]), "slack": _floats(sigma.slack[ks])})
+            lambda ks: {"c": sigma.c[ks], "slack": sigma.slack[ks]})
 
 
 def _exact_d1_route(b: RowBatch, args, sigma):
@@ -664,12 +700,11 @@ def _exact_d1_route(b: RowBatch, args, sigma):
     def fields(ks: np.ndarray) -> dict:
         """``p_n1_membership`` witnesses of rows ks, all Member, or all NonMember at one n."""
         if member[ks[0]]:
-            return {"witness": {"min_k": _ints(kmin[ks]),
-                                "min_residual": _floats(rmin[ks])}}
+            return {"witness": {"min_k": kmin[ks], "min_residual": rmin[ks]}}
         n = int(b.n[ks[0]])
-        return {"witness": {"k": _ints(kmin[ks]), "residual": _floats(rmin[ks]),
+        return {"witness": {"k": kmin[ks], "residual": rmin[ks],
                             "point": {"dims": {"d": 1, "n": n},
-                                      "points": _floats(hypercube_points(n, kmin[ks]))}}}
+                                      "points": hypercube_points(n, kmin[ks])}}}
 
     return member, edge, fields
 
@@ -678,8 +713,7 @@ def _ellipsoid_route(b: RowBatch, args, sigma):
     """Member and boundary of each row's minimum of P_Q (at the Sigma
     tolerance, which ``sigma_rows`` has formed)."""
     return (*margin_verdict(sigma.min_value, sigma.t),
-            lambda ks: {"min_value": _floats(sigma.min_value[ks]), "x": _floats(sigma.x[ks]),
-                        "y": _floats(sigma.y[ks])})
+            lambda ks: {"min_value": sigma.min_value[ks], "x": sigma.x[ks], "y": sigma.y[ks]})
 
 
 def _halfdeg_route(b: RowBatch, args, sigma):
@@ -690,8 +724,8 @@ def _halfdeg_route(b: RowBatch, args, sigma):
                        for n, *v in zip(b.n.astype(int).tolist(), b.x0, b.x, b.xx)))
     val = np.array(val, dtype=float)
     return (*margin_verdict(val, scaled_tolerance(args.tol, abs_scale(b.x0, b.x, b.xx), b.n)),
-            lambda ks: {"min_value": _floats(val[ks]),
-                        "argmin": _floats([found[k].points for k in ks.tolist()])})
+            lambda ks: {"min_value": val[ks],
+                        "argmin": np.array([found[k].points for k in ks.tolist()], dtype=float)})
 
 
 #: each route runs once per d-group, over the rows of that group, given the
@@ -710,7 +744,7 @@ def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
     tree of rows ks of one shape, from each route's columns."""
     def tree(ks: np.ndarray) -> dict:
         routes = {r: {"status": _STATUS_TEXTS[np.where(member[ks], MEMBER, NON_MEMBER)],
-                      "boundary": _bools(edge[ks]), **fields(ks)}
+                      "boundary": edge[ks], **fields(ks)}
                   for r, (member, edge, fields) in columns.items()}
         members = np.array([member[ks] for member, _, _ in columns.values()])
         # halfdeg/exact-d1 decide the (larger) nonnegativity cone, so a
@@ -718,7 +752,7 @@ def _poly_texts(b: RowBatch, columns: dict, primary: str) -> tuple:
         sos = ([columns[r][0][ks] for r in ("lmi", "ellipsoid") if r in columns]
                or [np.zeros(ks.size, dtype=bool)])
         return {"status": routes[primary]["status"], "routes": routes,
-                "disagreement": _bools(sos[0] != sos[-1]),
+                "disagreement": sos[0] != sos[-1],
                 "all_statuses": _ALL_STATUSES[2 * members.any(axis=0) + ~members.all(axis=0) - 1]}
 
     # a row's shape, 2n + its exact-d1 verdict: n counts where a witness
@@ -827,7 +861,7 @@ CONES = ("P", "Sigma", "SigmaPrime", "C-nec", "C-suf", "limit")
 def _cone_tester(cone: str, n: int, d: int, tol: float):
     """Membership predicate over points (K, 1+2d) in the cone's coordinates
     (a0, a, aa) or (z0, z, zz): one kernel call per batch of points."""
-    ProblemDims(n, d)  # rejects n < 2 and d < 1
+    ProblemDims(n, d)  # the n and d row rules
     if cone in ("P", "limit") and d != 1:
         raise InputError("cone P is exactly decidable only at d=1" if cone == "P"
                          else "the limit-cone slice is defined at d=1")
@@ -869,12 +903,11 @@ def cmd_slice(args) -> int:
     # A point's coordinates, as rounded here, are monotone in x and in y, so
     # on the box [lo, hi] they lie between their values at its corners: the
     # finiteness rule and the certify row rules (``_checked``) hold at every
-    # grid and bisection point when they hold at the corners.  An n past the
-    # float range is refused by the n < 2^53 rule, as 2^53 is.
+    # grid and bisection point when they hold at the corners.
     corners = points(np.array([lo[0], lo[0], hi[0], hi[0]]), np.array([lo[1], hi[1]] * 2))
     if not np.isfinite(corners).all():
         raise InputError("plane point is not finite")
-    _checked(np.full(4, float(min(n, 2 ** 53))), np.full(4, d),
+    _checked(np.full(4, float(n)), np.full(4, d),
              lambda idx, d: (corners[:, 0], corners[:, 1:1 + d], corners[:, 1 + d:]),
              POLY_FIELDS if args.cone in ("P", "Sigma", "SigmaPrime") else MOMENT_FIELDS)
     xs = np.linspace(lo[0], hi[0], g)

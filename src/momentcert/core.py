@@ -60,15 +60,21 @@ def _frozen_vector(obj, name, values, d):
 
 @dataclass(frozen=True)
 class ProblemDims:
-    """Number of balls/particles n and ball dimension d."""
+    """Number of balls/particles n and ball dimension d: integers with
+    2 <= n < 2^53 and 1 <= d < 2^53, the CLI's row rules."""
 
     n: int
     d: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
+        # each bound before int(), which raises OverflowError on -inf
+        if self.n >= 2 ** 53:
+            raise ValueError("n must be an integer < 2^53")
+        if not self.n >= 2 or int(self.n) != self.n:
             raise ValueError(f"n must be an integer >= 2, got {self.n}")
-        if int(self.d) != self.d or self.d < 1:
+        if self.d >= 2 ** 53:
+            raise ValueError("d must be an integer < 2^53")
+        if not self.d >= 1 or int(self.d) != self.d:
             raise ValueError(f"d must be an integer >= 1, got {self.d}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "d", int(self.d))

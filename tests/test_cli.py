@@ -380,9 +380,9 @@ def test_witnesses_converted_for_json_output_only(tmp_path, capsys, monkeypatch)
                         lambda obj: calls.append(obj) or convert(obj))
     monkeypatch.setattr(cli, "witness_rows",
                         lambda *a: calls.append("witness_rows") or witness(*a))
-    monkeypatch.setattr(cli, "_record_texts", lambda tree: calls.append("record") or texts(tree))
-    monkeypatch.setattr(cli, "_emit_verdicts", lambda status, boundary, texts, cfg: emit(
-        status, boundary, lambda lo, hi: calls.append("records") or texts(lo, hi), cfg))
+    monkeypatch.setattr(cli, "_record_texts", lambda *a: calls.append("record") or texts(*a))
+    monkeypatch.setattr(cli, "_emit_verdicts", lambda status, boundary, runs, cfg: emit(
+        status, boundary, (calls.append("records") or r for r in runs), cfg))
     moments = tmp_path / "rows.csv"
     moments.write_text("n,d,z0,z1,z11\n4,1,1.0,0.0,0.0\n4,1,1.0,8.0,0.0\n")
     poly = tmp_path / "q.json"
@@ -575,9 +575,9 @@ def test_check_poly_text_and_csv_show_the_primary_route_boundary(capsys, route):
         code, "index,status,boundary\r\n0,Member,True\r\n", "")
 
 
-#: JSON_BLOCK in the block-edge tests: small, so that a few dozen rows span
-#: several blocks
-JSON_BLOCK = 3
+#: the leaf budget (JSON_BLOCK_LEAVES) of the block-edge tests: small, so
+#: that a few dozen rows span several blocks
+JSON_BLOCK_LEAVES = 40
 
 
 def _with_boundary_rows(moments, polys, every: int = 29):
@@ -601,8 +601,8 @@ def test_text_and_csv_agree_with_json_on_a_mixed_corpus(tmp_path, capsys, monkey
     CSV rows carry the status and boundary that JSON gives (for check-poly
     those of the primary route), and all three formats exit alike."""
     import momentcert.cli as cli
-    monkeypatch.setattr(cli, "JSON_BLOCK", JSON_BLOCK)
-    count = 8 * JSON_BLOCK + 1 if case in ("halfdeg", "all") else 45 * JSON_BLOCK + 2
+    monkeypatch.setattr(cli, "JSON_BLOCK_LEAVES", JSON_BLOCK_LEAVES)
+    count = 25 if case in ("halfdeg", "all") else 137
     small = {"exact-d1": {"d_max": 1}, "halfdeg": {"n_max": 4, "d_max": 2},
              "all": {"n_max": 4, "d_max": 2}}.get(case, {})  # halfdeg searches row by row
     moments, polys = _with_boundary_rows(*_mixed_rows(16, count, **small))
@@ -1162,6 +1162,10 @@ def test_json_output_is_the_indented_layout(tmp_path, capsys):
 
 
 def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
+    """The writer makes a block of records when it reaches the block's first
+    row and then writes every record made up to the next block to make: one
+    write per block between the head and the tail, none of them the whole
+    results list."""
     import io
     import sys
 
@@ -1172,33 +1176,34 @@ def test_json_verdicts_are_written_a_block_at_a_time(tmp_path, monkeypatch):
             sizes.append(len(text))
             return super().write(text)
 
-    monkeypatch.setattr(cli, "JSON_BLOCK", JSON_BLOCK)
-    moments, _ = _mixed_rows(14, 2 * cli.JSON_BLOCK + 3)
+    monkeypatch.setattr(cli, "JSON_BLOCK_LEAVES", JSON_BLOCK_LEAVES)
+    record_texts = cli._record_texts
+    monkeypatch.setattr(cli, "_record_texts",
+                        lambda *a: made.append(len(sizes)) or record_texts(*a))
+    moments, _ = _mixed_rows(14, 9)
     f = tmp_path / "m.json"
     f.write_text(json.dumps([m.to_json_dict() for m in moments]))
-    sizes, out = [], Writes()
+    sizes, made, out = [], [], Writes()
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["--output", "json", "check-moments", "--file", str(f)]) in (1, 2)
     text = out.getvalue()
     results = json.loads(text)["results"]
     assert text == json.dumps({"results": results, "schema": "2"}, indent=2,
                               sort_keys=True) + "\n"
-    blocks = [results[s:s + cli.JSON_BLOCK] for s in range(0, len(results), cli.JSON_BLOCK)]
-    block_text = max(len(json.dumps(b, indent=2, sort_keys=True).replace("\n", "\n  "))
-                     for b in blocks)
-    assert len(blocks) == 3 and len(sizes) >= 3 and max(sizes) <= block_text
+    # the writes made before each block: the head, then one per block
+    assert made == list(range(1, len(made) + 1)) and len(sizes) == len(made) + 2
+    assert len(made) >= 3 and max(sizes[1:-1]) < sum(sizes[1:-1])
 
 
 def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
     """Every block of record texts is plain JSON: no numpy scalar's repr
     leaks into a record, and each block parses to builtin types only."""
     import momentcert.cli as cli
-    payloads = []
+    payloads = []  # per call, the blocks of record texts it wrote
     emit = cli._emit_verdicts
     monkeypatch.setattr(cli, "_emit_verdicts",
-                        lambda status, boundary, texts, cfg: emit(
-                            status, boundary, lambda lo, hi: payloads.append(texts(lo, hi))
-                            or payloads[-1], cfg))
+                        lambda status, boundary, runs, cfg: payloads.append([]) or emit(
+                            status, boundary, (payloads[-1].append(r) or r for r in runs), cfg))
     moments, polys = _mixed_rows(15, 12, n_max=6, d_max=2)
     mfile, pfile = tmp_path / "m.json", tmp_path / "q.json"
     mfile.write_text(json.dumps([m.to_json_dict() for m in moments]))
@@ -1214,10 +1219,12 @@ def test_json_payloads_hold_builtin_types_only(tmp_path, capsys, monkeypatch):
             for v in obj:
                 yield from types(v)
 
-    assert len(payloads) == 2 and all(type(t) is str for block in payloads for t in block)
-    assert not any("np." in t for block in payloads for t in block)
-    records = [json.loads("[" + ",".join(block) + "]") for block in payloads]
-    assert "separating_polynomial" in json.dumps(records[0])
+    blocks = [block for call in payloads for block in call]
+    assert len(payloads) == 2 and [sum(map(len, call)) for call in payloads] == [12, 12]
+    assert all(type(t) is str for block in blocks for t in block)
+    assert not any("np." in t for block in blocks for t in block)
+    records = [json.loads("[" + ",".join(block) + "]") for block in blocks]
+    assert "separating_polynomial" in json.dumps(records[:len(payloads[0])])
     assert set(types(records)) <= {dict, list, str, int, float, bool, type(None)}
 
 

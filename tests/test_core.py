@@ -36,6 +36,26 @@ def test_dims_validation():
         ProblemDims(3, 0)
 
 
+def test_dims_refuse_n_and_d_past_2_53_as_the_cli_does():
+    """n or d >= 2^53 is refused with the CLI's message, however large: an n
+    past the float range raised OverflowError from the magnitude bound when
+    a row was built.  -inf and NaN are refused by the lower bounds, with a
+    message that names the field."""
+    ProblemDims(2 ** 53 - 1, 2 ** 53 - 1)
+    for n, d, message in ((2 ** 53, 1, "n"), (10 ** 400, 1, "n"), (math.inf, 1, "n"),
+                          (4, 2 ** 53, "d"), (4, 10 ** 400, "d")):
+        with pytest.raises(ValueError, match=rf"^{message} must be an integer < 2\^53$"):
+            ProblemDims(n, d)
+    with pytest.raises(ValueError, match=r"^n must be an integer < 2\^53$"):
+        SymmetricQuadratic(ProblemDims(10 ** 400, 1), 1.0, [0.0], [0.0])
+    for n, d, message in ((-math.inf, 1, "n must be an integer >= 2, got -inf"),
+                          (math.nan, 1, "n must be an integer >= 2, got nan"),
+                          (4, -math.inf, "d must be an integer >= 1, got -inf"),
+                          (4, math.nan, "d must be an integer >= 1, got nan")):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            ProblemDims(n, d)
+
+
 def test_power_sums_small_cases():
     c = Configuration(ProblemDims(2, 1), [[1.0], [-1.0]])
     s, ss = power_sums(c)

@@ -39,8 +39,11 @@ def _containers(children):
 
 #: constants of a record tree
 CONSTANTS = st.recursive(SCALARS, _containers, max_leaves=25)
-#: the column of leaf values of a record tree, three rows of two
+#: the columns of leaf values of a record tree, three rows each: floats (two
+#: a row), ints and bools, whose keys put the floats last in text order
 COLUMN = np.array([[1.5, -0.0], [math.nan, 1.0], [5e-324, -math.inf]])
+INTS = np.array([3, -1, 0], dtype=np.int64)
+FLAGS = np.array([True, False, True])
 
 
 def _reference(obj, depth: int = 0) -> str:
@@ -48,10 +51,11 @@ def _reference(obj, depth: int = 0) -> str:
 
 
 def _record_case(obj, depth: int):
-    """A record tree with the constant ``obj`` beside its leaf column and
+    """A record tree with the constant ``obj`` beside its leaf columns and
     ``depth`` dicts above it, and the dict of each of its rows."""
-    tree, rows = {"leaf": cli._floats(COLUMN), "const": obj}, [
-        {"leaf": r, "const": obj} for r in COLUMN.tolist()]
+    tree, rows = {"leaf": COLUMN, "flag": FLAGS, "k": INTS, "const": obj}, [
+        {"leaf": r, "flag": f, "k": k, "const": obj}
+        for r, f, k in zip(COLUMN.tolist(), FLAGS.tolist(), INTS.tolist())]
     for _ in range(depth):
         tree, rows = {"b": tree, "a": obj}, [{"b": r, "a": obj} for r in rows]
     return tree, rows
@@ -59,9 +63,12 @@ def _record_case(obj, depth: int):
 
 def _assert_record_texts(obj, depth: int):
     """Each row's text, as a record of the results list, is the indented
-    dump of its dict."""
+    dump of its dict, for all rows at once and for each row alone."""
     tree, rows = _record_case(obj, depth)
-    assert cli._record_texts(tree).tolist() == ["\n    " + _reference(r, 2) for r in rows]
+    expect = ["\n    " + _reference(r, 2) for r in rows]
+    leaves = cli._record_leaves(tree)
+    assert cli._record_texts(*leaves, slice(None)).tolist() == expect
+    assert [cli._record_texts(*leaves, slice(i, i + 1)).item() for i in range(3)] == expect
 
 
 @settings(max_examples=400, deadline=None)
@@ -175,45 +182,59 @@ def _write(path, rows) -> str:
     return str(path)
 
 
-def _matches(argv, expect: list) -> str:
-    code, out = _stdout(["--output", "json", *argv])
-    assert code != 64
-    assert out == json.dumps({"results": expect, "schema": cli.SCHEMA}, indent=2,
-                             sort_keys=True) + "\n", argv
+def _matches(argv, expect: list, budgets=lambda: [None]) -> str:
+    """The stdout of the JSON call ``argv``, checked to be the one dump of
+    ``expect`` at each leaf budget that iterating ``budgets()`` sets."""
+    for _ in budgets():
+        code, out = _stdout(["--output", "json", *argv])
+        assert code != 64
+        assert out == json.dumps({"results": expect, "schema": cli.SCHEMA}, indent=2,
+                                 sort_keys=True) + "\n", argv
     return out
 
 
-#: JSON_BLOCK in the block-edge tests: small, so that a corpus of a few
-#: dozen rows spans several blocks in most of its streams
-BLOCK = 3
+#: the leaf budgets (JSON_BLOCK_LEAVES) of the block-edge tests: below one
+#: record, so that every block is one row; a few records and a few dozen, so
+#: that a corpus of a few dozen rows spans several blocks in most of its
+#: streams; and past a whole corpus, so that every stream is one block
+BUDGETS = (1, 40, 400, 10 ** 6)
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(cli, "JSON_BLOCK", BLOCK)
+    """``budgets()``, which sets each leaf budget of BUDGETS in turn as it
+    is iterated."""
+    def budgets():
+        for budget in BUDGETS:
+            monkeypatch.setattr(cli, "JSON_BLOCK_LEAVES", budget)
+            yield budget
+
+    return budgets
 
 
 @pytest.mark.parametrize("count", [0, 1, 128, 129])
 def test_streamed_verdicts_match_one_dump(tmp_path, small_blocks, count):
-    """Records written a JSON_BLOCK at a time read as one dump, at the
-    block edges too: 128 rows end inside a block, 129 at an edge."""
+    """Records written a block at a time read as one dump at every leaf
+    budget, whatever the block edges: one row a block, a few rows, or one
+    block a stream."""
     if not count:  # no input file has no rows
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit_verdicts(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool),
-                               lambda lo, hi: [], "json")
+                               iter(()), "json")
         assert out.getvalue() == _reference({"results": [], "schema": cli.SCHEMA}) + "\n"
         return
     moments, _ = _corpus(6, count, 3)
     _matches(["check-moments", "--file", _write(tmp_path / "m.json", moments)],
-             _moment_reference(moments, 1e-9))
+             _moment_reference(moments, 1e-9), small_blocks)
 
 
 def test_moment_writer_matches_one_dump_of_reference_records(tmp_path, small_blocks):
     moments, _ = _corpus(3, 168, 4)
     moments += EDGE_MOMENTS
     expect = _moment_reference(moments, 1e-9)
-    out = _matches(["check-moments", "--file", _write(tmp_path / "m.json", moments)], expect)
+    out = _matches(["check-moments", "--file", _write(tmp_path / "m.json", moments)], expect,
+                   small_blocks)
     assert {r["status"] for r in expect} == {"Member", "NonMember", "Indeterminate"}
     assert any(r["boundary"] for r in expect) and "-0.0" in out
     assert any(m.z0 == 0.0 for m in moments)
@@ -228,7 +249,7 @@ def test_poly_writer_matches_one_dump_of_reference_records(tmp_path, small_block
     polys += EDGE_POLYS
     expect = _poly_reference(polys, route, 1e-9)
     out = _matches(["check-poly", "--route", route,
-                    "--file", _write(tmp_path / "q.json", polys)], expect)
+                    "--file", _write(tmp_path / "q.json", polys)], expect, small_blocks)
     assert "-0.0" in out and len({q.dims.n for q in polys}) > 3
     if route != "ellipsoid":
         assert "-Infinity" in out if route != "exact-d1" else '"point"' in out
@@ -251,8 +272,10 @@ def test_route_all_writer_shows_a_disagreement(tmp_path):
 
 
 def test_output_is_the_same_at_every_block_size(tmp_path, monkeypatch):
-    """Streams, trees and written blocks split a corpus differently at each
-    JSON_BLOCK, and stdout is byte-identical at all of them.  The corpus:
+    """Blocks and written runs of records split a corpus differently at each
+    leaf budget (JSON_BLOCK_LEAVES), and stdout is byte-identical at all of
+    them: below one record (one row a block), at a few records, at a few
+    dozen, and past the whole file (one block a stream).  The corpus:
     moments at d = 1..4 with every verdict and one d = 5 row (a stream of
     one row); d = 1 quadratics of mixed n with NonMember hypercube points,
     ±0.0 and ±1.0, under exact-d1 and --route all.  No kernel gives a
@@ -279,13 +302,23 @@ def test_output_is_the_same_at_every_block_size(tmp_path, monkeypatch):
     argvs = [("check-moments", "--file", _write(tmp_path / "m.json", moments)),
              ("check-poly", "--route", "exact-d1", "--file", _write(tmp_path / "q1.json", d1)),
              ("check-poly", "--route", "all", "--file", _write(tmp_path / "q.json", mixed))]
+    record_texts = cli._record_texts
+    monkeypatch.setattr(cli, "_record_texts",
+                        lambda *a: blocks.append(a) or record_texts(*a))
+    budgets = (1, 9, 40, 400, 10 ** 6)
     for argv, rows in zip(argvs, (moments, d1, mixed)):
-        outs = {}
-        for block in (1, 2, 5, 128):
-            monkeypatch.setattr(cli, "JSON_BLOCK", block)
-            outs[block] = _stdout(["--output", "json", *argv])
-        assert all(out == outs[128] for out in outs.values()), argv
-        code, text = outs[128]
+        outs, counts = {}, []
+        for budget in budgets:
+            monkeypatch.setattr(cli, "JSON_BLOCK_LEAVES", budget)
+            blocks = []
+            outs[budget] = _stdout(["--output", "json", *argv])
+            counts.append(len(blocks))
+        assert all(out == outs[10 ** 6] for out in outs.values()), argv
+        # a row a block at budget 1, fewer blocks at each larger budget, and
+        # one block a stream (each stream's tree once) past the whole file
+        assert counts[0] == len(rows) and counts == sorted(counts, reverse=True), argv
+        assert len({id(leaves) for _, leaves, _ in blocks}) == counts[-1] < counts[1], argv
+        code, text = outs[10 ** 6]
         assert code != 64 and re.search(r"[^-\d.]1\.0\b", text) and "-1.0" in text, argv
         assert "-0.0" in text or "exact-d1" in argv, argv
         if argv[0] == "check-moments":
@@ -297,6 +330,36 @@ def test_output_is_the_same_at_every_block_size(tmp_path, monkeypatch):
             records = json.loads(text)["results"]
             assert len({q.dims.n for q, r in zip(rows, records, strict=True)
                         if r["routes"].get("exact-d1", {}).get("status") == "NonMember"}) > 2
+
+
+def test_json_writer_cost_per_block(tmp_path, monkeypatch):
+    """A cost tripwire for the JSON writer, on a 4096-row d = 1 lmi call:
+    no stream is cut into more than ceil(rows x slots / JSON_BLOCK_LEAVES)
+    blocks, no block holds more leaf texts than the budget unless it is one
+    row, and each block formats its float leaves in one ``_floats`` call."""
+    rng = np.random.default_rng(36)
+    rows = [{"n": 16, "d": 1, "a0": float(a0), "a": [float(a)], "aa": [float(aa)]}
+            for a0, a, aa in rng.normal(size=(4096, 3)) * [40.0, 1.0, 1.0]]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(rows))
+    blocks, floats = [], []
+    record_texts, format_floats = cli._record_texts, cli._floats
+
+    def counted(pieces, leaves, rows):
+        texts = record_texts(pieces, leaves, rows)
+        blocks.append((id(leaves), pieces.size - 1, texts.size))
+        return texts
+
+    monkeypatch.setattr(cli, "_record_texts", counted)
+    monkeypatch.setattr(cli, "_floats", lambda v: floats.append(v.size) or format_floats(v))
+    code, out = _stdout(["--output", "json", "check-poly", "--route", "lmi", "--file", str(path)])
+    assert code in (0, 1) and len(json.loads(out)["results"]) == 4096
+    budget = cli.JSON_BLOCK_LEAVES
+    assert len(floats) == len(blocks)
+    assert all(count * slots <= budget or count == 1 for _, slots, count in blocks)
+    for stream in {key for key, _, _ in blocks}:
+        cut = [(slots, count) for key, slots, count in blocks if key == stream]
+        assert len(cut) <= math.ceil(sum(count for _, count in cut) * cut[0][0] / budget)
 
 
 def test_non_finite_values_are_written_as_the_encoder_writes_them():
