@@ -67,7 +67,7 @@ class ProblemDims:
     d: int
 
     def __post_init__(self):
-        # each bound before int(), which raises OverflowError on -inf
+        # each bound before int(), which raises OverflowError on an infinity
         if self.n >= 2 ** 53:
             raise ValueError("n must be an integer < 2^53")
         if not self.n >= 2 or int(self.n) != self.n:
